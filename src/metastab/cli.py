@@ -3,6 +3,7 @@ bundled examples. All output is versioned JSON with fixed float formatting,
 so identical invocations produce identical bytes."""
 
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -24,6 +25,22 @@ SCHEMA = "metastab/1"
 
 # ---------------------------------------------------------------- formatting
 
+_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+
+# Float arrays at least this large are formatted by distinct value; smaller
+# ones (the 1x1 and 1x2 class matrices of a strict chain) go element-wise.
+_BULK_MIN = 16
+
+
+def _escape(m):
+    ch = m.group()
+    return "\\" + ch if ch in '"\\' else f"\\u{ord(ch):04x}"
+
+
+def _float(v):
+    return f"{v:.17g}" if math.isfinite(v) else "null"
+
+
 def _scalar(x):
     if x is None:
         return "null"
@@ -32,44 +49,78 @@ def _scalar(x):
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        v = float(x)
-        return f"{v:.17g}" if math.isfinite(v) else "null"
+        return _float(float(x))
     raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+def _layout(parts, pad):
+    """A list is inline iff every part is under 24 characters, none spans
+    lines, and the parts total under 72 characters."""
+    if sum(map(len, parts)) < 72 and all(
+            len(p) < 24 and "\n" not in p for p in parts):
+        return "[" + ", ".join(parts) + "]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+
+
+class _Encoder:
+    """One encoding call; escaped strings are shared across the document."""
+
+    def __init__(self):
+        self.strings = {}
+
+    def string(self, s):
+        out = self.strings.get(s)
+        if out is None:
+            out = self.strings[s] = '"' + _ESCAPE.sub(_escape, s) + '"'
+        return out
+
+    def encode(self, obj, indent):
+        if type(obj) is float:
+            return _float(obj)
+        if isinstance(obj, str):
+            return self.string(obj)
+        if isinstance(obj, np.ndarray):
+            if (obj.dtype.kind == "f" and obj.dtype.itemsize <= 8
+                    and obj.ndim and obj.size >= _BULK_MIN):
+                return self.float_array(obj, indent)
+            obj = obj.tolist()
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            inner = "  " * (indent + 1)
+            items = [f"{inner}{self.string(str(k))}: {self.encode(v, indent + 1)}"
+                     for k, v in obj.items()]
+            return "{\n" + ",\n".join(items) + "\n" + "  " * indent + "}"
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            # id lists dominate the report, so strings skip the dispatch
+            string, encode = self.string, self.encode
+            return _layout([string(v) if type(v) is str
+                            else encode(v, indent + 1) for v in obj],
+                           "  " * indent)
+        return _scalar(obj)
+
+    def float_array(self, a, indent):
+        """Format each distinct bit pattern once, then lay out the rows of
+        the last axis and nest them outward."""
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        uniq, inv = np.unique(a.view(np.int64).ravel(), return_inverse=True)
+        text = [_float(v) for v in uniq.view(np.float64).tolist()]
+        parts = [text[i] for i in inv.tolist()]
+        for depth in range(a.ndim - 1, -1, -1):
+            k = a.shape[depth]
+            pad = "  " * (indent + depth)
+            parts = [_layout(parts[j:j + k], pad)
+                     for j in range(0, len(parts), k)]
+        return parts[0]
 
 
 def dumps(obj, indent=0):
     """Deterministic JSON: insertion-ordered keys, 17 significant digits,
-    non-finite floats rendered as null."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, str):
-        out = ['"']
-        for ch in obj:
-            if ch in '"\\':
-                out.append("\\" + ch)
-            elif ch < " ":
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{inner}{dumps(str(k))}: {dumps(v, indent + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [dumps(v, indent + 1) for v in obj]
-        if all(len(p) < 24 and "\n" not in p for p in parts) \
-                and sum(len(p) for p in parts) < 72:
-            return "[" + ", ".join(parts) + "]"
-        return "[\n" + ",\n".join(inner + p for p in parts) + f"\n{pad}]"
-    return _scalar(obj)
+    -0 kept, non-finite floats rendered as null."""
+    return _Encoder().encode(obj, indent)
 
 
 # ------------------------------------------------------------ report pieces
