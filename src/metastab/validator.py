@@ -227,15 +227,21 @@ def compare(report, p, h_list, grid=None, c_tol=3.0, richardson_tol=0.05):
     hs = sorted(set(float(x) for x in h_list), reverse=True)
     if not hs or hs[-1] <= 0:
         raise InputDataError("need positive h values")
+    if not isinstance(p, SampledPotential):
+        raise InputDataError("validation needs a sampled potential")
+    # one extraction and one spline serve every h and both grids
+    cs = extract_critical_structure(p)
+    phi_fn = CubicSpline(p.xs, p.phis)
     n0 = report.n0
     k_nonzero = n0 - 1
     steps = []
     for h in hs:
         entries = report.evaluate(h)[1:]
-        dw1 = discretize(p, h, grid)
+        domain = _energy_window(p, cs, h)
+        dw1 = discretize(phi_fn, h, grid, domain=domain)
         n = dw1.n
         coarse = small_eigenvalues(dw1, n0)[1:]
-        dw2 = discretize(p, h, 2 * n)
+        dw2 = discretize(phi_fn, h, 2 * n, domain=domain)
         fine = small_eigenvalues(dw2, n0)[1:]
         rich = tuple(
             abs(c - f) / f if f > 0 else math.inf
