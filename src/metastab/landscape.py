@@ -13,6 +13,7 @@ of the negative eigenvalue): nothing downstream needs more than
 """
 
 import json
+import math
 import os
 from bisect import bisect_left
 from typing import NamedTuple
@@ -112,22 +113,16 @@ class CriticalStructure:
     def saddle(self, sid):
         return self._sad_by_id[sid]
 
-    def is_minimum(self, pid):
-        return pid in self._min_by_id
-
     def is_saddle(self, pid):
         return pid in self._sad_by_id
-
-    def phi_level(self, point_id):
-        """Cluster index of the value at a critical point."""
-        p = self._min_by_id.get(point_id) or self._sad_by_id.get(point_id)
-        return self.levels.of(p.phi)
 
     # -- validation ------------------------------------------------------
 
     def _validate(self):
         if not self.minima:
             raise InputDataError("structure has no minima")
+        if not math.isfinite(self.level_tolerance):
+            raise InputDataError("level_tolerance must be finite")
         if self.level_tolerance < 0:
             raise InputDataError("level_tolerance must be nonnegative")
         ids = [p.id for p in self.minima] + [p.id for p in self.saddles]
@@ -136,9 +131,15 @@ class CriticalStructure:
         self._min_by_id = {m.id: m for m in self.minima}
         self._sad_by_id = {s.id: s for s in self.saddles}
         for m in self.minima:
+            if not (math.isfinite(m.phi) and math.isfinite(m.det_hess)):
+                raise InputDataError(
+                    f"minimum {m.id}: phi and det_hess must be finite")
             if not (m.det_hess > 0):
                 raise InputDataError(f"minimum {m.id}: det_hess must be > 0")
         for s in self.saddles:
+            if not all(map(math.isfinite, (s.phi, s.det_hess, s.neg_eig))):
+                raise InputDataError(
+                    f"saddle {s.id}: phi and Hessian data must be finite")
             if not (s.det_hess > 0 and s.neg_eig > 0):
                 raise InputDataError(f"saddle {s.id}: Hessian data must be > 0")
             a, b = s.joins

@@ -200,6 +200,22 @@ def test_analyze_rejects_bad_input(runner, tmp_path):
     assert "invalid JSON" in json.loads(res.output)["error"]["message"]
 
 
+@pytest.mark.parametrize("mid, field, value", [
+    ("m23", "phi", math.nan),         # used to exit 0 with log_lambda null
+    ("m23", "det_hess", math.inf),    # used to end in a ZeroDivisionError
+])
+def test_analyze_rejects_non_finite_input(runner, tmp_path, mid, field, value):
+    doc = structure_to_dict(build_example("ex-a").structure)
+    next(m for m in doc["minima"] if m["id"] == mid)[field] = value
+    src = tmp_path / "s.json"
+    src.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["analyze", str(src), "--h", "0.1"])
+    assert res.exit_code == 2
+    err = json.loads(res.output)["error"]
+    assert err == {"type": "InputDataError",
+                   "message": f"minimum {mid}: phi and det_hess must be finite"}
+
+
 def test_internal_error_exit_code(runner, tmp_path, monkeypatch):
     src = tmp_path / "s.json"
     write_structure(src, "ex-a")

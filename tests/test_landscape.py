@@ -71,6 +71,20 @@ def test_structure_rejects_bad_hessians():
             [Saddle("s1", 1.0, -1.0, 1.0, ("m1", "m2"))])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_structure_rejects_non_finite_values(value):
+    mins = [Minimum("m1", 0.0, 1.0), Minimum("m2", 0.0, 1.0)]
+    sad = Saddle("s1", 1.0, 1.0, 1.0, ("m1", "m2"))
+    with pytest.raises(InputDataError, match="level_tolerance must be finite"):
+        _mk(mins, [sad], level_tolerance=value)
+    for field in ("phi", "det_hess"):
+        with pytest.raises(InputDataError, match="minimum m1: .* finite"):
+            _mk([mins[0]._replace(**{field: value}), mins[1]], [sad])
+    for field in ("phi", "det_hess", "neg_eig"):
+        with pytest.raises(InputDataError, match="saddle s1: .* finite"):
+            _mk(mins, [sad._replace(**{field: value})])
+
+
 def test_structure_rejects_self_join():
     with pytest.raises(InputDataError, match="same representative twice"):
         _mk([Minimum("m1", 0.0, 1.0)],
