@@ -58,9 +58,10 @@ def _layout(parts, pad):
     lines, and the parts total under 72 characters."""
     if sum(map(len, parts)) < 72 and all(
             len(p) < 24 and "\n" not in p for p in parts):
-        return "[" + ", ".join(parts) + "]"
+        return f"[{', '.join(parts)}]"
     inner = pad + "  "
-    return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+    body = (",\n" + inner).join(parts)
+    return f"[\n{inner}{body}\n{pad}]"
 
 
 class _Encoder:
@@ -88,10 +89,12 @@ class _Encoder:
         if isinstance(obj, dict):
             if not obj:
                 return "{}"
-            inner = "  " * (indent + 1)
-            items = [f"{inner}{self.string(str(k))}: {self.encode(v, indent + 1)}"
-                     for k, v in obj.items()]
-            return "{\n" + ",\n".join(items) + "\n" + "  " * indent + "}"
+            pad = "  " * indent
+            inner = pad + "  "
+            body = ",\n".join(
+                f"{inner}{self.string(str(k))}: {self.encode(v, indent + 1)}"
+                for k, v in obj.items())
+            return f"{{\n{body}\n{pad}}}"
         if isinstance(obj, (list, tuple)):
             if not obj:
                 return "[]"
