@@ -139,6 +139,63 @@ def random_tree_structure(rng, n_max=9):
     return CriticalStructure(minima, saddles)
 
 
+def tied_structure(rng, n_max=12, saddle_levels=4, stray=0):
+    """Tie-heavy landscape: minima on three levels, saddles on
+    ``saddle_levels`` levels, cycles closed within one level, and parallel
+    saddles (a second saddle on the same pair of minima). Every saddle
+    separates and the last level connects everything. ``stray`` adds that
+    many saddles on random pairs at random levels; those need not separate.
+    test_golden pins the report of one draw, so keep the order of draws.
+    """
+    n = int(rng.integers(2, n_max + 1))
+    minima = [Minimum(f"m{j + 1:02d}", 0.4 * int(rng.integers(0, 3)),
+                      float(rng.uniform(0.1, 10.0)))
+              for j in range(n)]
+    comps = [[m.id] for m in minima]
+    joins = []
+    for lvl in range(saddle_levels):
+        if len(comps) < 2:
+            break
+        phi = 1.5 + 0.5 * lvl
+        order = list(range(len(comps)))
+        rng.shuffle(order)
+        if lvl == saddle_levels - 1:
+            count = len(comps) - 1
+            pairs = [(order[i], order[int(rng.integers(0, i))])
+                     for i in range(1, len(order))]
+        else:
+            count = int(rng.integers(0, len(comps)))
+            pairs = []
+        pairs += [tuple(int(i) for i in rng.choice(len(comps), 2, replace=False))
+                  for _ in range(count - len(pairs) + int(rng.integers(0, 2)))]
+        parent = list(range(len(comps)))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for i, j in pairs:
+            a, b = str(rng.choice(comps[i])), str(rng.choice(comps[j]))
+            joins.append((phi, (a, b)))
+            if rng.random() < 0.3:
+                joins.append((phi, (b, a)))
+            parent[find(i)] = find(j)
+        merged = {}
+        for i, comp in enumerate(comps):
+            merged.setdefault(find(i), []).extend(comp)
+        comps = list(merged.values())
+    ids = [m.id for m in minima]
+    for _ in range(stray):
+        a, b = (str(x) for x in rng.choice(ids, 2, replace=False))
+        joins.append((1.5 + 0.5 * int(rng.integers(0, saddle_levels + 1)),
+                      (a, b)))
+    saddles = [Saddle(f"s{k + 1:02d}", phi, float(rng.uniform(0.1, 10.0)),
+                      float(rng.uniform(0.1, 10.0)), pair)
+               for k, (phi, pair) in enumerate(joins)]
+    return CriticalStructure(minima, saddles)
+
+
 def alternating_family():
     """Two wells of equal depth around a strictly deeper middle well, both
     saddles at one level: fails genericity while every class stays a
