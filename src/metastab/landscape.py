@@ -180,8 +180,8 @@ def load_structure(document):
     """Parse and fully validate an abstract structure document.
 
     ``document`` may be a dict, a JSON string, or a path to a JSON file.
-    Validation includes the separating-saddle condition, checked through the
-    sublevel sweep.
+    Validation includes the separating-saddle condition, checked on the
+    merge tree of the sublevel sets.
     """
     doc = document
     if isinstance(doc, (str, os.PathLike)):
@@ -233,7 +233,7 @@ def load_structure(document):
             (joins[0], joins[1]),
         ))
     cs = CriticalStructure(minima, saddles, tol)
-    # separating condition needs the sweep; deferred import avoids a cycle
+    # separating condition needs the merge tree; deferred import avoids a cycle
     from .topology import verify_separating
     verify_separating(cs)
     return cs

@@ -4,7 +4,8 @@ the saddle partition.
 Everything works on a quotient picture. A connected component of an open
 sublevel set {phi < level} is represented by the set of minima it contains,
 and two components touch at a level exactly when some listed saddle at that
-level joins them. Potential values are never compared directly; every
+level joins them. All components come from one merge tree, built in a single
+ascending pass. Potential values are never compared directly; every
 decision goes through the level clusters of the structure, which keeps
 equality transitive.
 """
@@ -20,12 +21,8 @@ INF = math.inf
 class _DSU:
     """Union-find keeping the lexicographically smallest id as the root."""
 
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
 
     def find(self, x):
         r = x
@@ -43,62 +40,79 @@ class _DSU:
             self.parent[rb] = ra
 
 
-class Sweep:
-    """Ascending merge sweep with a component snapshot after every level.
+class _Node:
+    """One component of a sublevel set, alive from its birth cluster until
+    its parent is born."""
 
-    ``after[k]`` maps each minimum of cluster <= k to the root (smallest id)
-    of its component in the sublevel set just above cluster k. The state
-    strictly below cluster k is therefore ``after[k-1]``.
+    __slots__ = ("born", "members", "deepest", "low", "children", "parent")
+
+    def __init__(self, born, members, deepest, low, children=()):
+        self.born = born            # level cluster the component appears at
+        self.members = members      # frozenset of minimum ids
+        self.deepest = deepest      # (cluster, id) of its deepest minimum
+        self.low = low              # smallest minimum id
+        self.children = children    # components it was formed from
+        self.parent = None
+
+
+class MergeTree:
+    """Merge tree of the sublevel sets {phi < level}.
+
+    One leaf per minimum, born at the minimum's cluster; one node per
+    component that the saddles of a cluster form from the components just
+    below it. ``ends[sid]`` holds the two components saddle ``sid`` joins,
+    as they stand just below its cluster, in ascending cluster and then id
+    order. ``born[k]`` lists the nodes born at saddle cluster k and
+    ``saddles_at[k]`` the saddles of that cluster.
     """
 
     def __init__(self, cs):
-        self.cs = cs
         L = cs.levels
-        n = len(L)
-        self.minima_at = [[] for _ in range(n)]
-        self.saddles_at = [[] for _ in range(n)]
+        self.leaf = {}
         for m in cs.minima:
-            self.minima_at[L.of(m.phi)].append(m.id)
+            k = L.of(m.phi)
+            self.leaf[m.id] = _Node(k, frozenset((m.id,)), (k, m.id), m.id)
+        dsu = _DSU(self.leaf)
+        top = dict(self.leaf)       # union-find root -> its current node
+        self.saddles_at = {}
         for s in cs.saddles:
-            self.saddles_at[L.of(s.phi)].append(s.id)
-        dsu = _DSU()
-        self.after = []
-        self.nonseparating = []
-        for k in range(n):
-            below = self.after[k - 1] if k else {}
-            for mid in self.minima_at[k]:
-                dsu.add(mid)
-            for sid in self.saddles_at[k]:
+            self.saddles_at.setdefault(L.of(s.phi), []).append(s.id)
+        self.ends = {}
+        self.born = {}
+        for k in sorted(self.saddles_at):
+            sids = self.saddles_at[k]
+            for sid in sids:
                 a, b = cs.saddle(sid).joins
-                if below.get(a) is not None and below.get(a) == below.get(b):
-                    self.nonseparating.append(sid)
-                dsu.union(a, b)
-            self.after.append({mid: dsu.find(mid) for mid in dsu.parent})
+                self.ends[sid] = (top[dsu.find(a)], top[dsu.find(b)])
+            for sid in sids:
+                dsu.union(*cs.saddle(sid).joins)
+            groups = {}
+            for sid in sids:
+                for node in self.ends[sid]:
+                    groups.setdefault(dsu.find(node.low), {})[node] = None
+            self.born[k] = []
+            for r, kids in groups.items():
+                node = _Node(k, frozenset().union(*(c.members for c in kids)),
+                             min(c.deepest for c in kids), r, tuple(kids))
+                for c in kids:
+                    c.parent = node
+                top[r] = node
+                self.born[k].append(node)
+        self.roots = {top[dsu.find(mid)] for mid in self.leaf}
 
-    def state_below(self, k):
-        return self.after[k - 1] if k > 0 else {}
-
-    def root_below(self, k, mid):
-        return self.state_below(k)[mid]
-
-    def comp_below(self, k, mid):
-        state = self.state_below(k)
-        r = state[mid]
-        return frozenset(x for x, rx in state.items() if rx == r)
-
-    def components_below(self, k):
-        comps = {}
-        for mid, r in self.state_below(k).items():
-            comps.setdefault(r, set()).add(mid)
-        return {r: frozenset(v) for r, v in comps.items()}
+    def below(self, k, mid):
+        """The component of {phi < cluster k} that holds minimum ``mid``."""
+        node = self.leaf[mid]
+        while node.parent is not None and node.parent.born < k:
+            node = node.parent
+        return node
 
 
-def _sweep(cs):
-    sw = getattr(cs, "_sweep_cache", None)
-    if sw is None:
-        sw = Sweep(cs)
-        cs._sweep_cache = sw
-    return sw
+def _tree(cs):
+    tree = getattr(cs, "_merge_tree", None)
+    if tree is None:
+        tree = cs._merge_tree = MergeTree(cs)
+    return tree
 
 
 def verify_separating(cs):
@@ -109,34 +123,14 @@ def verify_separating(cs):
     minima do not end up in a single component, since the labelling needs a
     connected space.
     """
-    sw = _sweep(cs)
-    if sw.nonseparating:
-        raise InputDataError(
-            f"saddle {sw.nonseparating[0]} joins minima already connected "
-            "below its level")
-    final = sw.after[-1] if sw.after else {}
-    if len(set(final.values())) > 1:
+    tree = _tree(cs)
+    for sid, (a, b) in tree.ends.items():
+        if a is b:
+            raise InputDataError(
+                f"saddle {sid} joins minima already connected "
+                "below its level")
+    if len(tree.roots) > 1:
         raise InputDataError("landscape is not connected")
-
-
-def sublevel_components(cs, level):
-    """Partition of {m : phi(m) < level} into sublevel-set components.
-
-    Returns a list of frozensets of minimum ids, sorted by smallest member.
-    ``level`` may be +inf.
-    """
-    L = cs.levels
-    if level == INF:
-        cut = len(L)
-    else:
-        k = L.of(level)
-        cut = k + 1 if level > L.spans[k][1] + L.eps else k
-    sw = _sweep(cs)
-    state = sw.after[cut - 1] if cut > 0 else {}
-    comps = {}
-    for mid, r in state.items():
-        comps.setdefault(r, set()).add(mid)
-    return [frozenset(comps[r]) for r in sorted(comps)]
 
 
 class Labelling(NamedTuple):
@@ -155,9 +149,10 @@ def label_minima(cs):
 
     Descends through the distinct saddle levels; at each one, any component of
     the open sublevel set that does not yet hold a labelled minimum gets
-    labelled by its deepest minimum (ties by id).
+    labelled by its deepest minimum (ties by id): on the merge tree, every
+    child of a node born there except the one holding the node's deepest.
     """
-    sw = _sweep(cs)
+    tree = _tree(cs)
     L = cs.levels
     ssv = tuple(sorted({L.of(s.phi) for s in cs.saddles}, reverse=True))
     mbar = min(cs.minima, key=lambda m: (L.of(m.phi), m.id)).id
@@ -170,14 +165,14 @@ def label_minima(cs):
     prev_cluster = {mbar: None}
     for step, k in enumerate(ssv, start=2):
         prev = ssv[step - 3] if step > 2 else None
-        comps = sw.components_below(k)
-        fresh = [c for c in comps.values() if not any(x in sigma for x in c)]
-        for j, comp in enumerate(sorted(fresh, key=min), start=1):
-            lead = min(comp, key=lambda x: (L.of(cs.minimum(x).phi), x))
+        fresh = [c for node in tree.born[k] for c in node.children
+                 if c.deepest != node.deepest]
+        for j, comp in enumerate(sorted(fresh, key=lambda c: c.low), start=1):
+            cluster, lead = comp.deepest
             sigma[lead] = L.rep(k)
             sigma_cluster[lead] = k
-            S[lead] = L.rep(k) - L.rep(L.of(cs.minimum(lead).phi))
-            E[lead] = comp
+            S[lead] = L.rep(k) - L.rep(cluster)
+            E[lead] = comp.members
             index[lead] = (step, j)
             prev_cluster[lead] = prev
     if len(sigma) != len(cs.minima):
@@ -196,7 +191,7 @@ class Maps(NamedTuple):
 def derive_maps(cs, lab):
     """Per-minimum derived objects: enclosing component, reference minimum,
     its component, the equal-level set H, and the type decision."""
-    sw = _sweep(cs)
+    tree = _tree(cs)
     L = cs.levels
     allm = frozenset(m.id for m in cs.minima)
     H = {}
@@ -214,13 +209,13 @@ def derive_maps(cs, lab):
         if mid == lab.mbar:
             continue
         prev = lab.prev_cluster[mid]
-        Eminus[mid] = allm if prev is None else sw.comp_below(prev, mid)
+        Eminus[mid] = allm if prev is None else tree.below(prev, mid).members
         cands = [x for x in Eminus[mid] if sig_key(x) > sig_key(mid)]
         if len(cands) != 1:
             raise InvariantViolation(
                 f"reference minimum not unique for {mid}: {sorted(cands)}")
         mhat[mid] = cands[0]
-        Ehat[mid] = sw.comp_below(lab.sigma_cluster[mid], mhat[mid])
+        Ehat[mid] = tree.below(lab.sigma_cluster[mid], mhat[mid]).members
         cm = L.of(cs.minimum(mid).phi)
         ch = L.of(cs.minimum(mhat[mid]).phi)
         if ch > cm:
@@ -299,31 +294,30 @@ def equivalence_classes(cs, lab, maps):
     components (members' own, plus the reference minimum's component for
     type II members) whose closures share saddles at that level.
     """
-    sw = _sweep(cs)
-    L = cs.levels
+    tree = _tree(cs)
     ground = EquivClass((lab.mbar,), INF, None, None, None, False,
                         ((lab.mbar,),), ((lab.mbar,),), (INF,), ground=True)
     classes = [ground]
+    labelled_at = {}
+    for m in sorted(lab.sigma_cluster):
+        labelled_at.setdefault(lab.sigma_cluster[m], []).append(m)
     for k in lab.ssv_clusters:
-        members_k = sorted(m for m, c in lab.sigma_cluster.items() if c == k)
+        members_k = labelled_at.get(k)
         if not members_k:
             continue
-        node = {m: sw.root_below(k, m) for m in members_k}
+        node = {m: tree.below(k, m) for m in members_k}
         nodes = set(node.values())
         for m in members_k:
             if maps.type2[m]:
-                nodes.add(sw.root_below(k, maps.mhat[m]))
-        dsu = _DSU()
-        for r in nodes:
-            dsu.add(r)
-        for sid in sw.saddles_at[k]:
-            a, b = cs.saddle(sid).joins
-            ra, rb = sw.root_below(k, a), sw.root_below(k, b)
-            if ra in nodes and rb in nodes:
-                dsu.union(ra, rb)
+                nodes.add(tree.below(k, maps.mhat[m]))
+        dsu = _DSU(n.low for n in nodes)
+        for sid in tree.saddles_at[k]:
+            a, b = tree.ends[sid]
+            if a in nodes and b in nodes:
+                dsu.union(a.low, b.low)
         groups = {}
         for m in members_k:
-            groups.setdefault(dsu.find(node[m]), []).append(m)
+            groups.setdefault(dsu.find(node[m].low), []).append(m)
         for root in sorted(groups):
             classes.append(_build_class(cs, lab, maps, sorted(groups[root]), k))
     classes[1:] = sorted(
@@ -376,19 +370,20 @@ def partition_saddles(cs, cd):
     fellow member (interior row) or the class reference minimum (boundary
     row). Returns the decomposition with per-class saddles filled in.
     """
-    sw = _sweep(cs)
+    tree = _tree(cs)
     L = cs.levels
     by_cluster = {}
+    eroots = {}                 # class -> {member's component: member}
     for c in cd.classes[1:]:
         by_cluster.setdefault(c.sigma_cluster, []).append(c)
+        eroots[c] = {tree.below(c.sigma_cluster, m): m for m in c.members}
     assigned = {c: [] for c in cd.classes}
     for s in cs.saddles:
         k = L.of(s.phi)
-        a, b = s.joins
-        ra, rb = sw.root_below(k, a), sw.root_below(k, b)
+        ra, rb = tree.ends[s.id]
         hit = None
         for c in by_cluster.get(k, ()):
-            eroot = {sw.root_below(k, m): m for m in c.members}
+            eroot = eroots[c]
             in_a, in_b = ra in eroot, rb in eroot
             if not (in_a or in_b):
                 continue
@@ -405,7 +400,7 @@ def partition_saddles(cs, cd):
             else:
                 member = eroot[ra] if in_a else eroot[rb]
                 other = rb if in_a else ra
-                if other != sw.root_below(k, c.mhat):
+                if other is not tree.below(k, c.mhat):
                     raise InvariantViolation(
                         f"saddle {s.id}: far side is not the enclosing "
                         "component")
@@ -439,7 +434,7 @@ def check_generic_assumption(cs, lab=None):
     """
     if lab is None:
         lab = label_minima(cs)
-    sw = _sweep(cs)
+    tree = _tree(cs)
     L = cs.levels
     for mid in sorted(lab.E):
         comp = lab.E[mid]
@@ -453,16 +448,15 @@ def check_generic_assumption(cs, lab=None):
             }
     for k in lab.ssv_clusters:
         incident = {}
-        for sid in sw.saddles_at[k]:
-            a, b = cs.saddle(sid).joins
-            for r in {sw.root_below(k, a), sw.root_below(k, b)}:
-                incident.setdefault(r, []).append(sid)
-        for r in sorted(incident):
-            if len(incident[r]) > 1:
+        for sid in tree.saddles_at[k]:
+            for node in set(tree.ends[sid]):
+                incident.setdefault(node, []).append(sid)
+        for node in sorted(incident, key=lambda n: n.low):
+            if len(incident[node]) > 1:
                 return False, {
                     "condition": "unique-maximal-saddle",
-                    "component": sorted(sw.comp_below(k, r)),
-                    "saddles": sorted(incident[r]),
+                    "component": sorted(node.members),
+                    "saddles": sorted(incident[node]),
                 }
     maps = derive_maps(cs, lab)
     cd = equivalence_classes(cs, lab, maps)

@@ -166,7 +166,7 @@ def tied_structure(rng, n_max=12, saddle_levels=4, stray=0):
         else:
             count = int(rng.integers(0, len(comps)))
             pairs = []
-        pairs += [tuple(int(i) for i in rng.choice(len(comps), 2, replace=False))
+        pairs += [tuple(map(int, rng.choice(len(comps), 2, replace=False)))
                   for _ in range(count - len(pairs) + int(rng.integers(0, 2)))]
         parent = list(range(len(comps)))
 

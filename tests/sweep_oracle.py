@@ -1,0 +1,353 @@
+"""Reference implementation of the sublevel-set queries: an ascending sweep
+that keeps a full component snapshot after every level cluster.
+
+This is the decomposition as it stood before ``metastab.topology`` read
+everything off one merge tree. The functions below are kept verbatim as a
+differential oracle; only the data types and ``_build_class`` come from the
+package.
+"""
+
+import math
+
+from metastab.errors import InputDataError, InvariantViolation
+from metastab.topology import (ClassDecomposition, EquivClass, Labelling,
+                               Maps, SaddleRow, _build_class)
+
+INF = math.inf
+
+
+class _DSU:
+    """Union-find keeping the lexicographically smallest id as the root."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def add(self, x):
+        if x not in self.parent:
+            self.parent[x] = x
+
+    def find(self, x):
+        r = x
+        while self.parent[r] != r:
+            r = self.parent[r]
+        while self.parent[x] != r:
+            self.parent[x], x = r, self.parent[x]
+        return r
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+
+class Sweep:
+    """Ascending merge sweep with a component snapshot after every level.
+
+    ``after[k]`` maps each minimum of cluster <= k to the root (smallest id)
+    of its component in the sublevel set just above cluster k. The state
+    strictly below cluster k is therefore ``after[k-1]``.
+    """
+
+    def __init__(self, cs):
+        self.cs = cs
+        L = cs.levels
+        n = len(L)
+        self.minima_at = [[] for _ in range(n)]
+        self.saddles_at = [[] for _ in range(n)]
+        for m in cs.minima:
+            self.minima_at[L.of(m.phi)].append(m.id)
+        for s in cs.saddles:
+            self.saddles_at[L.of(s.phi)].append(s.id)
+        dsu = _DSU()
+        self.after = []
+        self.nonseparating = []
+        for k in range(n):
+            below = self.after[k - 1] if k else {}
+            for mid in self.minima_at[k]:
+                dsu.add(mid)
+            for sid in self.saddles_at[k]:
+                a, b = cs.saddle(sid).joins
+                if below.get(a) is not None and below.get(a) == below.get(b):
+                    self.nonseparating.append(sid)
+                dsu.union(a, b)
+            self.after.append({mid: dsu.find(mid) for mid in dsu.parent})
+
+    def state_below(self, k):
+        return self.after[k - 1] if k > 0 else {}
+
+    def root_below(self, k, mid):
+        return self.state_below(k)[mid]
+
+    def comp_below(self, k, mid):
+        state = self.state_below(k)
+        r = state[mid]
+        return frozenset(x for x, rx in state.items() if rx == r)
+
+    def components_below(self, k):
+        comps = {}
+        for mid, r in self.state_below(k).items():
+            comps.setdefault(r, set()).add(mid)
+        return {r: frozenset(v) for r, v in comps.items()}
+
+
+def _sweep(cs):
+    sw = getattr(cs, "_sweep_cache", None)
+    if sw is None:
+        sw = Sweep(cs)
+        cs._sweep_cache = sw
+    return sw
+
+
+def verify_separating(cs):
+    """Reject saddles whose two sides are already connected strictly below.
+
+    Such a point does not separate its sublevel component, so listing it as a
+    separating saddle is an input error. Also rejects a landscape whose
+    minima do not end up in a single component, since the labelling needs a
+    connected space.
+    """
+    sw = _sweep(cs)
+    if sw.nonseparating:
+        raise InputDataError(
+            f"saddle {sw.nonseparating[0]} joins minima already connected "
+            "below its level")
+    final = sw.after[-1] if sw.after else {}
+    if len(set(final.values())) > 1:
+        raise InputDataError("landscape is not connected")
+
+
+def sublevel_components(cs, level):
+    """Partition of {m : phi(m) < level} into sublevel-set components.
+
+    Returns a list of frozensets of minimum ids, sorted by smallest member.
+    ``level`` may be +inf.
+    """
+    L = cs.levels
+    if level == INF:
+        cut = len(L)
+    else:
+        k = L.of(level)
+        cut = k + 1 if level > L.spans[k][1] + L.eps else k
+    sw = _sweep(cs)
+    state = sw.after[cut - 1] if cut > 0 else {}
+    comps = {}
+    for mid, r in state.items():
+        comps.setdefault(r, set()).add(mid)
+    return [frozenset(comps[r]) for r in sorted(comps)]
+
+
+def label_minima(cs):
+    """Assign every minimum its separating saddle value.
+
+    Descends through the distinct saddle levels; at each one, any component of
+    the open sublevel set that does not yet hold a labelled minimum gets
+    labelled by its deepest minimum (ties by id).
+    """
+    sw = _sweep(cs)
+    L = cs.levels
+    ssv = tuple(sorted({L.of(s.phi) for s in cs.saddles}, reverse=True))
+    mbar = min(cs.minima, key=lambda m: (L.of(m.phi), m.id)).id
+    allm = frozenset(m.id for m in cs.minima)
+    sigma = {mbar: INF}
+    sigma_cluster = {mbar: None}
+    S = {mbar: INF}
+    E = {mbar: allm}
+    index = {mbar: (1, 1)}
+    prev_cluster = {mbar: None}
+    for step, k in enumerate(ssv, start=2):
+        prev = ssv[step - 3] if step > 2 else None
+        comps = sw.components_below(k)
+        fresh = [c for c in comps.values() if not any(x in sigma for x in c)]
+        for j, comp in enumerate(sorted(fresh, key=min), start=1):
+            lead = min(comp, key=lambda x: (L.of(cs.minimum(x).phi), x))
+            sigma[lead] = L.rep(k)
+            sigma_cluster[lead] = k
+            S[lead] = L.rep(k) - L.rep(L.of(cs.minimum(lead).phi))
+            E[lead] = comp
+            index[lead] = (step, j)
+            prev_cluster[lead] = prev
+    if len(sigma) != len(cs.minima):
+        raise InvariantViolation("labelling left minima unassigned")
+    return Labelling(mbar, sigma, sigma_cluster, S, E, index, prev_cluster, ssv)
+
+
+def derive_maps(cs, lab):
+    """Per-minimum derived objects: enclosing component, reference minimum,
+    its component, the equal-level set H, and the type decision."""
+    sw = _sweep(cs)
+    L = cs.levels
+    allm = frozenset(m.id for m in cs.minima)
+    H = {}
+    for mid, comp in lab.E.items():
+        c = L.of(cs.minimum(mid).phi)
+        H[mid] = frozenset(x for x in comp if L.of(cs.minimum(x).phi) == c)
+
+    def sig_key(mid):
+        k = lab.sigma_cluster[mid]
+        return INF if k is None else k
+
+    Eminus, mhat, Ehat, type2 = {}, {}, {}, {}
+    for m in cs.minima:
+        mid = m.id
+        if mid == lab.mbar:
+            continue
+        prev = lab.prev_cluster[mid]
+        Eminus[mid] = allm if prev is None else sw.comp_below(prev, mid)
+        cands = [x for x in Eminus[mid] if sig_key(x) > sig_key(mid)]
+        if len(cands) != 1:
+            raise InvariantViolation(
+                f"reference minimum not unique for {mid}: {sorted(cands)}")
+        mhat[mid] = cands[0]
+        Ehat[mid] = sw.comp_below(lab.sigma_cluster[mid], mhat[mid])
+        cm = L.of(cs.minimum(mid).phi)
+        ch = L.of(cs.minimum(mhat[mid]).phi)
+        if ch > cm:
+            raise InvariantViolation(
+                f"reference minimum of {mid} lies above it")
+        type2[mid] = ch == cm
+    return Maps(Eminus, mhat, Ehat, H, type2)
+
+
+def equivalence_classes(cs, lab, maps):
+    """Group the minima labelled at each saddle level into classes.
+
+    Two members are equivalent when their components are linked by a chain of
+    components (members' own, plus the reference minimum's component for
+    type II members) whose closures share saddles at that level.
+    """
+    sw = _sweep(cs)
+    L = cs.levels
+    ground = EquivClass((lab.mbar,), INF, None, None, None, False,
+                        ((lab.mbar,),), ((lab.mbar,),), (INF,), ground=True)
+    classes = [ground]
+    for k in lab.ssv_clusters:
+        members_k = sorted(m for m, c in lab.sigma_cluster.items() if c == k)
+        if not members_k:
+            continue
+        node = {m: sw.root_below(k, m) for m in members_k}
+        nodes = set(node.values())
+        for m in members_k:
+            if maps.type2[m]:
+                nodes.add(sw.root_below(k, maps.mhat[m]))
+        dsu = _DSU()
+        for r in nodes:
+            dsu.add(r)
+        for sid in sw.saddles_at[k]:
+            a, b = cs.saddle(sid).joins
+            ra, rb = sw.root_below(k, a), sw.root_below(k, b)
+            if ra in nodes and rb in nodes:
+                dsu.union(ra, rb)
+        groups = {}
+        for m in members_k:
+            groups.setdefault(dsu.find(node[m]), []).append(m)
+        for root in sorted(groups):
+            classes.append(_build_class(cs, lab, maps, sorted(groups[root]), k))
+    classes[1:] = sorted(
+        classes[1:], key=lambda c: (-c.sigma_cluster, c.members[0]))
+    return ClassDecomposition(tuple(classes), lab, maps)
+
+
+def partition_saddles(cs, cd):
+    """Assign every saddle to its class with ordered endpoints.
+
+    The member-side endpoint comes first; the other endpoint is either a
+    fellow member (interior row) or the class reference minimum (boundary
+    row). Returns the decomposition with per-class saddles filled in.
+    """
+    sw = _sweep(cs)
+    L = cs.levels
+    by_cluster = {}
+    for c in cd.classes[1:]:
+        by_cluster.setdefault(c.sigma_cluster, []).append(c)
+    assigned = {c: [] for c in cd.classes}
+    for s in cs.saddles:
+        k = L.of(s.phi)
+        a, b = s.joins
+        ra, rb = sw.root_below(k, a), sw.root_below(k, b)
+        hit = None
+        for c in by_cluster.get(k, ()):
+            eroot = {sw.root_below(k, m): m for m in c.members}
+            in_a, in_b = ra in eroot, rb in eroot
+            if not (in_a or in_b):
+                continue
+            if hit is not None:
+                raise InvariantViolation(f"saddle {s.id} fits two classes")
+            hit = c
+            if in_a and in_b:
+                u, v = eroot[ra], eroot[rb]
+                cu, cv = L.of(cs.minimum(u).phi), L.of(cs.minimum(v).phi)
+                # member-side endpoint is the higher minimum, ties by id
+                if cu < cv or (cu == cv and u > v):
+                    u, v = v, u
+                assigned[c].append(SaddleRow(s.id, u, v, False))
+            else:
+                member = eroot[ra] if in_a else eroot[rb]
+                other = rb if in_a else ra
+                if other != sw.root_below(k, c.mhat):
+                    raise InvariantViolation(
+                        f"saddle {s.id}: far side is not the enclosing "
+                        "component")
+                assigned[c].append(SaddleRow(s.id, member, c.mhat, True))
+        if hit is None:
+            raise InvariantViolation(
+                f"saddle {s.id} lies on no class boundary")
+    for c in cd.classes:
+        c.saddles = tuple(sorted(assigned[c]))
+        if not c.ground and len(c.saddles) < len(c.members):
+            raise InvariantViolation(
+                f"class {c.members} has fewer saddles than members")
+    return cd
+
+
+def decompose(cs):
+    """Full pipeline: labelling, maps, classes, saddle partition."""
+    verify_separating(cs)
+    lab = label_minima(cs)
+    maps = derive_maps(cs, lab)
+    return partition_saddles(cs, equivalence_classes(cs, lab, maps))
+
+
+def check_generic_assumption(cs, lab=None):
+    """Check the two genericity conditions.
+
+    Returns (True, None) when every labelled component has a unique deepest
+    minimum and, at each saddle level, no component of the open sublevel set
+    touches two saddles of that level. On success every equivalence class is
+    a singleton (asserted). On failure returns (False, witness).
+    """
+    if lab is None:
+        lab = label_minima(cs)
+    sw = _sweep(cs)
+    L = cs.levels
+    for mid in sorted(lab.E):
+        comp = lab.E[mid]
+        bottom = min(L.of(cs.minimum(x).phi) for x in comp)
+        ties = sorted(x for x in comp if L.of(cs.minimum(x).phi) == bottom)
+        if len(ties) > 1:
+            return False, {
+                "condition": "unique-minimum",
+                "component": sorted(comp),
+                "tied_minima": ties,
+            }
+    for k in lab.ssv_clusters:
+        incident = {}
+        for sid in sw.saddles_at[k]:
+            a, b = cs.saddle(sid).joins
+            for r in {sw.root_below(k, a), sw.root_below(k, b)}:
+                incident.setdefault(r, []).append(sid)
+        for r in sorted(incident):
+            if len(incident[r]) > 1:
+                return False, {
+                    "condition": "unique-maximal-saddle",
+                    "component": sorted(sw.comp_below(k, r)),
+                    "saddles": sorted(incident[r]),
+                }
+    maps = derive_maps(cs, lab)
+    cd = equivalence_classes(cs, lab, maps)
+    for c in cd.classes:
+        if len(c.members) > 1:
+            raise InvariantViolation(
+                f"genericity held but class {c.members} is not a singleton")
+    return True, None

@@ -11,7 +11,8 @@ from metastab.examples import build_example, ex_a, ex_b, ex_c, nine_wells
 from metastab.landscape import CriticalStructure, Minimum, Saddle
 from metastab.topology import (check_generic_assumption, decompose,
                                derive_maps, equivalence_classes, label_minima,
-                               sublevel_components, verify_separating)
+                               verify_separating)
+from sweep_oracle import sublevel_components
 
 INF = math.inf
 
@@ -96,7 +97,7 @@ def test_verify_separating_rejects_disconnected():
 
 def test_verify_separating_accepts_ring():
     # n saddles on n minima: the top saddle closes the loop but its endpoints
-    # only connect strictly below it, which the sweep accepts
+    # only connect strictly below it, which the merge tree accepts
     verify_separating(ex_c(5).structure)
 
 
