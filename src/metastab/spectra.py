@@ -15,10 +15,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InputDataError, InvariantViolation
-from .prefactors import GradedCore, build_class_matrices, build_graded_core
+from .prefactors import GradedCore, build_graded_core
 
 _EIG_RESIDUAL = 1e-12
-_CLUSTER_RTOL = 1e-9
 
 
 def sym_eig(M):
@@ -36,26 +35,6 @@ def sym_eig(M):
         if np.any(resid > _EIG_RESIDUAL * scale):
             raise InvariantViolation("eigendecomposition residual too large")
     return w
-
-
-def cluster_eigenvalues(w, rtol=_CLUSTER_RTOL):
-    """Group ascending eigenvalues into (value, multiplicity) pairs.
-
-    Values whose gap is below rtol relative to the spectrum scale are merged,
-    so symmetry-forced degeneracies are reported with their multiplicity.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.size == 0:
-        return []
-    scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    groups = []
-    start = 0
-    for i in range(1, w.size + 1):
-        if i == w.size or w[i] - w[i - 1] > rtol * scale:
-            chunk = w[start:i]
-            groups.append((float(chunk.mean()), int(chunk.size)))
-            start = i
-    return groups
 
 
 def schur_J(g: GradedCore):
@@ -98,20 +77,6 @@ def class_spectrum(g: GradedCore):
         if k + 1 < p:
             g = schur_R(g)
     return out
-
-
-def graph_laplacian(cs, cd, alpha):
-    """Weighted graph Laplacian view of a single-barrier type II class.
-
-    Vertices are the extended set, edges the class saddles; equals
-    Upsilon' Upsilon. Only defined for type II classes with p = 1.
-    """
-    if not (getattr(alpha, "type2", False) and alpha.p == 1):
-        raise InputDataError(
-            "graph Laplacian requires a type II class with one barrier level")
-    cm = build_class_matrices(cs, cd, alpha)
-    L = cm.upsilon.T @ cm.upsilon
-    return 0.5 * (L + L.T)
 
 
 class SpectrumEntry(NamedTuple):

@@ -64,8 +64,6 @@ class DiscretizedWitten(NamedTuple):
     h: float
     acoef: np.ndarray      # C[j, j] entries, j = 0..n-1
     bcoef: np.ndarray      # C[j, j-1] entries, j = 1..n (index 0 unused)
-    diag: np.ndarray       # assembled tridiagonal of C'C
-    offdiag: np.ndarray
     phi: np.ndarray        # potential on interior points
 
     @property
@@ -130,11 +128,7 @@ def discretize(p, h, n=None, domain=None):
     scale = h / dx
     acoef = scale * np.exp(up[:-1])                       # j = 0..n-1
     bcoef = np.concatenate([[0.0], -scale * np.exp(dn[1:])])  # j = 1..n
-    # assembled tridiagonal, used for Sturm counts only
-    diag = acoef ** 2 + bcoef[1:n + 1] ** 2
-    offdiag = acoef[1:] * bcoef[1:n]
-    return DiscretizedWitten(full[1:-1], dx, h, acoef, bcoef, diag, offdiag,
-                             phi[1:-1])
+    return DiscretizedWitten(full[1:-1], dx, h, acoef, bcoef, phi[1:-1])
 
 
 def _qr_bidiagonal(dw):
@@ -178,21 +172,6 @@ def small_eigenvalues(dw, k):
                          select="i", select_range=(n, n + k - 1),
                          tol=np.finfo(float).tiny, lapack_driver="stebz")
     return np.maximum(w, 0.0) ** 2
-
-
-def sturm_count(dw, threshold):
-    """Number of eigenvalues of the assembled tridiagonal below threshold."""
-    t = 0.0
-    count = 0
-    tiny = np.finfo(float).tiny
-    for i in range(dw.n):
-        off2 = dw.offdiag[i - 1] ** 2 if i else 0.0
-        t = dw.diag[i] - threshold - (off2 / t if i else 0.0)
-        if t == 0.0:
-            t = -tiny
-        if t < 0.0:
-            count += 1
-    return count
 
 
 class HStep(NamedTuple):

@@ -33,6 +33,29 @@ def make_rng(tag):
 # ---------------------------------------------------------------- matrices
 
 
+_CLUSTER_RTOL = 1e-9
+
+
+def cluster_eigenvalues(w, rtol=_CLUSTER_RTOL):
+    """Group ascending eigenvalues into (value, multiplicity) pairs.
+
+    Values whose gap is below rtol relative to the spectrum scale are merged,
+    so symmetry-forced degeneracies are reported with their multiplicity.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.size == 0:
+        return []
+    scale = max(abs(w[0]), abs(w[-1]), 1e-300)
+    groups = []
+    start = 0
+    for i in range(1, w.size + 1):
+        if i == w.size or w[i] - w[i - 1] > rtol * scale:
+            chunk = w[start:i]
+            groups.append((float(chunk.mean()), int(chunk.size)))
+            start = i
+    return groups
+
+
 def random_spd_core(rng, max_dim=12):
     """SPD graded core with 2..4 blocks of size 1..3 and eigenvalues in
     [1/2, 2], so consecutive scale blocks never overlap at the tested tau."""

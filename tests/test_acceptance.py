@@ -11,14 +11,13 @@ import time
 import numpy as np
 import scipy.linalg
 
-from conftest import (alternating_family, make_rng, random_spd,
-                      random_spd_core, random_tree_structure, type1_gadget,
-                      type2_gadget)
+from conftest import (alternating_family, cluster_eigenvalues, make_rng,
+                      random_spd, random_spd_core, random_tree_structure,
+                      type1_gadget, type2_gadget)
 from metastab.examples import build_example
 from metastab.landscape import extract_critical_structure, make_sampled
 from metastab.prefactors import build_class_matrices, build_graded_core, h_phi
-from metastab.spectra import (class_spectrum, cluster_eigenvalues,
-                              full_spectrum, schur_R)
+from metastab.spectra import class_spectrum, full_spectrum, schur_R
 from metastab.topology import check_generic_assumption, decompose
 from metastab.validator import compare
 

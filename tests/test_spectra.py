@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_rng, random_spd_core
+from conftest import cluster_eigenvalues, make_rng, random_spd_core
 from metastab.errors import InputDataError, InvariantViolation
 from metastab.examples import ex_a, ex_b, ex_c, nine_wells
 from metastab.landscape import CriticalStructure, Minimum, Saddle
-from metastab.prefactors import GradedCore, build_graded_core
-from metastab.spectra import (class_spectrum, cluster_eigenvalues,
-                              full_spectrum, graph_laplacian, schur_J,
-                              schur_R, sym_eig)
+from metastab.prefactors import (GradedCore, build_class_matrices,
+                                 build_graded_core)
+from metastab.spectra import (class_spectrum, full_spectrum, schur_J, schur_R,
+                              sym_eig)
 from metastab.topology import decompose
 
 PI = math.pi
@@ -128,6 +128,20 @@ def test_spectrum_ring_closed_form(n):
 
 
 # ------------------------------------------------------------ graph Laplacian
+
+
+def graph_laplacian(cs, cd, alpha):
+    """Weighted graph Laplacian view of a single-barrier type II class.
+
+    Vertices are the extended set, edges the class saddles; equals
+    Upsilon' Upsilon. Only defined for type II classes with p = 1.
+    """
+    if not (getattr(alpha, "type2", False) and alpha.p == 1):
+        raise InputDataError(
+            "graph Laplacian requires a type II class with one barrier level")
+    cm = build_class_matrices(cs, cd, alpha)
+    L = cm.upsilon.T @ cm.upsilon
+    return 0.5 * (L + L.T)
 
 
 def test_graph_laplacian_ring():

@@ -9,7 +9,26 @@ from metastab.landscape import extract_critical_structure, make_sampled
 from metastab.spectra import full_spectrum
 from metastab.topology import decompose
 from metastab.validator import (compare, default_grid, discretize,
-                                small_eigenvalues, sturm_count)
+                                small_eigenvalues)
+
+
+def sturm_count(dw, threshold):
+    """Number of eigenvalues of C'C below threshold, by a Sturm count on the
+    tridiagonal assembled from the factor's entries."""
+    n = dw.n
+    diag = dw.acoef ** 2 + dw.bcoef[1:n + 1] ** 2
+    offdiag = dw.acoef[1:] * dw.bcoef[1:n]
+    t = 0.0
+    count = 0
+    tiny = np.finfo(float).tiny
+    for i in range(n):
+        off2 = offdiag[i - 1] ** 2 if i else 0.0
+        t = diag[i] - threshold - (off2 / t if i else 0.0)
+        if t == 0.0:
+            t = -tiny
+        if t < 0.0:
+            count += 1
+    return count
 
 
 def _report(p):
