@@ -291,7 +291,7 @@ def _guard(fn):
         raise
     except (InputDataError, OSError) as e:
         _fail(2, e)
-    except InvariantViolation as e:
+    except Exception as e:  # InvariantViolation, or a fault of the program
         _fail(3, e)
 
 

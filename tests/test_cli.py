@@ -231,6 +231,17 @@ def test_internal_error_exit_code(runner, tmp_path, monkeypatch):
                             "message": "sweep out of order"}
 
 
+def test_unexpected_error_exit_code(runner, monkeypatch):
+    def boom(cs):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli, "decompose", boom)
+    res = runner.invoke(main, ["example", "ex-a"])
+    assert res.exit_code == 3
+    assert json.loads(res.output)["error"] == {
+        "type": "ZeroDivisionError", "message": "float division by zero"}
+
+
 def _write_csv(path, xs, phis):
     with open(path, "w") as fh:
         fh.write("x,phi\n")
