@@ -77,7 +77,7 @@ def _chain(seed, n=40):
 
 
 _STRUCTURES = {
-    "chain-40": lambda: _chain(40),
+    "chain-40": lambda: _chain(seed=40),
     "tied-7": lambda: tied_structure(np.random.default_rng(7), n_max=24),
 }
 
@@ -94,7 +94,7 @@ print(json.dumps(out))
 """
 
 
-def _run_examples(cases):
+def _run_cases(cases):
     """Run each case's argument list; returns [exit code, sha256, length]."""
     env = dict(os.environ)
     src = str(Path(metastab.__file__).resolve().parents[1])
@@ -108,7 +108,7 @@ def _run_examples(cases):
 
 
 def test_example_stdout_matches_golden_bytes():
-    got = _run_examples({case: ["example", *case.split()] for case in GOLDEN})
+    got = _run_cases({case: ["example", *case.split()] for case in GOLDEN})
     for case, (digest, size) in GOLDEN.items():
         code, got_digest, got_size = got[case]
         assert code == 0, case
@@ -131,7 +131,7 @@ def test_analyze_stdout_matches_golden_bytes(tmp_path):
         path = tmp_path / f"{case}.json"
         path.write_text(json.dumps(structure_to_dict(build())))
         cases[case] = ["analyze", str(path), "--h", "0.1"]
-    got = _run_examples(cases)
+    got = _run_cases(cases)
     for case, (digest, size) in GOLDEN_ANALYZE.items():
         code, got_digest, got_size = got[case]
         assert code == 0, case
