@@ -11,7 +11,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import BPoly
 
 from .errors import InputDataError
 from .landscape import (CriticalStructure, Minimum, Saddle, SampledPotential,
@@ -178,6 +177,8 @@ def chain_sampled():
     curvature magnitudes, so the extracted structure reproduces ex-a's data
     and the predictions can be checked against a direct solve.
     """
+    from scipy.interpolate import BPoly
+
     xq = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
     curvs = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0]
     levels = [0.5, 2.0, 0.5, 2.0, 0.0, 2.0, 1.0]

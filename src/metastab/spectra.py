@@ -12,7 +12,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InputDataError, InvariantViolation
 from .prefactors import GradedCore, build_graded_core
@@ -47,6 +46,9 @@ def schur_R(g: GradedCore):
     """Schur complement onto the remaining blocks, dropping the leading one."""
     if g.p < 2:
         raise InputDataError("core has a single level; no Schur complement")
+    # SciPy loads only for classes with several barrier levels; NumPy's
+    # cholesky plus solve rounds differently and would change the report
+    from scipy.linalg import cho_factor, cho_solve
     r1 = g.blocks[0][0]
     J = g.core[:r1, :r1]
     B = g.core[r1:, :r1]

@@ -16,14 +16,19 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import InputDataError
 from .landscape import SampledPotential, extract_critical_structure
 
 _MAX_EXP_ARG = 150.0     # per-cell exponent guard; beyond this the grid is
                          # far too coarse for the requested h anyway
+
+
+def eigh_tridiagonal(*args, **kwargs):
+    """``scipy.linalg.eigh_tridiagonal``, imported on first use so that the
+    analysis path never loads SciPy."""
+    from scipy.linalg import eigh_tridiagonal as eigh
+    return eigh(*args, **kwargs)
 
 
 def default_grid(h, a, b):
@@ -92,6 +97,7 @@ def discretize(p, h, n=None, domain=None):
                 raise InputDataError("domain extends beyond the sampled data")
         else:
             lo, hi = _energy_window(p, cs, h)
+        from scipy.interpolate import CubicSpline
         phi_fn = CubicSpline(p.xs, p.phis)
     elif callable(p):
         if domain is None:
@@ -210,6 +216,7 @@ def compare(report, p, h_list, grid=None, c_tol=3.0, richardson_tol=0.05):
         raise InputDataError("validation needs a sampled potential")
     # one extraction and one spline serve every h and both grids
     cs = extract_critical_structure(p)
+    from scipy.interpolate import CubicSpline
     phi_fn = CubicSpline(p.xs, p.phis)
     n0 = report.n0
     k_nonzero = n0 - 1

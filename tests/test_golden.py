@@ -8,7 +8,8 @@ that alters them on purpose bumps the schema and updates the table.
 The examples run in one child interpreter with single-threaded BLAS. The
 dense ring spectrum (``ex-c --n 200``) depends in its last bits on the BLAS
 thread count, so the digests are pinned for one thread; they do not depend
-on ``PYTHONHASHSEED``.
+on ``PYTHONHASHSEED``. The runs that need no SciPy are repeated in a child
+where every import of SciPy fails, and must give the same bytes.
 """
 
 import json
@@ -83,32 +84,44 @@ _STRUCTURES = {
 
 _CHILD = """
 import hashlib, json, sys
+cases, block_scipy = json.loads(sys.argv[1])
+if block_scipy:
+    sys.modules["scipy"] = None     # every import of scipy now fails
 from click.testing import CliRunner
 from metastab.cli import main
 out = {}
-for case, args in json.loads(sys.argv[1]).items():
+for case, args in cases.items():
     res = CliRunner().invoke(main, args)
     out[case] = [res.exit_code, hashlib.sha256(res.stdout_bytes).hexdigest(),
                  len(res.stdout_bytes)]
-print(json.dumps(out))
+scipy = sorted(m for m, mod in sys.modules.items()
+               if m.split(".")[0] == "scipy" and mod is not None)
+print(json.dumps([out, scipy]))
 """
 
 
-def _run_cases(cases):
-    """Run each case's argument list; returns [exit code, sha256, length]."""
+def _run_cases(cases, block_scipy=False):
+    """Run each case's argument list in one child interpreter.
+
+    Returns {case: [exit code, sha256, length]} and the names of the SciPy
+    modules the child had loaded by the end. ``block_scipy`` makes every
+    import of SciPy in the child fail.
+    """
     env = dict(os.environ)
     src = str(Path(metastab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    res = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(cases)],
-                         env=env, capture_output=True, text=True, check=True)
+    res = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps([cases, block_scipy])],
+        env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
     return json.loads(res.stdout)
 
 
 def test_example_stdout_matches_golden_bytes():
-    got = _run_cases({case: ["example", *case.split()] for case in GOLDEN})
+    got, _ = _run_cases({case: ["example", *case.split()] for case in GOLDEN})
     for case, (digest, size) in GOLDEN.items():
         code, got_digest, got_size = got[case]
         assert code == 0, case
@@ -125,14 +138,40 @@ def test_many_level_structures():
     assert len({c.sigma_cluster for c in cd.classes[1:] if c.type2}) >= 3
 
 
+def _analyze_args(tmp_path, case):
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(structure_to_dict(_STRUCTURES[case]())))
+    return ["analyze", str(path), "--h", "0.1"]
+
+
 def test_analyze_stdout_matches_golden_bytes(tmp_path):
-    cases = {}
-    for case, build in _STRUCTURES.items():
-        path = tmp_path / f"{case}.json"
-        path.write_text(json.dumps(structure_to_dict(build())))
-        cases[case] = ["analyze", str(path), "--h", "0.1"]
-    got = _run_cases(cases)
+    got, _ = _run_cases({case: _analyze_args(tmp_path, case)
+                         for case in _STRUCTURES})
     for case, (digest, size) in GOLDEN_ANALYZE.items():
         code, got_digest, got_size = got[case]
         assert code == 0, case
         assert (got_digest, got_size) == (digest, size), case
+
+
+def test_analysis_path_runs_without_scipy(tmp_path):
+    """Importing the CLI and analyzing classes with one barrier level load
+    no SciPy; multi-level classes and the validator load it on demand."""
+    golden = {**GOLDEN, **GOLDEN_ANALYZE}
+    lean = {"chain-40": _analyze_args(tmp_path, "chain-40"),
+            "ex-a": ["example", "ex-a"],
+            "ex-c --n 200": ["example", "ex-c", "--n", "200"]}
+    got, scipy = _run_cases(lean, block_scipy=True)
+    assert scipy == []
+    for case in lean:
+        assert got[case] == [0, *golden[case]], case
+
+    csv = tmp_path / "dw.csv"
+    xs = np.linspace(-2.0, 2.0, 4001)
+    csv.write_text("x,phi\n" + "".join(
+        f"{x!r},{(x * x - 1.0) ** 2!r}\n" for x in xs.tolist()))
+    got, scipy = _run_cases({
+        "nine-wells": ["example", "nine-wells"],
+        "validate": ["validate", str(csv), "--h", "0.15,0.1"]})
+    assert got["nine-wells"] == [0, *GOLDEN["nine-wells"]]
+    assert got["validate"][0] == 0
+    assert {"scipy.linalg", "scipy.interpolate"} <= set(scipy)
