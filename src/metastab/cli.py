@@ -298,7 +298,8 @@ def _guard(fn):
 def _load_input(path, eps_level):
     text_head = Path(path).read_bytes()[:64].lstrip()
     if path.endswith(".json") or text_head.startswith(b"{"):
-        return load_structure(path), None
+        # a Path, so that a file name starting with "{" is not read as JSON
+        return load_structure(Path(path)), None
     p = load_samples(path)
     return extract_critical_structure(p, eps_level=eps_level), p
 

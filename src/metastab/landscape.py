@@ -185,16 +185,18 @@ def load_structure(document):
     """
     doc = document
     if isinstance(doc, (str, os.PathLike)):
-        if isinstance(doc, str) and doc.lstrip().startswith("{"):
-            doc = json.loads(doc)
-        else:
-            try:
+        try:
+            if isinstance(doc, str) and doc.lstrip().startswith("{"):
+                doc = json.loads(doc)
+            else:
                 with open(doc, "r", encoding="utf-8") as fh:
                     doc = json.load(fh)
-            except OSError as exc:
-                raise InputDataError(f"cannot read structure: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise InputDataError(f"invalid JSON: {exc}") from exc
+        except OSError as exc:
+            raise InputDataError(f"cannot read structure: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputDataError(f"structure is not UTF-8: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise InputDataError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputDataError("structure document must be a JSON object")
 
@@ -202,21 +204,29 @@ def load_structure(document):
         if key not in obj:
             raise InputDataError(f"{where}: missing field {key!r}")
         val = obj[key]
-        if not isinstance(val, kinds):
+        # bool is an int subtype, but true/false is no number or id
+        if not isinstance(val, kinds) or isinstance(val, bool):
             raise InputDataError(f"{where}: field {key!r} has wrong type")
         return val
 
-    tol = doc.get("level_tolerance", DEFAULT_LEVEL_TOL)
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool):
-        raise InputDataError("level_tolerance must be a number")
+    def _num(obj, key, where):
+        val = _req(obj, key, (int, float), where)
+        try:
+            return float(val)
+        except OverflowError:
+            raise InputDataError(
+                f"{where}: field {key!r} is beyond float range") from None
+
+    tol = (_num(doc, "level_tolerance", "document")
+           if "level_tolerance" in doc else DEFAULT_LEVEL_TOL)
     minima = []
     for entry in _req(doc, "minima", list, "document"):
         if not isinstance(entry, dict):
             raise InputDataError("minima entries must be objects")
         minima.append(Minimum(
             str(_req(entry, "id", str, "minimum")),
-            float(_req(entry, "phi", (int, float), "minimum")),
-            float(_req(entry, "det_hess", (int, float), "minimum")),
+            _num(entry, "phi", "minimum"),
+            _num(entry, "det_hess", "minimum"),
         ))
     saddles = []
     for entry in doc.get("saddles", []):
@@ -227,9 +237,9 @@ def load_structure(document):
             raise InputDataError("saddle joins must be a pair of minimum ids")
         saddles.append(Saddle(
             str(_req(entry, "id", str, "saddle")),
-            float(_req(entry, "phi", (int, float), "saddle")),
-            float(_req(entry, "det_hess", (int, float), "saddle")),
-            float(_req(entry, "neg_eig", (int, float), "saddle")),
+            _num(entry, "phi", "saddle"),
+            _num(entry, "det_hess", "saddle"),
+            _num(entry, "neg_eig", "saddle"),
             (joins[0], joins[1]),
         ))
     cs = CriticalStructure(minima, saddles, tol)
@@ -271,6 +281,8 @@ def load_samples(path, boundary_growth=False):
                         f"{path}:{lineno}: non-numeric sample") from None
     except OSError as exc:
         raise InputDataError(f"cannot read samples: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"{path}: samples are not UTF-8: {exc}") from exc
     if len(rows) < 5:
         raise InputDataError("need at least 5 samples")
     xs = np.array([r[0] for r in rows])

@@ -216,6 +216,47 @@ def test_analyze_rejects_non_finite_input(runner, tmp_path, mid, field, value):
                    "message": f"minimum {mid}: phi and det_hess must be finite"}
 
 
+@pytest.mark.parametrize("kind, field, value, message", [
+    ("minima", "det_hess", True, "minimum: field 'det_hess' has wrong type"),
+    ("minima", "phi", False, "minimum: field 'phi' has wrong type"),
+    ("saddles", "neg_eig", True, "saddle: field 'neg_eig' has wrong type"),
+    ("minima", "phi", 10 ** 400,
+     "minimum: field 'phi' is beyond float range"),
+], ids=["true-det_hess", "false-phi", "true-neg_eig", "huge-int-phi"])
+def test_analyze_rejects_non_numbers(runner, tmp_path, kind, field, value,
+                                     message):
+    doc = structure_to_dict(build_example("ex-a").structure)
+    doc[kind][-1][field] = value
+    src = tmp_path / "s.json"
+    src.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 2, res.output
+    err = json.loads(res.output)["error"]
+    assert err == {"type": "InputDataError", "message": message}
+
+
+@pytest.mark.parametrize("name, data", [
+    ("s.json", b'{"minima": [{"id": "m\xff1", "phi": 0, "det_hess": 1}]}'),
+    ("p.csv", b"x,phi\n0,0\n1,1\n2,4\n3,\xe99\n4,16\n"),
+], ids=["json", "csv"])
+def test_analyze_rejects_invalid_utf8(runner, tmp_path, name, data):
+    src = tmp_path / name
+    src.write_bytes(data)
+    res = runner.invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 2, res.output
+    err = json.loads(res.output)["error"]
+    assert err["type"] == "InputDataError"
+    assert "not UTF-8" in err["message"]
+
+
+def test_analyze_file_name_starting_with_brace(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("{run}.json", "{run}"):
+        write_structure(Path(name), "ex-a")
+        doc = run_json(runner, ["analyze", name])
+        assert doc["labelling"]["global_min"] == "m11"
+
+
 def test_internal_error_exit_code(runner, tmp_path, monkeypatch):
     src = tmp_path / "s.json"
     write_structure(src, "ex-a")

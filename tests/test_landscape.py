@@ -165,6 +165,8 @@ def test_load_structure_schema_errors(tmp_path):
     bad.write_text("not json at all")
     with pytest.raises(InputDataError, match="invalid JSON"):
         load_structure(str(bad))
+    with pytest.raises(InputDataError, match="invalid JSON"):
+        load_structure("{ nope")
     with pytest.raises(InputDataError, match="cannot read"):
         load_structure(str(tmp_path / "missing.json"))
 
