@@ -26,7 +26,8 @@ _MAX_EXP_ARG = 150.0     # per-cell exponent guard; beyond this the grid is
 
 def eigh_tridiagonal(*args, **kwargs):
     """``scipy.linalg.eigh_tridiagonal``, imported on first use so that the
-    analysis path never loads SciPy."""
+    analysis path never loads SciPy. It stays a module attribute because
+    ``bench/spans.py`` times the bisection by wrapping this name."""
     from scipy.linalg import eigh_tridiagonal as eigh
     return eigh(*args, **kwargs)
 
