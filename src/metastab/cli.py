@@ -3,9 +3,15 @@ bundled examples. All output is versioned JSON with fixed float formatting,
 so identical invocations produce identical bytes."""
 
 import math
+import os
 import re
 import sys
 from pathlib import Path
+
+# One OpenBLAS thread unless the caller chose otherwise: the dense ring
+# spectrum changes in its last digits with the thread count, and the report
+# bytes must not. It only takes effect before NumPy loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 import numpy as np

@@ -57,23 +57,22 @@ def _weights(cs, cd, alpha):
 def build_upsilon(cs, cd, alpha):
     """Assemble the interaction matrix of a class.
 
-    Returns (matrix, row_ids): one row per saddle of the class (sorted by
-    id), columns over ``alpha.uhat``. A row has entries
+    One row per saddle of the class, in the order of ``alpha.saddles``
+    (sorted by id), columns over ``alpha.uhat``. A row has entries
     +-pi^(-1/2)|lambda_1(s)|^(1/2) h(m_i)/h(s) at its endpoints; the negative
     entry at the far endpoint is dropped when that endpoint is outside Uhat
     (boundary rows of a type I class).
     """
     w = _weights(cs, cd, alpha)
     col = {mid: i for i, mid in enumerate(alpha.uhat)}
-    rows = [r.sid for r in alpha.saddles]
-    U = np.zeros((len(rows), len(col)))
+    U = np.zeros((len(alpha.saddles), len(col)))
     for i, r in enumerate(alpha.saddles):
         s = cs.saddle(r.sid)
         coeff = math.sqrt(s.neg_eig) / (_SQRT_PI * s.det_hess ** 0.25)
         U[i, col[r.m1]] = coeff * w[r.m1]
         if r.m2 in col:
             U[i, col[r.m2]] = -coeff * w[r.m2]
-    return U, rows
+    return U
 
 
 def build_T(cs, cd, alpha):
@@ -122,7 +121,6 @@ def build_T(cs, cd, alpha):
 class ClassMatrices(NamedTuple):
     cls: object
     upsilon: np.ndarray   # rows: saddles of the class, columns: uhat
-    rows: list            # saddle ids, one per row
     T: np.ndarray         # uhat x members, orthonormal columns
     theta_ids: tuple      # type II block ids (empty for type I classes)
     theta0: object        # unit kernel direction on the block, or None
@@ -130,9 +128,9 @@ class ClassMatrices(NamedTuple):
 
 
 def build_class_matrices(cs, cd, alpha):
-    U, rows = build_upsilon(cs, cd, alpha)
+    U = build_upsilon(cs, cd, alpha)
     T, theta_ids, theta0 = build_T(cs, cd, alpha)
-    return ClassMatrices(alpha, U, rows, T, theta_ids, theta0,
+    return ClassMatrices(alpha, U, T, theta_ids, theta0,
                          _weights(cs, cd, alpha))
 
 

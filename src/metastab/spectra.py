@@ -23,7 +23,8 @@ def sym_eig(M):
     """Eigenvalues of a symmetric matrix, ascending, with a residual check.
 
     Contract: relative residual ||Mv - lv|| <= 1e-12 ||M|| for every pair,
-    on the small dense matrices this package produces (dimension <= 64).
+    on the dense class matrices this package produces; tested up to
+    dimension 199, the ring class of ``example ex-c --n 200``.
     """
     M = np.asarray(M, dtype=float)
     Ms = 0.5 * (M + M.T)

@@ -32,6 +32,63 @@ def eigh_tridiagonal(*args, **kwargs):
     return eigh(*args, **kwargs)
 
 
+def _cubic_spline(x, y):
+    """Not-a-knot cubic spline through the samples, as a vectorized phi(x).
+
+    Bit for bit ``scipy.interpolate.CubicSpline(x, y)`` for more than three
+    samples: the same banded system with its two not-a-knot end rows, the
+    same LAPACK ``gtsv`` solve, and the same Hermite coefficients and
+    evaluation order, without importing ``scipy.interpolate``. Queries
+    outside the samples extrapolate the end pieces.
+    """
+    from scipy.linalg import LinAlgError, solve_banded
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise InputDataError("samples must be 1D arrays of equal length")
+    if x.size < 4:
+        raise InputDataError("a spline needs more than 3 samples")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise InputDataError("samples must be finite")
+    dx = np.diff(x)
+    if np.any(dx <= 0):
+        raise InputDataError("sample positions must be strictly increasing")
+    slope = np.diff(y) / dx
+    A = np.zeros((3, x.size))            # banded: upper, diagonal, lower
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b = np.empty(x.size)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    A[1, 0] = dx[1]
+    A[0, 1] = d
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    A[1, -1] = dx[-2]
+    A[-1, -2] = d
+    b[-1] = (dx[-1] ** 2 * slope[-2]
+             + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    try:
+        s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+    except LinAlgError:
+        raise InputDataError("spline system is singular") from None
+    if not np.all(np.isfinite(s)):
+        raise InputDataError("spline slopes overflow double precision")
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+
+    def phi(q):
+        q = np.asarray(q, dtype=float)
+        i = np.clip(np.searchsorted(x, q, "right") - 1, 0, x.size - 2)
+        u = q - x[i]
+        # the summation order of SciPy's piecewise-polynomial evaluation
+        return (((0.0 + c3[i]) + c2[i] * u) + c1[i] * (u * u)
+                + c0[i] * ((u * u) * u))
+    return phi
+
+
 def default_grid(h, a, b):
     return max(4000, int(math.ceil(40.0 * (b - a) / math.sqrt(h))))
 
@@ -80,33 +137,18 @@ class DiscretizedWitten(NamedTuple):
 def discretize(p, h, n=None, domain=None):
     """Factored finite-difference Witten operator on a uniform grid.
 
-    ``p`` is a SampledPotential (interpolated by a cubic spline; the domain
-    defaults to an energy window around the critical points) or a callable
-    phi(x) (then ``domain`` is required). ``n`` counts interior points; the
-    ends are Dirichlet.
+    ``p`` is a callable phi(x) evaluated on arrays of grid points, such as
+    the spline ``compare`` builds from sampled data, and ``domain`` the
+    solve interval ``(lo, hi)``. ``n`` counts interior points; the ends are
+    Dirichlet.
     """
     if not h > 0:
         raise InputDataError("h must be positive")
-    if isinstance(p, SampledPotential):
-        cs = extract_critical_structure(p)
-        xs_min = sorted(cs.positions[m.id] for m in cs.minima)
-        if domain is not None:
-            lo, hi = domain
-            if lo > xs_min[0] or hi < xs_min[-1]:
-                raise InputDataError("domain does not cover all minima")
-            if lo < p.xs[0] or hi > p.xs[-1]:
-                raise InputDataError("domain extends beyond the sampled data")
-        else:
-            lo, hi = _energy_window(p, cs, h)
-        from scipy.interpolate import CubicSpline
-        phi_fn = CubicSpline(p.xs, p.phis)
-    elif callable(p):
-        if domain is None:
-            raise InputDataError("a callable potential needs an explicit domain")
-        lo, hi = domain
-        phi_fn = p
-    else:
-        raise InputDataError("potential must be sampled data or a callable")
+    if not callable(p):
+        raise InputDataError("potential must be a callable phi(x)")
+    if domain is None:
+        raise InputDataError("discretize needs an explicit domain")
+    lo, hi = domain
     if not hi > lo:
         raise InputDataError("empty domain")
     if n is None:
@@ -117,8 +159,8 @@ def discretize(p, h, n=None, domain=None):
     full = np.linspace(lo, hi, n + 2)
     dx = full[1] - full[0]
     mid = 0.5 * (full[:-1] + full[1:])
-    phi = np.asarray(phi_fn(full), dtype=float)
-    phim = np.asarray(phi_fn(mid), dtype=float)
+    phi = np.asarray(p(full), dtype=float)
+    phim = np.asarray(p(mid), dtype=float)
     spread = float(np.max(phi) - np.min(phi))
     if 2.0 * spread / h > 600.0:
         raise InputDataError(
@@ -215,10 +257,10 @@ def compare(report, p, h_list, grid=None, c_tol=3.0, richardson_tol=0.05):
         raise InputDataError("need positive h values")
     if not isinstance(p, SampledPotential):
         raise InputDataError("validation needs a sampled potential")
-    # one extraction and one spline serve every h and both grids
+    # one extraction and one spline serve every h and both grids; the spline
+    # needs scipy.linalg only, which the bisection loads anyway
     cs = extract_critical_structure(p)
-    from scipy.interpolate import CubicSpline
-    phi_fn = CubicSpline(p.xs, p.phis)
+    phi_fn = _cubic_spline(p.xs, p.phis)
     n0 = report.n0
     k_nonzero = n0 - 1
     steps = []

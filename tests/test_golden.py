@@ -7,9 +7,11 @@ that alters them on purpose bumps the schema and updates the table.
 
 The examples run in one child interpreter with single-threaded BLAS. The
 dense ring spectrum (``ex-c --n 200``) depends in its last bits on the BLAS
-thread count, so the digests are pinned for one thread; they do not depend
-on ``PYTHONHASHSEED``. The runs that need no SciPy are repeated in a child
-where every import of SciPy fails, and must give the same bytes.
+thread count, so the digests are pinned for one thread, which the CLI
+chooses itself when no thread count is set: one run of the ring leaves the
+thread variables unset. The digests do not depend on ``PYTHONHASHSEED``.
+The runs that need no SciPy are repeated in a child where every import of
+SciPy fails, and must give the same bytes.
 """
 
 import json
@@ -49,6 +51,11 @@ GOLDEN = {
         "70e43c64bde20b4e5b37aaac148375bc97caf31e29ad2c8080c8717ba251ac86",
         3577303),
 }
+
+# ``metastab validate dw.csv --h 0.15,0.1`` on the samples _write_double_well
+# writes
+GOLDEN_VALIDATE = (
+    "aee9e22bae40808845c98e7f09c36ba6cfc5c2b7d38eed8ca57ec3d66d6c512e", 947)
 
 # ``metastab analyze --h 0.1`` on the structures built by _STRUCTURES
 GOLDEN_ANALYZE = {
@@ -100,22 +107,29 @@ print(json.dumps([out, scipy]))
 """
 
 
-def _run_cases(cases, block_scipy=False):
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS")
+
+
+def _run_cases(cases, block_scipy=False, one_thread=True, cwd=None):
     """Run each case's argument list in one child interpreter.
 
     Returns {case: [exit code, sha256, length]} and the names of the SciPy
     modules the child had loaded by the end. ``block_scipy`` makes every
-    import of SciPy in the child fail.
+    import of SciPy in the child fail. ``one_thread=False`` leaves every
+    BLAS thread variable unset, so OpenBLAS would use all cores unless the
+    CLI sets the count.
     """
-    env = dict(os.environ)
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
     src = str(Path(metastab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
+    if one_thread:
+        for var in _THREAD_VARS:
+            env[var] = "1"
     res = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps([cases, block_scipy])],
-        env=env, capture_output=True, text=True)
+        env=env, capture_output=True, text=True, cwd=cwd)
     assert res.returncode == 0, res.stderr
     return json.loads(res.stdout)
 
@@ -126,6 +140,14 @@ def test_example_stdout_matches_golden_bytes():
         code, got_digest, got_size = got[case]
         assert code == 0, case
         assert (got_digest, got_size) == (digest, size), case
+
+
+def test_ring_bytes_without_a_thread_setting():
+    """The CLI pins one OpenBLAS thread when the caller sets none, so the
+    dense ring spectrum prints the pinned bytes on any number of cores."""
+    got, _ = _run_cases({"ex-c --n 200": ["example", "ex-c", "--n", "200"]},
+                        one_thread=False)
+    assert got["ex-c --n 200"] == [0, *GOLDEN["ex-c --n 200"]]
 
 
 def test_many_level_structures():
@@ -153,9 +175,16 @@ def test_analyze_stdout_matches_golden_bytes(tmp_path):
         assert (got_digest, got_size) == (digest, size), case
 
 
+def _write_double_well(path):
+    xs = np.linspace(-2.0, 2.0, 4001)
+    path.write_text("x,phi\n" + "".join(
+        f"{x!r},{(x * x - 1.0) ** 2!r}\n" for x in xs.tolist()))
+
+
 def test_analysis_path_runs_without_scipy(tmp_path):
     """Importing the CLI and analyzing classes with one barrier level load
-    no SciPy; multi-level classes and the validator load it on demand."""
+    no SciPy; multi-level classes and the validator load ``scipy.linalg`` on
+    demand, and nothing loads ``scipy.interpolate``."""
     golden = {**GOLDEN, **GOLDEN_ANALYZE}
     lean = {"chain-40": _analyze_args(tmp_path, "chain-40"),
             "ex-a": ["example", "ex-a"],
@@ -165,13 +194,16 @@ def test_analysis_path_runs_without_scipy(tmp_path):
     for case in lean:
         assert got[case] == [0, *golden[case]], case
 
-    csv = tmp_path / "dw.csv"
-    xs = np.linspace(-2.0, 2.0, 4001)
-    csv.write_text("x,phi\n" + "".join(
-        f"{x!r},{(x * x - 1.0) ** 2!r}\n" for x in xs.tolist()))
-    got, scipy = _run_cases({
-        "nine-wells": ["example", "nine-wells"],
-        "validate": ["validate", str(csv), "--h", "0.15,0.1"]})
+    got, scipy = _run_cases({"nine-wells": ["example", "nine-wells"]})
     assert got["nine-wells"] == [0, *GOLDEN["nine-wells"]]
-    assert got["validate"][0] == 0
-    assert {"scipy.linalg", "scipy.interpolate"} <= set(scipy)
+    assert "scipy.linalg" in scipy
+
+    # the validator's spline and bisection both run on scipy.linalg
+    _write_double_well(tmp_path / "dw.csv")
+    got, scipy = _run_cases({
+        "double-well": ["example", "double-well"],
+        "validate": ["validate", "dw.csv", "--h", "0.15,0.1"]}, cwd=tmp_path)
+    assert got["double-well"] == [0, *GOLDEN["double-well"]]
+    assert got["validate"] == [0, *GOLDEN_VALIDATE]
+    assert "scipy.linalg" in scipy
+    assert "scipy.interpolate" not in scipy

@@ -78,8 +78,8 @@ def test_upsilon_three_wells():
     cs = ex_a().structure
     cd = decompose(cs)
     c = cd.classes[1]
-    U, rows = build_upsilon(cs, cd, c)
-    assert rows == ["s1", "s2"]
+    U = build_upsilon(cs, cd, c)
+    assert [r.sid for r in c.saddles] == ["s1", "s2"]
     want = np.array([[1.0, -1.0], [0.0, 1.0]]) / SQPI
     assert np.allclose(U, want, atol=1e-15)
 
@@ -90,8 +90,8 @@ def test_upsilon_chain():
     cd = decompose(b.structure)
     c = cd.classes[1]
     assert c.uhat == ("m23", "m21", "m22")
-    U, rows = build_upsilon(b.structure, cd, c)
-    assert rows == ["s1", "s2", "s3"]
+    U = build_upsilon(b.structure, cd, c)
+    assert [r.sid for r in c.saddles] == ["s1", "s2", "s3"]
     want = np.array([[0.0, 1.0, -1.0],
                      [1.0, 0.0, -1.0],
                      [theta, 0.0, 0.0]]) / SQPI
@@ -103,7 +103,7 @@ def test_upsilon_sampled_double_well():
     cd = decompose(cs)
     c = cd.classes[1]
     assert c.type2 and c.uhat == (c.members[0], c.mhat)
-    U, rows = build_upsilon(cs, cd, c)
+    U = build_upsilon(cs, cd, c)
     want = 2 ** 1.25 / SQPI
     assert np.allclose(U, [[want, -want]], rtol=1e-6)
 
@@ -244,6 +244,6 @@ def test_upsilon_scaling_law(c):
          for s in base.saddles])
     cd0 = decompose(base)
     cd1 = decompose(scaled)
-    U0, _ = build_upsilon(base, cd0, cd0.classes[1])
-    U1, _ = build_upsilon(scaled, cd1, cd1.classes[1])
+    U0 = build_upsilon(base, cd0, cd0.classes[1])
+    U1 = build_upsilon(scaled, cd1, cd1.classes[1])
     assert np.allclose(U1, c * U0, rtol=1e-12)

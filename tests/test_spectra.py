@@ -197,6 +197,25 @@ def test_sym_eig_sorted_and_accurate():
     assert np.allclose(w, np.linalg.eigvalsh(M), atol=1e-12)
 
 
+def test_sym_eig_residual_at_ring_size():
+    # the largest matrix a bundled example hands sym_eig: the 199-member ring
+    # class of ex-c --n 200, whose spectrum is known in closed form
+    n = 200
+    b = ex_c(n)
+    cd = decompose(b.structure)
+    M = schur_J(build_graded_core(b.structure, cd, cd.classes[1]))
+    assert M.shape == (n - 1, n - 1)
+    w = sym_eig(M)
+    Ms = 0.5 * (M + M.T)
+    lam, V = np.linalg.eigh(Ms)
+    scale = max(abs(lam[0]), abs(lam[-1]))
+    resid = np.linalg.norm(Ms @ V - V * lam, axis=0)
+    assert resid.max() <= 1e-12 * scale
+    want = np.sort([2.0 - 2.0 * math.cos(2.0 * PI * k / n)
+                    for k in range(1, n)]) / PI
+    assert np.max(np.abs(w - want)) <= 1e-12 * scale
+
+
 def test_cluster_eigenvalues_groups_degenerate_pairs():
     w = np.array([1.0, 1.0 + 1e-12, 2.0, 3.0, 3.0, 3.0])
     assert cluster_eigenvalues(w) == [

@@ -8,8 +8,12 @@ from metastab.examples import chain_sampled, double_well
 from metastab.landscape import extract_critical_structure, make_sampled
 from metastab.spectra import full_spectrum
 from metastab.topology import decompose
-from metastab.validator import (compare, default_grid, discretize,
-                                small_eigenvalues)
+from metastab.validator import (_cubic_spline, _energy_window, compare,
+                                default_grid, discretize, small_eigenvalues)
+
+# every h at which the tests, the bundled examples and the benchmark solve a
+# bundled sampled potential
+_H_USED = (0.3, 0.2, 0.15, 0.1, 0.08, 0.07)
 
 
 def sturm_count(dw, threshold):
@@ -29,6 +33,13 @@ def sturm_count(dw, threshold):
         if t < 0.0:
             count += 1
     return count
+
+
+def _sampled(p, h, n=None):
+    """Discretize a sampled potential as ``compare`` does: on the spline of
+    the samples, over the energy window."""
+    domain = _energy_window(p, extract_critical_structure(p), h)
+    return discretize(_cubic_spline(p.xs, p.phis), h, n, domain=domain)
 
 
 def _report(p):
@@ -65,30 +76,39 @@ def test_default_energy_window():
     # the solve domain stops once the potential clears the top saddle, well
     # inside the sampled range
     p = double_well().potential
-    dw = discretize(p, 0.1)
+    dw = _sampled(p, 0.1)
     assert dw.n == 4000
     assert -1.6 < dw.x[0] < -1.5 and 1.5 < dw.x[-1] < 1.6
 
 
 def test_grid_refinement_is_converged():
     p = double_well().potential
-    w1 = small_eigenvalues(discretize(p, 0.1), 2)
-    w2 = small_eigenvalues(discretize(p, 0.1, n=8000), 2)
+    w1 = small_eigenvalues(_sampled(p, 0.1), 2)
+    w2 = small_eigenvalues(_sampled(p, 0.1, n=8000), 2)
     assert abs(w1[1] - w2[1]) / w2[1] <= 1e-8
 
 
+def test_energy_window_inside_samples_and_covers_minima():
+    # compare solves on this window only; the spline is not trusted beyond
+    # the samples, and a well outside the window would go missing
+    for p in (double_well().potential, chain_sampled()):
+        cs = extract_critical_structure(p)
+        wells = [cs.positions[m.id] for m in cs.minima]
+        for h in _H_USED:
+            lo, hi = _energy_window(p, cs, h)
+            assert p.xs[0] <= lo < min(wells), h
+            assert max(wells) < hi <= p.xs[-1], h
+
+
 def test_discretize_errors():
-    p = double_well().potential
     with pytest.raises(InputDataError, match="h must be positive"):
-        discretize(p, 0.0)
-    with pytest.raises(InputDataError, match="cover all minima"):
-        discretize(p, 0.1, domain=(0.0, 2.0))
-    with pytest.raises(InputDataError, match="beyond the sampled data"):
-        discretize(p, 0.1, domain=(-3.0, 3.0))
+        discretize(lambda x: x * x, 0.0, domain=(-1.0, 1.0))
     with pytest.raises(InputDataError, match="needs an explicit domain"):
         discretize(lambda x: x * x, 0.1)
-    with pytest.raises(InputDataError, match="sampled data or a callable"):
-        discretize([1, 2, 3], 0.1)
+    with pytest.raises(InputDataError, match="must be a callable"):
+        discretize(double_well().potential, 0.1, domain=(-1.0, 1.0))
+    with pytest.raises(InputDataError, match="must be a callable"):
+        discretize([1, 2, 3], 0.1, domain=(-1.0, 1.0))
     with pytest.raises(InputDataError, match="empty domain"):
         discretize(lambda x: x * x, 0.1, domain=(1.0, 1.0))
     with pytest.raises(InputDataError, match="at least 100"):
@@ -120,8 +140,7 @@ def test_small_eigenvalues_bounds():
 
 
 def test_double_well_eigenvalue_near_prediction():
-    p = double_well().potential
-    dw = discretize(p, 0.1)
+    dw = _sampled(double_well().potential, 0.1)
     w = small_eigenvalues(dw, 2)
     assert w[0] <= 1e-15
     pred = (8.0 * math.sqrt(2.0) / math.pi) * 0.1 * math.exp(-2.0 / 0.1)
@@ -131,7 +150,7 @@ def test_double_well_eigenvalue_near_prediction():
 def test_double_well_sturm_count():
     # counts on the assembled tridiagonal are good down to roughly
     # eps * ||A||, enough to separate the metastable cluster from the gap
-    dw = discretize(double_well().potential, 0.1)
+    dw = _sampled(double_well().potential, 0.1)
     assert sturm_count(dw, 0.05) == 2
     assert sturm_count(dw, 1e-6) == 2
     assert sturm_count(dw, 1.0) == 3
@@ -141,8 +160,7 @@ def test_double_well_sturm_count():
 
 
 def test_chain_small_cluster_and_gap():
-    p = chain_sampled()
-    dw = discretize(p, 0.08)
+    dw = _sampled(chain_sampled(), 0.08)
     w = small_eigenvalues(dw, 5)
     # four metastable states, then an O(1) spectral gap
     assert w[0] <= 1e-25
