@@ -23,20 +23,15 @@ from .landscape import (extract_critical_structure, load_samples,
                         load_structure, structure_to_dict)
 from .prefactors import build_class_matrices, build_graded_core
 from .spectra import full_spectrum
-from .topology import decompose
+from .topology import decompose, merge_tree
 from .validator import compare
 
-SCHEMA = "metastab/1"
+SCHEMA = "metastab/2"
 
 
 # ---------------------------------------------------------------- formatting
 
 _ESCAPE = re.compile(r'["\\\x00-\x1f]')
-
-# Float arrays at least this large are formatted by distinct value; smaller
-# ones (the 1x1 and 1x2 class matrices of a strict chain) go element-wise.
-_BULK_MIN = 16
-
 
 def _escape(m):
     ch = m.group()
@@ -71,10 +66,13 @@ def _layout(parts, pad):
 
 
 class _Encoder:
-    """One encoding call; escaped strings are shared across the document."""
+    """One encoding call; escaped strings are shared across the document,
+    and so is the text of each tuple at each indent (a class's member tuple
+    recurs once per eigenvalue of the class)."""
 
     def __init__(self):
         self.strings = {}
+        self.tuples = {}
 
     def string(self, s):
         out = self.strings.get(s)
@@ -88,9 +86,6 @@ class _Encoder:
         if isinstance(obj, str):
             return self.string(obj)
         if isinstance(obj, np.ndarray):
-            if (obj.dtype.kind == "f" and obj.dtype.itemsize <= 8
-                    and obj.ndim and obj.size >= _BULK_MIN):
-                return self.float_array(obj, indent)
             obj = obj.tolist()
         if isinstance(obj, dict):
             if not obj:
@@ -101,29 +96,25 @@ class _Encoder:
                 f"{inner}{self.string(str(k))}: {self.encode(v, indent + 1)}"
                 for k, v in obj.items())
             return f"{{\n{body}\n{pad}}}"
+        if type(obj) is tuple:
+            # the document keeps every tuple alive, so no id is reused
+            key = (id(obj), indent)
+            out = self.tuples.get(key)
+            if out is None:
+                out = self.tuples[key] = self.sequence(obj, indent)
+            return out
         if isinstance(obj, (list, tuple)):
-            if not obj:
-                return "[]"
-            # id lists dominate the report, so strings skip the dispatch
-            string, encode = self.string, self.encode
-            return _layout([string(v) if type(v) is str
-                            else encode(v, indent + 1) for v in obj],
-                           "  " * indent)
+            return self.sequence(obj, indent)
         return _scalar(obj)
 
-    def float_array(self, a, indent):
-        """Format each distinct bit pattern once, then lay out the rows of
-        the last axis and nest them outward."""
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        uniq, inv = np.unique(a.view(np.int64).ravel(), return_inverse=True)
-        text = [_float(v) for v in uniq.view(np.float64).tolist()]
-        parts = [text[i] for i in inv.tolist()]
-        for depth in range(a.ndim - 1, -1, -1):
-            k = a.shape[depth]
-            pad = "  " * (indent + depth)
-            parts = [_layout(parts[j:j + k], pad)
-                     for j in range(0, len(parts), k)]
-        return parts[0]
+    def sequence(self, obj, indent):
+        if not obj:
+            return "[]"
+        # id lists dominate the report, so strings skip the dispatch
+        string, encode = self.string, self.encode
+        return _layout([string(v) if type(v) is str
+                        else encode(v, indent + 1) for v in obj],
+                       "  " * indent)
 
 
 def dumps(obj, indent=0):
@@ -140,7 +131,22 @@ def _structure_block(cs):
     return doc
 
 
-def _labelling_block(cd):
+def _merge_tree_block(tree):
+    """One row per merge-tree node, children before parents, and for each
+    minimum m the node whose members are E(m): the highest node that has m
+    as its deepest minimum."""
+    num = {node: i for i, node in enumerate(tree.nodes)}
+    rows, component = [], {}
+    for node in tree.nodes:
+        up = node.parent
+        rows.append([node.born, None if up is None else num[up],
+                     node.deepest[1]])
+        if up is None or up.deepest != node.deepest:
+            component[node.deepest[1]] = num[node]
+    return {"columns": ["born", "parent", "deepest"], "nodes": rows}, component
+
+
+def _labelling_block(cd, component):
     lab = cd.labelling
     minima = {}
     for mid in sorted(lab.index):
@@ -148,7 +154,7 @@ def _labelling_block(cd):
         row = {"index": [i, j],
                "sigma": lab.sigma[mid],
                "S": lab.S[mid],
-               "component": sorted(lab.E[mid])}
+               "component": component[mid]}
         if mid != lab.mbar:
             row["type"] = "II" if cd.maps.type2[mid] else "I"
             row["ref_min"] = cd.maps.mhat[mid]
@@ -156,7 +162,22 @@ def _labelling_block(cd):
     return {"global_min": lab.mbar, "minima": minima}
 
 
-def _class_block(alpha, mats, core, spectrum):
+def _saddle_rows(alpha, upsilon):
+    """Saddle rows with their nonzero Upsilon entries: at m1, then at m2
+    unless m2 lies outside the extended set."""
+    col = {mid: i for i, mid in enumerate(alpha.uhat)}
+    rows = []
+    for i, r in enumerate(alpha.saddles):
+        coef = [upsilon.item(i, col[r.m1])]
+        if r.m2 in col:
+            coef.append(upsilon.item(i, col[r.m2]))
+        rows.append({"saddle": r.sid, "m1": r.m1, "m2": r.m2,
+                     "kind": "boundary" if r.boundary else "interior",
+                     "upsilon": coef})
+    return rows
+
+
+def _class_block(alpha, mats, spectrum):
     if alpha.ground:
         return {"members": list(alpha.members), "ground": True,
                 "levels": [{"S": None, "zeta2": [0.0], "pi_zeta2": [0.0]}]}
@@ -171,17 +192,13 @@ def _class_block(alpha, mats, core, spectrum):
                       for b, s in zip(alpha.member_blocks, alpha.block_S)],
            "member_order": list(alpha.member_order),
            "uhat_order": list(alpha.uhat),
-           "saddle_rows": [
-               {"saddle": r.sid, "m1": r.m1, "m2": r.m2,
-                "kind": "boundary" if r.boundary else "interior"}
-               for r in alpha.saddles],
-           "matrices": {"upsilon": mats.upsilon,
-                        "T": mats.T,
-                        "core": core.core},
-           "levels": [{"S": lv.S,
-                       "zeta2": list(lv.zeta2),
-                       "pi_zeta2": [math.pi * z for z in lv.zeta2]}
-                      for lv in spectrum.levels]}
+           "saddle_rows": _saddle_rows(alpha, mats.upsilon)}
+    if alpha.type2:
+        out["theta0"] = mats.theta0
+    out["levels"] = [{"S": lv.S,
+                      "zeta2": list(lv.zeta2),
+                      "pi_zeta2": [math.pi * z for z in lv.zeta2]}
+                     for lv in spectrum.levels]
     return out
 
 
@@ -193,7 +210,7 @@ def _evaluated_block(report, h_list):
                     "S": e.S,
                     "zeta2": e.zeta2,
                     "pi_zeta2": math.pi * e.zeta2,
-                    "class": list(e.members)}
+                    "class": e.members}
                    for e in report.evaluate(h)]
         out.append({"h": h, "eigenvalues": entries})
     return out
@@ -210,12 +227,14 @@ def analyze_document(cs, h_list=()):
         cores[alpha] = build_graded_core(cs, cd, alpha, m)
     report = full_spectrum(cs, cd, cores)
     by_class = {c.cls: c for c in report.classes}
+    tree, component = _merge_tree_block(merge_tree(cs))
     doc = {"schema": SCHEMA,
            "command": "analyze",
            "block_order": "ascending-S",
            "structure": _structure_block(cs),
-           "labelling": _labelling_block(cd),
-           "classes": [_class_block(a, mats.get(a), cores.get(a), by_class[a])
+           "labelling": _labelling_block(cd, component),
+           "merge_tree": tree,
+           "classes": [_class_block(a, mats.get(a), by_class[a])
                        for a in cd.classes]}
     if h_list:
         doc["evaluated"] = _evaluated_block(report, h_list)

@@ -124,14 +124,12 @@ class ClassMatrices(NamedTuple):
     T: np.ndarray         # uhat x members, orthonormal columns
     theta_ids: tuple      # type II block ids (empty for type I classes)
     theta0: object        # unit kernel direction on the block, or None
-    weights: dict         # h_phi by id over uhat
 
 
 def build_class_matrices(cs, cd, alpha):
     U = build_upsilon(cs, cd, alpha)
     T, theta_ids, theta0 = build_T(cs, cd, alpha)
-    return ClassMatrices(alpha, U, T, theta_ids, theta0,
-                         _weights(cs, cd, alpha))
+    return ClassMatrices(alpha, U, T, theta_ids, theta0)
 
 
 class GradedCore(NamedTuple):

@@ -61,8 +61,7 @@ def schur_R(g: GradedCore):
 
 class LevelSpectrum(NamedTuple):
     S: float               # barrier of this level
-    matrix: np.ndarray     # leading matrix J(R^(k-1))
-    zeta2: np.ndarray      # its eigenvalues, ascending, all > 0
+    zeta2: np.ndarray      # eigenvalues of J(R^(k-1)), ascending, all > 0
 
 
 def class_spectrum(g: GradedCore):
@@ -71,12 +70,11 @@ def class_spectrum(g: GradedCore):
     p = g.p
     for k in range(p):
         S = g.blocks[0][1]
-        M0 = schur_J(g)
-        w = sym_eig(M0)
+        w = sym_eig(schur_J(g))
         if w[0] <= 0:
             raise InvariantViolation(
                 "nonpositive leading eigenvalue in the Schur recursion")
-        out.append(LevelSpectrum(S, M0, w))
+        out.append(LevelSpectrum(S, w))
         if k + 1 < p:
             g = schur_R(g)
     return out

@@ -63,7 +63,9 @@ class MergeTree:
     below it. ``ends[sid]`` holds the two components saddle ``sid`` joins,
     as they stand just below its cluster, in ascending cluster and then id
     order. ``born[k]`` lists the nodes born at saddle cluster k and
-    ``saddles_at[k]`` the saddles of that cluster.
+    ``saddles_at[k]`` the saddles of that cluster. ``nodes`` lists every
+    node by birth cluster, leaves first, then smallest id, so children
+    precede their parents and the order depends on the input data alone.
     """
 
     def __init__(self, cs):
@@ -99,6 +101,9 @@ class MergeTree:
                 top[r] = node
                 self.born[k].append(node)
         self.roots = {top[dsu.find(mid)] for mid in self.leaf}
+        self.nodes = sorted(
+            [*self.leaf.values(), *(n for ns in self.born.values() for n in ns)],
+            key=lambda n: (n.born, bool(n.children), n.low))
 
     def below(self, k, mid):
         """The component of {phi < cluster k} that holds minimum ``mid``."""
@@ -108,7 +113,8 @@ class MergeTree:
         return node
 
 
-def _tree(cs):
+def merge_tree(cs):
+    """The merge tree of a structure, built on first use and cached on it."""
     tree = getattr(cs, "_merge_tree", None)
     if tree is None:
         tree = cs._merge_tree = MergeTree(cs)
@@ -123,7 +129,7 @@ def verify_separating(cs):
     minima do not end up in a single component, since the labelling needs a
     connected space.
     """
-    tree = _tree(cs)
+    tree = merge_tree(cs)
     for sid, (a, b) in tree.ends.items():
         if a is b:
             raise InputDataError(
@@ -152,7 +158,7 @@ def label_minima(cs):
     labelled by its deepest minimum (ties by id): on the merge tree, every
     child of a node born there except the one holding the node's deepest.
     """
-    tree = _tree(cs)
+    tree = merge_tree(cs)
     L = cs.levels
     ssv = tuple(sorted({L.of(s.phi) for s in cs.saddles}, reverse=True))
     mbar = min(cs.minima, key=lambda m: (L.of(m.phi), m.id)).id
@@ -191,7 +197,7 @@ class Maps(NamedTuple):
 def derive_maps(cs, lab):
     """Per-minimum derived objects: enclosing component, reference minimum,
     its component, the equal-level set H, and the type decision."""
-    tree = _tree(cs)
+    tree = merge_tree(cs)
     L = cs.levels
     allm = frozenset(m.id for m in cs.minima)
     H = {}
@@ -294,7 +300,7 @@ def equivalence_classes(cs, lab, maps):
     components (members' own, plus the reference minimum's component for
     type II members) whose closures share saddles at that level.
     """
-    tree = _tree(cs)
+    tree = merge_tree(cs)
     ground = EquivClass((lab.mbar,), INF, None, None, None, False,
                         ((lab.mbar,),), ((lab.mbar,),), (INF,), ground=True)
     classes = [ground]
@@ -370,7 +376,7 @@ def partition_saddles(cs, cd):
     fellow member (interior row) or the class reference minimum (boundary
     row). Returns the decomposition with per-class saddles filled in.
     """
-    tree = _tree(cs)
+    tree = merge_tree(cs)
     L = cs.levels
     by_cluster = {}
     eroots = {}                 # class -> {member's component: member}
@@ -434,7 +440,7 @@ def check_generic_assumption(cs, lab=None):
     """
     if lab is None:
         lab = label_minima(cs)
-    tree = _tree(cs)
+    tree = merge_tree(cs)
     L = cs.levels
     for mid in sorted(lab.E):
         comp = lab.E[mid]

@@ -181,23 +181,29 @@ def discretize(p, h, n=None, domain=None):
 
 
 def _qr_bidiagonal(dw):
-    """Givens QR of the factor C; returns the upper bidiagonal R as (d, e)."""
+    """Givens QR of the factor C; returns the upper bidiagonal R as (d, e).
+
+    The recurrence is sequential, so it runs on Python floats: indexing
+    NumPy arrays element by element costs more than the arithmetic.
+    """
     n = dw.n
-    d = np.empty(n)
-    e = np.empty(max(n - 1, 0))
-    r = dw.acoef[0]
+    a = dw.acoef.tolist()
+    b = dw.bcoef.tolist()
+    d = [0.0] * n
+    e = [0.0] * max(n - 1, 0)
+    r = a[0]
     for j in range(n):
-        rho = math.hypot(r, dw.bcoef[j + 1])
+        rho = math.hypot(r, b[j + 1])
         d[j] = rho
         if j + 1 < n:
-            t = dw.acoef[j + 1]
+            t = a[j + 1]
             if rho == 0.0:
                 c_, s_ = 1.0, 0.0
             else:
-                c_, s_ = r / rho, dw.bcoef[j + 1] / rho
+                c_, s_ = r / rho, b[j + 1] / rho
             e[j] = s_ * t
             r = c_ * t
-    return d, e
+    return np.array(d), np.array(e)
 
 
 def small_eigenvalues(dw, k):

@@ -50,13 +50,25 @@ def test_version(runner):
 
 def test_example_document_shape(runner):
     doc = run_json(runner, ["example", "ex-a"])
-    assert doc["schema"] == "metastab/1"
+    assert doc["schema"] == "metastab/2"
     assert doc["command"] == "example"
     assert doc["block_order"] == "ascending-S"
     assert doc["example"]["name"] == "ex-a"
     assert list(doc) == ["schema", "command", "block_order", "structure",
-                         "labelling", "classes", "example"]
+                         "labelling", "merge_tree", "classes", "example"]
     assert doc["labelling"]["global_min"] == "m11"
+
+    # components are merge-tree nodes: m21 and m22 are leaves, the root
+    # holds every minimum
+    tree = doc["merge_tree"]
+    assert tree["columns"] == ["born", "parent", "deepest"]
+    nodes = tree["nodes"]
+    minima = doc["labelling"]["minima"]
+    root = minima["m11"]["component"]
+    assert nodes[root][1] is None and nodes[root][2] == "m11"
+    for mid in ("m21", "m22", "m23"):
+        born, parent, deepest = nodes[minima[mid]["component"]]
+        assert (parent, deepest) == (root, mid)
 
     ground, pair, single = doc["classes"]
     assert ground == {"members": ["m11"], "ground": True,
@@ -69,8 +81,14 @@ def test_example_document_shape(runner):
     assert lv["S"] == 1.5
     want = [(3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2]
     assert np.allclose(lv["pi_zeta2"], want, rtol=1e-12)
-    assert np.allclose(pair["matrices"]["upsilon"],
-                       [[RPI, -RPI], [0.0, RPI]], rtol=1e-12, atol=1e-15)
+    assert "matrices" not in pair and "theta0" not in pair
+    rows = [(r["saddle"], r["m1"], r["m2"], r["kind"])
+            for r in pair["saddle_rows"]]
+    assert rows == [("s1", "m21", "m22", "interior"),
+                    ("s2", "m22", "m11", "boundary")]
+    s1, s2 = pair["saddle_rows"]
+    assert np.allclose(s1["upsilon"], [RPI, -RPI], rtol=1e-12)
+    assert np.allclose(s2["upsilon"], [RPI], rtol=1e-12)
 
     assert single["members"] == ["m23"]
     assert single["levels"][0]["S"] == 1.0
@@ -110,6 +128,7 @@ def test_example_errors(runner):
     res = runner.invoke(main, ["example", "nope"])
     assert res.exit_code == 2
     doc = json.loads(res.output)
+    assert doc["schema"] == "metastab/2"
     assert doc["error"]["type"] == "InputDataError"
     assert "unknown example" in doc["error"]["message"]
 
@@ -190,6 +209,7 @@ def test_analyze_rejects_bad_input(runner, tmp_path):
     res = runner.invoke(main, ["analyze", str(bad)])
     assert res.exit_code == 2
     doc = json.loads(res.output)
+    assert doc["schema"] == "metastab/2"
     assert doc["error"]["type"] == "InputDataError"
     assert "two comma-separated columns" in doc["error"]["message"]
 
@@ -267,9 +287,10 @@ def test_internal_error_exit_code(runner, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "decompose", boom)
     res = runner.invoke(main, ["analyze", str(src)])
     assert res.exit_code == 3
-    doc = json.loads(res.output)
-    assert doc["error"] == {"type": "InvariantViolation",
-                            "message": "sweep out of order"}
+    assert json.loads(res.output) == {
+        "schema": "metastab/2",
+        "error": {"type": "InvariantViolation",
+                  "message": "sweep out of order"}}
 
 
 def test_unexpected_error_exit_code(runner, monkeypatch):
@@ -279,8 +300,10 @@ def test_unexpected_error_exit_code(runner, monkeypatch):
     monkeypatch.setattr(cli, "decompose", boom)
     res = runner.invoke(main, ["example", "ex-a"])
     assert res.exit_code == 3
-    assert json.loads(res.output)["error"] == {
-        "type": "ZeroDivisionError", "message": "float division by zero"}
+    assert json.loads(res.output) == {
+        "schema": "metastab/2",
+        "error": {"type": "ZeroDivisionError",
+                  "message": "float division by zero"}}
 
 
 def _write_csv(path, xs, phis):

@@ -1,11 +1,14 @@
 """Golden bytes: the exact stdout of ``metastab example`` for the bundled
-examples, and of ``metastab analyze --h 0.1`` on two seeded structures with
-many levels, pinned by sha256 and length.
+examples, of ``metastab analyze --h 0.1`` on two seeded structures with
+many levels, and of one ``metastab validate``, pinned by sha256 and length.
 
-A refactor of the report path must leave these bytes unchanged; a change
-that alters them on purpose bumps the schema and updates the table.
+The reports follow schema ``metastab/2``; their ``metastab/1`` digests stay
+pinned beside them, and every run must rebuild its schema 1 bytes through
+``schema_v1.expand_v1``. A refactor of the report path must leave these
+bytes unchanged; a change that alters them on purpose bumps the schema and
+updates the table.
 
-The examples run in one child interpreter with single-threaded BLAS. The
+The runs go through one child interpreter with single-threaded BLAS. The
 dense ring spectrum (``ex-c --n 200``) depends in its last bits on the BLAS
 thread count, so the digests are pinned for one thread, which the CLI
 chooses itself when no thread count is set: one run of the ring leaves the
@@ -28,6 +31,44 @@ from metastab.landscape import (CriticalStructure, Minimum, Saddle,
                                 structure_to_dict)
 from metastab.topology import decompose
 
+# schema metastab/2, for the runs of the schema 1 tables below
+GOLDEN_V2 = {
+    "ex-a": (
+        "0c4f61800c10f71df91b656e5b51a08210e2966b473c5693d85057d455c0ce29",
+        4113),
+    "ex-b": (
+        "517cd584a3f1d96c2128781001e1b8b0f8914b32a8ba5c0ca7427175d64b2e60",
+        3898),
+    "ex-b --theta 2": (
+        "89092c0757e9cb06cbede969b90c9167038a816cc12bd7d3d5ce71d038a7eb0a",
+        3896),
+    "nine-wells": (
+        "badf7e72c1cd8fbd481b00225d4952e6c8423742a54139073b8d49ad1fd24026",
+        10284),
+    "double-well": (
+        "82768e353c722ac49a0e85223ce338560b01428a96ddc3d43887b0cc907f3742",
+        5397),
+    "ex-c --n 4": (
+        "480af0bd82bb78606c41e40aecdeb58d2a6296853468e132020660dd4459389b",
+        3704),
+    "ex-c --n 200": (
+        "2b8662cba2da8cd3bc82eb4010bacf2fbebe477e6ca22fbd220129704fdc6f3e",
+        157799),
+}
+
+GOLDEN_ANALYZE_V2 = {
+    "chain-40": (
+        "eae137390f4bde78917c8fade653ef41fc49fc2c8fac174fb5c85c3edb75d33e",
+        61321),
+    "tied-7": (
+        "7c0d16bc860c9e845fe61db7a4ac7308b7c4834c1e60e9592df8bd84041b49fd",
+        30986),
+}
+
+GOLDEN_VALIDATE_V2 = (
+    "f4077c8b93324ebf772261691dbc367b9d7fcd82be182c4a9088d426c76ff64a", 947)
+
+# schema metastab/1, which expand_v1 must rebuild from the reports above
 GOLDEN = {
     "ex-a": (
         "be606e6bd11163a25fbcc431a58949c78793e6de043e6e37f0735f2ac594da34",
@@ -91,19 +132,27 @@ _STRUCTURES = {
 
 _CHILD = """
 import hashlib, json, sys
-cases, block_scipy = json.loads(sys.argv[1])
+cases, block_scipy, tests = json.loads(sys.argv[1])
 if block_scipy:
     sys.modules["scipy"] = None     # every import of scipy now fails
 from click.testing import CliRunner
-from metastab.cli import main
-out = {}
+from metastab.cli import dumps, main    # first: it pins the BLAS threads
+sys.path.insert(0, tests)
+from schema_v1 import expand_v1
+
+def digest(data):
+    return [hashlib.sha256(data).hexdigest(), len(data)]
+
+out, v1 = {}, {}
 for case, args in cases.items():
     res = CliRunner().invoke(main, args)
-    out[case] = [res.exit_code, hashlib.sha256(res.stdout_bytes).hexdigest(),
-                 len(res.stdout_bytes)]
+    out[case] = [res.exit_code, *digest(res.stdout_bytes)]
+    if res.exit_code == 0:
+        doc = expand_v1(json.loads(res.stdout))
+        v1[case] = digest((dumps(doc) + "\\n").encode("utf-8"))
 scipy = sorted(m for m, mod in sys.modules.items()
                if m.split(".")[0] == "scipy" and mod is not None)
-print(json.dumps([out, scipy]))
+print(json.dumps([out, v1, scipy]))
 """
 
 
@@ -114,11 +163,12 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
 def _run_cases(cases, block_scipy=False, one_thread=True, cwd=None):
     """Run each case's argument list in one child interpreter.
 
-    Returns {case: [exit code, sha256, length]} and the names of the SciPy
-    modules the child had loaded by the end. ``block_scipy`` makes every
-    import of SciPy in the child fail. ``one_thread=False`` leaves every
-    BLAS thread variable unset, so OpenBLAS would use all cores unless the
-    CLI sets the count.
+    Returns {case: [exit code, sha256, length]}, {case: [sha256, length]}
+    of the schema 1 report rebuilt from each successful run, and the names
+    of the SciPy modules the child had loaded by the end. ``block_scipy``
+    makes every import of SciPy in the child fail. ``one_thread=False``
+    leaves every BLAS thread variable unset, so OpenBLAS would use all cores
+    unless the CLI sets the count.
     """
     env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
     src = str(Path(metastab.__file__).resolve().parents[1])
@@ -127,27 +177,33 @@ def _run_cases(cases, block_scipy=False, one_thread=True, cwd=None):
     if one_thread:
         for var in _THREAD_VARS:
             env[var] = "1"
+    tests = str(Path(__file__).resolve().parent)
     res = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps([cases, block_scipy])],
+        [sys.executable, "-c", _CHILD, json.dumps([cases, block_scipy, tests])],
         env=env, capture_output=True, text=True, cwd=cwd)
     assert res.returncode == 0, res.stderr
     return json.loads(res.stdout)
 
 
+def _assert_golden(got, v1, case, v2_digest, v1_digest):
+    assert got[case] == [0, *v2_digest], case
+    assert v1[case] == list(v1_digest), case
+
+
 def test_example_stdout_matches_golden_bytes():
-    got, _ = _run_cases({case: ["example", *case.split()] for case in GOLDEN})
-    for case, (digest, size) in GOLDEN.items():
-        code, got_digest, got_size = got[case]
-        assert code == 0, case
-        assert (got_digest, got_size) == (digest, size), case
+    got, v1, _ = _run_cases({case: ["example", *case.split()]
+                             for case in GOLDEN})
+    for case in GOLDEN:
+        _assert_golden(got, v1, case, GOLDEN_V2[case], GOLDEN[case])
 
 
 def test_ring_bytes_without_a_thread_setting():
     """The CLI pins one OpenBLAS thread when the caller sets none, so the
     dense ring spectrum prints the pinned bytes on any number of cores."""
-    got, _ = _run_cases({"ex-c --n 200": ["example", "ex-c", "--n", "200"]},
-                        one_thread=False)
-    assert got["ex-c --n 200"] == [0, *GOLDEN["ex-c --n 200"]]
+    case = "ex-c --n 200"
+    got, v1, _ = _run_cases({case: ["example", "ex-c", "--n", "200"]},
+                            one_thread=False)
+    _assert_golden(got, v1, case, GOLDEN_V2[case], GOLDEN[case])
 
 
 def test_many_level_structures():
@@ -167,12 +223,11 @@ def _analyze_args(tmp_path, case):
 
 
 def test_analyze_stdout_matches_golden_bytes(tmp_path):
-    got, _ = _run_cases({case: _analyze_args(tmp_path, case)
-                         for case in _STRUCTURES})
-    for case, (digest, size) in GOLDEN_ANALYZE.items():
-        code, got_digest, got_size = got[case]
-        assert code == 0, case
-        assert (got_digest, got_size) == (digest, size), case
+    got, v1, _ = _run_cases({case: _analyze_args(tmp_path, case)
+                             for case in _STRUCTURES})
+    for case in GOLDEN_ANALYZE:
+        _assert_golden(got, v1, case, GOLDEN_ANALYZE_V2[case],
+                       GOLDEN_ANALYZE[case])
 
 
 def _write_double_well(path):
@@ -186,24 +241,27 @@ def test_analysis_path_runs_without_scipy(tmp_path):
     no SciPy; multi-level classes and the validator load ``scipy.linalg`` on
     demand, and nothing loads ``scipy.interpolate``."""
     golden = {**GOLDEN, **GOLDEN_ANALYZE}
+    golden_v2 = {**GOLDEN_V2, **GOLDEN_ANALYZE_V2}
     lean = {"chain-40": _analyze_args(tmp_path, "chain-40"),
             "ex-a": ["example", "ex-a"],
             "ex-c --n 200": ["example", "ex-c", "--n", "200"]}
-    got, scipy = _run_cases(lean, block_scipy=True)
+    got, v1, scipy = _run_cases(lean, block_scipy=True)
     assert scipy == []
     for case in lean:
-        assert got[case] == [0, *golden[case]], case
+        _assert_golden(got, v1, case, golden_v2[case], golden[case])
 
-    got, scipy = _run_cases({"nine-wells": ["example", "nine-wells"]})
-    assert got["nine-wells"] == [0, *GOLDEN["nine-wells"]]
+    got, v1, scipy = _run_cases({"nine-wells": ["example", "nine-wells"]})
+    _assert_golden(got, v1, "nine-wells", GOLDEN_V2["nine-wells"],
+                   GOLDEN["nine-wells"])
     assert "scipy.linalg" in scipy
 
     # the validator's spline and bisection both run on scipy.linalg
     _write_double_well(tmp_path / "dw.csv")
-    got, scipy = _run_cases({
+    got, v1, scipy = _run_cases({
         "double-well": ["example", "double-well"],
         "validate": ["validate", "dw.csv", "--h", "0.15,0.1"]}, cwd=tmp_path)
-    assert got["double-well"] == [0, *GOLDEN["double-well"]]
-    assert got["validate"] == [0, *GOLDEN_VALIDATE]
+    _assert_golden(got, v1, "double-well", GOLDEN_V2["double-well"],
+                   GOLDEN["double-well"])
+    _assert_golden(got, v1, "validate", GOLDEN_VALIDATE_V2, GOLDEN_VALIDATE)
     assert "scipy.linalg" in scipy
     assert "scipy.interpolate" not in scipy

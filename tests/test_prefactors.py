@@ -119,7 +119,7 @@ def test_upsilon_kernel_is_inverse_weight_vector():
             if not c.type2:
                 continue
             cm = build_class_matrices(cs, cd, c)
-            xi = np.array([1.0 / cm.weights[x] for x in c.uhat])
+            xi = np.array([1.0 / h_phi(cs, cd, x, c) for x in c.uhat])
             assert np.max(np.abs(cm.upsilon @ xi)) <= 1e-12 * np.max(
                 np.abs(cm.upsilon))
 
@@ -152,7 +152,7 @@ def test_T_completes_kernel_direction():
         blk = cm.T[rows, :]
         assert np.allclose(cm.theta0 @ blk, 0.0, atol=1e-13)
         # theta0 is the normalized inverse-weight direction on its block
-        xi = np.array([1.0 / cm.weights[x] for x in cm.theta_ids])
+        xi = np.array([1.0 / h_phi(cs, cd, x, c) for x in cm.theta_ids])
         xi /= np.linalg.norm(xi)
         assert np.allclose(cm.theta0, xi, atol=1e-13)
         assert b == len(c.uhat_blocks[-1])
