@@ -33,6 +33,7 @@ SCHEMA = "metastab/2"
 
 _ESCAPE = re.compile(r'["\\\x00-\x1f]')
 
+
 def _escape(m):
     ch = m.group()
     return "\\" + ch if ch in '"\\' else f"\\u{ord(ch):04x}"

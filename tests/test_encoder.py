@@ -106,3 +106,15 @@ def test_signed_zero_and_non_finite():
     out = dumps(doc)
     assert out == oracle(doc)
     assert out.count("-0") == 9 and "inf" not in out and "nan" not in out
+
+
+def test_shared_tuple_at_several_indents():
+    """The text of a tuple is reused only at the indent it was made for: one
+    member tuple, long enough to span lines, recurs at three depths and
+    several times at one of them, as a large class's members do."""
+    members = tuple(f"m{i:03d}" for i in range(30))
+    pair = ("a", "b")
+    doc = {"top": members,
+           "classes": [{"members": members, "pair": pair}],
+           "evaluated": [{"eigenvalues": [{"class": members, "pair": pair}] * 3}]}
+    assert dumps(doc) == oracle(doc)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import sweep_oracle as oracle
 from conftest import (random_tree_structure, tied_structure, type1_gadget,
                       type2_gadget)
-from metastab import topology
+from schema_v1 import components
+from metastab import cli, topology
 from metastab.errors import InputDataError, InvariantViolation
 from metastab.examples import (build_example, chain_sampled, ex_b, ex_c,
                                example_names)
@@ -77,6 +78,20 @@ def test_gadgets(seed, flat):
     rng = np.random.default_rng(seed)
     assert assert_same(type1_gadget(rng)) == "ok"
     assert assert_same(type2_gadget(rng, flat=flat)) == "ok"
+
+
+@given(seeds, st.booleans())
+def test_report_components_are_labelled_components(seed, flat):
+    """The merge-tree table of the report and each minimum's node id in it
+    give back E(m) of the labelling."""
+    rng = np.random.default_rng(seed)
+    for cs in (tied_structure(rng, n_max=16), type2_gadget(rng, flat=flat),
+               random_tree_structure(rng, n_max=14)):
+        lab = topology.decompose(cs).labelling
+        table, node = cli._merge_tree_block(topology.merge_tree(cs))
+        members = components(table)
+        assert {m: members[node[m]] for m in lab.E} == {
+            m: sorted(E) for m, E in lab.E.items()}
 
 
 @given(seeds, st.integers(min_value=0, max_value=3))
