@@ -20,7 +20,8 @@ GROWTH = 2.2        # largest byte ratio allowed per doubling of N
 
 def funnel(n):
     """Chain with phi(m_i) = 1e-3 i and phi(s_i) = 10 + n - i, where s_i
-    joins m_i and m_{i+1}: each saddle below the last adds one minimum."""
+    joins m_i and m_{i+1}. The lowest saddle joins the two highest minima
+    and each higher saddle adds the next lower minimum."""
     minima = [Minimum(f"m{i}", 1e-3 * i, 1.0) for i in range(n)]
     saddles = [Saddle(f"s{i}", 10.0 + n - i, 1.0, 1.0, (f"m{i}", f"m{i + 1}"))
                for i in range(n - 1)]
