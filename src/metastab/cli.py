@@ -133,21 +133,15 @@ def _structure_block(cs):
 
 
 def _merge_tree_block(tree):
-    """One row per merge-tree node, children before parents, and for each
-    minimum m the node whose members are E(m): the highest node that has m
-    as its deepest minimum."""
+    """One row per merge-tree node, children before parents, and the row
+    number of each node."""
     num = {node: i for i, node in enumerate(tree.nodes)}
-    rows, component = [], {}
-    for node in tree.nodes:
-        up = node.parent
-        rows.append([node.born, None if up is None else num[up],
-                     node.deepest[1]])
-        if up is None or up.deepest != node.deepest:
-            component[node.deepest[1]] = num[node]
-    return {"columns": ["born", "parent", "deepest"], "nodes": rows}, component
+    rows = [[n.born, None if n.parent is None else num[n.parent],
+             n.deepest[1]] for n in tree.nodes]
+    return {"columns": ["born", "parent", "deepest"], "nodes": rows}, num
 
 
-def _labelling_block(cd, component):
+def _labelling_block(cd, num):
     lab = cd.labelling
     minima = {}
     for mid in sorted(lab.index):
@@ -155,7 +149,7 @@ def _labelling_block(cd, component):
         row = {"index": [i, j],
                "sigma": lab.sigma[mid],
                "S": lab.S[mid],
-               "component": component[mid]}
+               "component": num[lab.E[mid]]}
         if mid != lab.mbar:
             row["type"] = "II" if cd.maps.type2[mid] else "I"
             row["ref_min"] = cd.maps.mhat[mid]
@@ -228,12 +222,12 @@ def analyze_document(cs, h_list=()):
         cores[alpha] = build_graded_core(cs, cd, alpha, m)
     report = full_spectrum(cs, cd, cores)
     by_class = {c.cls: c for c in report.classes}
-    tree, component = _merge_tree_block(merge_tree(cs))
+    tree, num = _merge_tree_block(merge_tree(cs))
     doc = {"schema": SCHEMA,
            "command": "analyze",
            "block_order": "ascending-S",
            "structure": _structure_block(cs),
-           "labelling": _labelling_block(cd, component),
+           "labelling": _labelling_block(cd, num),
            "merge_tree": tree,
            "classes": [_class_block(a, mats.get(a), by_class[a])
                        for a in cd.classes]}

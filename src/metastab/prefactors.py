@@ -33,19 +33,19 @@ def h_phi(cs, cd, pid, alpha=None):
     """
     if cs.is_saddle(pid):
         return cs.saddle(pid).det_hess ** 0.25
-    group = _hat_H(cs, cd, pid, alpha)
-    return sum(cs.minimum(x).det_hess ** -0.5 for x in group) ** -0.5
+    group = _hat_H(cd, pid, alpha)
+    return math.fsum(cs.minimum(x).det_hess ** -0.5 for x in group) ** -0.5
 
 
-def _hat_H(cs, cd, pid, alpha):
+def _hat_H(cd, pid, alpha):
+    """The minima tied at the bottom of E(pid) for a member, or of the
+    enclosing component Ehat for the reference minimum."""
     if alpha is None:
         raise InputDataError("minimum weights require a class")
     if pid in alpha.members:
-        return cd.maps.H[pid]
+        return cd.labelling.E[pid].ties
     if pid == alpha.mhat:
-        lvl = cs.levels.of(cs.minimum(pid).phi)
-        return frozenset(
-            x for x in alpha.Ehat if cs.levels.of(cs.minimum(x).phi) == lvl)
+        return alpha.Ehat.ties
     raise InputDataError(f"{pid} belongs neither to the class nor is its "
                          "reference minimum")
 

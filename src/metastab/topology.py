@@ -2,12 +2,13 @@
 the saddle partition.
 
 Everything works on a quotient picture. A connected component of an open
-sublevel set {phi < level} is represented by the set of minima it contains,
-and two components touch at a level exactly when some listed saddle at that
-level joins them. All components come from one merge tree, built in a single
-ascending pass. Potential values are never compared directly; every
-decision goes through the level clusters of the structure, which keeps
-equality transitive.
+sublevel set {phi < level} is a node of one merge tree, built in a single
+ascending pass: the node knows its birth cluster, its parent and children,
+its deepest minimum and the minima tied with it, and nothing else. Two
+components touch at a level exactly when some listed saddle at that level
+joins them. Potential values are never compared directly; every decision
+goes through the level clusters of the structure, which keeps equality
+transitive.
 """
 
 import math
@@ -44,14 +45,15 @@ class _Node:
     """One component of a sublevel set, alive from its birth cluster until
     its parent is born."""
 
-    __slots__ = ("born", "members", "deepest", "low", "children", "parent")
+    __slots__ = ("born", "ties", "deepest", "low", "children", "parent")
 
-    def __init__(self, born, members, deepest, low, children=()):
+    def __init__(self, born, ties, deepest, low, children=()):
         self.born = born            # level cluster the component appears at
-        self.members = members      # frozenset of minimum ids
+        self.ties = ties            # ids of the minima at its deepest cluster
         self.deepest = deepest      # (cluster, id) of its deepest minimum
         self.low = low              # smallest minimum id
-        self.children = children    # components it was formed from
+        self.children = children    # components it was formed from, the one
+                                    # holding its deepest minimum first
         self.parent = None
 
 
@@ -66,6 +68,8 @@ class MergeTree:
     ``saddles_at[k]`` the saddles of that cluster. ``nodes`` lists every
     node by birth cluster, leaves first, then smallest id, so children
     precede their parents and the order depends on the input data alone.
+    ``highest[m]`` is the highest node whose deepest minimum is m: the
+    component E(m) of the labelling.
     """
 
     def __init__(self, cs):
@@ -73,7 +77,7 @@ class MergeTree:
         self.leaf = {}
         for m in cs.minima:
             k = L.of(m.phi)
-            self.leaf[m.id] = _Node(k, frozenset((m.id,)), (k, m.id), m.id)
+            self.leaf[m.id] = _Node(k, (m.id,), (k, m.id), m.id)
         dsu = _DSU(self.leaf)
         top = dict(self.leaf)       # union-find root -> its current node
         self.saddles_at = {}
@@ -94,8 +98,11 @@ class MergeTree:
                     groups.setdefault(dsu.find(node.low), {})[node] = None
             self.born[k] = []
             for r, kids in groups.items():
-                node = _Node(k, frozenset().union(*(c.members for c in kids)),
-                             min(c.deepest for c in kids), r, tuple(kids))
+                kids = sorted(kids, key=lambda c: c.deepest)
+                tied = [c for c in kids if c.deepest[0] == kids[0].deepest[0]]
+                ties = tied[0].ties if len(tied) == 1 else tuple(
+                    x for c in tied for x in c.ties)
+                node = _Node(k, ties, kids[0].deepest, r, tuple(kids))
                 for c in kids:
                     c.parent = node
                 top[r] = node
@@ -104,13 +111,7 @@ class MergeTree:
         self.nodes = sorted(
             [*self.leaf.values(), *(n for ns in self.born.values() for n in ns)],
             key=lambda n: (n.born, bool(n.children), n.low))
-
-    def below(self, k, mid):
-        """The component of {phi < cluster k} that holds minimum ``mid``."""
-        node = self.leaf[mid]
-        while node.parent is not None and node.parent.born < k:
-            node = node.parent
-        return node
+        self.highest = {n.deepest[1]: n for n in self.nodes}
 
 
 def merge_tree(cs):
@@ -144,9 +145,9 @@ class Labelling(NamedTuple):
     sigma: dict            # minimum id -> representative ssv value (inf for mbar)
     sigma_cluster: dict    # minimum id -> level cluster of sigma (None for mbar)
     S: dict                # minimum id -> barrier sigma(m) - phi(m)
-    E: dict                # minimum id -> component of {phi < sigma(m)} holding m
+    E: dict                # minimum id -> merge-tree node of the component
+                           # of {phi < sigma(m)} holding m (the root for mbar)
     index: dict            # minimum id -> (i, j) assignment order
-    prev_cluster: dict     # minimum id -> cluster of the next ssv above (None = inf)
     ssv_clusters: tuple    # ssv level clusters, descending
 
 
@@ -162,73 +163,92 @@ def label_minima(cs):
     L = cs.levels
     ssv = tuple(sorted({L.of(s.phi) for s in cs.saddles}, reverse=True))
     mbar = min(cs.minima, key=lambda m: (L.of(m.phi), m.id)).id
-    allm = frozenset(m.id for m in cs.minima)
     sigma = {mbar: INF}
     sigma_cluster = {mbar: None}
     S = {mbar: INF}
-    E = {mbar: allm}
     index = {mbar: (1, 1)}
-    prev_cluster = {mbar: None}
     for step, k in enumerate(ssv, start=2):
-        prev = ssv[step - 3] if step > 2 else None
-        fresh = [c for node in tree.born[k] for c in node.children
-                 if c.deepest != node.deepest]
+        fresh = [c for node in tree.born[k] for c in node.children[1:]]
         for j, comp in enumerate(sorted(fresh, key=lambda c: c.low), start=1):
             cluster, lead = comp.deepest
             sigma[lead] = L.rep(k)
             sigma_cluster[lead] = k
             S[lead] = L.rep(k) - L.rep(cluster)
-            E[lead] = comp.members
             index[lead] = (step, j)
-            prev_cluster[lead] = prev
     if len(sigma) != len(cs.minima):
         raise InvariantViolation("labelling left minima unassigned")
-    return Labelling(mbar, sigma, sigma_cluster, S, E, index, prev_cluster, ssv)
+    return Labelling(mbar, sigma, sigma_cluster, S, tree.highest, index, ssv)
 
 
 class Maps(NamedTuple):
-    Eminus: dict   # id -> component of {phi < previous ssv} holding m
     mhat: dict     # id -> the reference minimum of the enclosing component
     Ehat: dict     # id -> component of {phi < sigma(m)} holding mhat
-    H: dict        # id -> minima of E(m) at the level of m
     type2: dict    # id -> True iff phi(mhat(m)) equals phi(m)
 
 
 def derive_maps(cs, lab):
-    """Per-minimum derived objects: enclosing component, reference minimum,
-    its component, the equal-level set H, and the type decision."""
-    tree = merge_tree(cs)
-    L = cs.levels
-    allm = frozenset(m.id for m in cs.minima)
-    H = {}
-    for mid, comp in lab.E.items():
-        c = L.of(cs.minimum(mid).phi)
-        H[mid] = frozenset(x for x in comp if L.of(cs.minimum(x).phi) == c)
+    """Per-minimum reference minimum, its component, and the type decision.
 
-    def sig_key(mid):
-        k = lab.sigma_cluster[mid]
-        return INF if k is None else k
-
-    Eminus, mhat, Ehat, type2 = {}, {}, {}, {}
+    All three are read off the parent of E(m), the component that holds m
+    up to the next saddle value above sigma(m): mhat(m) is its deepest
+    minimum, Ehat(m) its child holding mhat(m). The components come from
+    the merge tree; ``lab`` supplies the global minimum and the saddle
+    value clusters, which must agree with the tree.
+    """
+    E = merge_tree(cs).highest
+    mhat, Ehat, type2 = {}, {}, {}
     for m in cs.minima:
         mid = m.id
         if mid == lab.mbar:
             continue
-        prev = lab.prev_cluster[mid]
-        Eminus[mid] = allm if prev is None else tree.below(prev, mid).members
-        cands = [x for x in Eminus[mid] if sig_key(x) > sig_key(mid)]
-        if len(cands) != 1:
-            raise InvariantViolation(
-                f"reference minimum not unique for {mid}: {sorted(cands)}")
-        mhat[mid] = cands[0]
-        Ehat[mid] = tree.below(lab.sigma_cluster[mid], mhat[mid]).members
-        cm = L.of(cs.minimum(mid).phi)
-        ch = L.of(cs.minimum(mhat[mid]).phi)
+        up = E[mid].parent
+        mhat[mid] = up.deepest[1]
+        # when each minimum is labelled at the birth of its E(m).parent, the
+        # deepest minimum of that parent is the only one in it labelled
+        # above m, so these two checks stand for a scan of its minima
+        if (lab.sigma_cluster[mid] != up.born
+                or _sig_key(lab, mhat[mid]) <= _sig_key(lab, mid)):
+            raise _ambiguous_reference(cs, lab, mid)
+        Ehat[mid] = up.children[0]
+        cm, ch = E[mid].deepest[0], up.deepest[0]
         if ch > cm:
             raise InvariantViolation(
                 f"reference minimum of {mid} lies above it")
         type2[mid] = ch == cm
-    return Maps(Eminus, mhat, Ehat, H, type2)
+    return Maps(mhat, Ehat, type2)
+
+
+def _sig_key(lab, mid):
+    k = lab.sigma_cluster[mid]
+    return INF if k is None else k
+
+
+def _leaves(node):
+    """Ids of the minima below a node."""
+    out, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        if not node.children:
+            out.append(node.low)
+    return out
+
+
+def _ambiguous_reference(cs, lab, mid):
+    """The error for a labelling that disagrees with the merge tree at
+    ``mid``: the first minimum whose E(m).parent does not hold exactly one
+    minimum labelled above m, as a scan of its leaves finds it."""
+    E = merge_tree(cs).highest
+    for m in cs.minima:
+        if m.id != lab.mbar:
+            key = _sig_key(lab, m.id)
+            cands = sorted(x for x in _leaves(E[m.id].parent)
+                           if _sig_key(lab, x) > key)
+            if len(cands) != 1:
+                return InvariantViolation(
+                    f"reference minimum not unique for {m.id}: {cands}")
+    return InvariantViolation(
+        f"labelling of {mid} disagrees with the merge tree")
 
 
 class SaddleRow(NamedTuple):
@@ -301,6 +321,7 @@ def equivalence_classes(cs, lab, maps):
     type II members) whose closures share saddles at that level.
     """
     tree = merge_tree(cs)
+    E = lab.E
     ground = EquivClass((lab.mbar,), INF, None, None, None, False,
                         ((lab.mbar,),), ((lab.mbar,),), (INF,), ground=True)
     classes = [ground]
@@ -311,11 +332,8 @@ def equivalence_classes(cs, lab, maps):
         members_k = labelled_at.get(k)
         if not members_k:
             continue
-        node = {m: tree.below(k, m) for m in members_k}
-        nodes = set(node.values())
-        for m in members_k:
-            if maps.type2[m]:
-                nodes.add(tree.below(k, maps.mhat[m]))
+        nodes = {E[m] for m in members_k}
+        nodes.update(maps.Ehat[m] for m in members_k if maps.type2[m])
         dsu = _DSU(n.low for n in nodes)
         for sid in tree.saddles_at[k]:
             a, b = tree.ends[sid]
@@ -323,7 +341,7 @@ def equivalence_classes(cs, lab, maps):
                 dsu.union(a.low, b.low)
         groups = {}
         for m in members_k:
-            groups.setdefault(dsu.find(node[m].low), []).append(m)
+            groups.setdefault(dsu.find(E[m].low), []).append(m)
         for root in sorted(groups):
             classes.append(_build_class(cs, lab, maps, sorted(groups[root]), k))
     classes[1:] = sorted(
@@ -382,7 +400,7 @@ def partition_saddles(cs, cd):
     eroots = {}                 # class -> {member's component: member}
     for c in cd.classes[1:]:
         by_cluster.setdefault(c.sigma_cluster, []).append(c)
-        eroots[c] = {tree.below(c.sigma_cluster, m): m for m in c.members}
+        eroots[c] = {cd.labelling.E[m]: m for m in c.members}
     assigned = {c: [] for c in cd.classes}
     for s in cs.saddles:
         k = L.of(s.phi)
@@ -406,7 +424,7 @@ def partition_saddles(cs, cd):
             else:
                 member = eroot[ra] if in_a else eroot[rb]
                 other = rb if in_a else ra
-                if other is not tree.below(k, c.mhat):
+                if other is not c.Ehat:
                     raise InvariantViolation(
                         f"saddle {s.id}: far side is not the enclosing "
                         "component")
@@ -428,46 +446,3 @@ def decompose(cs):
     lab = label_minima(cs)
     maps = derive_maps(cs, lab)
     return partition_saddles(cs, equivalence_classes(cs, lab, maps))
-
-
-def check_generic_assumption(cs, lab=None):
-    """Check the two genericity conditions.
-
-    Returns (True, None) when every labelled component has a unique deepest
-    minimum and, at each saddle level, no component of the open sublevel set
-    touches two saddles of that level. On success every equivalence class is
-    a singleton (asserted). On failure returns (False, witness).
-    """
-    if lab is None:
-        lab = label_minima(cs)
-    tree = merge_tree(cs)
-    L = cs.levels
-    for mid in sorted(lab.E):
-        comp = lab.E[mid]
-        bottom = min(L.of(cs.minimum(x).phi) for x in comp)
-        ties = sorted(x for x in comp if L.of(cs.minimum(x).phi) == bottom)
-        if len(ties) > 1:
-            return False, {
-                "condition": "unique-minimum",
-                "component": sorted(comp),
-                "tied_minima": ties,
-            }
-    for k in lab.ssv_clusters:
-        incident = {}
-        for sid in tree.saddles_at[k]:
-            for node in set(tree.ends[sid]):
-                incident.setdefault(node, []).append(sid)
-        for node in sorted(incident, key=lambda n: n.low):
-            if len(incident[node]) > 1:
-                return False, {
-                    "condition": "unique-maximal-saddle",
-                    "component": sorted(node.members),
-                    "saddles": sorted(incident[node]),
-                }
-    maps = derive_maps(cs, lab)
-    cd = equivalence_classes(cs, lab, maps)
-    for c in cd.classes:
-        if len(c.members) > 1:
-            raise InvariantViolation(
-                f"genericity held but class {c.members} is not a singleton")
-    return True, None

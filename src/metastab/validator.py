@@ -245,10 +245,6 @@ class ValidationReport(NamedTuple):
     c_tol: float
     n0: int
 
-    @property
-    def passed(self):
-        return all(v == "PASS" for v in self.verdicts)
-
 
 def compare(report, p, h_list, grid=None, c_tol=3.0, richardson_tol=0.05):
     """Validate a SpectrumReport against direct solves over a schedule of h.

@@ -219,6 +219,51 @@ def tied_structure(rng, n_max=12, saddle_levels=4, stray=0):
     return CriticalStructure(minima, saddles)
 
 
+def _chain(phi_minima, phi_saddles):
+    """Chain landscape: saddle s_i joins m_i and m_{i+1}; unit Hessians."""
+    minima = [Minimum(f"m{i}", float(p), 1.0) for i, p in enumerate(phi_minima)]
+    saddles = [Saddle(f"s{i}", float(p), 1.0, 1.0, (f"m{i}", f"m{i + 1}"))
+               for i, p in enumerate(phi_saddles)]
+    return CriticalStructure(minima, saddles)
+
+
+def funnel(n):
+    """Chain with phi(m_i) = 1e-3 i and phi(s_i) = 10 + n - i. The lowest
+    saddle joins the two highest minima and each higher saddle adds the next
+    lower minimum, so E(m_i) = {m_i, ..., m_{n-1}} for i >= 1."""
+    return _chain([1e-3 * i for i in range(n)],
+                  [10.0 + n - i for i in range(n - 1)])
+
+
+def staircase(n):
+    """Chain with phi(m_i) = n - i and phi(s_i) = n - i + 0.5: the component
+    of the deepest minimum m_{n-1} grows by one minimum per level, so the
+    merge tree is a path of depth n."""
+    return _chain([n - i for i in range(n)],
+                  [n - i + 0.5 for i in range(n - 1)])
+
+
+def shuffled_chain(rng, n):
+    """Chain on 2n - 1 distinct grid values v = j/n, 0 < j < 10n. The first
+    n, in drawn order, are the minima; each saddle sits at the higher of its
+    two minima plus 0.1 + 0.09 v for one of the other n - 1 values, i.e. in
+    (0.1, 1). The merge tree comes out balanced."""
+    v = rng.choice(np.arange(1, 10 * n), size=2 * n - 1, replace=False) / n
+    return _chain(v[:n], [max(v[i], v[i + 1]) + 0.1 + 0.09 * v[n + i]
+                          for i in range(n - 1)])
+
+
+def members(node):
+    """The minima of a merge-tree node: the leaves below it."""
+    out, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        if not node.children:
+            out.add(node.low)
+    return frozenset(out)
+
+
 def alternating_family():
     """Two wells of equal depth around a strictly deeper middle well, both
     saddles at one level: fails genericity while every class stays a

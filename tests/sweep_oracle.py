@@ -3,17 +3,38 @@ that keeps a full component snapshot after every level cluster.
 
 This is the decomposition as it stood before ``metastab.topology`` read
 everything off one merge tree. The functions below are kept verbatim as a
-differential oracle; only the data types and ``_build_class`` come from the
-package.
+differential oracle, with components as frozensets of minimum ids; the
+``Labelling`` and ``Maps`` tuples of that time are copied here, and the
+other data types and ``_build_class`` come from the package.
 """
 
 import math
+from typing import NamedTuple
 
 from metastab.errors import InputDataError, InvariantViolation
-from metastab.topology import (ClassDecomposition, EquivClass, Labelling,
-                               Maps, SaddleRow, _build_class)
+from metastab.topology import (ClassDecomposition, EquivClass, SaddleRow,
+                               _build_class)
 
 INF = math.inf
+
+
+class Labelling(NamedTuple):
+    mbar: str
+    sigma: dict            # minimum id -> representative ssv value (inf for mbar)
+    sigma_cluster: dict    # minimum id -> level cluster of sigma (None for mbar)
+    S: dict                # minimum id -> barrier sigma(m) - phi(m)
+    E: dict                # minimum id -> component of {phi < sigma(m)} holding m
+    index: dict            # minimum id -> (i, j) assignment order
+    prev_cluster: dict     # minimum id -> cluster of the next ssv above (None = inf)
+    ssv_clusters: tuple    # ssv level clusters, descending
+
+
+class Maps(NamedTuple):
+    Eminus: dict   # id -> component of {phi < previous ssv} holding m
+    mhat: dict     # id -> the reference minimum of the enclosing component
+    Ehat: dict     # id -> component of {phi < sigma(m)} holding mhat
+    H: dict        # id -> minima of E(m) at the level of m
+    type2: dict    # id -> True iff phi(mhat(m)) equals phi(m)
 
 
 class _DSU:

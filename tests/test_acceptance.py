@@ -18,8 +18,9 @@ from metastab.examples import build_example
 from metastab.landscape import extract_critical_structure, make_sampled
 from metastab.prefactors import build_class_matrices, build_graded_core, h_phi
 from metastab.spectra import class_spectrum, full_spectrum, schur_R
-from metastab.topology import check_generic_assumption, decompose
+from metastab.topology import decompose
 from metastab.validator import compare
+from sweep_oracle import check_generic_assumption
 
 
 def _done(k, t0, budget, detail):

@@ -12,13 +12,16 @@ The runs go through one child interpreter with single-threaded BLAS. The
 dense ring spectrum (``ex-c --n 200``) depends in its last bits on the BLAS
 thread count, so the digests are pinned for one thread, which the CLI
 chooses itself when no thread count is set: one run of the ring leaves the
-thread variables unset. The digests do not depend on ``PYTHONHASHSEED``.
+thread variables unset. The digests do not depend on ``PYTHONHASHSEED``;
+one structure whose weights sum many tied Hessian terms is run under
+several hash seeds to show it.
 The runs that need no SciPy are repeated in a child where every import of
 SciPy fails, and must give the same bytes.
 """
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -125,9 +128,24 @@ def _chain(seed, n=40):
     return CriticalStructure(minima, saddles)
 
 
+def _tied_dozen():
+    """Twelve minima at phi = 0 chained by saddles at phi = 1, and a deeper
+    minimum z behind a saddle at phi = 2. The weight of m00, reference of
+    the type II class at phi = 1, sums the Hessian terms of all twelve."""
+    draw = random.Random(5)
+    minima = [Minimum(f"m{i:02d}", 0.0, draw.uniform(0.1, 10))
+              for i in range(12)]
+    minima.append(Minimum("z", -1.0, 1.0))
+    saddles = [Saddle(f"s{i:02d}", 1.0, 1.0, 1.0, (f"m{i:02d}", f"m{i + 1:02d}"))
+               for i in range(11)]
+    saddles.append(Saddle("sz", 2.0, 1.0, 1.0, ("z", "m00")))
+    return CriticalStructure(minima, saddles)
+
+
 _STRUCTURES = {
     "chain-40": lambda: _chain(seed=40),
     "tied-7": lambda: tied_structure(np.random.default_rng(7), n_max=24),
+    "tied-dozen": _tied_dozen,
 }
 
 _CHILD = """
@@ -160,7 +178,8 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
                 "MKL_NUM_THREADS")
 
 
-def _run_cases(cases, block_scipy=False, one_thread=True, cwd=None):
+def _run_cases(cases, block_scipy=False, one_thread=True, cwd=None,
+               hash_seed=None):
     """Run each case's argument list in one child interpreter.
 
     Returns {case: [exit code, sha256, length]}, {case: [sha256, length]}
@@ -168,7 +187,7 @@ def _run_cases(cases, block_scipy=False, one_thread=True, cwd=None):
     of the SciPy modules the child had loaded by the end. ``block_scipy``
     makes every import of SciPy in the child fail. ``one_thread=False``
     leaves every BLAS thread variable unset, so OpenBLAS would use all cores
-    unless the CLI sets the count.
+    unless the CLI sets the count. ``hash_seed`` sets ``PYTHONHASHSEED``.
     """
     env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
     src = str(Path(metastab.__file__).resolve().parents[1])
@@ -177,6 +196,8 @@ def _run_cases(cases, block_scipy=False, one_thread=True, cwd=None):
     if one_thread:
         for var in _THREAD_VARS:
             env[var] = "1"
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     tests = str(Path(__file__).resolve().parent)
     res = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps([cases, block_scipy, tests])],
@@ -224,10 +245,20 @@ def _analyze_args(tmp_path, case):
 
 def test_analyze_stdout_matches_golden_bytes(tmp_path):
     got, v1, _ = _run_cases({case: _analyze_args(tmp_path, case)
-                             for case in _STRUCTURES})
+                             for case in GOLDEN_ANALYZE})
     for case in GOLDEN_ANALYZE:
         _assert_golden(got, v1, case, GOLDEN_ANALYZE_V2[case],
                        GOLDEN_ANALYZE[case])
+
+
+def test_report_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """Hash-ordered iteration must not reach the arithmetic: the sum over
+    the twelve tied minima gives the same last digits under every seed."""
+    case = {"tied-dozen": _analyze_args(tmp_path, "tied-dozen")}
+    runs = [_run_cases(case, hash_seed=seed)[0]["tied-dozen"]
+            for seed in (0, 31, 34)]
+    assert runs[0][0] == 0
+    assert runs[1:] == runs[:1] * 2, runs
 
 
 def _write_double_well(path):

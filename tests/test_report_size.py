@@ -1,31 +1,27 @@
-"""The report grows linearly with the input: doubling the number of minima
-at most about doubles the bytes of ``analyze`` and ``example`` output.
+"""The report and the decomposition grow linearly with the input: doubling
+the number of minima at most about doubles the bytes of ``analyze`` and
+``example`` output, and the memory ``decompose`` allocates.
 
 The funnel labels minimum m_i with E(m_i) = {m_i, ..., m_{N-1}}, and the
 ring makes one class of n - 1 minima with a dense core; a report that listed
-those components, or printed that core, would grow about 4x per doubling.
+those components, or printed that core, would grow about 4x per doubling,
+and so would a decomposition that stored each component's minima. The
+staircase is a merge tree of depth N, which an ancestor walk per query
+makes quadratic in time.
 """
 
+import gc
 import json
+import tracemalloc
 
 from click.testing import CliRunner
 
+from conftest import funnel, members, staircase
 from metastab.cli import main
-from metastab.landscape import (CriticalStructure, Minimum, Saddle,
-                                structure_to_dict)
-from metastab.topology import label_minima
+from metastab.landscape import structure_to_dict
+from metastab.topology import decompose, label_minima
 
-GROWTH = 2.2        # largest byte ratio allowed per doubling of N
-
-
-def funnel(n):
-    """Chain with phi(m_i) = 1e-3 i and phi(s_i) = 10 + n - i, where s_i
-    joins m_i and m_{i+1}. The lowest saddle joins the two highest minima
-    and each higher saddle adds the next lower minimum."""
-    minima = [Minimum(f"m{i}", 1e-3 * i, 1.0) for i in range(n)]
-    saddles = [Saddle(f"s{i}", 10.0 + n - i, 1.0, 1.0, (f"m{i}", f"m{i + 1}"))
-               for i in range(n - 1)]
-    return CriticalStructure(minima, saddles)
+GROWTH = 2.2        # largest ratio allowed per doubling of N
 
 
 def _report_bytes(args):
@@ -42,7 +38,7 @@ def _assert_linear(sizes):
 def test_funnel_components_are_quadratic():
     lab = label_minima(funnel(6))
     for i in range(1, 6):
-        assert lab.E[f"m{i}"] == {f"m{j}" for j in range(i, 6)}
+        assert members(lab.E[f"m{i}"]) == {f"m{j}" for j in range(i, 6)}
 
 
 def test_funnel_report_is_linear(tmp_path):
@@ -57,3 +53,24 @@ def test_funnel_report_is_linear(tmp_path):
 def test_ring_report_is_linear():
     _assert_linear([_report_bytes(["example", "ex-c", "--n", str(n)])
                     for n in (50, 100, 200)])
+
+
+
+def _decompose_peak(cs):
+    """Peak bytes tracemalloc sees while ``decompose`` runs on ``cs``.
+
+    A full collection first empties the interpreter's free lists; objects
+    reused from them are allocated untraced, which would lower the peaks
+    by an amount that depends on what ran before."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        decompose(cs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decompose_memory_is_linear():
+    for shape in (funnel, staircase):
+        _assert_linear([_decompose_peak(shape(n)) for n in (250, 500, 1000)])

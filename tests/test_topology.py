@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_rng, random_tree_structure, type1_gadget, type2_gadget
+from conftest import (make_rng, members, random_tree_structure, type1_gadget,
+                      type2_gadget)
 from metastab.errors import InputDataError, InvariantViolation
 from metastab.examples import build_example, ex_a, ex_b, ex_c, nine_wells
 from metastab.landscape import CriticalStructure, Minimum, Saddle
-from metastab.topology import (check_generic_assumption, decompose,
-                               derive_maps, equivalence_classes, label_minima,
-                               verify_separating)
-from sweep_oracle import sublevel_components
+from metastab.topology import (decompose, derive_maps, equivalence_classes,
+                               label_minima, verify_separating)
+from sweep_oracle import check_generic_assumption, sublevel_components
 
 INF = math.inf
 
@@ -170,9 +170,9 @@ def test_maps_three_wells():
     lab = label_minima(cs)
     maps = derive_maps(cs, lab)
     assert maps.mhat == {"m21": "m11", "m22": "m11", "m23": "m11"}
-    assert maps.Eminus["m21"] == frozenset({"m11", "m21", "m22", "m23"})
+    assert members(lab.E["m21"].parent) == {"m11", "m21", "m22", "m23"}
     assert maps.type2 == {"m21": False, "m22": False, "m23": False}
-    assert maps.Ehat["m21"] == frozenset({"m11"})
+    assert members(maps.Ehat["m21"]) == {"m11"}
 
 
 def test_maps_detect_type_two():
@@ -208,7 +208,7 @@ def test_classes_three_wells():
     assert [c.members for c in rest] == [("m21", "m22"), ("m23",)]
     c = rest[0]
     assert not c.type2 and c.q == 2 and c.p == 1
-    assert c.mhat == "m11" and c.Ehat == frozenset({"m11"})
+    assert c.mhat == "m11" and members(c.Ehat) == {"m11"}
     assert c.member_order == ("m21", "m22")
     # type I: the reference minimum is not part of the extended set
     assert c.uhat == ("m21", "m22")

@@ -174,7 +174,6 @@ def test_chain_compare_passes():
     assert report.n0 == 4
     vr = compare(report, p, (0.10, 0.08))
     assert vr.verdicts == ("PASS", "PASS", "PASS")
-    assert vr.passed
     hs = [s.h for s in vr.steps]
     assert hs == [0.10, 0.08]
     for i in range(3):
@@ -189,7 +188,6 @@ def test_compare_single_well_is_vacuous():
     report = _report(p)
     vr = compare(report, p, (0.1,))
     assert vr.verdicts == ()
-    assert vr.passed
     assert vr.n0 == 1
 
 
@@ -218,7 +216,6 @@ def test_compare_detects_wrong_prefactor():
 
     vr = compare(Doctored(), p, (0.15, 0.10))
     assert vr.verdicts == ("FAIL",)
-    assert not vr.passed
 
 
 def test_default_grid_floor():
