@@ -21,7 +21,6 @@ from .errors import InputDataError, InvariantViolation
 from .examples import build_example
 from .landscape import (extract_critical_structure, load_samples,
                         load_structure, structure_to_dict)
-from .prefactors import build_class_matrices, build_graded_core
 from .spectra import full_spectrum
 from .topology import decompose, merge_tree
 from .validator import compare
@@ -172,7 +171,8 @@ def _saddle_rows(alpha, upsilon):
     return rows
 
 
-def _class_block(alpha, mats, spectrum):
+def _class_block(spectrum):
+    alpha = spectrum.cls
     if alpha.ground:
         return {"members": list(alpha.members), "ground": True,
                 "levels": [{"S": None, "zeta2": [0.0], "pi_zeta2": [0.0]}]}
@@ -187,9 +187,9 @@ def _class_block(alpha, mats, spectrum):
                       for b, s in zip(alpha.member_blocks, alpha.block_S)],
            "member_order": list(alpha.member_order),
            "uhat_order": list(alpha.uhat),
-           "saddle_rows": _saddle_rows(alpha, mats.upsilon)}
+           "saddle_rows": _saddle_rows(alpha, spectrum.matrices.upsilon)}
     if alpha.type2:
-        out["theta0"] = mats.theta0
+        out["theta0"] = spectrum.matrices.theta0
     out["levels"] = [{"S": lv.S,
                       "zeta2": list(lv.zeta2),
                       "pi_zeta2": [math.pi * z for z in lv.zeta2]}
@@ -212,25 +212,15 @@ def _evaluated_block(report, h_list):
 
 
 def analyze_document(cs, h_list=()):
-    cd = decompose(cs)
-    mats, cores = {}, {}
-    for alpha in cd.classes:
-        if alpha.ground:
-            continue
-        m = build_class_matrices(cs, cd, alpha)
-        mats[alpha] = m
-        cores[alpha] = build_graded_core(cs, cd, alpha, m)
-    report = full_spectrum(cs, cd, cores)
-    by_class = {c.cls: c for c in report.classes}
+    report = full_spectrum(cs, decompose(cs))
     tree, num = _merge_tree_block(merge_tree(cs))
     doc = {"schema": SCHEMA,
            "command": "analyze",
            "block_order": "ascending-S",
            "structure": _structure_block(cs),
-           "labelling": _labelling_block(cd, num),
+           "labelling": _labelling_block(report.cd, num),
            "merge_tree": tree,
-           "classes": [_class_block(a, mats.get(a), by_class[a])
-                       for a in cd.classes]}
+           "classes": [_class_block(c) for c in report.classes]}
     if h_list:
         doc["evaluated"] = _evaluated_block(report, h_list)
     return doc, report

@@ -49,17 +49,20 @@ class LevelIndex:
 
     def __init__(self, values, eps):
         self.eps = float(eps)
-        vals = np.sort(np.asarray(list(values), dtype=float))
-        if vals.size == 0:
+        vals = sorted(map(float, values))
+        if not vals:
             raise InputDataError("no values to cluster")
         reps = []
         members = []
         start = 0
-        for i in range(1, vals.size + 1):
-            if i == vals.size or vals[i] - vals[i - 1] > self.eps:
-                chunk = vals[start:i]
-                reps.append(float(chunk.mean()))
-                members.append((float(chunk[0]), float(chunk[-1])))
+        for i in range(1, len(vals) + 1):
+            if i == len(vals) or vals[i] - vals[i - 1] > self.eps:
+                # the representative is printed, so it stays NumPy's mean
+                # bit for bit: a tie cluster keeps the pairwise sum, and a
+                # lone value is added to the sum's +0 start (-0 becomes 0)
+                reps.append(0.0 + vals[start] if i - start == 1
+                            else float(np.mean(vals[start:i])))
+                members.append((vals[start], vals[i - 1]))
                 start = i
         self.reps = reps
         self.spans = members
@@ -112,9 +115,6 @@ class CriticalStructure:
 
     def saddle(self, sid):
         return self._sad_by_id[sid]
-
-    def is_saddle(self, pid):
-        return pid in self._sad_by_id
 
     # -- validation ------------------------------------------------------
 
@@ -256,10 +256,9 @@ def load_structure(document):
 class SampledPotential(NamedTuple):
     xs: np.ndarray
     phis: np.ndarray
-    boundary_growth: bool = False
 
 
-def load_samples(path, boundary_growth=False):
+def load_samples(path):
     """Read a two-column x,phi CSV (header optional)."""
     rows = []
     try:
@@ -287,10 +286,10 @@ def load_samples(path, boundary_growth=False):
         raise InputDataError("need at least 5 samples")
     xs = np.array([r[0] for r in rows])
     phis = np.array([r[1] for r in rows])
-    return make_sampled(xs, phis, boundary_growth)
+    return make_sampled(xs, phis)
 
 
-def make_sampled(xs, phis, boundary_growth=False):
+def make_sampled(xs, phis):
     xs = np.asarray(xs, dtype=float)
     phis = np.asarray(phis, dtype=float)
     if xs.ndim != 1 or xs.shape != phis.shape:
@@ -301,7 +300,7 @@ def make_sampled(xs, phis, boundary_growth=False):
         raise InputDataError("xs must be strictly increasing")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(phis))):
         raise InputDataError("samples must be finite")
-    return SampledPotential(xs, phis, bool(boundary_growth))
+    return SampledPotential(xs, phis)
 
 
 def _fit_extremum(xs, phis, i):
@@ -355,7 +354,7 @@ def extract_critical_structure(p: SampledPotential, eps_level=None):
 
     Raises DegenerateLandscapeError for plateaus (3 or more equal consecutive
     samples), flat extrema, or non-confining edges (sample sloping downward at
-    an edge) unless ``boundary_growth`` is set.
+    an edge).
     """
     xs, phis = p.xs, p.phis
     n = xs.size
@@ -373,11 +372,9 @@ def extract_critical_structure(p: SampledPotential, eps_level=None):
                 if (phis[j - 1] - phis[j]) * (phis[j + 2] - phis[j + 1]) > 0:
                     raise DegenerateLandscapeError(
                         f"flat extremum near x = {xs[j]:g}")
-    if not p.boundary_growth:
-        if phis[0] < phis[1] or phis[-1] < phis[-2]:
-            raise DegenerateLandscapeError(
-                "potential slopes downward at an edge (non-confining); "
-                "set boundary_growth to override")
+    if phis[0] < phis[1] or phis[-1] < phis[-2]:
+        raise DegenerateLandscapeError(
+            "potential slopes downward at an edge (non-confining)")
 
     kinds = []  # (index, 'min'|'max') in x order
     for i in range(1, n - 1):

@@ -3,11 +3,12 @@
 For a class with members U, extended set Uhat (members plus the reference
 minimum when the class is type II), and saddle set V, this module builds
 
-* the Hessian weights (``h_phi``),
-* the interaction matrix Upsilon (rows V, columns Uhat),
-* the orthonormal basis change T absorbing the type II quasimode mixing, and
+* the Hessian weights of Uhat (``h_phi``), once per class, and from them
+  together the interaction matrix Upsilon (rows V, columns Uhat) and the
+  orthonormal basis change T absorbing the type II quasimode mixing
+  (``build_class_matrices``), and
 * the graded core (Upsilon T)' (Upsilon T), whose blocks follow the barrier
-  partition, smallest barrier first.
+  partition, smallest barrier first (``build_graded_core``).
 
 No exponential factor is ever evaluated here; the barrier scales stay
 symbolic in the block metadata.
@@ -23,85 +24,67 @@ from .errors import InputDataError, InvariantViolation
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def h_phi(cs, cd, pid, alpha=None):
-    """Hessian weight of a critical point.
+def h_phi(cs, cd, mid, alpha):
+    """Hessian weight of a minimum of the extended set of ``alpha``.
 
-    For a saddle this is |det Hess|^(1/4) and needs no class. For a minimum
-    the weight aggregates every minimum at the same level in the relevant
-    component (H(m) for a member, the equal-level set of the enclosing
-    component for the reference minimum), so ``alpha`` must be given.
+    The weight aggregates every minimum at the same level in the relevant
+    component: the minima tied at the bottom of E(mid) for a member, or of
+    the enclosing component Ehat for the reference minimum.
     """
-    if cs.is_saddle(pid):
-        return cs.saddle(pid).det_hess ** 0.25
-    group = _hat_H(cd, pid, alpha)
+    if mid in alpha.members:
+        group = cd.labelling.E[mid].ties
+    elif mid == alpha.mhat:
+        group = alpha.Ehat.ties
+    else:
+        raise InputDataError(f"{mid} belongs neither to the class nor is its "
+                             "reference minimum")
     return math.fsum(cs.minimum(x).det_hess ** -0.5 for x in group) ** -0.5
 
 
-def _hat_H(cd, pid, alpha):
-    """The minima tied at the bottom of E(pid) for a member, or of the
-    enclosing component Ehat for the reference minimum."""
-    if alpha is None:
-        raise InputDataError("minimum weights require a class")
-    if pid in alpha.members:
-        return cd.labelling.E[pid].ties
-    if pid == alpha.mhat:
-        return alpha.Ehat.ties
-    raise InputDataError(f"{pid} belongs neither to the class nor is its "
-                         "reference minimum")
+class ClassMatrices(NamedTuple):
+    upsilon: np.ndarray   # rows: saddles of the class, columns: uhat
+    T: np.ndarray         # uhat x members, orthonormal columns
+    theta0: object        # unit kernel direction on the type II block, or None
 
 
-def _weights(cs, cd, alpha):
-    return {mid: h_phi(cs, cd, mid, alpha) for mid in alpha.uhat}
+def build_class_matrices(cs, cd, alpha):
+    """Interaction matrix Upsilon and completion T of a class, from one set
+    of weights.
 
+    Upsilon has one row per saddle of the class, in the order of
+    ``alpha.saddles`` (sorted by id), and columns over ``alpha.uhat``. A row
+    has entries +-pi^(-1/2)|lambda_1(s)|^(1/2) h(m_i)/h(s) at its endpoints,
+    with h(s) = |det Hess(s)|^(1/4); the negative entry at the far endpoint
+    is dropped when that endpoint is outside Uhat (boundary rows of a type I
+    class).
 
-def build_upsilon(cs, cd, alpha):
-    """Assemble the interaction matrix of a class.
-
-    One row per saddle of the class, in the order of ``alpha.saddles``
-    (sorted by id), columns over ``alpha.uhat``. A row has entries
-    +-pi^(-1/2)|lambda_1(s)|^(1/2) h(m_i)/h(s) at its endpoints; the negative
-    entry at the far endpoint is dropped when that endpoint is outside Uhat
-    (boundary rows of a type I class).
+    T maps members to the extended set orthonormally. It is the identity on
+    type I members. On the type II block (type II members plus the reference
+    minimum) its columns span the orthogonal complement of theta0, the unit
+    vector proportional to 1/h_phi, which spans the kernel of Upsilon there.
+    The complement is realized by a Householder reflection sending e_1 to
+    theta0, taking its remaining columns; any other orthonormal completion
+    conjugates the core without moving its spectrum.
     """
-    w = _weights(cs, cd, alpha)
-    col = {mid: i for i, mid in enumerate(alpha.uhat)}
-    U = np.zeros((len(alpha.saddles), len(col)))
+    uhat = alpha.uhat
+    w = {mid: h_phi(cs, cd, mid, alpha) for mid in uhat}
+    upos = {mid: i for i, mid in enumerate(uhat)}
+    U = np.zeros((len(alpha.saddles), len(uhat)))
     for i, r in enumerate(alpha.saddles):
         s = cs.saddle(r.sid)
         coeff = math.sqrt(s.neg_eig) / (_SQRT_PI * s.det_hess ** 0.25)
-        U[i, col[r.m1]] = coeff * w[r.m1]
-        if r.m2 in col:
-            U[i, col[r.m2]] = -coeff * w[r.m2]
-    return U
+        U[i, upos[r.m1]] = coeff * w[r.m1]
+        if r.m2 in upos:
+            U[i, upos[r.m2]] = -coeff * w[r.m2]
 
-
-def build_T(cs, cd, alpha):
-    """Orthonormal map from members to the extended set, leading order.
-
-    Identity on type I members. On the type II block (type II members plus
-    the reference minimum) the columns span the orthogonal complement of
-    theta0, the unit vector proportional to 1/h_phi, which spans the kernel
-    of Upsilon there. The complement is realized by a Householder reflection
-    sending e_1 to theta0, taking its remaining columns; any other
-    orthonormal completion conjugates the core without moving its spectrum.
-
-    Returns (T, theta0_ids, theta0).
-    """
-    uhat = alpha.uhat
     members = alpha.member_order
-    upos = {mid: i for i, mid in enumerate(uhat)}
     T = np.zeros((len(uhat), len(members)))
-    theta_ids, theta0 = (), None
-    if not alpha.type2:
-        for j, mid in enumerate(members):
-            T[upos[mid], j] = 1.0
-        return T, theta_ids, theta0
-    blk = alpha.uhat_blocks[-1]          # type II members then mhat
-    blk_members = alpha.member_blocks[-1]
+    blk = alpha.uhat_blocks[-1] if alpha.type2 else ()  # type II, then mhat
     for j, mid in enumerate(members):
         if mid not in blk:
             T[upos[mid], j] = 1.0
-    w = _weights(cs, cd, alpha)
+    if not alpha.type2:
+        return ClassMatrices(U, T, None)
     theta0 = np.array([1.0 / w[mid] for mid in blk])
     theta0 /= np.linalg.norm(theta0)
     b = len(blk)
@@ -113,23 +96,9 @@ def build_T(cs, cd, alpha):
     else:
         comp = (np.eye(b) - np.outer(2.0 * v / nv2, v))[:, 1:]
     rows = [upos[mid] for mid in blk]
-    cols = [members.index(mid) for mid in blk_members]
+    cols = [members.index(mid) for mid in alpha.member_blocks[-1]]
     T[np.ix_(rows, cols)] = comp
-    return T, tuple(blk), theta0
-
-
-class ClassMatrices(NamedTuple):
-    cls: object
-    upsilon: np.ndarray   # rows: saddles of the class, columns: uhat
-    T: np.ndarray         # uhat x members, orthonormal columns
-    theta_ids: tuple      # type II block ids (empty for type I classes)
-    theta0: object        # unit kernel direction on the block, or None
-
-
-def build_class_matrices(cs, cd, alpha):
-    U = build_upsilon(cs, cd, alpha)
-    T, theta_ids, theta0 = build_T(cs, cd, alpha)
-    return ClassMatrices(alpha, U, T, theta_ids, theta0)
+    return ClassMatrices(U, T, theta0)
 
 
 class GradedCore(NamedTuple):
@@ -140,18 +109,16 @@ class GradedCore(NamedTuple):
     """
     core: np.ndarray
     blocks: tuple          # ((r_1, S_1), ..., (r_p, S_p)), S ascending
-    cls: object
 
     @property
     def p(self):
         return len(self.blocks)
 
 
-def build_graded_core(cs, cd, alpha, matrices=None):
+def build_graded_core(alpha, matrices):
     """Core matrix (Upsilon T)'(Upsilon T) over the members of a class,
     ordered by ascending barrier."""
-    cm = matrices or build_class_matrices(cs, cd, alpha)
-    A = cm.upsilon @ cm.T
+    A = matrices.upsilon @ matrices.T
     core = A.T @ A
     core = 0.5 * (core + core.T)
     blocks = tuple(
@@ -162,4 +129,4 @@ def build_graded_core(cs, cd, alpha, matrices=None):
         raise InvariantViolation(
             f"core of class {alpha.members} is not positive definite "
             "(degenerate or badly conditioned Hessian data)") from None
-    return GradedCore(core, blocks, alpha)
+    return GradedCore(core, blocks)

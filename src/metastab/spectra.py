@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputDataError, InvariantViolation
-from .prefactors import GradedCore, build_graded_core
+from .prefactors import GradedCore, build_class_matrices, build_graded_core
 
 _EIG_RESIDUAL = 1e-12
 
@@ -56,7 +56,7 @@ def schur_R(g: GradedCore):
     N = g.core[r1:, r1:]
     R = N - B @ cho_solve(cho_factor(J), B.T)
     R = 0.5 * (R + R.T)
-    return GradedCore(R, g.blocks[1:], g.cls)
+    return GradedCore(R, g.blocks[1:])
 
 
 class LevelSpectrum(NamedTuple):
@@ -86,23 +86,25 @@ class SpectrumEntry(NamedTuple):
     S: float
     zeta2: float
     members: tuple
-    level: int          # 1-based barrier level within the class; 0 = ground
 
 
 class ClassSpectrum(NamedTuple):
     cls: object
+    matrices: object    # ClassMatrices; None for the ground class
     levels: tuple       # LevelSpectrum tuple; empty for the ground class
 
 
 class SpectrumReport:
     """Predicted low-lying spectrum of the landscape.
 
-    ``classes`` holds one ClassSpectrum per equivalence class, ground class
-    first. ``evaluate(h)`` turns the (S, zeta2) pairs into eigenvalues at a
+    ``classes`` holds one ClassSpectrum per equivalence class, in the order
+    of ``cd.classes`` (ground class first); ``cs`` is the structure they
+    came from. ``evaluate(h)`` turns the (S, zeta2) pairs into eigenvalues at a
     concrete h, sorted ascending; the ground state is exactly 0.
     """
 
-    def __init__(self, cd, classes):
+    def __init__(self, cs, cd, classes):
+        self.cs = cs
         self.cd = cd
         self.classes = tuple(classes)
         n0 = sum(len(c.members) for c in cd.classes)
@@ -117,28 +119,25 @@ class SpectrumReport:
         if not h > 0:
             raise InputDataError("h must be positive")
         out = [SpectrumEntry(0.0, -math.inf, math.inf, 0.0,
-                             self.cd.ground.members, 0)]
+                             self.cd.ground.members)]
         for cs_ in self.classes:
-            for lvl, level in enumerate(cs_.levels, start=1):
+            for level in cs_.levels:
                 for z in level.zeta2:
                     log_lam = math.log(h * z) - 2.0 * level.S / h
                     lam = h * z * math.exp(-2.0 * level.S / h)
                     out.append(SpectrumEntry(
                         lam, log_lam, level.S, float(z),
-                        cs_.cls.members, lvl))
+                        cs_.cls.members))
         out.sort(key=lambda e: e.log_lam)
         return out
 
 
-def full_spectrum(cs, cd, cores=None):
-    """Class-by-class spectra plus the exact zero of the ground class."""
-    if cores is None:
-        cores = {
-            c: build_graded_core(cs, cd, c) for c in cd.classes if not c.ground
-        }
-    classes = [ClassSpectrum(cd.ground, ())]
-    for c in cd.classes:
-        if c.ground:
-            continue
-        classes.append(ClassSpectrum(c, tuple(class_spectrum(cores[c]))))
-    return SpectrumReport(cd, classes)
+def full_spectrum(cs, cd):
+    """Class-by-class matrices and spectra plus the exact zero of the ground
+    class: each class's Upsilon, T and core are built here, once."""
+    classes = [ClassSpectrum(cd.ground, None, ())]
+    for c in cd.classes[1:]:
+        m = build_class_matrices(cs, cd, c)
+        levels = class_spectrum(build_graded_core(c, m))
+        classes.append(ClassSpectrum(c, m, tuple(levels)))
+    return SpectrumReport(cs, cd, classes)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputDataError
-from .landscape import SampledPotential, extract_critical_structure
+from .landscape import SampledPotential
 
 _MAX_EXP_ARG = 150.0     # per-cell exponent guard; beyond this the grid is
                          # far too coarse for the requested h anyway
@@ -123,7 +123,6 @@ def _energy_window(p, cs, h):
 
 class DiscretizedWitten(NamedTuple):
     x: np.ndarray          # interior grid points
-    dx: float
     h: float
     acoef: np.ndarray      # C[j, j] entries, j = 0..n-1
     bcoef: np.ndarray      # C[j, j-1] entries, j = 1..n (index 0 unused)
@@ -177,7 +176,7 @@ def discretize(p, h, n=None, domain=None):
     scale = h / dx
     acoef = scale * np.exp(up[:-1])                       # j = 0..n-1
     bcoef = np.concatenate([[0.0], -scale * np.exp(dn[1:])])  # j = 1..n
-    return DiscretizedWitten(full[1:-1], dx, h, acoef, bcoef, phi[1:-1])
+    return DiscretizedWitten(full[1:-1], h, acoef, bcoef, phi[1:-1])
 
 
 def _qr_bidiagonal(dw):
@@ -249,6 +248,9 @@ class ValidationReport(NamedTuple):
 def compare(report, p, h_list, grid=None, c_tol=3.0, richardson_tol=0.05):
     """Validate a SpectrumReport against direct solves over a schedule of h.
 
+    ``p`` holds the samples the report's structure was extracted from; the
+    solve window comes from that structure's positions and top saddle.
+
     For each nonzero prediction the verdict is PASS when |ratio - 1| is
     nonincreasing along descending h and the final value is at most
     c_tol * h_final; a grid whose n vs 2n eigenvalues disagree by more than
@@ -259,9 +261,12 @@ def compare(report, p, h_list, grid=None, c_tol=3.0, richardson_tol=0.05):
         raise InputDataError("need positive h values")
     if not isinstance(p, SampledPotential):
         raise InputDataError("validation needs a sampled potential")
-    # one extraction and one spline serve every h and both grids; the spline
-    # needs scipy.linalg only, which the bisection loads anyway
-    cs = extract_critical_structure(p)
+    cs = report.cs
+    if not cs.positions:
+        raise InputDataError("validation needs a structure extracted from "
+                             "samples")
+    # one spline serves every h and both grids; it needs scipy.linalg only,
+    # which the bisection loads anyway
     phi_fn = _cubic_spline(p.xs, p.phis)
     n0 = report.n0
     k_nonzero = n0 - 1

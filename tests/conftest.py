@@ -12,7 +12,8 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from metastab.landscape import CriticalStructure, Minimum, Saddle
-from metastab.prefactors import GradedCore
+from metastab.prefactors import (GradedCore, build_class_matrices,
+                                 build_graded_core)
 
 BASE_SEED = int(os.environ.get("METASTAB_SEED", "70917"))
 
@@ -68,7 +69,13 @@ def random_spd_core(rng, max_dim=12):
     core = (q * d) @ q.T
     core = 0.5 * (core + core.T)
     blocks = tuple((r, float(j + 1)) for j, r in enumerate(sizes))
-    return GradedCore(core, blocks, None)
+    return GradedCore(core, blocks)
+
+
+def graded_core(cs, cd, alpha):
+    """The graded core of a class, built from its matrices as
+    ``spectra.full_spectrum`` builds it."""
+    return build_graded_core(alpha, build_class_matrices(cs, cd, alpha))
 
 
 def random_spd(rng, dim):

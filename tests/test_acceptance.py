@@ -60,8 +60,7 @@ def test_criterion_2_two_level_schur_recursion():
         cs = build_example("ex-b", theta=theta).structure
         cd = decompose(cs)
         alpha = next(c for c in cd.classes if not c.ground)
-        core = build_graded_core(cs, cd, alpha,
-                                 build_class_matrices(cs, cd, alpha))
+        core = build_graded_core(alpha, build_class_matrices(cs, cd, alpha))
         nu = 1.0 / (1.0 + theta * theta)
 
         R = schur_R(core)

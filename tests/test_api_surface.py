@@ -6,6 +6,10 @@ outside its own definition: as an identifier, an attribute, an imported
 name, or a string equal to the name (``bench/spans.py`` names the functions
 it traces that way). A name found only inside its own body, such as a
 recursive call, does not count.
+
+Every field of a ``NamedTuple`` of ``metastab`` must likewise be read as an
+attribute ``.field`` somewhere in the package or in ``bench/``. The match is
+by name alone, so a read of any attribute of that name counts.
 """
 
 import ast
@@ -61,12 +65,52 @@ def unreferenced(sources, callers):
     return missing
 
 
+def _namedtuple_fields(tree):
+    """(class, field, line) of each field of the top-level NamedTuples."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id == "NamedTuple"
+                for b in node.bases):
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    yield node.name, item.target.id, item.lineno
+
+
+def unread_fields(sources, callers):
+    """``file:line Class.field`` of each NamedTuple field in ``sources``
+    that no file of ``callers`` reads as an attribute."""
+    read = {node.attr for text in callers.values()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return [f"{fname}:{line} {cls}.{field}"
+            for fname, text in sources.items()
+            for cls, field, line in _namedtuple_fields(ast.parse(text))
+            if field not in read]
+
+
 def _texts(paths):
     return {str(p.relative_to(ROOT)): p.read_text() for p in paths}
 
 
 def test_every_definition_has_a_caller_outside_tests():
     assert unreferenced(_texts(SOURCES), _texts(CALLERS)) == []
+
+
+def test_every_namedtuple_field_is_read_outside_tests():
+    assert unread_fields(_texts(SOURCES), _texts(CALLERS)) == []
+
+
+def test_an_unread_field_is_reported():
+    lib = ("class P(NamedTuple):\n"
+           "    x: float\n"
+           "    y: float\n"
+           "    z: float\n")
+    app = "p = P(1, 2, 3)\nprint(p.x)\nq.z = 0\n"
+    # a store is no read, nor is the field's own declaration
+    assert unread_fields({"lib.py": lib}, {"lib.py": lib, "app.py": app}) == [
+        "lib.py:3 P.y", "lib.py:4 P.z"]
 
 
 def test_a_self_reference_is_no_caller():

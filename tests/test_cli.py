@@ -3,6 +3,7 @@ determinism, error exit codes, and the plot-table side channel."""
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import metastab.cli as cli
+from metastab import landscape
 from metastab.cli import main
 from metastab.errors import InvariantViolation
 from metastab.examples import build_example
@@ -355,6 +357,35 @@ def test_validate_double_well(runner, tmp_path):
         assert float(h) == s["h"] and int(idx) == 1
         assert float(pred) == s["eigenvalues"][0]["predicted"]
         assert float(num) == s["eigenvalues"][0]["numeric"]
+
+
+def test_validation_extracts_the_structure_once(runner, tmp_path,
+                                                monkeypatch):
+    # every module attribute bound to the extraction is wrapped, whichever
+    # name a caller reaches it through, as the benchmark's tracer does
+    extract = landscape.extract_critical_structure
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return extract(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "metastab" or name.startswith("metastab."):
+            for attr, val in list(vars(mod).items()):
+                if val is extract:
+                    monkeypatch.setattr(mod, attr, counted)
+
+    csv = tmp_path / "dw.csv"
+    xs = np.linspace(-2.0, 2.0, 4001)
+    _write_csv(csv, xs, (xs ** 2 - 1.0) ** 2)
+    run_json(runner, ["validate", str(csv), "--h", "0.15"])
+    assert len(calls) == 1
+
+    calls.clear()
+    doc = run_json(runner, ["example", "double-well"])
+    assert doc["validation"]["overall"] == "PASS"
+    assert len(calls) == 1
 
 
 def test_validate_usage_errors(runner, tmp_path):

@@ -36,6 +36,19 @@ def test_level_index_separates_distant_values():
     assert [L.of(v) for v in (0.0, 0.5, 1.0)] == [0, 1, 2]
 
 
+def test_level_index_representatives_match_numpy_mean():
+    # representatives are printed, so each one must be the NumPy mean of its
+    # cluster bit for bit, signed zeros included
+    values = [-0.0, 0.3, 0.3 + 1e-10, 0.1 + 0.2, 0.7, -1.5]
+    L = LevelIndex(values, eps=1e-9)
+    clusters = [[-1.5], [-0.0], [0.3, 0.1 + 0.2, 0.3 + 1e-10], [0.7]]
+    assert len(L) == len(clusters)
+    for k, chunk in enumerate(clusters):
+        want = float(np.sort(np.array(chunk)).mean())
+        assert math.copysign(1.0, L.rep(k)) == math.copysign(1.0, want)
+        assert L.rep(k) == want
+
+
 def test_level_index_empty():
     with pytest.raises(InputDataError, match="no values"):
         LevelIndex([], eps=1e-9)
@@ -278,16 +291,18 @@ def test_extract_rejects_non_confining_edge():
 
 
 def test_extract_boundary_growth_override():
-    xs = np.linspace(0, 4, 41)
+    # confining at both edges, yet no strict interior extremum: the equal
+    # pairs at the edges are flat shoulders, not wells
+    xs = np.linspace(0, 4, 5)
     with pytest.raises(DegenerateLandscapeError, match="no interior extrema"):
-        extract_critical_structure(make_sampled(xs, xs, boundary_growth=True))
+        extract_critical_structure(make_sampled(xs, [0, 0, 1, 2, 2]))
 
 
 def test_extract_rejects_outer_maxima():
-    xs = np.linspace(0, 2 * math.pi, 301)
+    # confining edges, but the only interior extremum is a maximum
+    xs = np.linspace(0, 5, 6)
     with pytest.raises(DegenerateLandscapeError, match="outermost extrema"):
-        extract_critical_structure(
-            make_sampled(xs, -np.cos(xs), boundary_growth=True))
+        extract_critical_structure(make_sampled(xs, [0, 0, 1, 0, 1, 1]))
 
 
 def test_extract_rejects_degenerate_minimum():

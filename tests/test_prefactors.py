@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_rng, type1_gadget, type2_gadget
+from conftest import graded_core, make_rng, type1_gadget, type2_gadget
 from metastab.errors import InputDataError
 from metastab.examples import double_well, ex_a, ex_b
 from metastab.landscape import (CriticalStructure, Minimum, Saddle,
                                 extract_critical_structure)
 from metastab.prefactors import (build_class_matrices, build_graded_core,
-                                 build_T, build_upsilon, h_phi)
+                                 h_phi)
 from metastab.topology import decompose
 
 SQPI = math.sqrt(math.pi)
@@ -28,13 +28,6 @@ def _aux_two_deep():
 
 
 # ------------------------------------------------------------------- weights
-
-
-def test_h_phi_saddle_needs_no_class():
-    b = ex_b(2.0)
-    cd = decompose(b.structure)
-    assert h_phi(b.structure, cd, "s3") == pytest.approx(2.0)
-    assert h_phi(b.structure, cd, "s1") == 1.0
 
 
 def test_h_phi_single_minimum():
@@ -64,8 +57,6 @@ def test_h_phi_reference_minimum_aggregates_component():
 def test_h_phi_errors():
     cs = ex_a().structure
     cd = decompose(cs)
-    with pytest.raises(InputDataError, match="require a class"):
-        h_phi(cs, cd, "m21")
     c = cd.classes[1]
     with pytest.raises(InputDataError, match="belongs neither"):
         h_phi(cs, cd, "m23", c)
@@ -78,7 +69,7 @@ def test_upsilon_three_wells():
     cs = ex_a().structure
     cd = decompose(cs)
     c = cd.classes[1]
-    U = build_upsilon(cs, cd, c)
+    U = build_class_matrices(cs, cd, c).upsilon
     assert [r.sid for r in c.saddles] == ["s1", "s2"]
     want = np.array([[1.0, -1.0], [0.0, 1.0]]) / SQPI
     assert np.allclose(U, want, atol=1e-15)
@@ -90,7 +81,7 @@ def test_upsilon_chain():
     cd = decompose(b.structure)
     c = cd.classes[1]
     assert c.uhat == ("m23", "m21", "m22")
-    U = build_upsilon(b.structure, cd, c)
+    U = build_class_matrices(b.structure, cd, c).upsilon
     assert [r.sid for r in c.saddles] == ["s1", "s2", "s3"]
     want = np.array([[0.0, 1.0, -1.0],
                      [1.0, 0.0, -1.0],
@@ -103,7 +94,7 @@ def test_upsilon_sampled_double_well():
     cd = decompose(cs)
     c = cd.classes[1]
     assert c.type2 and c.uhat == (c.members[0], c.mhat)
-    U = build_upsilon(cs, cd, c)
+    U = build_class_matrices(cs, cd, c).upsilon
     want = 2 ** 1.25 / SQPI
     assert np.allclose(U, [[want, -want]], rtol=1e-6)
 
@@ -130,9 +121,9 @@ def test_upsilon_kernel_is_inverse_weight_vector():
 def test_T_identity_for_type_one():
     cs = ex_a().structure
     cd = decompose(cs)
-    T, ids, theta0 = build_T(cs, cd, cd.classes[1])
-    assert np.array_equal(T, np.eye(2))
-    assert ids == () and theta0 is None
+    cm = build_class_matrices(cs, cd, cd.classes[1])
+    assert np.array_equal(cm.T, np.eye(2))
+    assert cm.theta0 is None
 
 
 def test_T_completes_kernel_direction():
@@ -143,19 +134,17 @@ def test_T_completes_kernel_direction():
         c = cd.classes[1]
         assert c.type2
         cm = build_class_matrices(cs, cd, c)
-        b = len(cm.theta_ids)
+        blk = c.uhat_blocks[-1]
         # orthonormal columns
         assert np.allclose(cm.T.T @ cm.T, np.eye(c.q), atol=1e-13)
         # the type II block columns are orthogonal to theta0
         pos = {mid: i for i, mid in enumerate(c.uhat)}
-        rows = [pos[x] for x in cm.theta_ids]
-        blk = cm.T[rows, :]
-        assert np.allclose(cm.theta0 @ blk, 0.0, atol=1e-13)
+        rows = [pos[x] for x in blk]
+        assert np.allclose(cm.theta0 @ cm.T[rows, :], 0.0, atol=1e-13)
         # theta0 is the normalized inverse-weight direction on its block
-        xi = np.array([1.0 / h_phi(cs, cd, x, c) for x in cm.theta_ids])
+        xi = np.array([1.0 / h_phi(cs, cd, x, c) for x in blk])
         xi /= np.linalg.norm(xi)
         assert np.allclose(cm.theta0, xi, atol=1e-13)
-        assert b == len(c.uhat_blocks[-1])
 
 
 def test_T_type_one_rows_of_gadgets():
@@ -166,8 +155,8 @@ def test_T_type_one_rows_of_gadgets():
         for c in cd.classes[1:]:
             if c.type2:
                 continue
-            T, ids, theta0 = build_T(cs, cd, c)
-            assert np.array_equal(T, np.eye(c.q))
+            cm = build_class_matrices(cs, cd, c)
+            assert np.array_equal(cm.T, np.eye(c.q))
 
 
 # --------------------------------------------------------------------- cores
@@ -176,7 +165,7 @@ def test_T_type_one_rows_of_gadgets():
 def test_core_three_wells():
     cs = ex_a().structure
     cd = decompose(cs)
-    g = build_graded_core(cs, cd, cd.classes[1])
+    g = graded_core(cs, cd, cd.classes[1])
     want = np.array([[1.0, -1.0], [-1.0, 2.0]]) / math.pi
     assert np.allclose(g.core, want, atol=1e-15)
     assert g.blocks == ((2, 1.5),)
@@ -187,7 +176,7 @@ def test_core_chain_two_blocks():
     theta = 2.0
     b = ex_b(theta)
     cd = decompose(b.structure)
-    g = build_graded_core(b.structure, cd, cd.classes[1])
+    g = graded_core(b.structure, cd, cd.classes[1])
     want = np.array([[1.0 + theta ** 2, 0.0, -1.0],
                      [0.0, 1.0, -1.0],
                      [-1.0, -1.0, 2.0]]) / math.pi
@@ -201,7 +190,7 @@ def test_core_positive_definite_on_gadgets():
         cs = (type1_gadget if trial % 2 else type2_gadget)(rng)
         cd = decompose(cs)
         for c in cd.classes[1:]:
-            g = build_graded_core(cs, cd, c)
+            g = graded_core(cs, cd, c)
             w = np.linalg.eigvalsh(g.core)
             assert w[0] > 0
             assert sum(r for r, _ in g.blocks) == c.q
@@ -226,8 +215,8 @@ def test_core_invariant_under_completion_choice():
         W = np.eye(c.q)
         W[c.q - nblk:, c.q - nblk:] = q_rot
         cm2 = cm._replace(T=cm.T @ W)
-        g1 = build_graded_core(cs, cd, c, matrices=cm)
-        g2 = build_graded_core(cs, cd, c, matrices=cm2)
+        g1 = build_graded_core(c, cm)
+        g2 = build_graded_core(c, cm2)
         for lv1, lv2 in zip(class_spectrum(g1), class_spectrum(g2)):
             assert np.allclose(np.sort(lv1.zeta2), np.sort(lv2.zeta2),
                                rtol=1e-11, atol=1e-13)
@@ -244,6 +233,6 @@ def test_upsilon_scaling_law(c):
          for s in base.saddles])
     cd0 = decompose(base)
     cd1 = decompose(scaled)
-    U0 = build_upsilon(base, cd0, cd0.classes[1])
-    U1 = build_upsilon(scaled, cd1, cd1.classes[1])
+    U0 = build_class_matrices(base, cd0, cd0.classes[1]).upsilon
+    U1 = build_class_matrices(scaled, cd1, cd1.classes[1]).upsilon
     assert np.allclose(U1, c * U0, rtol=1e-12)

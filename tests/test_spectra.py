@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cluster_eigenvalues, make_rng, random_spd_core
+from conftest import (cluster_eigenvalues, graded_core, make_rng,
+                      random_spd_core)
 from metastab.errors import InputDataError, InvariantViolation
 from metastab.examples import ex_a, ex_b, ex_c, nine_wells
 from metastab.landscape import CriticalStructure, Minimum, Saddle
-from metastab.prefactors import (GradedCore, build_class_matrices,
-                                 build_graded_core)
+from metastab.prefactors import GradedCore, build_class_matrices
 from metastab.spectra import (class_spectrum, full_spectrum, schur_J, schur_R,
                               sym_eig)
 from metastab.topology import decompose
@@ -19,7 +19,7 @@ PI = math.pi
 def _chain_core(theta):
     b = ex_b(theta)
     cd = decompose(b.structure)
-    return b.structure, cd, build_graded_core(b.structure, cd, cd.classes[1])
+    return b.structure, cd, graded_core(b.structure, cd, cd.classes[1])
 
 
 # ------------------------------------------------------------ Schur recursion
@@ -43,7 +43,7 @@ def test_schur_R_chain():
 def test_schur_R_single_level_error():
     cs = ex_a().structure
     cd = decompose(cs)
-    g = build_graded_core(cs, cd, cd.classes[1])
+    g = graded_core(cs, cd, cd.classes[1])
     with pytest.raises(InputDataError, match="single level"):
         schur_R(g)
 
@@ -78,7 +78,7 @@ def test_class_spectrum_level_count_and_order():
 
 
 def test_class_spectrum_rejects_nonpositive_leading_block():
-    bad = GradedCore(np.array([[-1.0]]), ((1, 1.0),), None)
+    bad = GradedCore(np.array([[-1.0]]), ((1, 1.0),))
     with pytest.raises(InvariantViolation, match="nonpositive leading"):
         class_spectrum(bad)
 
@@ -203,7 +203,7 @@ def test_sym_eig_residual_at_ring_size():
     n = 200
     b = ex_c(n)
     cd = decompose(b.structure)
-    M = schur_J(build_graded_core(b.structure, cd, cd.classes[1]))
+    M = schur_J(graded_core(b.structure, cd, cd.classes[1]))
     assert M.shape == (n - 1, n - 1)
     w = sym_eig(M)
     Ms = 0.5 * (M + M.T)
@@ -235,7 +235,7 @@ def test_full_spectrum_reference_landscape():
     assert report.n0 == 9
     entries = report.evaluate(0.1)
     assert len(entries) == 9
-    assert entries[0].lam == 0.0 and entries[0].level == 0
+    assert entries[0].lam == 0.0
     assert entries[0].members == ("m11",)
     assert math.isinf(entries[0].S)
     # ascending in the log scale, and consistent with the closed form

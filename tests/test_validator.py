@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metastab.errors import InputDataError
-from metastab.examples import chain_sampled, double_well
+from metastab.examples import chain_sampled, double_well, ex_a
 from metastab.landscape import extract_critical_structure, make_sampled
 from metastab.spectra import full_spectrum
 from metastab.topology import decompose
@@ -198,6 +198,15 @@ def test_compare_rejects_empty_schedule():
         compare(report, p, ())
 
 
+def test_compare_needs_an_extracted_structure():
+    # the solve window comes from the report's structure, so a report on an
+    # abstract structure, which has no positions, cannot be validated
+    cs = ex_a().structure
+    report = full_spectrum(cs, decompose(cs))
+    with pytest.raises(InputDataError, match="extracted from samples"):
+        compare(report, chain_sampled(), (0.1,))
+
+
 def test_compare_detects_wrong_prefactor():
     # doctor the prediction by an O(1) factor: deviations stop shrinking and
     # the final value exceeds the tolerance
@@ -205,6 +214,7 @@ def test_compare_detects_wrong_prefactor():
     report = _report(p)
 
     class Doctored:
+        cs = report.cs
         n0 = report.n0
 
         def evaluate(self, h):
