@@ -140,8 +140,7 @@ def _merge_tree_block(tree):
     return {"columns": ["born", "parent", "deepest"], "nodes": rows}, num
 
 
-def _labelling_block(cd, num):
-    lab = cd.labelling
+def _labelling_block(lab, num):
     minima = {}
     for mid in sorted(lab.index):
         i, j = lab.index[mid]
@@ -150,8 +149,8 @@ def _labelling_block(cd, num):
                "S": lab.S[mid],
                "component": num[lab.E[mid]]}
         if mid != lab.mbar:
-            row["type"] = "II" if cd.maps.type2[mid] else "I"
-            row["ref_min"] = cd.maps.mhat[mid]
+            row["type"] = "II" if lab.type2[mid] else "I"
+            row["ref_min"] = lab.mhat[mid]
         minima[mid] = row
     return {"global_min": lab.mbar, "minima": minima}
 
@@ -218,7 +217,7 @@ def analyze_document(cs, h_list=()):
            "command": "analyze",
            "block_order": "ascending-S",
            "structure": _structure_block(cs),
-           "labelling": _labelling_block(report.cd, num),
+           "labelling": _labelling_block(report.cd.labelling, num),
            "merge_tree": tree,
            "classes": [_class_block(c) for c in report.classes]}
     if h_list:

@@ -197,6 +197,8 @@ def load_structure(document):
             raise InputDataError(f"structure is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputDataError(f"invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise InputDataError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputDataError("structure document must be a JSON object")
 
@@ -229,7 +231,8 @@ def load_structure(document):
             _num(entry, "det_hess", "minimum"),
         ))
     saddles = []
-    for entry in doc.get("saddles", []):
+    for entry in (_req(doc, "saddles", list, "document")
+                  if "saddles" in doc else []):
         if not isinstance(entry, dict):
             raise InputDataError("saddle entries must be objects")
         joins = _req(entry, "joins", list, "saddle")

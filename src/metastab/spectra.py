@@ -122,11 +122,18 @@ class SpectrumReport:
                              self.cd.ground.members)]
         for cs_ in self.classes:
             for level in cs_.levels:
-                for z in level.zeta2:
-                    log_lam = math.log(h * z) - 2.0 * level.S / h
-                    lam = h * z * math.exp(-2.0 * level.S / h)
+                for z in level.zeta2.tolist():
+                    hz = h * z
+                    if not 0.0 < hz < math.inf:
+                        raise InputDataError(
+                            f"h * zeta2 = {hz} at h = {h} is out of range")
+                    log_lam = math.log(hz) - 2.0 * level.S / h
+                    if not math.isfinite(log_lam):
+                        raise InputDataError(
+                            f"log lambda at h = {h} is out of range")
+                    lam = hz * math.exp(-2.0 * level.S / h)
                     out.append(SpectrumEntry(
-                        lam, log_lam, level.S, float(z),
+                        lam, log_lam, level.S, z,
                         cs_.cls.members))
         out.sort(key=lambda e: e.log_lam)
         return out

@@ -4,16 +4,14 @@ that keeps a full component snapshot after every level cluster.
 This is the decomposition as it stood before ``metastab.topology`` read
 everything off one merge tree. The functions below are kept verbatim as a
 differential oracle, with components as frozensets of minimum ids; the
-``Labelling`` and ``Maps`` tuples of that time are copied here, and the
-other data types and ``_build_class`` come from the package.
+data types of that time and ``_build_class`` are copied here as well, so
+the oracle imports nothing from ``metastab.topology``.
 """
 
 import math
 from typing import NamedTuple
 
 from metastab.errors import InputDataError, InvariantViolation
-from metastab.topology import (ClassDecomposition, EquivClass, SaddleRow,
-                               _build_class)
 
 INF = math.inf
 
@@ -35,6 +33,106 @@ class Maps(NamedTuple):
     Ehat: dict     # id -> component of {phi < sigma(m)} holding mhat
     H: dict        # id -> minima of E(m) at the level of m
     type2: dict    # id -> True iff phi(mhat(m)) equals phi(m)
+
+
+class SaddleRow(NamedTuple):
+    sid: str
+    m1: str        # the member-side endpoint, phi(m1) >= phi(m2)
+    m2: str        # other endpoint; equals the class reference minimum on
+                   # boundary rows
+    boundary: bool
+
+
+class EquivClass:
+    """One equivalence class of minima sharing a saddle value.
+
+    ``uhat_blocks`` partitions the extended set (members plus, for type II,
+    the reference minimum) by barrier height, smallest barrier first;
+    ``member_blocks`` is the same partition without the reference minimum.
+    ``saddles`` is populated by partition_saddles.
+    """
+
+    def __init__(self, members, sigma, sigma_cluster, mhat, Ehat, type2,
+                 member_blocks, uhat_blocks, block_S, ground=False):
+        self.members = tuple(members)
+        self.sigma = sigma
+        self.sigma_cluster = sigma_cluster
+        self.mhat = mhat
+        self.Ehat = Ehat
+        self.type2 = type2
+        self.member_blocks = tuple(tuple(b) for b in member_blocks)
+        self.uhat_blocks = tuple(tuple(b) for b in uhat_blocks)
+        self.block_S = tuple(block_S)
+        self.ground = ground
+        self.saddles = ()
+
+    @property
+    def q(self):
+        return len(self.members)
+
+    @property
+    def p(self):
+        return len(self.member_blocks)
+
+    @property
+    def member_order(self):
+        return tuple(x for b in self.member_blocks for x in b)
+
+    @property
+    def uhat(self):
+        return tuple(x for b in self.uhat_blocks for x in b)
+
+    def __repr__(self):
+        kind = "ground" if self.ground else ("II" if self.type2 else "I")
+        return f"EquivClass({','.join(self.members)}; {kind})"
+
+
+class ClassDecomposition(NamedTuple):
+    classes: tuple
+    labelling: Labelling
+    maps: Maps
+
+    @property
+    def ground(self):
+        return self.classes[0]
+
+
+def _build_class(cs, lab, maps, members, k):
+    L = cs.levels
+    hats = {maps.mhat[m] for m in members}
+    if len(hats) != 1:
+        raise InvariantViolation(
+            f"reference minimum not constant on class {members}: {sorted(hats)}")
+    mhat = hats.pop()
+    ehats = {maps.Ehat[m] for m in members}
+    if len(ehats) != 1:
+        raise InvariantViolation(
+            f"enclosing component not constant on class {members}")
+    type2 = any(maps.type2[m] for m in members)
+    hat_cluster = L.of(cs.minimum(mhat).phi)
+    for m in members:
+        expect = L.of(cs.minimum(m).phi) == hat_cluster
+        if maps.type2[m] != expect:
+            raise InvariantViolation(f"type of {m} inconsistent with its level")
+    # blocks by barrier height, smallest barrier (= highest member) first
+    clusters = sorted({L.of(cs.minimum(m).phi) for m in members}, reverse=True)
+    member_blocks = [
+        tuple(sorted(m for m in members if L.of(cs.minimum(m).phi) == c))
+        for c in clusters
+    ]
+    uhat_blocks = [list(b) for b in member_blocks]
+    if type2:
+        if clusters[-1] != hat_cluster:
+            raise InvariantViolation(
+                f"type II class {members} lowest block is not at the "
+                "reference level")
+        uhat_blocks[-1].append(mhat)
+    sigma = L.rep(k)
+    block_S = [sigma - L.rep(c) for c in clusters]
+    if any(b2 <= b1 for b1, b2 in zip(block_S, block_S[1:])):
+        raise InvariantViolation("barriers not strictly increasing over blocks")
+    return EquivClass(members, sigma, k, mhat, maps.Ehat[members[0]],
+                      type2, member_blocks, uhat_blocks, block_S)
 
 
 class _DSU:

@@ -257,6 +257,40 @@ def test_analyze_rejects_non_numbers(runner, tmp_path, kind, field, value,
     assert err == {"type": "InputDataError", "message": message}
 
 
+@pytest.mark.parametrize("saddles", [5, None, True, 0.5, {"id": "s1"}],
+                         ids=["int", "null", "true", "float", "object"])
+def test_analyze_rejects_non_list_saddles(runner, tmp_path, saddles):
+    src = tmp_path / "s.json"
+    src.write_text(json.dumps({
+        "minima": [{"id": "m1", "phi": 0.0, "det_hess": 1.0}],
+        "saddles": saddles}))
+    res = runner.invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 2, res.output
+    assert json.loads(res.output)["error"] == {
+        "type": "InputDataError",
+        "message": "document: field 'saddles' has wrong type"}
+
+
+def test_analyze_rejects_deep_nesting(runner, tmp_path):
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 200_000)
+    res = runner.invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 2, res.output
+    assert json.loads(res.output)["error"] == {
+        "type": "InputDataError", "message": "invalid JSON: nested too deeply"}
+
+
+def test_analyze_rejects_h_beyond_float_range(runner, tmp_path):
+    csv = tmp_path / "dw.csv"
+    p = build_example("double-well").potential
+    _write_csv(csv, p.xs, p.phis)
+    res = runner.invoke(main, ["analyze", str(csv), "--h", "0.1,1e-320"])
+    assert res.exit_code == 2, res.output
+    err = json.loads(res.output)["error"]
+    assert err == {"type": "InputDataError",
+                   "message": "log lambda at h = 1e-320 is out of range"}
+
+
 @pytest.mark.parametrize("name, data", [
     ("s.json", b'{"minima": [{"id": "m\xff1", "phi": 0, "det_hess": 1}]}'),
     ("p.csv", b"x,phi\n0,0\n1,1\n2,4\n3,\xe99\n4,16\n"),

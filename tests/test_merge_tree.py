@@ -45,18 +45,26 @@ def _ties(cs, node):
 
 
 def _as_sets(cs, cd):
-    """A decomposition of the package in the oracle's terms."""
-    lab, maps = cd.labelling, cd.maps
-    for m, node in maps.Ehat.items():
-        assert node.deepest[1] == maps.mhat[m]
+    """A decomposition of the package in the oracle's terms; the saddle
+    value clusters, which the labelling no longer carries, come off the
+    tree."""
+    lab = cd.labelling
+    tree = topology.merge_tree(cs)
+    Ehat = {m: lab.E[m].parent.children[0] for m in lab.mhat}
+    for m, node in Ehat.items():
+        assert node.deepest[1] == lab.mhat[m]
         _ties(cs, node)         # the equal-level set prefactors reads
     labelling = {**lab._asdict(),
-                 "E": {m: members(n) for m, n in lab.E.items()}}
-    maps = oracle.Maps({m: members(lab.E[m].parent) for m in maps.mhat},
-                       maps.mhat,
-                       {m: members(n) for m, n in maps.Ehat.items()},
+                 "sigma_cluster": {m: n.parent and n.parent.born
+                                   for m, n in lab.E.items()},
+                 "E": {m: members(n) for m, n in lab.E.items()},
+                 "ssv_clusters": tuple(sorted(tree.born, reverse=True))}
+    del labelling["mhat"], labelling["type2"]
+    maps = oracle.Maps({m: members(lab.E[m].parent) for m in lab.mhat},
+                       lab.mhat,
+                       {m: members(n) for m, n in Ehat.items()},
                        {m: _ties(cs, n) for m, n in lab.E.items()},
-                       maps.type2)
+                       lab.type2)
     classes = [{**vars(c), "Ehat": c.Ehat and members(c.Ehat)}
                for c in cd.classes]
     return labelling, maps, classes
@@ -162,26 +170,14 @@ def test_errors_are_exercised():
     assert any("already connected below" in m for m in messages)
 
 
-def test_doctored_labelling_errors_match():
-    cs = build_example("ex-a").structure
-    lab = oracle.label_minima(cs)
-    doctored = lab._replace(sigma_cluster={**lab.sigma_cluster, "m23": 1})
-    want = _outcome(oracle.derive_maps, cs, doctored)
-    assert want[0] == "InvariantViolation" and "not unique" in want[1]
-    assert _outcome(topology.derive_maps, cs, doctored) == want
-
-
 def test_disconnected_landscape_is_not_labelled():
-    # the one place the two differ: outside the separating check, the sweep
-    # labelled a piece no saddle links to the global minimum with the top
-    # saddle value; the tree leaves it unlabelled and says so
+    # outside the separating check, the sweep labels a piece no saddle links
+    # to the global minimum with the top saddle value; decompose refuses it
     cs = CriticalStructure(
         [Minimum("m1", 0.0, 1.0), Minimum("m2", 0.1, 1.0),
          Minimum("m3", 0.2, 1.0), Minimum("m4", 0.3, 1.0)],
         [Saddle("s1", 1.0, 1.0, 1.0, ("m1", "m2")),
          Saddle("s2", 2.0, 1.0, 1.0, ("m3", "m4"))])
     assert oracle.label_minima(cs).sigma["m3"] == 2.0
-    with pytest.raises(InvariantViolation, match="left minima unassigned"):
-        topology.label_minima(cs)
     with pytest.raises(InputDataError, match="not connected"):
         topology.decompose(cs)

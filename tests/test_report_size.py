@@ -19,7 +19,7 @@ from click.testing import CliRunner
 from conftest import funnel, members, staircase
 from metastab.cli import main
 from metastab.landscape import structure_to_dict
-from metastab.topology import decompose, label_minima
+from metastab.topology import decompose
 
 GROWTH = 2.2        # largest ratio allowed per doubling of N
 
@@ -36,7 +36,7 @@ def _assert_linear(sizes):
 
 
 def test_funnel_components_are_quadratic():
-    lab = label_minima(funnel(6))
+    lab = decompose(funnel(6)).labelling
     for i in range(1, 6):
         assert members(lab.E[f"m{i}"]) == {f"m{j}" for j in range(i, 6)}
 

@@ -270,3 +270,21 @@ def test_evaluate_rejects_bad_h():
         report.evaluate(0.0)
     with pytest.raises(InputDataError, match="h must be positive"):
         report.evaluate(-1.0)
+
+
+def test_evaluate_rejects_h_beyond_float_range():
+    # at the parent each of these gave a null in the report or a math
+    # domain error: 2S/h overflows, h*zeta2 underflows, h*zeta2 overflows
+    b = ex_a()
+    report = full_spectrum(b.structure, decompose(b.structure))
+    with pytest.raises(InputDataError, match="log lambda at h = 1e-320"):
+        report.evaluate(1e-320)
+    with pytest.raises(InputDataError, match=r"h \* zeta2 = 0.0"):
+        report.evaluate(5e-324)
+    big = report.classes[1]._replace(levels=tuple(
+        lv._replace(zeta2=lv.zeta2 * 1e10) for lv in report.classes[1].levels))
+    report.classes = (report.classes[0], big, *report.classes[2:])
+    with pytest.raises(InputDataError, match=r"h \* zeta2 = inf"):
+        report.evaluate(1e300)
+    assert all(math.isfinite(e.lam) and math.isfinite(e.log_lam)
+               for e in report.evaluate(1e-3)[1:])

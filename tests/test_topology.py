@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (make_rng, members, random_tree_structure, type1_gadget,
-                      type2_gadget)
-from metastab.errors import InputDataError, InvariantViolation
+from conftest import (make_rng, members, random_tree_structure,
+                      shuffled_chain, type1_gadget, type2_gadget)
+from metastab.errors import InputDataError
 from metastab.examples import build_example, ex_a, ex_b, ex_c, nine_wells
-from metastab.landscape import CriticalStructure, Minimum, Saddle
-from metastab.topology import (decompose, derive_maps, equivalence_classes,
-                               label_minima, verify_separating)
+from metastab.landscape import CriticalStructure, LevelIndex, Minimum, Saddle
+from metastab.topology import decompose, merge_tree, verify_separating
 from sweep_oracle import check_generic_assumption, sublevel_components
 
 INF = math.inf
@@ -105,7 +104,7 @@ def test_verify_separating_accepts_ring():
 
 
 def test_labelling_three_wells():
-    lab = label_minima(ex_a().structure)
+    lab = decompose(ex_a().structure).labelling
     assert lab.mbar == "m11"
     assert lab.sigma == {"m11": INF, "m21": 2.0, "m22": 2.0, "m23": 2.0}
     assert lab.S == {"m11": INF, "m21": 1.5, "m22": 1.5, "m23": 1.0}
@@ -115,7 +114,7 @@ def test_labelling_three_wells():
 
 def test_labelling_matches_reference_landscape():
     b = build_example("nine-wells")
-    lab = label_minima(b.structure)
+    lab = decompose(b.structure).labelling
     want = {mid: tuple(ij) for mid, ij in b.reference["labels"].items()}
     assert lab.index == want
     assert lab.mbar == "m11"
@@ -125,7 +124,7 @@ def test_labelling_global_min_tie_breaks_by_id():
     cs = CriticalStructure(
         [Minimum("mb", 0.0, 1.0), Minimum("ma", 0.0, 1.0)],
         [Saddle("s1", 1.0, 1.0, 1.0, ("ma", "mb"))])
-    lab = label_minima(cs)
+    lab = decompose(cs).labelling
     assert lab.mbar == "ma"
     assert lab.sigma["mb"] == 1.0
 
@@ -138,14 +137,14 @@ def test_labelling_fresh_component_labelled_by_deepest():
          Minimum("m3", 0.2, 1.0)],
         [Saddle("s1", 2.0, 1.0, 1.0, ("m1", "m2")),
          Saddle("s2", 1.0, 1.0, 1.0, ("m2", "m3"))])
-    lab = label_minima(cs)
+    lab = decompose(cs).labelling
     assert lab.sigma == {"m1": INF, "m2": 1.0, "m3": 2.0}
     assert lab.index == {"m1": (1, 1), "m3": (2, 1), "m2": (3, 1)}
 
 
 def test_labelling_shift_invariant():
-    base = label_minima(nine_wells().structure)
-    moved = label_minima(shifted(nine_wells().structure, 3.7))
+    base = decompose(nine_wells().structure).labelling
+    moved = decompose(shifted(nine_wells().structure, 3.7)).labelling
     assert moved.index == base.index
     assert moved.mbar == base.mbar
     for mid, s in base.S.items():
@@ -159,20 +158,18 @@ def test_labelling_shift_invariant():
 def test_maps_reference_landscape_types():
     b = nine_wells()
     cs = b.structure
-    lab = label_minima(cs)
-    maps = derive_maps(cs, lab)
+    lab = decompose(cs).labelling
     want = {mid: t == "II" for mid, t in b.reference["types"].items()}
-    assert maps.type2 == want
+    assert lab.type2 == want
 
 
 def test_maps_three_wells():
     cs = ex_a().structure
-    lab = label_minima(cs)
-    maps = derive_maps(cs, lab)
-    assert maps.mhat == {"m21": "m11", "m22": "m11", "m23": "m11"}
+    lab = decompose(cs).labelling
+    assert lab.mhat == {"m21": "m11", "m22": "m11", "m23": "m11"}
     assert members(lab.E["m21"].parent) == {"m11", "m21", "m22", "m23"}
-    assert maps.type2 == {"m21": False, "m22": False, "m23": False}
-    assert members(maps.Ehat["m21"]) == {"m11"}
+    assert lab.type2 == {"m21": False, "m22": False, "m23": False}
+    assert members(lab.E["m21"].parent.children[0]) == {"m11"}
 
 
 def test_maps_detect_type_two():
@@ -180,22 +177,9 @@ def test_maps_detect_type_two():
     cs = CriticalStructure(
         [Minimum("m1", 0.0, 1.0), Minimum("m2", 0.0, 1.0)],
         [Saddle("s1", 1.0, 1.0, 1.0, ("m1", "m2"))])
-    lab = label_minima(cs)
-    maps = derive_maps(cs, lab)
-    assert maps.type2 == {"m2": True}
-    assert maps.mhat["m2"] == "m1"
-
-
-def test_maps_reject_ambiguous_reference():
-    # the labelling construction guarantees a unique reference minimum for
-    # every valid landscape, so the guard is exercised on a doctored labelling
-    # that claims two members of E_- sit at higher saddle clusters
-    cs = ex_a().structure
-    lab = label_minima(cs)
-    doctored = lab._replace(
-        sigma_cluster={**lab.sigma_cluster, "m23": 1})
-    with pytest.raises(InvariantViolation, match="not unique"):
-        derive_maps(cs, doctored)
+    lab = decompose(cs).labelling
+    assert lab.type2 == {"m2": True}
+    assert lab.mhat["m2"] == "m1"
 
 
 # ------------------------------------------------------------------ classes
@@ -280,9 +264,8 @@ def test_class_invariants_random():
                 assert phis[r.m1] >= phis[r.m2] - cs.levels.eps
                 if r.boundary:
                     assert r.m2 == c.mhat
-            # every member's sigma sits in the class's own cluster
-            assert {lab.sigma_cluster[m] for m in c.members} == {
-                c.sigma_cluster}
+            # every member's sigma is the class's own
+            assert {lab.sigma[m] for m in c.members} == {c.sigma}
         assert seen | set(cd.ground.members) == {m.id for m in cs.minima}
 
 
@@ -363,3 +346,25 @@ def test_decomposition_ignores_id_order(seed):
                                                 for c in cd2.classes]
     assert [c.uhat for c in cd1.classes[1:]] == [c.uhat
                                                  for c in cd2.classes[1:]]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: nine_wells().structure,
+    lambda: ex_c(200).structure,
+    lambda: shuffled_chain(make_rng("one-pass"), 300),
+], ids=["nine-wells", "ex-c-200", "shuffled-300"])
+def test_decompose_bisects_no_level(make, monkeypatch):
+    # the tree holds every cluster decompose needs, so once it is built a
+    # decomposition looks no potential value up again
+    cs = make()
+    merge_tree(cs)
+    calls = []
+    of = LevelIndex.of
+
+    def counted(self, value):
+        calls.append(value)
+        return of(self, value)
+
+    monkeypatch.setattr(LevelIndex, "of", counted)
+    decompose(cs)
+    assert calls == []
