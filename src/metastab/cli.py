@@ -23,7 +23,7 @@ from .landscape import (extract_critical_structure, load_samples,
                         load_structure, structure_to_dict)
 from .spectra import full_spectrum
 from .topology import decompose, merge_tree
-from .validator import compare
+from .validator import _C_TOL, compare
 
 SCHEMA = "metastab/2"
 
@@ -127,7 +127,7 @@ def dumps(obj, indent=0):
 
 def _structure_block(cs):
     doc = structure_to_dict(cs)
-    doc["level_clusters"] = [cs.levels.rep(k) for k in range(len(cs.levels))]
+    doc["level_clusters"] = list(cs.levels.reps)
     return doc
 
 
@@ -246,7 +246,7 @@ def validation_document(vrep, source, h_list):
             "command": "validate",
             "input": source,
             "h": list(h_list),
-            "c_tol": vrep.c_tol,
+            "c_tol": _C_TOL,
             "nonzero_count": vrep.n0 - 1,
             "steps": steps,
             "verdicts": list(vrep.verdicts),

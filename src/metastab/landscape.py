@@ -15,7 +15,6 @@ of the negative eigenvalue): nothing downstream needs more than
 import json
 import math
 import os
-from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
@@ -43,40 +42,33 @@ class LevelIndex:
     """Clusters a set of real values into discrete levels.
 
     Values whose sorted neighbors differ by at most ``eps`` are chained into
-    one cluster. All equality and ordering decisions on potential values go
-    through cluster indices, which keeps the comparisons transitive.
+    one cluster; clusters are numbered from the lowest. ``cluster[i]`` is the
+    cluster of the i-th value and ``reps[k]`` the representative of cluster
+    k. All equality and ordering decisions on potential values go through
+    cluster indices, which keeps the comparisons transitive.
     """
 
     def __init__(self, values, eps):
-        self.eps = float(eps)
-        vals = sorted(map(float, values))
+        vals = [float(v) for v in values]
         if not vals:
             raise InputDataError("no values to cluster")
+        order = sorted(range(len(vals)), key=vals.__getitem__)
+        ordered = [vals[i] for i in order]
+        cluster = [0] * len(vals)
         reps = []
-        members = []
         start = 0
-        for i in range(1, len(vals) + 1):
-            if i == len(vals) or vals[i] - vals[i - 1] > self.eps:
+        for i in range(1, len(ordered) + 1):
+            if i == len(ordered) or ordered[i] - ordered[i - 1] > eps:
                 # the representative is printed, so it stays NumPy's mean
                 # bit for bit: a tie cluster keeps the pairwise sum, and a
                 # lone value is added to the sum's +0 start (-0 becomes 0)
-                reps.append(0.0 + vals[start] if i - start == 1
-                            else float(np.mean(vals[start:i])))
-                members.append((vals[start], vals[i - 1]))
+                reps.append(0.0 + ordered[start] if i - start == 1
+                            else float(np.mean(ordered[start:i])))
+                for j in order[start:i]:
+                    cluster[j] = len(reps) - 1
                 start = i
+        self.cluster = cluster
         self.reps = reps
-        self.spans = members
-        # decision boundaries halfway between adjacent cluster spans
-        self._cuts = [
-            0.5 * (members[k][1] + members[k + 1][0]) for k in range(len(reps) - 1)
-        ]
-
-    def of(self, value):
-        """Cluster index of ``value`` (nearest cluster)."""
-        return bisect_left(self._cuts, float(value))
-
-    def rep(self, k):
-        return self.reps[k]
 
     def __len__(self):
         return len(self.reps)
@@ -92,6 +84,9 @@ class CriticalStructure:
         Absolute tolerance used to decide equality of potential values.
     positions : dict, optional
         1D coordinates by id, kept when the structure came from samples.
+
+    ``levels`` clusters the critical values, and ``cluster[id]`` is the level
+    cluster of a point, decided once here.
     """
 
     def __init__(self, minima, saddles, level_tolerance=DEFAULT_LEVEL_TOL,
@@ -103,10 +98,16 @@ class CriticalStructure:
         self.level_tolerance = float(level_tolerance)
         self.positions = dict(positions) if positions else None
         self._validate()
-        self.levels = LevelIndex(
-            [m.phi for m in self.minima] + [s.phi for s in self.saddles],
-            self.level_tolerance)
-        self._check_levels()
+        points = self.minima + self.saddles
+        self.levels = LevelIndex([p.phi for p in points],
+                                 self.level_tolerance)
+        self.cluster = dict(zip((p.id for p in points), self.levels.cluster))
+        for s in self.saddles:
+            for mid in s.joins:
+                if self.cluster[mid] >= self.cluster[s.id]:
+                    raise InputDataError(
+                        f"saddle {s.id} is not above joined minimum {mid} "
+                        "(within level tolerance)")
 
     # -- lookups ---------------------------------------------------------
 
@@ -150,15 +151,6 @@ class CriticalStructure:
                 if mid not in self._min_by_id:
                     raise InputDataError(
                         f"saddle {s.id} joins unknown minimum {mid!r}")
-
-    def _check_levels(self):
-        for s in self.saddles:
-            ls = self.levels.of(s.phi)
-            for mid in s.joins:
-                if self.levels.of(self.minimum(mid).phi) >= ls:
-                    raise InputDataError(
-                        f"saddle {s.id} is not above joined minimum {mid} "
-                        "(within level tolerance)")
 
 
 def structure_to_dict(cs):

@@ -74,6 +74,11 @@ def class_spectrum(g: GradedCore):
         if w[0] <= 0:
             raise InvariantViolation(
                 "nonpositive leading eigenvalue in the Schur recursion")
+        # the report prints pi * zeta2 next to zeta2, and a null there
+        # would read as a result: Hessian data that overflows it is bad input
+        if not math.isfinite(math.pi * float(w[-1])):
+            raise InputDataError(
+                f"pi * zeta2 at S = {S} is beyond float range")
         out.append(LevelSpectrum(S, w))
         if k + 1 < p:
             g = schur_R(g)

@@ -73,16 +73,16 @@ class MergeTree:
     """
 
     def __init__(self, cs):
-        L = cs.levels
+        cluster = cs.cluster
         leaf = {}
         for m in cs.minima:
-            k = L.of(m.phi)
+            k = cluster[m.id]
             leaf[m.id] = _Node(k, (m.id,), (k, m.id), m.id)
         dsu = _DSU(leaf)
         top = dict(leaf)            # union-find root -> its current node
         by_cluster = {}
         for s in cs.saddles:
-            by_cluster.setdefault(L.of(s.phi), []).append(s)
+            by_cluster.setdefault(cluster[s.id], []).append(s)
         self.ends = {}
         self.born = {}
         for k in sorted(by_cluster):
@@ -214,7 +214,7 @@ class ClassDecomposition(NamedTuple):
         return self.classes[0]
 
 
-def _node_classes(tree, node, L):
+def _node_classes(tree, node, reps):
     """The classes of the minima labelled at the birth of ``node``.
 
     Every child but the first is E(m) of its deepest minimum m. Two such
@@ -251,7 +251,7 @@ def _node_classes(tree, node, L):
             row = SaddleRow(sid, u, v, False)
         groups[find(b.low)][1].append(row)
     k = node.born
-    sigma = L.rep(k)
+    sigma = reps[k]
     for deepest, rows in groups.values():
         by_level = {}
         for ck, m in deepest:
@@ -262,7 +262,7 @@ def _node_classes(tree, node, L):
         type2 = clusters[-1] == hat_k
         uhat_blocks = member_blocks[:-1] + [
             member_blocks[-1] + (hat,) if type2 else member_blocks[-1]]
-        block_S = [sigma - L.rep(c) for c in clusters]
+        block_S = [sigma - reps[c] for c in clusters]
         if any(b2 <= b1 for b1, b2 in zip(block_S, block_S[1:])):
             raise InvariantViolation(
                 "barriers not strictly increasing over blocks")
@@ -281,7 +281,7 @@ def decompose(cs):
     """
     verify_separating(cs)
     tree = merge_tree(cs)
-    L = cs.levels
+    reps = cs.levels.reps
     (root,) = tree.roots
     mbar = root.deepest[1]
     sigma, S, E, index = {mbar: INF}, {mbar: INF}, {mbar: root}, {mbar: (1, 1)}
@@ -295,13 +295,13 @@ def decompose(cs):
             hat_k, hat = node.deepest
             for c in node.children[1:]:
                 ck, m = c.deepest
-                sigma[m] = L.rep(k)
-                S[m] = L.rep(k) - L.rep(ck)
+                sigma[m] = reps[k]
+                S[m] = reps[k] - reps[ck]
                 E[m] = c
                 mhat[m] = hat
                 type2[m] = ck == hat_k
                 fresh.append(c)
-            classes.extend(_node_classes(tree, node, L))
+            classes.extend(_node_classes(tree, node, reps))
         fresh.sort(key=lambda c: c.low)
         for j, c in enumerate(fresh, start=1):
             index[c.deepest[1]] = (step, j)

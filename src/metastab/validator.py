@@ -20,6 +20,8 @@ import numpy as np
 from .errors import InputDataError
 from .landscape import SampledPotential
 
+_C_TOL = 3.0             # PASS needs a final |ratio - 1| <= _C_TOL * h
+_RICHARDSON_TOL = 0.05   # grid n vs 2n drift beyond this is INCONCLUSIVE
 _MAX_EXP_ARG = 150.0     # per-cell exponent guard; beyond this the grid is
                          # far too coarse for the requested h anyway
 
@@ -241,11 +243,10 @@ class HStep(NamedTuple):
 class ValidationReport(NamedTuple):
     steps: tuple           # HStep per h, descending h
     verdicts: tuple        # per nonzero eigenvalue: PASS / FAIL / INCONCLUSIVE
-    c_tol: float
     n0: int
 
 
-def compare(report, p, h_list, grid=None, c_tol=3.0, richardson_tol=0.05):
+def compare(report, p, h_list, grid=None):
     """Validate a SpectrumReport against direct solves over a schedule of h.
 
     ``p`` holds the samples the report's structure was extracted from; the
@@ -253,8 +254,8 @@ def compare(report, p, h_list, grid=None, c_tol=3.0, richardson_tol=0.05):
 
     For each nonzero prediction the verdict is PASS when |ratio - 1| is
     nonincreasing along descending h and the final value is at most
-    c_tol * h_final; a grid whose n vs 2n eigenvalues disagree by more than
-    richardson_tol makes that eigenvalue INCONCLUSIVE instead.
+    _C_TOL * h_final; a grid whose n vs 2n eigenvalues disagree by more than
+    _RICHARDSON_TOL makes that eigenvalue INCONCLUSIVE instead.
     """
     hs = sorted(set(float(x) for x in h_list), reverse=True)
     if not hs or hs[-1] <= 0:
@@ -298,11 +299,11 @@ def compare(report, p, h_list, grid=None, c_tol=3.0, richardson_tol=0.05):
                            tuple(devs), rich))
     verdicts = []
     for i in range(k_nonzero):
-        if any(s.richardson[i] > richardson_tol for s in steps):
+        if any(s.richardson[i] > _RICHARDSON_TOL for s in steps):
             verdicts.append("INCONCLUSIVE")
             continue
         devs = [s.deviations[i] for s in steps]
         monotone = all(b <= a for a, b in zip(devs, devs[1:]))
-        ok = monotone and devs[-1] <= c_tol * hs[-1]
+        ok = monotone and devs[-1] <= _C_TOL * hs[-1]
         verdicts.append("PASS" if ok else "FAIL")
-    return ValidationReport(tuple(steps), tuple(verdicts), c_tol, n0)
+    return ValidationReport(tuple(steps), tuple(verdicts), n0)

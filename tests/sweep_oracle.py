@@ -5,15 +5,64 @@ This is the decomposition as it stood before ``metastab.topology`` read
 everything off one merge tree. The functions below are kept verbatim as a
 differential oracle, with components as frozensets of minimum ids; the
 data types of that time and ``_build_class`` are copied here as well, so
-the oracle imports nothing from ``metastab.topology``.
+the oracle imports nothing from ``metastab.topology``. ``Levels`` rebuilds
+the level clusters from the critical values, so the oracle shares no
+cluster lookup with the package.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
+
+import numpy as np
 
 from metastab.errors import InputDataError, InvariantViolation
 
 INF = math.inf
+
+
+class Levels:
+    """The level clusters of a structure: sorted critical values chained by
+    gaps of at most the level tolerance, numbered from the lowest, each
+    represented by the NumPy mean of its values."""
+
+    def __init__(self, cs):
+        vals = sorted([m.phi for m in cs.minima] + [s.phi for s in cs.saddles])
+        self.eps = cs.level_tolerance
+        self.spans, self.reps = [], []
+        start = 0
+        for i in range(1, len(vals) + 1):
+            if i == len(vals) or vals[i] - vals[i - 1] > self.eps:
+                self.spans.append((vals[start], vals[i - 1]))
+                self.reps.append(float(np.mean(vals[start:i])))
+                start = i
+        self.lows = [lo for lo, _ in self.spans]
+        self.tops = [hi for _, hi in self.spans]
+
+    def of(self, value):
+        """The cluster whose span holds the critical value ``value``."""
+        k = bisect_right(self.lows, value) - 1
+        lo, hi = self.spans[k]
+        assert lo <= value <= hi, (value, self.spans[k])
+        return k
+
+    def below(self, level):
+        """The number of clusters that lie wholly below ``level`` by more
+        than the tolerance."""
+        return bisect_left(self.tops, level - self.eps)
+
+    def rep(self, k):
+        return self.reps[k]
+
+    def __len__(self):
+        return len(self.reps)
+
+
+def levels(cs):
+    lv = getattr(cs, "_oracle_levels", None)
+    if lv is None:
+        lv = cs._oracle_levels = Levels(cs)
+    return lv
 
 
 class Labelling(NamedTuple):
@@ -98,7 +147,7 @@ class ClassDecomposition(NamedTuple):
 
 
 def _build_class(cs, lab, maps, members, k):
-    L = cs.levels
+    L = levels(cs)
     hats = {maps.mhat[m] for m in members}
     if len(hats) != 1:
         raise InvariantViolation(
@@ -171,7 +220,7 @@ class Sweep:
 
     def __init__(self, cs):
         self.cs = cs
-        L = cs.levels
+        L = levels(cs)
         n = len(L)
         self.minima_at = [[] for _ in range(n)]
         self.saddles_at = [[] for _ in range(n)]
@@ -243,12 +292,7 @@ def sublevel_components(cs, level):
     Returns a list of frozensets of minimum ids, sorted by smallest member.
     ``level`` may be +inf.
     """
-    L = cs.levels
-    if level == INF:
-        cut = len(L)
-    else:
-        k = L.of(level)
-        cut = k + 1 if level > L.spans[k][1] + L.eps else k
+    cut = levels(cs).below(level)
     sw = _sweep(cs)
     state = sw.after[cut - 1] if cut > 0 else {}
     comps = {}
@@ -265,7 +309,7 @@ def label_minima(cs):
     labelled by its deepest minimum (ties by id).
     """
     sw = _sweep(cs)
-    L = cs.levels
+    L = levels(cs)
     ssv = tuple(sorted({L.of(s.phi) for s in cs.saddles}, reverse=True))
     mbar = min(cs.minima, key=lambda m: (L.of(m.phi), m.id)).id
     allm = frozenset(m.id for m in cs.minima)
@@ -296,7 +340,7 @@ def derive_maps(cs, lab):
     """Per-minimum derived objects: enclosing component, reference minimum,
     its component, the equal-level set H, and the type decision."""
     sw = _sweep(cs)
-    L = cs.levels
+    L = levels(cs)
     allm = frozenset(m.id for m in cs.minima)
     H = {}
     for mid, comp in lab.E.items():
@@ -337,7 +381,7 @@ def equivalence_classes(cs, lab, maps):
     type II members) whose closures share saddles at that level.
     """
     sw = _sweep(cs)
-    L = cs.levels
+    L = levels(cs)
     ground = EquivClass((lab.mbar,), INF, None, None, None, False,
                         ((lab.mbar,),), ((lab.mbar,),), (INF,), ground=True)
     classes = [ground]
@@ -376,7 +420,7 @@ def partition_saddles(cs, cd):
     row). Returns the decomposition with per-class saddles filled in.
     """
     sw = _sweep(cs)
-    L = cs.levels
+    L = levels(cs)
     by_cluster = {}
     for c in cd.classes[1:]:
         by_cluster.setdefault(c.sigma_cluster, []).append(c)
@@ -439,7 +483,7 @@ def check_generic_assumption(cs, lab=None):
     if lab is None:
         lab = label_minima(cs)
     sw = _sweep(cs)
-    L = cs.levels
+    L = levels(cs)
     for mid in sorted(lab.E):
         comp = lab.E[mid]
         bottom = min(L.of(cs.minimum(x).phi) for x in comp)

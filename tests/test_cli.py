@@ -4,6 +4,7 @@ determinism, error exit codes, and the plot-table side channel."""
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,72 @@ def test_analyze_rejects_invalid_utf8(runner, tmp_path, name, data):
     err = json.loads(res.output)["error"]
     assert err["type"] == "InputDataError"
     assert "not UTF-8" in err["message"]
+
+
+def _analyze_doc(runner, tmp_path, minima, saddles, *args, **kw):
+    """Run ``analyze`` on a structure given as (id, phi, det_hess) minima
+    and (id, phi, joins, neg_eig) saddles with det_hess 1."""
+    src = tmp_path / "s.json"
+    src.write_text(json.dumps({
+        **kw,
+        "minima": [{"id": i, "phi": phi, "det_hess": d}
+                   for i, phi, d in minima],
+        "saddles": [{"id": i, "phi": phi, "det_hess": 1.0, "neg_eig": neg,
+                     "joins": list(j)} for i, phi, j, neg in saddles]}))
+    return runner.invoke(main, ["analyze", str(src), *args])
+
+
+@pytest.mark.parametrize("m, s, tol", [
+    (100000000.00000001, 100000000.00000003, {}),
+    (0.9999999999999999, 1.0, {"level_tolerance": 0}),
+], ids=["default-tolerance", "zero-tolerance"])
+def test_analyze_saddle_one_ulp_above_its_minimum(runner, tmp_path, m, s, tol):
+    # the halfway point between the two values rounds onto the saddle's, so
+    # a nearest-cluster lookup put the saddle at the minimum's level
+    assert math.nextafter(m, math.inf) == s
+    res = _analyze_doc(runner, tmp_path, [("m0", m, 1.0), ("m1", 0.0, 1.0)],
+                       [("s0", s, ("m0", "m1"), 1.0)], **tol)
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["structure"]["level_clusters"] == [0.0, m, s]
+    assert doc["labelling"]["minima"]["m0"]["S"] == s - m
+
+
+def test_analyze_levels_one_ulp_apart(runner, tmp_path):
+    # m1 and m2 sit one ulp apart: two levels, so m2 is type I and m1 and m2
+    # get the same prefactor
+    a = 100000000.00000001
+    b = math.nextafter(a, math.inf)
+    res = _analyze_doc(
+        runner, tmp_path,
+        [("m0", 0.0, 1.0), ("m1", a, 1.0), ("m2", b, 1.0)],
+        [("s1", a + 10, ("m1", "m2"), 1.0),
+         ("s2", a + 20, ("m0", "m1"), 1.0)])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["structure"]["level_clusters"][1:3] == [a, b]
+    classes = {c["members"][0]: c for c in doc["classes"]}
+    assert classes["m2"]["type"] == "I"
+    assert classes["m2"]["levels"][0]["S"] == 9.999999985098839
+    for mid in ("m1", "m2"):
+        assert classes[mid]["levels"][0]["zeta2"] == [0.31830988618379064]
+
+
+@pytest.mark.parametrize("args", [(), ("--h", "0.1")], ids=["bare", "h"])
+def test_analyze_rejects_pi_zeta2_beyond_float_range(runner, tmp_path, args):
+    # zeta2 itself is finite, but pi * zeta2 would print as null
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = _analyze_doc(runner, tmp_path,
+                           [("m0", 0.0, 1.0), ("m1", 1.0, 4.0)],
+                           [("s0", 2.0, ("m0", "m1"), 1e308)], *args)
+    assert res.exit_code == 2, res.output
+    assert json.loads(res.stdout) == {
+        "schema": "metastab/2",
+        "error": {"type": "InputDataError",
+                  "message": "pi * zeta2 at S = 1.0 is beyond float range"}}
+    assert "Warning" not in res.stderr
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_analyze_file_name_starting_with_brace(runner, tmp_path, monkeypatch):

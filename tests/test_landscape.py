@@ -22,18 +22,31 @@ def _dw_samples(n=2001, lo=-2.0, hi=2.0):
 
 
 def test_level_index_chains_close_values():
-    L = LevelIndex([0.0, 1e-10, 2e-10, 1.0], eps=1e-9)
+    L = LevelIndex([1.0, 2e-10, 0.0, 1e-10], eps=1e-9)
     assert len(L) == 2
-    assert L.of(1.5e-10) == 0
-    assert L.of(0.9999) == 1
-    assert L.rep(0) == pytest.approx(1e-10)
-    assert L.rep(1) == 1.0
+    assert L.cluster == [1, 0, 0, 0]
+    assert L.reps[0] == pytest.approx(1e-10)
+    assert L.reps[1] == 1.0
 
 
 def test_level_index_separates_distant_values():
-    L = LevelIndex([0.0, 0.5, 1.0], eps=1e-9)
+    L = LevelIndex([0.5, 1.0, 0.0], eps=1e-9)
     assert len(L) == 3
-    assert [L.of(v) for v in (0.0, 0.5, 1.0)] == [0, 1, 2]
+    assert L.cluster == [1, 2, 0]
+    assert L.reps == [0.0, 0.5, 1.0]
+
+
+def test_level_index_keeps_one_ulp_gaps():
+    # a value one ulp above a cluster is a level of its own, at any
+    # tolerance below the ulp; the halfway point between the two rounds onto
+    # the upper value, so no lookup by cuts may decide it
+    lo = 100000000.00000001
+    hi = math.nextafter(lo, math.inf)
+    assert 0.5 * (lo + hi) == hi
+    for eps in (0.0, 1e-9):
+        L = LevelIndex([hi, lo, hi, 0.0], eps=eps)
+        assert L.cluster == [2, 1, 2, 0]
+        assert L.reps == [0.0, lo, hi]
 
 
 def test_level_index_representatives_match_numpy_mean():
@@ -43,10 +56,11 @@ def test_level_index_representatives_match_numpy_mean():
     L = LevelIndex(values, eps=1e-9)
     clusters = [[-1.5], [-0.0], [0.3, 0.1 + 0.2, 0.3 + 1e-10], [0.7]]
     assert len(L) == len(clusters)
+    assert L.cluster == [1, 2, 2, 2, 3, 0]
     for k, chunk in enumerate(clusters):
         want = float(np.sort(np.array(chunk)).mean())
-        assert math.copysign(1.0, L.rep(k)) == math.copysign(1.0, want)
-        assert L.rep(k) == want
+        assert math.copysign(1.0, L.reps[k]) == math.copysign(1.0, want)
+        assert L.reps[k] == want
 
 
 def test_level_index_empty():

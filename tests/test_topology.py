@@ -6,11 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (make_rng, members, random_tree_structure,
-                      shuffled_chain, type1_gadget, type2_gadget)
+                      type1_gadget, type2_gadget)
 from metastab.errors import InputDataError
 from metastab.examples import build_example, ex_a, ex_b, ex_c, nine_wells
-from metastab.landscape import CriticalStructure, LevelIndex, Minimum, Saddle
-from metastab.topology import decompose, merge_tree, verify_separating
+from metastab.landscape import CriticalStructure, Minimum, Saddle
+from metastab.topology import decompose, verify_separating
 from sweep_oracle import check_generic_assumption, sublevel_components
 
 INF = math.inf
@@ -20,7 +20,7 @@ def shifted(cs, c):
     minima = [Minimum(m.id, m.phi + c, m.det_hess) for m in cs.minima]
     saddles = [Saddle(s.id, s.phi + c, s.det_hess, s.neg_eig, s.joins)
                for s in cs.saddles]
-    return CriticalStructure(minima, saddles, cs.levels.eps)
+    return CriticalStructure(minima, saddles, cs.level_tolerance)
 
 
 # ------------------------------------------------------- sublevel components
@@ -54,7 +54,7 @@ def test_sublevel_components_match_union_find():
         got = sublevel_components(cs, level)
         # oracle: plain union-find over saddles strictly below the level,
         # restricted to minima strictly below it
-        eps = cs.levels.eps
+        eps = cs.level_tolerance
         parent = {m.id: m.id for m in cs.minima if m.phi < level - eps}
 
         def find(a):
@@ -257,11 +257,11 @@ def test_class_invariants_random():
             assert not seen & set(c.members)
             seen.update(c.members)
             phis = {m.id: m.phi for m in cs.minima}
-            assert all(phis[c.mhat] <= phis[m] + cs.levels.eps
+            assert all(phis[c.mhat] <= phis[m] + cs.level_tolerance
                        for m in c.members)
             assert all(a < b for a, b in zip(c.block_S, c.block_S[1:]))
             for r in c.saddles:
-                assert phis[r.m1] >= phis[r.m2] - cs.levels.eps
+                assert phis[r.m1] >= phis[r.m2] - cs.level_tolerance
                 if r.boundary:
                     assert r.m2 == c.mhat
             # every member's sigma is the class's own
@@ -340,31 +340,9 @@ def test_decomposition_ignores_id_order(seed):
     perm_s = list(cs.saddles)
     rng.shuffle(perm_m)
     rng.shuffle(perm_s)
-    cd1 = decompose(CriticalStructure(perm_m, perm_s, cs.levels.eps))
+    cd1 = decompose(CriticalStructure(perm_m, perm_s, cs.level_tolerance))
     cd2 = decompose(cs)
     assert [c.members for c in cd1.classes] == [c.members
                                                 for c in cd2.classes]
     assert [c.uhat for c in cd1.classes[1:]] == [c.uhat
                                                  for c in cd2.classes[1:]]
-
-
-@pytest.mark.parametrize("make", [
-    lambda: nine_wells().structure,
-    lambda: ex_c(200).structure,
-    lambda: shuffled_chain(make_rng("one-pass"), 300),
-], ids=["nine-wells", "ex-c-200", "shuffled-300"])
-def test_decompose_bisects_no_level(make, monkeypatch):
-    # the tree holds every cluster decompose needs, so once it is built a
-    # decomposition looks no potential value up again
-    cs = make()
-    merge_tree(cs)
-    calls = []
-    of = LevelIndex.of
-
-    def counted(self, value):
-        calls.append(value)
-        return of(self, value)
-
-    monkeypatch.setattr(LevelIndex, "of", counted)
-    decompose(cs)
-    assert calls == []
