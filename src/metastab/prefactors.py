@@ -1,17 +1,26 @@
-"""Leading-order interaction matrices attached to each equivalence class.
+"""Leading-order interaction matrices of the equivalence classes, built one
+shape group at a time.
 
-For a class with members U, extended set Uhat (members plus the reference
-minimum when the class is type II), and saddle set V, this module builds
+Classes with the same number of saddle rows, the same type and the same
+barrier block sizes (hence the same q, p and |Uhat|) form a shape group, and
+the builders here take a whole group; a single class is a group of one. For
+a class with members U, extended set Uhat (members plus the reference
+minimum when the class is type II), and saddle set V, they build
 
 * the Hessian weights of Uhat (``h_phi``), once per class, and from them
   together the interaction matrix Upsilon (rows V, columns Uhat) and the
   orthonormal basis change T absorbing the type II quasimode mixing
-  (``build_class_matrices``), and
-* the graded core (Upsilon T)' (Upsilon T), whose blocks follow the barrier
-  partition, smallest barrier first (``build_graded_core``).
+  (``build_class_matrices``), stacked over the group as (G, |V|, |Uhat|)
+  and (G, |Uhat|, q) arrays filled in one pass over its classes, and
+* the graded core (Upsilon T)'(Upsilon T), whose blocks follow the barrier
+  partition, smallest barrier first (``build_graded_core``), for the whole
+  group with one stacked matmul and one stacked Cholesky check.
 
-No exponential factor is ever evaluated here; the barrier scales stay
-symbolic in the block metadata.
+A stacked NumPy call makes, per class, the call the class-by-class pipeline
+made, so every class gets the same matrices bit for bit. Hessian data at the
+ends of the float range that overflows Upsilon or a core is bad input, and
+is rejected before any LAPACK call. No exponential factor is ever evaluated
+here; the barrier scales stay symbolic in the block metadata.
 """
 
 import math
@@ -42,14 +51,24 @@ def h_phi(cs, cd, mid, alpha):
 
 
 class ClassMatrices(NamedTuple):
+    """The matrices of a shape group, each field stacked along a first axis
+    over its classes, or of one class: ``full_spectrum`` keeps per-class
+    views into the group's arrays."""
     upsilon: np.ndarray   # rows: saddles of the class, columns: uhat
     T: np.ndarray         # uhat x members, orthonormal columns
     theta0: object        # unit kernel direction on the type II block, or None
 
 
-def build_class_matrices(cs, cd, alpha):
-    """Interaction matrix Upsilon and completion T of a class, from one set
-    of weights.
+def _first_bad(classes, finite):
+    """The members of the first class whose entries are not all finite."""
+    return classes[int(np.argmin(finite.reshape(len(classes), -1).all(1)))
+                   ].members
+
+
+def build_class_matrices(cs, cd, classes):
+    """Interaction matrices Upsilon and completions T of a shape group,
+    each class from one set of weights; every field stacks the group's
+    classes along a first axis.
 
     Upsilon has one row per saddle of the class, in the order of
     ``alpha.saddles`` (sorted by id), and columns over ``alpha.uhat``. A row
@@ -66,67 +85,100 @@ def build_class_matrices(cs, cd, alpha):
     theta0, taking its remaining columns; any other orthonormal completion
     conjugates the core without moving its spectrum.
     """
-    uhat = alpha.uhat
-    w = {mid: h_phi(cs, cd, mid, alpha) for mid in uhat}
-    upos = {mid: i for i, mid in enumerate(uhat)}
-    U = np.zeros((len(alpha.saddles), len(uhat)))
-    for i, r in enumerate(alpha.saddles):
-        s = cs.saddle(r.sid)
-        coeff = math.sqrt(s.neg_eig) / (_SQRT_PI * s.det_hess ** 0.25)
-        U[i, upos[r.m1]] = coeff * w[r.m1]
-        if r.m2 in upos:
-            U[i, upos[r.m2]] = -coeff * w[r.m2]
+    first = classes[0]
+    G, r, q = len(classes), len(first.saddles), first.q
+    uhat_len = q + first.type2     # uhat is the member order, then mhat
+    weights, coeffs, cols1, cols2 = [], [], [], []
+    saddle, sqrt = cs.saddle, math.sqrt
+    for alpha in classes:
+        uhat = alpha.uhat
+        upos = {mid: i for i, mid in enumerate(uhat)}
+        weights += [h_phi(cs, cd, mid, alpha) for mid in uhat]
+        for sid, m1, m2, _ in alpha.saddles:
+            s = saddle(sid)
+            coeffs.append(sqrt(s.neg_eig) / (_SQRT_PI * s.det_hess ** 0.25))
+            cols1.append(upos[m1])
+            cols2.append(upos.get(m2, -1))   # -1: outside Uhat, dropped
+    w = np.array(weights).reshape(G, uhat_len)
+    coeff = np.array(coeffs).reshape(G, r)
+    g = np.arange(G)[:, None]
+    i = np.arange(r)
+    j1 = np.array(cols1, dtype=np.intp).reshape(G, r)
+    j2 = np.array(cols2, dtype=np.intp).reshape(G, r)
+    U = np.zeros((G, r, uhat_len))
+    with np.errstate(over="ignore", invalid="ignore"):
+        U[g, i, j1] = coeff * w[g, j1]
+        gi, ii = np.nonzero(j2 >= 0)
+        U[gi, ii, j2[gi, ii]] = -coeff[gi, ii] * w[gi, j2[gi, ii]]
+    finite = np.isfinite(U)
+    if not finite.all():
+        raise InputDataError(
+            f"Upsilon of class {_first_bad(classes, finite)} is beyond float "
+            "range (Hessian data)")
 
-    members = alpha.member_order
-    T = np.zeros((len(uhat), len(members)))
-    blk = alpha.uhat_blocks[-1] if alpha.type2 else ()  # type II, then mhat
-    for j, mid in enumerate(members):
-        if mid not in blk:
-            T[upos[mid], j] = 1.0
-    if not alpha.type2:
+    # member columns outside the type II block map to themselves
+    k = q - len(first.member_blocks[-1]) if first.type2 else q
+    T = np.zeros((G, uhat_len, q))
+    T[:, np.arange(k), np.arange(k)] = 1.0
+    if not first.type2:
         return ClassMatrices(U, T, None)
-    theta0 = np.array([1.0 / w[mid] for mid in blk])
-    theta0 /= np.linalg.norm(theta0)
-    b = len(blk)
-    v = -theta0.copy()
-    v[0] += 1.0
-    nv2 = v @ v
-    if nv2 < 1e-26:
-        comp = np.eye(b)[:, 1:]
-    else:
-        comp = (np.eye(b) - np.outer(2.0 * v / nv2, v))[:, 1:]
-    rows = [upos[mid] for mid in blk]
-    cols = [members.index(mid) for mid in alpha.member_blocks[-1]]
-    T[np.ix_(rows, cols)] = comp
+    theta0 = 1.0 / w[:, k:]
+    # (1, b) @ (b, 1) per class is the vector dot product np.linalg.norm
+    # takes, so each theta0 is normalized as on its own
+    theta0 /= np.sqrt(theta0[:, None, :] @ theta0[:, :, None])[:, 0]
+    b = uhat_len - k
+    v = -theta0
+    v[:, 0] += 1.0
+    nv2 = (v[:, None, :] @ v[:, :, None])[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        H = np.eye(b) - (2.0 * v / nv2)[:, :, None] * v[:, None, :]
+    H[nv2[:, 0] < 1e-26] = np.eye(b)
+    T[:, k:, k:] = H[:, :, 1:]
     return ClassMatrices(U, T, theta0)
 
 
 class GradedCore(NamedTuple):
-    """Symmetric positive definite core with its barrier block structure.
+    """Symmetric positive definite cores of a shape group with their barrier
+    block structure.
 
-    ``blocks`` lists (size, barrier) pairs with barriers strictly increasing;
-    the matrix rows/columns follow the same order.
+    ``core`` stacks the group's cores, (G, q, q). ``blocks`` lists
+    (size, barriers) pairs, one per level, smallest barrier first; the sizes
+    are shared by the group, and ``barriers`` holds each class's barrier of
+    that level, strictly increasing over the blocks for every class. The
+    matrix rows/columns follow the block order.
     """
     core: np.ndarray
-    blocks: tuple          # ((r_1, S_1), ..., (r_p, S_p)), S ascending
+    blocks: tuple          # ((r_1, S_1), ..., (r_p, S_p)), S_k one per class
 
     @property
     def p(self):
         return len(self.blocks)
 
 
-def build_graded_core(alpha, matrices):
-    """Core matrix (Upsilon T)'(Upsilon T) over the members of a class,
-    ordered by ascending barrier."""
-    A = matrices.upsilon @ matrices.T
-    core = A.T @ A
-    core = 0.5 * (core + core.T)
-    blocks = tuple(
-        (len(b), S) for b, S in zip(alpha.member_blocks, alpha.block_S))
+def build_graded_core(classes, matrices):
+    """Cores (Upsilon T)'(Upsilon T) of a shape group over the members of
+    each class, ordered by ascending barrier."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = matrices.upsilon @ matrices.T
+        core = np.swapaxes(A, 1, 2) @ A
+        core = 0.5 * (core + np.swapaxes(core, 1, 2))
+    finite = np.isfinite(core)
+    if not finite.all():
+        raise InputDataError(
+            f"core of class {_first_bad(classes, finite)} is beyond float "
+            "range (Hessian data)")
     try:
         np.linalg.cholesky(core)
     except np.linalg.LinAlgError:
-        raise InvariantViolation(
-            f"core of class {alpha.members} is not positive definite "
-            "(degenerate or badly conditioned Hessian data)") from None
-    return GradedCore(core, blocks)
+        # the stacked call names no matrix; find the first that fails
+        for alpha, c in zip(classes, core):
+            try:
+                np.linalg.cholesky(c)
+            except np.linalg.LinAlgError:
+                raise InvariantViolation(
+                    f"core of class {alpha.members} is not positive definite "
+                    "(degenerate or badly conditioned Hessian data)") from None
+        raise
+    return GradedCore(core, tuple(
+        (len(b), tuple(alpha.block_S[k] for alpha in classes))
+        for k, b in enumerate(classes[0].member_blocks)))

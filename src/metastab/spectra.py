@@ -6,6 +6,11 @@ J(R^(k-1)(core)), where J extracts the leading block and R forms the Schur
 complement onto the remaining blocks. The global minimum's class contributes
 the exact eigenvalue 0. An eigenvalue zeta^2 at barrier S predicts
 lambda(h) = h * zeta^2 * exp(-2S/h).
+
+``full_spectrum`` takes the classes one shape group at a time (see
+``prefactors``): each level of a group is one stacked ``eigh`` with one
+residual check, and only groups with several barrier levels run the Schur
+complement, one class at a time.
 """
 
 import math
@@ -14,49 +19,57 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputDataError, InvariantViolation
-from .prefactors import GradedCore, build_class_matrices, build_graded_core
+from .prefactors import (ClassMatrices, GradedCore, build_class_matrices,
+                         build_graded_core)
 
 _EIG_RESIDUAL = 1e-12
 
 
 def sym_eig(M):
-    """Eigenvalues of a symmetric matrix, ascending, with a residual check.
+    """Eigenvalues of a symmetric matrix, ascending, with a residual check;
+    a stack of matrices (..., n, n) gives a stack of eigenvalues (..., n).
 
     Contract: relative residual ||Mv - lv|| <= 1e-12 ||M|| for every pair,
     on the dense class matrices this package produces; tested up to
     dimension 199, the ring class of ``example ex-c --n 200``.
     """
     M = np.asarray(M, dtype=float)
-    Ms = 0.5 * (M + M.T)
+    Ms = 0.5 * (M + np.swapaxes(M, -1, -2))
     w, V = np.linalg.eigh(Ms)
-    scale = max(abs(w[0]), abs(w[-1])) if w.size else 0.0
-    if scale > 0:
-        resid = np.linalg.norm(Ms @ V - V * w, axis=0)
-        if np.any(resid > _EIG_RESIDUAL * scale):
-            raise InvariantViolation("eigendecomposition residual too large")
+    # ||M|| is the largest |eigenvalue|; the residual is measured in that
+    # unit so that no square overflows, and a zero matrix is not checked
+    scale = np.maximum(abs(w[..., :1]), abs(w[..., -1:]))[..., None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        resid = np.linalg.norm((Ms @ V - V * w[..., None, :]) / scale,
+                               axis=-2)
+    if np.any(resid > _EIG_RESIDUAL):
+        raise InvariantViolation("eigendecomposition residual too large")
     return w
 
 
 def schur_J(g: GradedCore):
-    """Leading block of the core (the whole core when p = 1)."""
+    """Leading blocks of the cores (the whole cores when p = 1)."""
     r1 = g.blocks[0][0]
-    return g.core[:r1, :r1].copy()
+    return g.core[:, :r1, :r1].copy()
 
 
 def schur_R(g: GradedCore):
-    """Schur complement onto the remaining blocks, dropping the leading one."""
+    """Schur complements onto the remaining blocks, dropping the leading
+    one, class by class."""
     if g.p < 2:
         raise InputDataError("core has a single level; no Schur complement")
     # SciPy loads only for classes with several barrier levels; NumPy's
     # cholesky plus solve rounds differently and would change the report
     from scipy.linalg import cho_factor, cho_solve
     r1 = g.blocks[0][0]
-    J = g.core[:r1, :r1]
-    B = g.core[r1:, :r1]
-    N = g.core[r1:, r1:]
-    R = N - B @ cho_solve(cho_factor(J), B.T)
-    R = 0.5 * (R + R.T)
-    return GradedCore(R, g.blocks[1:])
+    n = g.core.shape[-1] - r1
+    R = np.empty((len(g.core), n, n))
+    for i, core in enumerate(g.core):
+        J = core[:r1, :r1]
+        B = core[r1:, :r1]
+        N = core[r1:, r1:]
+        R[i] = N - B @ cho_solve(cho_factor(J), B.T)
+    return GradedCore(0.5 * (R + np.swapaxes(R, 1, 2)), g.blocks[1:])
 
 
 class LevelSpectrum(NamedTuple):
@@ -65,24 +78,28 @@ class LevelSpectrum(NamedTuple):
 
 
 def class_spectrum(g: GradedCore):
-    """One LevelSpectrum per barrier level, smallest barrier first."""
-    out = []
+    """For each class of the group, one LevelSpectrum per barrier level,
+    smallest barrier first."""
+    levels = []
     p = g.p
     for k in range(p):
         S = g.blocks[0][1]
         w = sym_eig(schur_J(g))
-        if w[0] <= 0:
+        if np.any(w[:, 0] <= 0):
             raise InvariantViolation(
                 "nonpositive leading eigenvalue in the Schur recursion")
         # the report prints pi * zeta2 next to zeta2, and a null there
         # would read as a result: Hessian data that overflows it is bad input
-        if not math.isfinite(math.pi * float(w[-1])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            big = ~np.isfinite(math.pi * w[:, -1])
+        if big.any():
             raise InputDataError(
-                f"pi * zeta2 at S = {S} is beyond float range")
-        out.append(LevelSpectrum(S, w))
+                f"pi * zeta2 at S = {S[int(np.argmax(big))]} is beyond float "
+                "range")
+        levels.append([LevelSpectrum(*lv) for lv in zip(S, w)])
         if k + 1 < p:
             g = schur_R(g)
-    return out
+    return list(zip(*levels))
 
 
 class SpectrumEntry(NamedTuple):
@@ -145,11 +162,22 @@ class SpectrumReport:
 
 
 def full_spectrum(cs, cd):
-    """Class-by-class matrices and spectra plus the exact zero of the ground
-    class: each class's Upsilon, T and core are built here, once."""
-    classes = [ClassSpectrum(cd.ground, None, ())]
-    for c in cd.classes[1:]:
-        m = build_class_matrices(cs, cd, c)
-        levels = class_spectrum(build_graded_core(c, m))
-        classes.append(ClassSpectrum(c, m, tuple(levels)))
+    """Matrices and spectra of every class plus the exact zero of the ground
+    class. The non-ground classes are taken one shape group at a time, in
+    the order of each group's first class; each class's Upsilon, T and core
+    are built once, and each class keeps views into its group's arrays."""
+    groups = {}
+    for i, c in enumerate(cd.classes[1:], start=1):
+        key = len(c.saddles), c.type2, tuple(map(len, c.member_blocks))
+        groups.setdefault(key, []).append(i)
+    classes = [None] * len(cd.classes)
+    classes[0] = ClassSpectrum(cd.ground, None, ())
+    for at in groups.values():
+        group = [cd.classes[i] for i in at]
+        m = build_class_matrices(cs, cd, group)
+        levels = class_spectrum(build_graded_core(group, m))
+        theta0 = [None] * len(at) if m.theta0 is None else m.theta0
+        for i, c, U, T, th, lv in zip(at, group, m.upsilon, m.T, theta0,
+                                      levels):
+            classes[i] = ClassSpectrum(c, ClassMatrices(U, T, th), lv)
     return SpectrumReport(cs, cd, classes)

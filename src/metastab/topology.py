@@ -264,6 +264,12 @@ def _node_classes(tree, node, reps):
             member_blocks[-1] + (hat,) if type2 else member_blocks[-1]]
         block_S = [sigma - reps[c] for c in clusters]
         if any(b2 <= b1 for b1, b2 in zip(block_S, block_S[1:])):
+            # distinct levels so close below a high saddle that sigma - level
+            # rounds to one float leave the blocks no order to go by
+            if len({reps[c] for c in clusters}) == len(clusters):
+                raise InputDataError(
+                    f"barriers of class {tuple(sorted(m for _, m in deepest))} "
+                    f"below saddle value {sigma} coincide in double precision")
             raise InvariantViolation(
                 "barriers not strictly increasing over blocks")
         yield EquivClass(sorted(m for _, m in deepest), sigma, k, hat, first,

@@ -12,8 +12,8 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from metastab.landscape import CriticalStructure, Minimum, Saddle
-from metastab.prefactors import (GradedCore, build_class_matrices,
-                                 build_graded_core)
+from metastab.prefactors import (ClassMatrices, GradedCore,
+                                 build_class_matrices, build_graded_core)
 
 BASE_SEED = int(os.environ.get("METASTAB_SEED", "70917"))
 
@@ -59,7 +59,8 @@ def cluster_eigenvalues(w, rtol=_CLUSTER_RTOL):
 
 def random_spd_core(rng, max_dim=12):
     """SPD graded core with 2..4 blocks of size 1..3 and eigenvalues in
-    [1/2, 2], so consecutive scale blocks never overlap at the tested tau."""
+    [1/2, 2], so consecutive scale blocks never overlap at the tested tau;
+    a group of one class."""
     p = int(rng.integers(2, 5))
     sizes = [int(rng.integers(1, 4)) for _ in range(p)]
     assert sum(sizes) <= max_dim
@@ -68,14 +69,22 @@ def random_spd_core(rng, max_dim=12):
     d = rng.uniform(0.5, 2.0, size=dim)
     core = (q * d) @ q.T
     core = 0.5 * (core + core.T)
-    blocks = tuple((r, float(j + 1)) for j, r in enumerate(sizes))
-    return GradedCore(core, blocks)
+    blocks = tuple((r, (float(j + 1),)) for j, r in enumerate(sizes))
+    return GradedCore(core[None], blocks)
+
+
+def class_matrices(cs, cd, alpha):
+    """Upsilon, T and theta0 of one class, built as a group of one and
+    taken out of the stack."""
+    m = build_class_matrices(cs, cd, [alpha])
+    return ClassMatrices(m.upsilon[0], m.T[0],
+                         None if m.theta0 is None else m.theta0[0])
 
 
 def graded_core(cs, cd, alpha):
-    """The graded core of a class, built from its matrices as
-    ``spectra.full_spectrum`` builds it."""
-    return build_graded_core(alpha, build_class_matrices(cs, cd, alpha))
+    """The graded core of a class as a group of one, built from its matrices
+    as ``spectra.full_spectrum`` builds it."""
+    return build_graded_core([alpha], build_class_matrices(cs, cd, [alpha]))
 
 
 def random_spd(rng, dim):

@@ -11,12 +11,13 @@ import time
 import numpy as np
 import scipy.linalg
 
-from conftest import (alternating_family, cluster_eigenvalues, make_rng,
-                      random_spd, random_spd_core, random_tree_structure,
-                      type1_gadget, type2_gadget)
+from conftest import (alternating_family, class_matrices,
+                      cluster_eigenvalues, graded_core, make_rng, random_spd,
+                      random_spd_core, random_tree_structure, type1_gadget,
+                      type2_gadget)
 from metastab.examples import build_example
 from metastab.landscape import extract_critical_structure, make_sampled
-from metastab.prefactors import build_class_matrices, build_graded_core, h_phi
+from metastab.prefactors import h_phi
 from metastab.spectra import class_spectrum, full_spectrum, schur_R
 from metastab.topology import decompose
 from metastab.validator import compare
@@ -60,16 +61,16 @@ def test_criterion_2_two_level_schur_recursion():
         cs = build_example("ex-b", theta=theta).structure
         cd = decompose(cs)
         alpha = next(c for c in cd.classes if not c.ground)
-        core = build_graded_core(alpha, build_class_matrices(cs, cd, alpha))
+        core = graded_core(cs, cd, alpha)
         nu = 1.0 / (1.0 + theta * theta)
 
         R = schur_R(core)
         want = np.array([[1.0, -1.0], [-1.0, 2.0 - nu]]) / math.pi
-        assert np.max(np.abs(R.core - want)) <= 1e-12
+        assert np.max(np.abs(R.core[0] - want)) <= 1e-12
 
         disc = math.sqrt((3 - nu) ** 2 - 4 * (1 - nu))
         lam_pm = [(3 - nu - disc) / 2, (3 - nu + disc) / 2]
-        lv1, lv2 = class_spectrum(core)
+        (lv1, lv2), = class_spectrum(core)
         assert abs(math.pi * lv1.zeta2[0] - (1 + theta * theta)) <= 1e-12
         got = np.sort(np.pi * np.asarray(lv2.zeta2))
         assert np.max(np.abs(got - lam_pm)) <= 1e-12
@@ -107,13 +108,14 @@ def test_criterion_4_graded_perturbation_law():
     ratios = []
     for i in range(200):
         g = random_spd_core(make_rng(f"accept4:{i}"))
-        levels = class_spectrum(g)
+        levels, = class_spectrum(g)
         sizes = [r for r, _ in g.blocks]
         errs = []
         for tau in taus:
             omega = np.concatenate([np.full(r, tau ** j)
                                     for j, r in enumerate(sizes)])
-            dense = np.sort(np.linalg.eigvalsh(g.core * np.outer(omega, omega)))
+            dense = np.sort(np.linalg.eigvalsh(
+                g.core[0] * np.outer(omega, omega)))
             pred = np.sort(np.concatenate(
                 [tau ** (2 * j) * np.asarray(lv.zeta2)
                  for j, lv in enumerate(levels)]))
@@ -133,7 +135,7 @@ def test_criterion_5_kernel_and_rank():
         cs = type2_gadget(make_rng(f"accept5:{i}"))
         cd = decompose(cs)
         alpha = next(c for c in cd.classes if not c.ground)
-        m = build_class_matrices(cs, cd, alpha)
+        m = class_matrices(cs, cd, alpha)
         inv_w = np.array([1.0 / h_phi(cs, cd, x, alpha) for x in alpha.uhat])
         resid = np.max(np.abs(m.upsilon @ inv_w))
         assert resid <= 1e-12 * np.max(np.abs(m.upsilon))
@@ -144,7 +146,7 @@ def test_criterion_5_kernel_and_rank():
         for alpha in cd.classes:
             if alpha.ground:
                 continue
-            m = build_class_matrices(cs, cd, alpha)
+            m = class_matrices(cs, cd, alpha)
             assert np.linalg.matrix_rank(m.upsilon) == alpha.q
     _done(5, t0, 5.0, "100 type-II kernels/ranks, 100 type-I ranks")
 
@@ -279,7 +281,7 @@ def test_criterion_9_singular_value_toolbox():
         cs = type2_gadget(make_rng(f"accept9:proj:{i}"))
         cd = decompose(cs)
         alpha = next(c for c in cd.classes if not c.ground)
-        m = build_class_matrices(cs, cd, alpha)
+        m = class_matrices(cs, cd, alpha)
         kernel = np.array([[1.0 / h_phi(cs, cd, x, alpha)
                             for x in alpha.uhat]])
         iso = scipy.linalg.null_space(kernel)
@@ -292,7 +294,7 @@ def test_criterion_9_singular_value_toolbox():
         cd = decompose(cs)
         alpha = next(c for c in cd.classes if not c.ground)
         assert alpha.p == 1
-        m = build_class_matrices(cs, cd, alpha)
+        m = class_matrices(cs, cd, alpha)
         full = padded_sv(m.upsilon, alpha.q + 1)
         reduced = np.sort(np.concatenate(
             [[0.0], padded_sv(m.upsilon @ m.T, alpha.q)]))

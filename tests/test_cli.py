@@ -372,6 +372,41 @@ def test_analyze_rejects_pi_zeta2_beyond_float_range(runner, tmp_path, args):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_analyze_rejects_core_beyond_float_range(runner, tmp_path):
+    # Upsilon of m2 is about 8e230, so its 1x1 core overflows: that is bad
+    # input, found before any LAPACK call and without a NumPy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = _analyze_doc(
+            runner, tmp_path,
+            [("m0", 0.0, 1.7e308), ("m1", 0.5, 1.0), ("m2", 0.2, 1.7e308)],
+            [("s0", 2.0, ("m0", "m1"), 1.7e308),
+             ("s1", 1.5, ("m1", "m2"), 1.0)])
+    assert res.exit_code == 2, res.output
+    assert json.loads(res.stdout) == {
+        "schema": "metastab/2",
+        "error": {"type": "InputDataError",
+                  "message": "core of class ('m2',) is beyond float range "
+                             "(Hessian data)"}}
+    assert res.stderr == ""
+    assert not caught
+
+
+def test_analyze_rejects_barriers_equal_in_double_precision(runner, tmp_path):
+    # m1 and m2 are distinct levels, but 1e8 - 0 and 1e8 - 5e-9 are one float
+    res = _analyze_doc(
+        runner, tmp_path,
+        [("m0", -1.0, 1.0), ("m1", 0.0, 1.0), ("m2", 5e-9, 1.0)],
+        [("s0", 1e8, ("m1", "m2"), 1.0), ("s1", 1e8, ("m0", "m1"), 1.0)])
+    assert res.exit_code == 2, res.output
+    assert json.loads(res.stdout) == {
+        "schema": "metastab/2",
+        "error": {"type": "InputDataError",
+                  "message": "barriers of class ('m1', 'm2') below saddle "
+                             "value 100000000.0 coincide in double "
+                             "precision"}}
+
+
 def test_analyze_file_name_starting_with_brace(runner, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name in ("{run}.json", "{run}"):

@@ -9,12 +9,14 @@ too deeply to decode, exits 2.
 The documents are short chains drawn with NaN, infinite, huge and tiny
 values, parallel saddles, levels chained by the level tolerance, and
 optionally one field replaced by a value of the wrong type or shape; the h
-values reach down to subnormal numbers.
+values reach down to subnormal numbers. A NumPy RuntimeWarning, such as an
+overflow on the way to a result or to an error, fails the test.
 """
 
 import json
 import math
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +98,7 @@ def wrong_shapes(draw, doc):
         f'"{DEEP}"', "[" * depth + "]" * depth)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400)
 @given(st.data(), H)
 def test_analyze_keeps_the_exit_contract(data, h):
@@ -114,6 +117,9 @@ def test_analyze_keeps_the_exit_contract(data, h):
     if res.exit_code:
         assert set(out) == {"schema", "error"}
         assert set(out["error"]) == {"type", "message"}
+        # the warning filter turns a NumPy overflow into an exception, which
+        # the CLI would report as exit 3
+        assert out["error"]["type"] != "RuntimeWarning", out
     else:
         for step in out["evaluated"]:
             for e in step["eigenvalues"]:

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import graded_core, make_rng, type1_gadget, type2_gadget
+from conftest import (class_matrices, graded_core, make_rng, type1_gadget,
+                      type2_gadget)
 from metastab.errors import InputDataError
 from metastab.examples import double_well, ex_a, ex_b
 from metastab.landscape import (CriticalStructure, Minimum, Saddle,
                                 extract_critical_structure)
 from metastab.prefactors import (build_class_matrices, build_graded_core,
                                  h_phi)
+from metastab.spectra import class_spectrum
 from metastab.topology import decompose
 
 SQPI = math.sqrt(math.pi)
@@ -69,7 +71,7 @@ def test_upsilon_three_wells():
     cs = ex_a().structure
     cd = decompose(cs)
     c = cd.classes[1]
-    U = build_class_matrices(cs, cd, c).upsilon
+    U = class_matrices(cs, cd, c).upsilon
     assert [r.sid for r in c.saddles] == ["s1", "s2"]
     want = np.array([[1.0, -1.0], [0.0, 1.0]]) / SQPI
     assert np.allclose(U, want, atol=1e-15)
@@ -81,7 +83,7 @@ def test_upsilon_chain():
     cd = decompose(b.structure)
     c = cd.classes[1]
     assert c.uhat == ("m23", "m21", "m22")
-    U = build_class_matrices(b.structure, cd, c).upsilon
+    U = class_matrices(b.structure, cd, c).upsilon
     assert [r.sid for r in c.saddles] == ["s1", "s2", "s3"]
     want = np.array([[0.0, 1.0, -1.0],
                      [1.0, 0.0, -1.0],
@@ -94,7 +96,7 @@ def test_upsilon_sampled_double_well():
     cd = decompose(cs)
     c = cd.classes[1]
     assert c.type2 and c.uhat == (c.members[0], c.mhat)
-    U = build_class_matrices(cs, cd, c).upsilon
+    U = class_matrices(cs, cd, c).upsilon
     want = 2 ** 1.25 / SQPI
     assert np.allclose(U, [[want, -want]], rtol=1e-6)
 
@@ -109,7 +111,7 @@ def test_upsilon_kernel_is_inverse_weight_vector():
         for c in cd.classes[1:]:
             if not c.type2:
                 continue
-            cm = build_class_matrices(cs, cd, c)
+            cm = class_matrices(cs, cd, c)
             xi = np.array([1.0 / h_phi(cs, cd, x, c) for x in c.uhat])
             assert np.max(np.abs(cm.upsilon @ xi)) <= 1e-12 * np.max(
                 np.abs(cm.upsilon))
@@ -121,7 +123,7 @@ def test_upsilon_kernel_is_inverse_weight_vector():
 def test_T_identity_for_type_one():
     cs = ex_a().structure
     cd = decompose(cs)
-    cm = build_class_matrices(cs, cd, cd.classes[1])
+    cm = class_matrices(cs, cd, cd.classes[1])
     assert np.array_equal(cm.T, np.eye(2))
     assert cm.theta0 is None
 
@@ -133,7 +135,7 @@ def test_T_completes_kernel_direction():
         cd = decompose(cs)
         c = cd.classes[1]
         assert c.type2
-        cm = build_class_matrices(cs, cd, c)
+        cm = class_matrices(cs, cd, c)
         blk = c.uhat_blocks[-1]
         # orthonormal columns
         assert np.allclose(cm.T.T @ cm.T, np.eye(c.q), atol=1e-13)
@@ -155,7 +157,7 @@ def test_T_type_one_rows_of_gadgets():
         for c in cd.classes[1:]:
             if c.type2:
                 continue
-            cm = build_class_matrices(cs, cd, c)
+            cm = class_matrices(cs, cd, c)
             assert np.array_equal(cm.T, np.eye(c.q))
 
 
@@ -167,8 +169,8 @@ def test_core_three_wells():
     cd = decompose(cs)
     g = graded_core(cs, cd, cd.classes[1])
     want = np.array([[1.0, -1.0], [-1.0, 2.0]]) / math.pi
-    assert np.allclose(g.core, want, atol=1e-15)
-    assert g.blocks == ((2, 1.5),)
+    assert np.allclose(g.core[0], want, atol=1e-15)
+    assert g.blocks == ((2, (1.5,)),)
     assert g.p == 1
 
 
@@ -180,8 +182,8 @@ def test_core_chain_two_blocks():
     want = np.array([[1.0 + theta ** 2, 0.0, -1.0],
                      [0.0, 1.0, -1.0],
                      [-1.0, -1.0, 2.0]]) / math.pi
-    assert np.allclose(g.core, want, atol=1e-14)
-    assert g.blocks == ((1, 1.0), (2, 1.5))
+    assert np.allclose(g.core[0], want, atol=1e-14)
+    assert g.blocks == ((1, (1.0,)), (2, (1.5,)))
 
 
 def test_core_positive_definite_on_gadgets():
@@ -191,33 +193,32 @@ def test_core_positive_definite_on_gadgets():
         cd = decompose(cs)
         for c in cd.classes[1:]:
             g = graded_core(cs, cd, c)
-            w = np.linalg.eigvalsh(g.core)
+            w = np.linalg.eigvalsh(g.core[0])
             assert w[0] > 0
             assert sum(r for r, _ in g.blocks) == c.q
             assert g.blocks == tuple(
-                (len(b), S) for b, S in zip(c.member_blocks, c.block_S))
+                (len(b), (S,)) for b, S in zip(c.member_blocks, c.block_S))
 
 
 def test_core_invariant_under_completion_choice():
     # replacing the Householder completion by any other orthonormal
     # completion conjugates the core blockwise and leaves each level's
     # spectrum alone
-    from metastab.spectra import class_spectrum
-
     for trial in range(10):
         rng = make_rng(f"completion-{trial}")
         cs = type2_gadget(rng)
         cd = decompose(cs)
         c = cd.classes[1]
-        cm = build_class_matrices(cs, cd, c)
+        cm = build_class_matrices(cs, cd, [c])
         nblk = len(c.member_blocks[-1])
         q_rot = np.linalg.qr(rng.standard_normal((nblk, nblk)))[0]
         W = np.eye(c.q)
         W[c.q - nblk:, c.q - nblk:] = q_rot
         cm2 = cm._replace(T=cm.T @ W)
-        g1 = build_graded_core(c, cm)
-        g2 = build_graded_core(c, cm2)
-        for lv1, lv2 in zip(class_spectrum(g1), class_spectrum(g2)):
+        g1 = build_graded_core([c], cm)
+        g2 = build_graded_core([c], cm2)
+        (levels1,), (levels2,) = class_spectrum(g1), class_spectrum(g2)
+        for lv1, lv2 in zip(levels1, levels2):
             assert np.allclose(np.sort(lv1.zeta2), np.sort(lv2.zeta2),
                                rtol=1e-11, atol=1e-13)
 
@@ -233,6 +234,6 @@ def test_upsilon_scaling_law(c):
          for s in base.saddles])
     cd0 = decompose(base)
     cd1 = decompose(scaled)
-    U0 = build_class_matrices(base, cd0, cd0.classes[1]).upsilon
-    U1 = build_class_matrices(scaled, cd1, cd1.classes[1]).upsilon
+    U0 = class_matrices(base, cd0, cd0.classes[1]).upsilon
+    U1 = class_matrices(scaled, cd1, cd1.classes[1]).upsilon
     assert np.allclose(U1, c * U0, rtol=1e-12)

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (cluster_eigenvalues, graded_core, make_rng,
-                      random_spd_core)
+from conftest import (class_matrices, cluster_eigenvalues, graded_core,
+                      make_rng, random_spd_core)
 from metastab.errors import InputDataError, InvariantViolation
 from metastab.examples import ex_a, ex_b, ex_c, nine_wells
 from metastab.landscape import CriticalStructure, Minimum, Saddle
-from metastab.prefactors import GradedCore, build_class_matrices
+from metastab.prefactors import GradedCore
 from metastab.spectra import (class_spectrum, full_spectrum, schur_J, schur_R,
                               sym_eig)
 from metastab.topology import decompose
@@ -27,7 +27,7 @@ def _chain_core(theta):
 
 def test_schur_J_chain():
     _, _, g = _chain_core(2.0)
-    assert np.allclose(schur_J(g), [[5.0 / PI]], atol=1e-14)
+    assert np.allclose(schur_J(g)[0], [[5.0 / PI]], atol=1e-14)
 
 
 def test_schur_R_chain():
@@ -36,8 +36,8 @@ def test_schur_R_chain():
     _, _, g = _chain_core(theta)
     R = schur_R(g)
     want = np.array([[1.0, -1.0], [-1.0, 2.0 - nu]]) / PI
-    assert np.allclose(R.core, want, atol=1e-13)
-    assert R.blocks == ((2, 1.5),)
+    assert np.allclose(R.core[0], want, atol=1e-13)
+    assert R.blocks == ((2, (1.5,)),)
 
 
 def test_schur_R_single_level_error():
@@ -55,14 +55,15 @@ def test_schur_R_matches_direct_formula():
         if g.p < 2:
             continue
         r1 = g.blocks[0][0]
-        J = g.core[:r1, :r1]
-        B = g.core[r1:, :r1]
-        N = g.core[r1:, r1:]
+        core = g.core[0]
+        J = core[:r1, :r1]
+        B = core[r1:, :r1]
+        N = core[r1:, r1:]
         want = N - B @ np.linalg.inv(J) @ B.T
         R = schur_R(g)
-        assert np.allclose(R.core, want, atol=1e-12)
+        assert np.allclose(R.core[0], want, atol=1e-12)
         # Schur complements of SPD matrices stay SPD
-        assert np.linalg.eigvalsh(R.core)[0] > 0
+        assert np.linalg.eigvalsh(R.core[0])[0] > 0
         assert R.blocks == g.blocks[1:]
 
 
@@ -70,15 +71,15 @@ def test_class_spectrum_level_count_and_order():
     for trial in range(10):
         rng = make_rng(f"levels-{trial}")
         g = random_spd_core(rng)
-        levels = class_spectrum(g)
+        levels, = class_spectrum(g)
         assert len(levels) == g.p
-        assert [lv.S for lv in levels] == [S for _, S in g.blocks]
+        assert [lv.S for lv in levels] == [S for _, (S,) in g.blocks]
         assert all(lv.zeta2[0] > 0 for lv in levels)
-        assert sum(lv.zeta2.size for lv in levels) == g.core.shape[0]
+        assert sum(lv.zeta2.size for lv in levels) == g.core.shape[-1]
 
 
 def test_class_spectrum_rejects_nonpositive_leading_block():
-    bad = GradedCore(np.array([[-1.0]]), ((1, 1.0),))
+    bad = GradedCore(np.array([[[-1.0]]]), ((1, (1.0,)),))
     with pytest.raises(InvariantViolation, match="nonpositive leading"):
         class_spectrum(bad)
 
@@ -106,7 +107,7 @@ def test_spectrum_chain_closed_form(theta):
     _, _, g = _chain_core(theta)
     nu = 1.0 / (1.0 + theta ** 2)
     disc = math.sqrt((3.0 - nu) ** 2 - 4.0 * (1.0 - nu))
-    lv1, lv2 = class_spectrum(g)
+    (lv1, lv2), = class_spectrum(g)
     assert (lv1.S, lv2.S) == (1.0, 1.5)
     assert np.allclose(PI * lv1.zeta2, [1.0 + theta ** 2], atol=1e-13)
     assert np.allclose(PI * lv2.zeta2,
@@ -139,7 +140,7 @@ def graph_laplacian(cs, cd, alpha):
     if not (getattr(alpha, "type2", False) and alpha.p == 1):
         raise InputDataError(
             "graph Laplacian requires a type II class with one barrier level")
-    cm = build_class_matrices(cs, cd, alpha)
+    cm = class_matrices(cs, cd, alpha)
     L = cm.upsilon.T @ cm.upsilon
     return 0.5 * (L + L.T)
 
@@ -203,7 +204,7 @@ def test_sym_eig_residual_at_ring_size():
     n = 200
     b = ex_c(n)
     cd = decompose(b.structure)
-    M = schur_J(graded_core(b.structure, cd, cd.classes[1]))
+    M = schur_J(graded_core(b.structure, cd, cd.classes[1]))[0]
     assert M.shape == (n - 1, n - 1)
     w = sym_eig(M)
     Ms = 0.5 * (M + M.T)
