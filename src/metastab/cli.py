@@ -54,73 +54,126 @@ def _scalar(x):
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-def _layout(parts, pad):
-    """A list is inline iff every part is under 24 characters, none spans
-    lines, and the parts total under 72 characters."""
-    if sum(map(len, parts)) < 72 and all(
-            len(p) < 24 and "\n" not in p for p in parts):
-        return f"[{', '.join(parts)}]"
-    inner = pad + "  "
-    body = (",\n" + inner).join(parts)
-    return f"[\n{inner}{body}\n{pad}]"
+def dumps(obj, indent=0):
+    """Deterministic JSON: insertion-ordered keys, 17 significant digits,
+    -0 kept, non-finite floats rendered as null.
 
+    Dispatch is on the exact type: float, str, dict, list, tuple and int
+    take the fast path, and a container loop writes its str and float items
+    and values in place. Anything else (bool, None, NumPy scalars and
+    arrays, subclasses such as named tuples) goes through ``generic``, the
+    isinstance chain, and is written as the recursive encoder of
+    ``tests/encoder_oracle.py`` writes it. One call shares, across the
+    document, the text of each string, the line start of each str key at
+    each indent, and the text of each tuple at each indent (a class's
+    member tuple recurs once per eigenvalue of the class). Each container's
+    text is made by a single join, so the text of a large item is copied
+    about once per enclosing container, where a chain of ``+`` would copy
+    it once per operator."""
+    strings = {}
+    keys = {}      # indent -> {str key -> its line start up to the value}
+    # (id, indent) -> text; the document keeps every tuple alive, so no id
+    # is reused
+    tuples = {}
 
-class _Encoder:
-    """One encoding call; escaped strings are shared across the document,
-    and so is the text of each tuple at each indent (a class's member tuple
-    recurs once per eigenvalue of the class)."""
-
-    def __init__(self):
-        self.strings = {}
-        self.tuples = {}
-
-    def string(self, s):
-        out = self.strings.get(s)
-        if out is None:
-            out = self.strings[s] = '"' + _ESCAPE.sub(_escape, s) + '"'
+    def string(s):
+        out = strings[s] = f'"{_ESCAPE.sub(_escape, s)}"'
         return out
 
-    def encode(self, obj, indent):
-        if type(obj) is float:
-            return _float(obj)
+    # v - v == 0.0 is the test of _float without a call: it holds for every
+    # finite float and for neither infinity nor NaN
+
+    def encode(obj, indent):
+        t = type(obj)
+        if t is float:
+            return f"{obj:.17g}" if obj - obj == 0.0 else "null"
+        if t is str:
+            return strings.get(obj) or string(obj)
+        if t is dict:
+            return mapping(obj, indent)
+        if t is list:
+            return sequence(obj, indent)
+        if t is tuple:
+            key = (id(obj), indent)
+            out = tuples.get(key)
+            if out is None:
+                out = tuples[key] = sequence(obj, indent)
+            return out
+        if t is int:
+            return f"{obj}"
+        return generic(obj, indent)
+
+    def generic(obj, indent):
         if isinstance(obj, str):
-            return self.string(obj)
+            return strings.get(obj) or string(obj)
         if isinstance(obj, np.ndarray):
             obj = obj.tolist()
         if isinstance(obj, dict):
-            if not obj:
-                return "{}"
-            pad = "  " * indent
-            inner = pad + "  "
-            body = ",\n".join(
-                f"{inner}{self.string(str(k))}: {self.encode(v, indent + 1)}"
-                for k, v in obj.items())
-            return f"{{\n{body}\n{pad}}}"
-        if type(obj) is tuple:
-            # the document keeps every tuple alive, so no id is reused
-            key = (id(obj), indent)
-            out = self.tuples.get(key)
-            if out is None:
-                out = self.tuples[key] = self.sequence(obj, indent)
-            return out
+            return mapping(obj, indent)
         if isinstance(obj, (list, tuple)):
-            return self.sequence(obj, indent)
+            return sequence(obj, indent)
         return _scalar(obj)
 
-    def sequence(self, obj, indent):
+    def mapping(obj, indent):
+        if not obj:
+            return "{}"
+        texts = keys.get(indent)
+        if texts is None:
+            texts = keys[indent] = {}
+        sub = indent + 1
+        inner = "  " * sub
+        parts = ["{\n"]
+        append = parts.append
+        for k, v in obj.items():
+            # only exact str keys are cached: True, 1 and 1.0 are one dict
+            # key but three texts
+            if type(k) is str:
+                kt = texts.get(k)
+                if kt is None:
+                    kt = texts[k] = f"{inner}{strings.get(k) or string(k)}: "
+            else:
+                k = str(k)
+                kt = f"{inner}{strings.get(k) or string(k)}: "
+            append(kt)
+            t = type(v)
+            if t is float:
+                append(f"{v:.17g}" if v - v == 0.0 else "null")
+            elif t is str:
+                append(strings.get(v) or string(v))
+            else:
+                append(encode(v, sub))
+            append(",\n")
+        parts[-1] = f"\n{'  ' * indent}}}"
+        return "".join(parts)
+
+    def sequence(obj, indent):
         if not obj:
             return "[]"
-        # id lists dominate the report, so strings skip the dispatch
-        string, encode = self.string, self.encode
-        return _layout([string(v) if type(v) is str
-                        else encode(v, indent + 1) for v in obj],
-                       "  " * indent)
+        sub = indent + 1
+        parts = []
+        append = parts.append
+        for v in obj:
+            t = type(v)
+            if t is str:
+                append(strings.get(v) or string(v))
+            elif t is float:
+                append(f"{v:.17g}" if v - v == 0.0 else "null")
+            elif t is int:
+                append(f"{v}")
+            else:
+                append(encode(v, sub))
+        # a list is inline iff every part is under 24 characters, none
+        # spans lines, and the parts total under 72 characters
+        if sum(map(len, parts)) < 72 and max(map(len, parts)) < 24:
+            line = ", ".join(parts)
+            if "\n" not in line:
+                return f"[{line}]"
+        inner = "  " * sub
+        parts[0] = f"[\n{inner}{parts[0]}"
+        parts[-1] = f"{parts[-1]}\n{'  ' * indent}]"
+        return f",\n{inner}".join(parts)
 
-
-def dumps(obj, indent=0):
-    """Deterministic JSON: insertion-ordered keys, 17 significant digits,
-    -0 kept, non-finite floats rendered as null."""
-    return _Encoder().encode(obj, indent)
+    return encode(obj, indent)
 
 
 # ------------------------------------------------------------ report pieces
@@ -268,7 +321,7 @@ def _parse_h(text):
 def _emit(doc, out):
     text = dumps(doc) + "\n"
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         click.echo(text, nl=False)
 
@@ -278,7 +331,7 @@ def _plot_table(path, rows):
     for h, idx, pred, num in rows:
         lines.append(f"{h:.17g},{idx},{pred:.17g}," +
                      (f"{num:.17g}" if num is not None else ""))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _plot_path(out, fallback):

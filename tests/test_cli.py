@@ -3,6 +3,8 @@ determinism, error exit codes, and the plot-table side channel."""
 
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -179,6 +181,31 @@ def test_analyze_out_file_and_plot_table(runner, tmp_path):
         h, idx, pred, num = line.split(",")
         assert (float(h), int(idx), num) == (0.1, i, "")
         assert float(pred) == entries[i]["lambda"]
+
+
+def test_out_file_is_utf8_under_the_c_locale(tmp_path):
+    """Input is read as UTF-8 and report strings are not ASCII-escaped, so
+    the report file is written as UTF-8 whatever the locale: under the C
+    locale, without UTF-8 mode, ``--out`` holds the bytes stdout gets."""
+    text = json.dumps(structure_to_dict(build_example("ex-a").structure))
+    src = tmp_path / "u.json"
+    src.write_text(text.replace('"m23"', '"m\u00e9"'), encoding="utf-8")
+    out = tmp_path / "r.json"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(
+                   [str(Path(cli.__file__).resolve().parents[1])]
+                   + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])))
+    args = [sys.executable, "-m", "metastab.cli", "analyze", str(src),
+            "--h", "0.1", "--emit-plots"]
+    to_file = subprocess.run(args + ["--out", str(out)], env=env,
+                             capture_output=True)
+    assert to_file.returncode == 0, to_file.stdout + to_file.stderr
+    to_stdout = subprocess.run(args, env=env, capture_output=True,
+                               cwd=tmp_path)
+    assert to_stdout.returncode == 0, to_stdout.stdout + to_stdout.stderr
+    assert '"m\u00e9"'.encode() in to_stdout.stdout
+    assert out.read_bytes() == to_stdout.stdout
 
 
 def test_analyze_plot_table_default_name(runner):

@@ -3,6 +3,7 @@ bytes as the recursive per-scalar encoder it replaced (``encoder_oracle``)."""
 
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -50,14 +51,33 @@ scalars = st.one_of(
     st.integers(-2**31, 2**31 - 1).map(np.int32),
     # string parts of 21..25 characters around the part and total limits
     st.text("ab\"", min_size=19, max_size=23),
+    text.map(np.str_),
 )
 
+
+class Pair(NamedTuple):
+    first: object
+    second: object
+
+
+class Record(dict):
+    """A dict subclass: written as a dict, but not by the exact-type path."""
+
+
+# bool, int and float keys that compare equal (True, 1, 1.0) write
+# different texts; np.str_ keys are not of the exact type str
+keys = st.one_of(text, st.integers(), st.booleans(), floats,
+                 text.map(np.str_))
+
 documents = st.recursive(
-    st.one_of(scalars, arrays),
+    st.one_of(scalars, arrays,
+              st.dictionaries(keys, floats.map(np.float64), max_size=4)),
     lambda kids: st.one_of(
         st.lists(kids, max_size=5),
         st.lists(kids, max_size=5).map(tuple),
-        st.dictionaries(st.one_of(text, st.integers()), kids, max_size=5)),
+        st.builds(Pair, kids, kids),
+        st.dictionaries(keys, kids, max_size=5),
+        st.dictionaries(keys, kids, max_size=5).map(Record)),
     max_leaves=30)
 
 
@@ -102,10 +122,15 @@ def test_unserializable_raises_like_oracle(bad):
 
 def test_signed_zero_and_non_finite():
     doc = {"a": np.array([[0.0, -0.0, math.nan]] * 8),
-           "b": [np.float32(-0.0), math.inf, -math.inf, np.float64(math.nan)]}
+           "b": [np.float32(-0.0), math.inf, -math.inf, np.float64(math.nan)],
+           "c": -0.0, "d": math.inf, "e": -math.inf, "f": math.nan}
     out = dumps(doc)
     assert out == oracle(doc)
-    assert out.count("-0") == 9 and "inf" not in out and "nan" not in out
+    assert out.count("-0") == 10 and "inf" not in out and "nan" not in out
+    assert out.count("null") == 8 + 3 + 3
+    for x in (math.inf, -math.inf, math.nan):
+        assert dumps(x) == oracle(x) == "null"
+    assert dumps(-0.0) == oracle(-0.0) == "-0"
 
 
 def test_shared_tuple_at_several_indents():
@@ -118,3 +143,32 @@ def test_shared_tuple_at_several_indents():
            "classes": [{"members": members, "pair": pair}],
            "evaluated": [{"eigenvalues": [{"class": members, "pair": pair}] * 3}]}
     assert dumps(doc) == oracle(doc)
+
+
+def test_equal_keys_of_different_types():
+    """True, 1 and 1.0 are one dict key but three texts, so a cache of key
+    text must not hand the text of one to another at the same indent."""
+    doc = [{True: 0.5}, {1: 0.5}, {1.0: 0.5}, {"1": 0.5}, {np.str_("1"): 0.5}]
+    out = dumps(doc)
+    assert out == oracle(doc)
+    assert [line.split(":")[0].strip() for line in out.splitlines()
+            if ":" in line] == ['"True"', '"1"', '"1.0"', '"1"', '"1"']
+    nested = {"a": {True: 1, "x": [{1: 2}]}, "b": {1.0: 3, "x": [{False: 4}]}}
+    assert dumps(nested, 2) == oracle(nested, 2)
+
+
+def test_values_outside_the_exact_types():
+    """Subclasses and NumPy scalars leave the exact-type path and are written
+    as the oracle writes them, as items, values and keys, and at several
+    indents."""
+    members = Pair("m" * 30, np.str_("n" * 30))
+    doc = Record({
+        np.str_("key"): np.float64(-0.0),
+        "pair": Pair(np.float64(0.1), np.str_("é\n")),
+        "pairs": [members, members, Pair(True, None)],
+        "nested": Record({"members": members, "inf": np.float64(math.inf)}),
+        "items": [np.str_("a"), np.float64(1.0 / 3.0), np.int64(-7), False,
+                  1.5, "b", 2],
+    })
+    for indent in range(3):
+        assert dumps(doc, indent) == oracle(doc, indent)
