@@ -185,11 +185,18 @@ def _structure_block(cs):
 
 
 def _merge_tree_block(tree):
-    """One row per merge-tree node, children before parents, and the row
-    number of each node."""
-    num = {node: i for i, node in enumerate(tree.nodes)}
-    rows = [[n.born, None if n.parent is None else num[n.parent],
-             n.deepest[1]] for n in tree.nodes]
+    """One row per merge-tree node, by birth cluster, leaves first, then
+    smallest minimum, so children come before parents; and the row number
+    of each node."""
+    n = len(tree.ids)
+    nodes = sorted(range(len(tree.born)),
+                   key=lambda v: (tree.born[v], v >= n, tree.low[v]))
+    num = [0] * len(nodes)
+    for i, v in enumerate(nodes):
+        num[v] = i
+    ids, parent, deepest = tree.ids, tree.parent, tree.deepest
+    rows = [[tree.born[v], None if parent[v] < 0 else num[parent[v]],
+             ids[deepest[v]]] for v in nodes]
     return {"columns": ["born", "parent", "deepest"], "nodes": rows}, num
 
 
@@ -211,14 +218,14 @@ def _labelling_block(lab, num):
 def _saddle_rows(alpha, upsilon):
     """Saddle rows with their nonzero Upsilon entries: at m1, then at m2
     unless m2 lies outside the extended set."""
-    col = {mid: i for i, mid in enumerate(alpha.uhat)}
     rows = []
-    for i, r in enumerate(alpha.saddles):
-        coef = [upsilon.item(i, col[r.m1])]
-        if r.m2 in col:
-            coef.append(upsilon.item(i, col[r.m2]))
-        rows.append({"saddle": r.sid, "m1": r.m1, "m2": r.m2,
-                     "kind": "boundary" if r.boundary else "interior",
+    for i, ((sid, m1, m2, boundary), (_, j1, j2)) in enumerate(
+            zip(alpha.saddles, alpha.cells)):
+        coef = [upsilon.item(i, j1)]
+        if j2 >= 0:
+            coef.append(upsilon.item(i, j2))
+        rows.append({"saddle": sid, "m1": m1, "m2": m2,
+                     "kind": "boundary" if boundary else "interior",
                      "upsilon": coef})
     return rows
 
@@ -241,11 +248,12 @@ def _class_block(spectrum):
            "uhat_order": list(alpha.uhat),
            "saddle_rows": _saddle_rows(alpha, spectrum.matrices.upsilon)}
     if alpha.type2:
-        out["theta0"] = spectrum.matrices.theta0
-    out["levels"] = [{"S": lv.S,
-                      "zeta2": list(lv.zeta2),
-                      "pi_zeta2": [math.pi * z for z in lv.zeta2]}
-                     for lv in spectrum.levels]
+        out["theta0"] = spectrum.matrices.theta0.tolist()
+    levels = out["levels"] = []
+    for lv in spectrum.levels:
+        zeta2 = lv.zeta2.tolist()
+        levels.append({"S": lv.S, "zeta2": zeta2,
+                       "pi_zeta2": [math.pi * z for z in zeta2]})
     return out
 
 

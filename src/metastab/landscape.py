@@ -10,11 +10,19 @@ Two input modes produce the same in-memory object, a :class:`CriticalStructure`:
 Only scalar Hessian data is kept (|det Hess phi| and, for saddles, the modulus
 of the negative eigenvalue): nothing downstream needs more than
 |det Hess|^(1/4) and the square root of the negative eigenvalue.
+
+A structure numbers its minima 0..n-1 and its saddles 0..s-1 in id order,
+so that comparing two indices compares their ids, and keeps each point's
+data as flat lists over those indices; a saddle's joins are minimum
+indices. Everything downstream works on the indices, and ids come back
+only where a class or a report block names a point.
 """
 
 import json
 import math
 import os
+from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -49,25 +57,24 @@ class LevelIndex:
     """
 
     def __init__(self, values, eps):
-        vals = [float(v) for v in values]
-        if not vals:
+        vals = np.array([float(v) for v in values])
+        if not vals.size:
             raise InputDataError("no values to cluster")
-        order = sorted(range(len(vals)), key=vals.__getitem__)
-        ordered = [vals[i] for i in order]
-        cluster = [0] * len(vals)
-        reps = []
-        start = 0
-        for i in range(1, len(ordered) + 1):
-            if i == len(ordered) or ordered[i] - ordered[i - 1] > eps:
-                # the representative is printed, so it stays NumPy's mean
-                # bit for bit: a tie cluster keeps the pairwise sum, and a
-                # lone value is added to the sum's +0 start (-0 becomes 0)
-                reps.append(0.0 + ordered[start] if i - start == 1
-                            else float(np.mean(ordered[start:i])))
-                for j in order[start:i]:
-                    cluster[j] = len(reps) - 1
-                start = i
-        self.cluster = cluster
+        order = np.argsort(vals, kind="stable")
+        ordered = vals[order]
+        starts = np.flatnonzero(np.diff(ordered) > eps) + 1
+        step = np.zeros(vals.size, dtype=np.intp)
+        step[starts] = 1
+        cluster = np.empty(vals.size, dtype=np.intp)
+        cluster[order] = np.cumsum(step)
+        # the representative is printed, so it stays NumPy's mean bit for
+        # bit: a lone value is added to the sum's +0 start (-0 becomes 0),
+        # and a tie cluster keeps the pairwise sum
+        bounds = np.concatenate(([0], starts, [vals.size]))
+        reps = (ordered[bounds[:-1]] + 0.0).tolist()
+        for k in np.flatnonzero(np.diff(bounds) > 1).tolist():
+            reps[k] = float(np.mean(ordered[bounds[k]:bounds[k + 1]]))
+        self.cluster = cluster.tolist()
         self.reps = reps
 
     def __len__(self):
@@ -85,87 +92,192 @@ class CriticalStructure:
     positions : dict, optional
         1D coordinates by id, kept when the structure came from samples.
 
-    ``levels`` clusters the critical values, and ``cluster[id]`` is the level
-    cluster of a point, decided once here.
+    Minima are numbered 0..n-1 and saddles 0..s-1 in id order, so comparing
+    two indices compares the ids. Each point's data sits in flat lists over
+    those indices: ``min_ids``, ``min_phi``, ``min_det_hess`` and
+    ``min_cluster`` for the minima; ``sad_ids``, ``sad_phi``,
+    ``sad_det_hess``, ``sad_neg_eig``, ``sad_joins`` (the pair of minimum
+    indices, in input order) and ``sad_cluster`` for the saddles. ``levels``
+    clusters the critical values, and a point's cluster is decided once,
+    here. ``minima`` and ``saddles`` give the points back as records by id.
     """
 
     def __init__(self, minima, saddles, level_tolerance=DEFAULT_LEVEL_TOL,
                  positions=None):
-        self.minima = tuple(sorted((Minimum(*m) for m in minima), key=lambda m: m.id))
-        self.saddles = tuple(
-            sorted((Saddle(s[0], s[1], s[2], s[3], tuple(s[4])) for s in saddles),
-                   key=lambda s: s.id))
+        self._setup([(m.id, m.phi, m.det_hess) for m in minima],
+                    [(s.id, s.phi, s.det_hess, s.neg_eig, s.joins)
+                     for s in saddles], level_tolerance, positions)
+
+    @classmethod
+    def from_rows(cls, minima, saddles, level_tolerance=DEFAULT_LEVEL_TOL):
+        """The structure of plain (id, phi, det_hess) minimum rows and
+        (id, phi, det_hess, neg_eig, joins) saddle rows, as
+        ``load_structure`` reads them off a document."""
+        cs = cls.__new__(cls)
+        cs._setup(minima, saddles, level_tolerance, None)
+        return cs
+
+    def _setup(self, minima, saddles, level_tolerance, positions):
+        first = itemgetter(0)
+        minima = sorted(minima, key=first)
+        saddles = sorted(saddles, key=first)
         self.level_tolerance = float(level_tolerance)
         self.positions = dict(positions) if positions else None
-        self._validate()
-        points = self.minima + self.saddles
-        self.levels = LevelIndex([p.phi for p in points],
-                                 self.level_tolerance)
-        self.cluster = dict(zip((p.id for p in points), self.levels.cluster))
-        for s in self.saddles:
-            for mid in s.joins:
-                if self.cluster[mid] >= self.cluster[s.id]:
-                    raise InputDataError(
-                        f"saddle {s.id} is not above joined minimum {mid} "
-                        "(within level tolerance)")
-
-    # -- lookups ---------------------------------------------------------
-
-    def minimum(self, mid):
-        return self._min_by_id[mid]
-
-    def saddle(self, sid):
-        return self._sad_by_id[sid]
-
-    # -- validation ------------------------------------------------------
-
-    def _validate(self):
-        if not self.minima:
+        if not minima:
             raise InputDataError("structure has no minima")
         if not math.isfinite(self.level_tolerance):
             raise InputDataError("level_tolerance must be finite")
         if self.level_tolerance < 0:
             raise InputDataError("level_tolerance must be nonnegative")
-        ids = [p.id for p in self.minima] + [p.id for p in self.saddles]
-        if len(set(ids)) != len(ids):
+        self.min_ids, self.min_phi, self.min_det_hess = (
+            list(c) for c in zip(*minima))
+        self.sad_ids, self.sad_phi, self.sad_det_hess, self.sad_neg_eig = (
+            [s[i] for s in saddles] for i in range(4))
+        at = {mid: i for i, mid in enumerate(self.min_ids)}
+        if (len(at) != len(minima)
+                or len(set(self.sad_ids).union(at)) != len(at) + len(saddles)):
             raise InputDataError("duplicate critical point ids")
-        self._min_by_id = {m.id: m for m in self.minima}
-        self._sad_by_id = {s.id: s for s in self.saddles}
-        for m in self.minima:
-            if not (math.isfinite(m.phi) and math.isfinite(m.det_hess)):
-                raise InputDataError(
-                    f"minimum {m.id}: phi and det_hess must be finite")
-            if not (m.det_hess > 0):
-                raise InputDataError(f"minimum {m.id}: det_hess must be > 0")
-        for s in self.saddles:
-            if not all(map(math.isfinite, (s.phi, s.det_hess, s.neg_eig))):
-                raise InputDataError(
-                    f"saddle {s.id}: phi and Hessian data must be finite")
-            if not (s.det_hess > 0 and s.neg_eig > 0):
-                raise InputDataError(f"saddle {s.id}: Hessian data must be > 0")
-            a, b = s.joins
-            if a == b:
-                raise InputDataError(
-                    f"saddle {s.id} joins the same representative twice")
-            for mid in (a, b):
-                if mid not in self._min_by_id:
+        joins = [tuple(s[4]) for s in saddles]
+        self.sad_joins = [(at.get(a), at.get(b)) for a, b in joins]
+        self._validate(joins)
+        n = len(minima)
+        self.levels = LevelIndex(self.min_phi + self.sad_phi,
+                                 self.level_tolerance)
+        self.min_cluster = self.levels.cluster[:n]
+        self.sad_cluster = self.levels.cluster[n:]
+        mc = self.min_cluster
+        for s, (k, (a, b)) in enumerate(zip(self.sad_cluster, self.sad_joins)):
+            for m in (a, b):
+                if mc[m] >= k:
                     raise InputDataError(
-                        f"saddle {s.id} joins unknown minimum {mid!r}")
+                        f"saddle {self.sad_ids[s]} is not above joined "
+                        f"minimum {self.min_ids[m]} (within level tolerance)")
+
+    @cached_property
+    def minima(self):
+        return tuple(map(Minimum, self.min_ids, self.min_phi,
+                         self.min_det_hess))
+
+    @cached_property
+    def saddles(self):
+        ids = self.min_ids
+        return tuple(Saddle(sid, phi, det, neg, (ids[a], ids[b]))
+                     for sid, phi, det, neg, (a, b) in zip(
+                         self.sad_ids, self.sad_phi, self.sad_det_hess,
+                         self.sad_neg_eig, self.sad_joins))
+
+    def _validate(self, joins):
+        """Reject non-finite or non-positive data and bad joins, naming the
+        first offender in id order."""
+        finite = math.isfinite
+        for mid, p, d in zip(self.min_ids, self.min_phi, self.min_det_hess):
+            if not (finite(p) and finite(d)):
+                raise InputDataError(
+                    f"minimum {mid}: phi and det_hess must be finite")
+            if not (d > 0):
+                raise InputDataError(f"minimum {mid}: det_hess must be > 0")
+        for sid, p, d, g, (a, b), ab in zip(
+                self.sad_ids, self.sad_phi, self.sad_det_hess,
+                self.sad_neg_eig, self.sad_joins, joins):
+            if not (finite(p) and finite(d) and finite(g)):
+                raise InputDataError(
+                    f"saddle {sid}: phi and Hessian data must be finite")
+            if not (d > 0 and g > 0):
+                raise InputDataError(f"saddle {sid}: Hessian data must be > 0")
+            if ab[0] == ab[1]:
+                raise InputDataError(
+                    f"saddle {sid} joins the same representative twice")
+            for m, mid in zip((a, b), ab):
+                if m is None:
+                    raise InputDataError(
+                        f"saddle {sid} joins unknown minimum {mid!r}")
 
 
 def structure_to_dict(cs):
     """Serialize a structure back to the document form of load_structure."""
+    ids = cs.min_ids
     return {
         "level_tolerance": cs.level_tolerance,
         "minima": [
-            {"id": m.id, "phi": m.phi, "det_hess": m.det_hess} for m in cs.minima
+            {"id": mid, "phi": phi, "det_hess": det}
+            for mid, phi, det in zip(ids, cs.min_phi, cs.min_det_hess)
         ],
         "saddles": [
-            {"id": s.id, "phi": s.phi, "det_hess": s.det_hess,
-             "neg_eig": s.neg_eig, "joins": list(s.joins)}
-            for s in cs.saddles
+            {"id": sid, "phi": phi, "det_hess": det, "neg_eig": neg,
+             "joins": [ids[a], ids[b]]}
+            for sid, phi, det, neg, (a, b) in zip(
+                cs.sad_ids, cs.sad_phi, cs.sad_det_hess, cs.sad_neg_eig,
+                cs.sad_joins)
         ],
     }
+
+
+def _document_rows(doc):
+    """(minimum rows, saddle rows, level tolerance) of a structure document,
+    each field checked; see ``CriticalStructure.from_rows``."""
+
+    def _req(obj, key, kinds, where):
+        if key not in obj:
+            raise InputDataError(f"{where}: missing field {key!r}")
+        val = obj[key]
+        # bool is an int subtype, but true/false is no number or id
+        if not isinstance(val, kinds) or isinstance(val, bool):
+            raise InputDataError(f"{where}: field {key!r} has wrong type")
+        return val
+
+    def _num(obj, key, where):
+        val = _req(obj, key, (int, float), where)
+        try:
+            return float(val)
+        except OverflowError:
+            raise InputDataError(
+                f"{where}: field {key!r} is beyond float range") from None
+
+    tol = (_num(doc, "level_tolerance", "document")
+           if "level_tolerance" in doc else DEFAULT_LEVEL_TOL)
+    # a JSON document gives exact str and float values, which the first
+    # test of each entry accepts as they are; anything else goes through the
+    # field checks, which raise the same errors in the same order as always
+    minimum_row = itemgetter("id", "phi", "det_hess")
+    saddle_row = itemgetter("id", "phi", "det_hess", "neg_eig", "joins")
+    minima = []
+    for entry in _req(doc, "minima", list, "document"):
+        if not isinstance(entry, dict):
+            raise InputDataError("minima entries must be objects")
+        try:
+            row = minimum_row(entry)
+        except KeyError:
+            row = None
+        if not (row and type(row[0]) is str and type(row[1]) is float
+                and type(row[2]) is float):
+            row = (str(_req(entry, "id", str, "minimum")),
+                   _num(entry, "phi", "minimum"),
+                   _num(entry, "det_hess", "minimum"))
+        minima.append(row)
+    saddles = []
+    for entry in (_req(doc, "saddles", list, "document")
+                  if "saddles" in doc else []):
+        if not isinstance(entry, dict):
+            raise InputDataError("saddle entries must be objects")
+        try:
+            row = saddle_row(entry)
+        except KeyError:
+            row = None
+        if not (row and type(row[0]) is str and type(row[1]) is float
+                and type(row[2]) is float and type(row[3]) is float
+                and type(row[4]) is list and len(row[4]) == 2
+                and type(row[4][0]) is str and type(row[4][1]) is str):
+            joins = _req(entry, "joins", list, "saddle")
+            if len(joins) != 2 or not all(isinstance(j, str) for j in joins):
+                raise InputDataError(
+                    "saddle joins must be a pair of minimum ids")
+            row = (str(_req(entry, "id", str, "saddle")),
+                   _num(entry, "phi", "saddle"),
+                   _num(entry, "det_hess", "saddle"),
+                   _num(entry, "neg_eig", "saddle"),
+                   joins)
+        saddles.append(row)
+    return minima, saddles, tol
 
 
 def load_structure(document):
@@ -193,51 +305,10 @@ def load_structure(document):
             raise InputDataError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputDataError("structure document must be a JSON object")
-
-    def _req(obj, key, kinds, where):
-        if key not in obj:
-            raise InputDataError(f"{where}: missing field {key!r}")
-        val = obj[key]
-        # bool is an int subtype, but true/false is no number or id
-        if not isinstance(val, kinds) or isinstance(val, bool):
-            raise InputDataError(f"{where}: field {key!r} has wrong type")
-        return val
-
-    def _num(obj, key, where):
-        val = _req(obj, key, (int, float), where)
-        try:
-            return float(val)
-        except OverflowError:
-            raise InputDataError(
-                f"{where}: field {key!r} is beyond float range") from None
-
-    tol = (_num(doc, "level_tolerance", "document")
-           if "level_tolerance" in doc else DEFAULT_LEVEL_TOL)
-    minima = []
-    for entry in _req(doc, "minima", list, "document"):
-        if not isinstance(entry, dict):
-            raise InputDataError("minima entries must be objects")
-        minima.append(Minimum(
-            str(_req(entry, "id", str, "minimum")),
-            _num(entry, "phi", "minimum"),
-            _num(entry, "det_hess", "minimum"),
-        ))
-    saddles = []
-    for entry in (_req(doc, "saddles", list, "document")
-                  if "saddles" in doc else []):
-        if not isinstance(entry, dict):
-            raise InputDataError("saddle entries must be objects")
-        joins = _req(entry, "joins", list, "saddle")
-        if len(joins) != 2 or not all(isinstance(j, str) for j in joins):
-            raise InputDataError("saddle joins must be a pair of minimum ids")
-        saddles.append(Saddle(
-            str(_req(entry, "id", str, "saddle")),
-            _num(entry, "phi", "saddle"),
-            _num(entry, "det_hess", "saddle"),
-            _num(entry, "neg_eig", "saddle"),
-            (joins[0], joins[1]),
-        ))
-    cs = CriticalStructure(minima, saddles, tol)
+    cs = CriticalStructure.from_rows(*_document_rows(doc))
+    # the merge tree is built without the parsed document, so the cyclic
+    # collector has far fewer objects to walk while it grows
+    del doc
     # separating condition needs the merge tree; deferred import avoids a cycle
     from .topology import verify_separating
     verify_separating(cs)
@@ -371,13 +442,15 @@ def extract_critical_structure(p: SampledPotential, eps_level=None):
         raise DegenerateLandscapeError(
             "potential slopes downward at an edge (non-confining)")
 
-    kinds = []  # (index, 'min'|'max') in x order
-    for i in range(1, n - 1):
-        left, mid, right = phis[i - 1], phis[i], phis[i + 1]
-        if mid < left and mid < right:
-            kinds.append((i, "min"))
-        elif mid > left and mid > right:
-            kinds.append((i, "max"))
+    # (index, 'min'|'max') in x order; a sample is a maximum only where it
+    # is no minimum, as in an if/elif over the interior samples
+    left, mid, right = phis[:-2], phis[1:-1], phis[2:]
+    is_min = (mid < left) & (mid < right)
+    is_max = ~is_min & (mid > left) & (mid > right)
+    hit = is_min | is_max
+    kinds = [(i + 1, "min" if low else "max")
+             for i, low in zip(np.flatnonzero(hit).tolist(),
+                               is_min[hit].tolist())]
 
     if not kinds:
         raise DegenerateLandscapeError("no interior extrema found")

@@ -19,8 +19,9 @@ minimum when the class is type II), and saddle set V, they build
 A stacked NumPy call makes, per class, the call the class-by-class pipeline
 made, so every class gets the same matrices bit for bit. Hessian data at the
 ends of the float range that overflows Upsilon or a core is bad input, and
-is rejected before any LAPACK call. No exponential factor is ever evaluated
-here; the barrier scales stay symbolic in the block metadata.
+is rejected before any LAPACK call; so is an Upsilon entry so small that its
+square underflows and leaves the core singular. No exponential factor is
+ever evaluated here; the barrier scales stay symbolic in the block metadata.
 """
 
 import math
@@ -29,8 +30,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputDataError, InvariantViolation
+from .topology import merge_tree
 
 _SQRT_PI = math.sqrt(math.pi)
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
 def h_phi(cs, cd, mid, alpha):
@@ -38,16 +41,18 @@ def h_phi(cs, cd, mid, alpha):
 
     The weight aggregates every minimum at the same level in the relevant
     component: the minima tied at the bottom of E(mid) for a member, or of
-    the enclosing component Ehat for the reference minimum.
+    the enclosing component Ehat for the reference minimum. The merge tree
+    keeps the exact partial sums of det_hess^-1/2 over those minima, so the
+    correctly rounded sum of the terms is one ``fsum`` of a few partials.
     """
     if mid in alpha.members:
-        group = cd.labelling.E[mid].ties
+        node = cd.labelling.E[mid]
     elif mid == alpha.mhat:
-        group = alpha.Ehat.ties
+        node = alpha.Ehat
     else:
         raise InputDataError(f"{mid} belongs neither to the class nor is its "
                              "reference minimum")
-    return math.fsum(cs.minimum(x).det_hess ** -0.5 for x in group) ** -0.5
+    return math.fsum(merge_tree(cs).partials[node]) ** -0.5
 
 
 class ClassMatrices(NamedTuple):
@@ -89,16 +94,13 @@ def build_class_matrices(cs, cd, classes):
     G, r, q = len(classes), len(first.saddles), first.q
     uhat_len = q + first.type2     # uhat is the member order, then mhat
     weights, coeffs, cols1, cols2 = [], [], [], []
-    saddle, sqrt = cs.saddle, math.sqrt
+    neg, det, sqrt = cs.sad_neg_eig, cs.sad_det_hess, math.sqrt
     for alpha in classes:
-        uhat = alpha.uhat
-        upos = {mid: i for i, mid in enumerate(uhat)}
-        weights += [h_phi(cs, cd, mid, alpha) for mid in uhat]
-        for sid, m1, m2, _ in alpha.saddles:
-            s = saddle(sid)
-            coeffs.append(sqrt(s.neg_eig) / (_SQRT_PI * s.det_hess ** 0.25))
-            cols1.append(upos[m1])
-            cols2.append(upos.get(m2, -1))   # -1: outside Uhat, dropped
+        weights += [h_phi(cs, cd, mid, alpha) for mid in alpha.uhat]
+        for s, j1, j2 in alpha.cells:
+            coeffs.append(sqrt(neg[s]) / (_SQRT_PI * det[s] ** 0.25))
+            cols1.append(j1)
+            cols2.append(j2)     # -1: outside Uhat, dropped
     w = np.array(weights).reshape(G, uhat_len)
     coeff = np.array(coeffs).reshape(G, r)
     g = np.arange(G)[:, None]
@@ -171,10 +173,17 @@ def build_graded_core(classes, matrices):
         np.linalg.cholesky(core)
     except np.linalg.LinAlgError:
         # the stacked call names no matrix; find the first that fails
-        for alpha, c in zip(classes, core):
+        for alpha, c, U in zip(classes, core, matrices.upsilon):
             try:
                 np.linalg.cholesky(c)
             except np.linalg.LinAlgError:
+                # an Upsilon entry whose square is below the smallest normal
+                # double vanishes in the core: the Hessian data are at fault
+                a = abs(U)
+                if ((a > 0) & (a < _SQRT_TINY)).any():
+                    raise InputDataError(
+                        f"core of class {alpha.members} underflows double "
+                        "precision (Hessian data)") from None
                 raise InvariantViolation(
                     f"core of class {alpha.members} is not positive definite "
                     "(degenerate or badly conditioned Hessian data)") from None

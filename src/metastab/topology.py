@@ -3,15 +3,23 @@ the saddle partition.
 
 Everything works on a quotient picture. A connected component of an open
 sublevel set {phi < level} is a node of one merge tree, built in a single
-ascending pass: the node knows its birth cluster, its parent and children,
-its deepest minimum, the minima tied with it and the saddles that formed
-it, and nothing else. Two components touch at a level exactly when some
-listed saddle at that level joins them. Potential values are never compared
-directly; every decision goes through the level clusters of the structure,
-which keeps equality transitive.
+ascending union-find pass over integer indices: minima and saddles are
+numbered in id order by the structure (see ``landscape``), and nodes are
+numbered from the leaves up. A node knows its birth cluster, its parent and
+children, its deepest minimum, the minima tied with it and the saddles that
+formed it, and nothing else. Two components touch at a level exactly when
+some listed saddle at that level joins them. Potential values are never
+compared directly; every decision goes through the level clusters of the
+structure, which keeps equality transitive.
+
+Ids come back only where a class or a report block names a point: the
+labelling is keyed by minimum id, and a class lists its members, blocks,
+reference minimum and saddle rows by id, while ``Labelling.E`` and
+``EquivClass.Ehat`` are node indices of the merge tree.
 """
 
 import math
+from itertools import groupby, islice
 from typing import NamedTuple
 
 from .errors import InputDataError, InvariantViolation
@@ -19,100 +27,159 @@ from .errors import InputDataError, InvariantViolation
 INF = math.inf
 
 
-class _DSU:
-    """Union-find keeping the lexicographically smallest id as the root."""
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        r = x
-        while self.parent[r] != r:
-            r = self.parent[r]
-        while self.parent[x] != r:
-            self.parent[x], x = r, self.parent[x]
-        return r
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+def _find(up, x):
+    """Root of ``x`` in the union-find forest ``up`` (a list or a dict),
+    halving the path on the way."""
+    while up[x] != x:
+        up[x] = x = up[up[x]]
+    return x
 
 
-class _Node:
-    """One component of a sublevel set, alive from its birth cluster until
-    its parent is born."""
-
-    __slots__ = ("born", "ties", "deepest", "low", "children", "saddles",
-                 "parent")
-
-    def __init__(self, born, ties, deepest, low, children=(), saddles=()):
-        self.born = born            # level cluster the component appears at
-        self.ties = ties            # ids of the minima at its deepest cluster
-        self.deepest = deepest      # (cluster, id) of its deepest minimum
-        self.low = low              # smallest minimum id
-        self.children = children    # components it was formed from, the one
-                                    # holding its deepest minimum first
-        self.saddles = saddles      # ids of the saddles that joined them
-        self.parent = None
+def _add(partials, x):
+    """Add ``x`` to the exact sum held as Shewchuk's non-overlapping
+    partials, in place; ``math.fsum(partials)`` is then the correctly
+    rounded sum of every value added."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
 
 
 class MergeTree:
-    """Merge tree of the sublevel sets {phi < level}.
+    """Merge tree of the sublevel sets {phi < level}, as parallel lists.
 
-    One leaf per minimum, born at the minimum's cluster; one node per
-    component that the saddles of a cluster form from the components just
-    below it, listing those saddles. ``ends[sid]`` holds the two components
-    saddle ``sid`` joins, as they stand just below its cluster: children of
-    the node the saddle forms. ``born[k]`` lists the nodes born at saddle
-    cluster k. ``nodes`` lists every node by birth cluster, leaves first,
-    then smallest id, so children precede their parents and the order
-    depends on the input data alone.
+    Nodes are integers. Node i < n is the leaf of minimum i, born at the
+    minimum's cluster; the nodes after them are the components that the
+    saddles of a cluster form from the components just below it, numbered
+    by birth cluster and then smallest minimum, so children precede their
+    parents. Per node v: ``born[v]``, ``parent[v]`` (-1 at a root),
+    ``deepest[v]`` (its deepest minimum, the smaller index among tied ones)
+    and ``low[v]`` (its smallest minimum index). Its children are
+    ``kids[kid_at[v]:kid_at[v + 1]]``, the one holding its deepest minimum
+    first, and the saddles that formed it ``sads[sad_at[v]:sad_at[v + 1]]``.
+    ``ends[s]`` holds the two nodes saddle s joins, as they stand just below
+    its cluster: children of the node the saddle forms. ``redundant`` lists
+    the saddles whose two ends are already one node, by cluster, and
+    ``roots`` the nodes without a parent.
+
+    The minima of v at its deepest cluster are the first ``tie_len[v]``
+    entries of ``tie_list[v]``: a node shares the list of its largest tied
+    child and appends the others', so the tie storage stays linear.
+    ``partials[v]`` holds the exact Shewchuk partials of the sum of
+    det_hess^-1/2 over those minima.
     """
 
     def __init__(self, cs):
-        cluster = cs.cluster
-        leaf = {}
-        for m in cs.minima:
-            k = cluster[m.id]
-            leaf[m.id] = _Node(k, (m.id,), (k, m.id), m.id)
-        dsu = _DSU(leaf)
-        top = dict(leaf)            # union-find root -> its current node
-        by_cluster = {}
-        for s in cs.saddles:
-            by_cluster.setdefault(cluster[s.id], []).append(s)
-        self.ends = {}
-        self.born = {}
-        for k in sorted(by_cluster):
-            for s in by_cluster[k]:
-                a, b = s.joins
-                self.ends[s.id] = (top[dsu.find(a)], top[dsu.find(b)])
-            for s in by_cluster[k]:
-                dsu.union(*s.joins)
+        n, n_sad = len(cs.min_ids), len(cs.sad_ids)
+        mc = cs.min_cluster
+        rank = [k * n + i for i, k in enumerate(mc)]   # (cluster, index)
+        # at most one node per saddle; the lists are cut to size at the end
+        size = n + n_sad
+        born = mc + [0] * n_sad
+        parent = [-1] * size
+        deepest = list(range(n)) + [0] * n_sad
+        low = list(range(n)) + [0] * n_sad
+        kids, kid_at = [], [0] * (size + 1)
+        sads, sad_at = [], [0] * (size + 1)
+        # a leaf's ties and partials are 1-tuples, which the cyclic
+        # collector stops tracking; a list starts where ties first merge
+        tie_list = [(i,) for i in range(n)] + [None] * n_sad
+        tie_len = [1] * n + [0] * n_sad
+        partials = [(d ** -0.5,) for d in cs.min_det_hess] + [None] * n_sad
+        joins = cs.sad_joins
+        ends = [None] * n_sad
+        redundant = []
+        up = list(range(n))     # union-find over minima; a root is the
+        top = list(range(n))    # smallest index, top[root] its node
+        v = n                   # the next node
+
+        def node(k, r, ks, ss):
+            """Add node v, born at cluster k with root r, from children ks
+            (sorted by deepest minimum) and saddles ss."""
+            first = ks[0]
+            ties, sums = tie_list[first], partials[first]
+            dk = mc[deepest[first]]
+            # ks is sorted by deepest minimum, so any tied child comes next
+            if len(ks) > 1 and mc[deepest[ks[1]]] == dk:
+                tied = [c for c in ks if mc[deepest[c]] == dk]
+                big = max(tied, key=tie_len.__getitem__)
+                ties, sums = tie_list[big], list(partials[big])
+                if type(ties) is tuple:
+                    ties = list(ties)
+                for c in tied:
+                    if c != big:
+                        ties.extend(islice(tie_list[c], tie_len[c]))
+                        for x in partials[c]:
+                            _add(sums, x)
+            for c in ks:
+                parent[c] = v
+            born[v] = k
+            deepest[v] = deepest[first]
+            low[v] = r
+            kids.extend(ks)
+            kid_at[v + 1] = len(kids)
+            sads.extend(ss)
+            sad_at[v + 1] = len(sads)
+            tie_list[v] = ties
+            tie_len[v] = len(ties)
+            partials[v] = sums
+            top[r] = v
+
+        order = sorted(range(n_sad), key=cs.sad_cluster.__getitem__)
+        for k, batch in groupby(order, key=cs.sad_cluster.__getitem__):
+            batch = list(batch)
+            if len(batch) == 1:
+                # one saddle: its two ends form the node
+                a, b = joins[batch[0]]
+                a, b = _find(up, a), _find(up, b)
+                ea, eb = ends[batch[0]] = top[a], top[b]
+                r = up[max(a, b)] = min(a, b)
+                if a == b:
+                    redundant.append(batch[0])
+                    node(k, r, [ea], batch)
+                elif rank[deepest[eb]] < rank[deepest[ea]]:
+                    node(k, r, [eb, ea], batch)
+                else:
+                    node(k, r, [ea, eb], batch)
+                v += 1
+                continue
+            for s in batch:
+                a, b = joins[s]
+                e = ends[s] = (top[_find(up, a)], top[_find(up, b)])
+                if e[0] == e[1]:
+                    redundant.append(s)
+            for s in batch:
+                a, b = joins[s]
+                a, b = _find(up, a), _find(up, b)
+                up[max(a, b)] = min(a, b)
             groups = {}
-            for s in by_cluster[k]:
-                ends = self.ends[s.id]
-                kids, sids = groups.setdefault(dsu.find(ends[0].low), ({}, []))
-                kids.update(dict.fromkeys(ends))
-                sids.append(s.id)
-            self.born[k] = []
-            for r, (kids, sids) in groups.items():
-                kids = sorted(kids, key=lambda c: c.deepest)
-                tied = [c for c in kids if c.deepest[0] == kids[0].deepest[0]]
-                ties = tied[0].ties if len(tied) == 1 else tuple(
-                    x for c in tied for x in c.ties)
-                node = _Node(k, ties, kids[0].deepest, r, tuple(kids),
-                             tuple(sids))
-                for c in kids:
-                    c.parent = node
-                top[r] = node
-                self.born[k].append(node)
-        self.roots = {top[dsu.find(mid)] for mid in leaf}
-        self.nodes = sorted(
-            [*leaf.values(), *(n for ns in self.born.values() for n in ns)],
-            key=lambda n: (n.born, bool(n.children), n.low))
+            for s in batch:
+                group = groups.setdefault(_find(up, joins[s][0]), ({}, []))
+                group[0].update(dict.fromkeys(ends[s]))
+                group[1].append(s)
+            for r in sorted(groups):
+                ks, ss = groups[r]
+                node(k, r, sorted(ks, key=lambda c: rank[deepest[c]]), ss)
+                v += 1
+        for col in (born, parent, deepest, low, tie_list, tie_len, partials):
+            del col[v:]
+        del kid_at[v + 1:], sad_at[v + 1:]
+        self.ids = cs.min_ids
+        self.born, self.parent = born, parent
+        self.deepest, self.low = deepest, low
+        self.kids, self.kid_at = kids, kid_at
+        self.sads, self.sad_at = sads, sad_at
+        self.tie_list, self.tie_len = tie_list, tie_len
+        self.partials = partials
+        self.ends, self.redundant = ends, redundant
+        self.roots = [v for v, p in enumerate(parent) if p < 0]
 
 
 def merge_tree(cs):
@@ -132,11 +199,10 @@ def verify_separating(cs):
     connected space.
     """
     tree = merge_tree(cs)
-    for sid, (a, b) in tree.ends.items():
-        if a is b:
-            raise InputDataError(
-                f"saddle {sid} joins minima already connected "
-                "below its level")
+    if tree.redundant:
+        raise InputDataError(
+            f"saddle {cs.sad_ids[tree.redundant[0]]} joins minima already "
+            "connected below its level")
     if len(tree.roots) > 1:
         raise InputDataError("landscape is not connected")
 
@@ -152,37 +218,47 @@ class Labelling(NamedTuple):
     type2: dict            # minimum id -> True iff phi(mhat(m)) equals phi(m)
 
 
-class SaddleRow(NamedTuple):
-    sid: str
-    m1: str        # the member-side endpoint, phi(m1) >= phi(m2)
-    m2: str        # other endpoint; equals the class reference minimum on
-                   # boundary rows
-    boundary: bool
-
-
 class EquivClass:
     """One equivalence class of minima sharing a saddle value.
 
     ``uhat_blocks`` partitions the extended set (members plus, for type II,
     the reference minimum) by barrier height, smallest barrier first;
-    ``member_blocks`` is the same partition without the reference minimum.
+    ``member_blocks`` is the same partition without the reference minimum,
+    and ``member_order`` and ``uhat`` run through the blocks in turn.
     ``Ehat`` is the merge-tree node of the reference minimum just below
-    ``sigma``, and ``saddles`` the class's SaddleRows, sorted by id.
+    ``sigma``. ``saddles`` lists the class's saddle rows, sorted by id, each
+    a plain tuple (saddle id, m1, m2, boundary): m1 is the member-side
+    endpoint, phi(m1) >= phi(m2), and m2 the other one, the reference
+    minimum on a boundary row. Plain tuples of ids are left untracked by
+    the cyclic collector, so the classes of a large landscape do not make
+    it rescan the heap ever more often. ``cells`` gives, per saddle row,
+    the saddle's index and the columns of m1 and m2 in ``uhat`` (-1 when m2
+    lies outside it): where the row's Upsilon entries go.
     """
 
+    __slots__ = ("members", "sigma", "sigma_cluster", "mhat", "Ehat", "type2",
+                 "member_blocks", "uhat_blocks", "block_S", "ground",
+                 "saddles", "cells", "member_order", "uhat")
+
     def __init__(self, members, sigma, sigma_cluster, mhat, Ehat, type2,
-                 member_blocks, uhat_blocks, block_S, saddles, ground=False):
-        self.members = tuple(members)
+                 member_blocks, uhat_blocks, block_S, saddles, cells,
+                 ground=False):
+        self.members = members
         self.sigma = sigma
         self.sigma_cluster = sigma_cluster
         self.mhat = mhat
         self.Ehat = Ehat
         self.type2 = type2
-        self.member_blocks = tuple(tuple(b) for b in member_blocks)
-        self.uhat_blocks = tuple(tuple(b) for b in uhat_blocks)
-        self.block_S = tuple(block_S)
+        self.member_blocks = member_blocks
+        self.uhat_blocks = uhat_blocks
+        self.block_S = block_S
         self.ground = ground
-        self.saddles = tuple(saddles)
+        self.saddles = saddles
+        self.cells = cells
+        self.member_order = (member_blocks[0] if len(member_blocks) == 1
+                             else tuple(x for b in member_blocks for x in b))
+        self.uhat = (uhat_blocks[0] if len(uhat_blocks) == 1
+                     else tuple(x for b in uhat_blocks for x in b))
 
     @property
     def q(self):
@@ -191,14 +267,6 @@ class EquivClass:
     @property
     def p(self):
         return len(self.member_blocks)
-
-    @property
-    def member_order(self):
-        return tuple(x for b in self.member_blocks for x in b)
-
-    @property
-    def uhat(self):
-        return tuple(x for b in self.uhat_blocks for x in b)
 
     def __repr__(self):
         kind = "ground" if self.ground else ("II" if self.type2 else "I")
@@ -214,8 +282,9 @@ class ClassDecomposition(NamedTuple):
         return self.classes[0]
 
 
-def _node_classes(tree, node, reps):
-    """The classes of the minima labelled at the birth of ``node``.
+def _node_classes(cs, tree, v):
+    """The classes of the minima labelled at the birth of node ``v``, which
+    has two or more members.
 
     Every child but the first is E(m) of its deepest minimum m. Two such
     members are equivalent when a chain of the node's saddles links their
@@ -223,58 +292,74 @@ def _node_classes(tree, node, reps):
     it (type II). Each saddle is a row of the class it touches: interior
     between two members, boundary to the first child.
     """
-    first, kids = node.children[0], node.children[1:]
-    hat_k, hat = node.deepest
-    find = str      # a lone member is its own class; str keeps its id
-    if len(kids) > 1:
-        tied = any(c.deepest[0] == hat_k for c in kids)
-        dsu = _DSU(c.low for c in (node.children if tied else kids))
-        for sid in node.saddles:
-            a, b = tree.ends[sid]
-            if tied or first not in (a, b):
-                dsu.union(a.low, b.low)
-        find = dsu.find
-    groups = {find(c.low): ([], []) for c in kids}
-    for c in kids:
-        groups[find(c.low)][0].append(c.deepest)
-    for sid in node.saddles:
-        a, b = tree.ends[sid]
-        if b is first:
+    ids, mc, reps = cs.min_ids, cs.min_cluster, cs.levels.reps
+    deepest, ends = tree.deepest, tree.ends
+    ks = tree.kids[tree.kid_at[v]:tree.kid_at[v + 1]]
+    first, others = ks[0], ks[1:]
+    sads = tree.sads[tree.sad_at[v]:tree.sad_at[v + 1]]
+    hat = deepest[v]
+    hat_k = mc[hat]
+    k = tree.born[v]
+    sigma = reps[k]
+    tied = any(mc[deepest[c]] == hat_k for c in others)
+    up = {c: c for c in (ks if tied else others)}
+    for s in sads:
+        a, b = ends[s]
+        if tied or first != a and first != b:
+            ra, rb = _find(up, a), _find(up, b)
+            if ra != rb:
+                up[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for c in others:
+        groups.setdefault(_find(up, c), ([], []))[0].append(deepest[c])
+    for s in sads:
+        a, b = ends[s]
+        if b == first:
             a, b = b, a
-        if a is first:
-            row = SaddleRow(sid, b.deepest[1], hat, True)
+        if a == first:
+            row = (s, deepest[b], hat, True)
         else:
             # member-side endpoint is the higher minimum, ties by id
-            (cu, u), (cv, v) = a.deepest, b.deepest
-            if cu < cv or (cu == cv and u > v):
-                u, v = v, u
-            row = SaddleRow(sid, u, v, False)
-        groups[find(b.low)][1].append(row)
-    k = node.born
-    sigma = reps[k]
-    for deepest, rows in groups.values():
+            u, w = deepest[a], deepest[b]
+            if mc[u] < mc[w] or (mc[u] == mc[w] and u > w):
+                u, w = w, u
+            row = (s, u, w, False)
+        groups[_find(up, b)][1].append(row)
+    classes = []
+    for ms, rows in groups.values():
         by_level = {}
-        for ck, m in deepest:
-            by_level.setdefault(ck, []).append(m)
+        for m in ms:
+            by_level.setdefault(mc[m], []).append(m)
         # blocks by barrier height, smallest barrier (= highest member) first
         clusters = sorted(by_level, reverse=True)
-        member_blocks = [tuple(sorted(by_level[c])) for c in clusters]
+        blocks = [sorted(by_level[c]) for c in clusters]
+        members = tuple(ids[m] for m in sorted(ms))
         type2 = clusters[-1] == hat_k
-        uhat_blocks = member_blocks[:-1] + [
-            member_blocks[-1] + (hat,) if type2 else member_blocks[-1]]
-        block_S = [sigma - reps[c] for c in clusters]
+        block_S = tuple(sigma - reps[c] for c in clusters)
         if any(b2 <= b1 for b1, b2 in zip(block_S, block_S[1:])):
             # distinct levels so close below a high saddle that sigma - level
             # rounds to one float leave the blocks no order to go by
             if len({reps[c] for c in clusters}) == len(clusters):
                 raise InputDataError(
-                    f"barriers of class {tuple(sorted(m for _, m in deepest))} "
-                    f"below saddle value {sigma} coincide in double precision")
+                    f"barriers of class {members} below saddle value "
+                    f"{sigma} coincide in double precision")
             raise InvariantViolation(
                 "barriers not strictly increasing over blocks")
-        yield EquivClass(sorted(m for _, m in deepest), sigma, k, hat, first,
-                         type2, member_blocks, uhat_blocks, block_S,
-                         sorted(rows))
+        member_blocks = tuple(tuple(ids[m] for m in b) for b in blocks)
+        uhat_blocks = member_blocks
+        col = {m: j for j, m in enumerate(m for b in blocks for m in b)}
+        if type2:
+            uhat_blocks = (*member_blocks[:-1],
+                           member_blocks[-1] + (ids[hat],))
+            col[hat] = len(col)
+        rows.sort()
+        classes.append(EquivClass(
+            members, sigma, k, ids[hat], first, type2, member_blocks,
+            uhat_blocks, block_S,
+            tuple([(cs.sad_ids[s], ids[m1], ids[m2], bd)
+                   for s, m1, m2, bd in rows]),
+            tuple((s, col[m1], col.get(m2, -1)) for s, m1, m2, _ in rows)))
+    return classes
 
 
 def decompose(cs):
@@ -287,30 +372,59 @@ def decompose(cs):
     """
     verify_separating(cs)
     tree = merge_tree(cs)
-    reps = cs.levels.reps
+    ids, mc, reps = cs.min_ids, cs.min_cluster, cs.levels.reps
+    born, deepest, low = tree.born, tree.deepest, tree.low
+    kids, kid_at, sads, sad_at = tree.kids, tree.kid_at, tree.sads, tree.sad_at
+    sad_ids = cs.sad_ids
     (root,) = tree.roots
-    mbar = root.deepest[1]
+    mbar = ids[deepest[root]]
     sigma, S, E, index = {mbar: INF}, {mbar: INF}, {mbar: root}, {mbar: (1, 1)}
     mhat, type2 = {}, {}
     ground = EquivClass((mbar,), INF, None, None, None, False, ((mbar,),),
-                        ((mbar,),), (INF,), (), ground=True)
+                        ((mbar,),), (INF,), (), (), ground=True)
     classes = []
-    for step, k in enumerate(sorted(tree.born, reverse=True), start=2):
-        fresh = []
-        for node in tree.born[k]:
-            hat_k, hat = node.deepest
-            for c in node.children[1:]:
-                ck, m = c.deepest
-                sigma[m] = reps[k]
-                S[m] = reps[k] - reps[ck]
-                E[m] = c
-                mhat[m] = hat
-                type2[m] = ck == hat_k
-                fresh.append(c)
-            classes.extend(_node_classes(tree, node, reps))
-        fresh.sort(key=lambda c: c.low)
+    n = len(ids)
+    step, top = 1, len(born)
+    while top > n:
+        # the nodes born at one saddle cluster k, from the highest cluster
+        k = born[top - 1]
+        bottom = top - 1
+        while bottom > n and born[bottom - 1] == k:
+            bottom -= 1
+        step += 1
+        sig = reps[k]
+        fresh, found = [], []
+        for v in range(bottom, top):
+            hat = deepest[v]
+            hat_k = mc[hat]
+            members = kids[kid_at[v] + 1:kid_at[v + 1]]
+            fresh += members
+            for c in members:
+                m = deepest[c]
+                mid = ids[m]
+                sigma[mid] = sig
+                S[mid] = sig - reps[mc[m]]
+                E[mid] = c
+                mhat[mid] = ids[hat]
+                type2[mid] = mc[m] == hat_k
+            if len(members) > 1:
+                found += _node_classes(cs, tree, v)
+                continue
+            # a lone member: each saddle is a boundary row to the first child
+            block = (mid,)
+            t2 = type2[mid]
+            ss = sads[sad_at[v]:sad_at[v + 1]]
+            found.append(EquivClass(
+                block, sig, k, ids[hat], kids[kid_at[v]], t2, (block,),
+                ((mid, ids[hat]),) if t2 else (block,), (S[mid],),
+                tuple([(sad_ids[s], mid, ids[hat], True) for s in ss]),
+                tuple([(s, 0, 1 if t2 else -1) for s in ss])))
+        if len(fresh) > 1:
+            fresh.sort(key=low.__getitem__)
+            found.sort(key=lambda c: c.members[0])
         for j, c in enumerate(fresh, start=1):
-            index[c.deepest[1]] = (step, j)
-    classes.sort(key=lambda c: (-c.sigma_cluster, c.members[0]))
+            index[ids[deepest[c]]] = (step, j)
+        classes += found
+        top = bottom
     return ClassDecomposition(
         (ground, *classes), Labelling(mbar, sigma, S, E, index, mhat, type2))

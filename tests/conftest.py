@@ -5,8 +5,10 @@ so a run with the same seed is reproducible; the default seed is fixed and
 the hypothesis profile is derandomized, which keeps CI output stable.
 """
 
+import copy
 import os
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -14,6 +16,8 @@ from hypothesis import HealthCheck, settings
 from metastab.landscape import CriticalStructure, Minimum, Saddle
 from metastab.prefactors import (ClassMatrices, GradedCore,
                                  build_class_matrices, build_graded_core)
+from metastab.topology import merge_tree
+from sweep_oracle import SaddleRow
 
 BASE_SEED = int(os.environ.get("METASTAB_SEED", "70917"))
 
@@ -259,6 +263,13 @@ def staircase(n):
                   [n - i + 0.5 for i in range(n - 1)])
 
 
+def level_staircase(n):
+    """Chain with every minimum at phi = 0 and phi(s_i) = 1 + i: the
+    component of m_0 takes in one more tied minimum per level, so each node
+    ties all the minima below it."""
+    return _chain([0.0] * n, [1.0 + i for i in range(n - 1)])
+
+
 def shuffled_chain(rng, n):
     """Chain on 2n - 1 distinct grid values v = j/n, 0 < j < 10n. The first
     n, in drawn order, are the minima; each saddle sits at the higher of its
@@ -269,15 +280,64 @@ def shuffled_chain(rng, n):
                           for i in range(n - 1)])
 
 
-def members(node):
-    """The minima of a merge-tree node: the leaves below it."""
+def members(cs, node):
+    """The minima of a merge-tree node of ``cs``: the leaves below it, by
+    id."""
+    tree = merge_tree(cs)
     out, stack = set(), [node]
     while stack:
         node = stack.pop()
-        stack.extend(node.children)
-        if not node.children:
-            out.add(node.low)
+        kids = tree.kids[tree.kid_at[node]:tree.kid_at[node + 1]]
+        stack.extend(kids)
+        if not kids:
+            out.add(tree.ids[node])
     return frozenset(out)
+
+
+def ties(cs, node):
+    """The ids of the minima tied at the bottom of a merge-tree node."""
+    tree = merge_tree(cs)
+    return tuple(tree.ids[m] for m in tree.tie_list[node][:tree.tie_len[node]])
+
+
+def oracle_view(cs, cd):
+    """The structure and decomposition as ``spectrum_oracle`` reads them:
+    points by id, saddle rows with named fields, and E(m) and Ehat as
+    objects whose ``ties`` lists the ids of the minima tied at the bottom
+    of the merge-tree node."""
+    def node(v):
+        return SimpleNamespace(ties=ties(cs, v))
+
+    classes = [cd.classes[0]]
+    for c in cd.classes[1:]:
+        c = copy.copy(c)
+        c.Ehat = node(c.Ehat)
+        c.saddles = tuple(map(SaddleRow._make, c.saddles))
+        classes.append(c)
+    lab = cd.labelling
+    return ById(cs), cd._replace(
+        classes=tuple(classes),
+        labelling=lab._replace(E={m: node(v) for m, v in lab.E.items()}))
+
+
+class ById:
+    """A structure with the by-id lookups ``minimum(id)`` and ``saddle(id)``
+    that the oracles were written against; every other attribute is the
+    structure's own."""
+
+    def __init__(self, cs):
+        self._cs = cs
+        self._minima = {m.id: m for m in cs.minima}
+        self._saddles = {s.id: s for s in cs.saddles}
+
+    def __getattr__(self, name):
+        return getattr(self._cs, name)
+
+    def minimum(self, mid):
+        return self._minima[mid]
+
+    def saddle(self, sid):
+        return self._saddles[sid]
 
 
 def alternating_family():

@@ -11,7 +11,8 @@ import time
 import numpy as np
 import scipy.linalg
 
-from conftest import (alternating_family, class_matrices,
+import sweep_oracle
+from conftest import (ById, alternating_family, class_matrices,
                       cluster_eigenvalues, graded_core, make_rng, random_spd,
                       random_spd_core, random_tree_structure, type1_gadget,
                       type2_gadget)
@@ -21,7 +22,10 @@ from metastab.prefactors import h_phi
 from metastab.spectra import class_spectrum, full_spectrum, schur_R
 from metastab.topology import decompose
 from metastab.validator import compare
-from sweep_oracle import check_generic_assumption
+
+
+def check_generic_assumption(cs):
+    return sweep_oracle.check_generic_assumption(ById(cs))
 
 
 def _done(k, t0, budget, detail):

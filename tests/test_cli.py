@@ -19,6 +19,7 @@ from metastab.cli import main
 from metastab.errors import InvariantViolation
 from metastab.examples import build_example
 from metastab.landscape import structure_to_dict
+from test_spectrum_oracle import _degenerate
 
 RPI = 1.0 / math.sqrt(math.pi)
 
@@ -415,6 +416,24 @@ def test_analyze_rejects_core_beyond_float_range(runner, tmp_path):
         "error": {"type": "InputDataError",
                   "message": "core of class ('m2',) is beyond float range "
                              "(Hessian data)"}}
+    assert res.stderr == ""
+    assert not caught
+
+
+def test_analyze_rejects_core_that_underflows(runner, tmp_path):
+    # the saddle between g0m1 and g0m2 has an Upsilon entry near 1e-239,
+    # whose square underflows, so the core is singular: bad input
+    src = tmp_path / "s.json"
+    src.write_text(json.dumps(structure_to_dict(_degenerate(0))))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, ["analyze", str(src)])
+    assert res.exit_code == 2, res.output
+    assert json.loads(res.stdout) == {
+        "schema": "metastab/2",
+        "error": {"type": "InputDataError",
+                  "message": "core of class ('g0m1', 'g0m2') underflows "
+                             "double precision (Hessian data)"}}
     assert res.stderr == ""
     assert not caught
 

@@ -2,10 +2,11 @@
 ``sweep_oracle``: same labelling, maps, classes and saddle rows, and the
 same error type and message on bad input.
 
-The package keeps each component as a merge-tree node; the oracle keeps it
-as a frozenset of minima. The comparison expands every node into the
-minima below it, and reads the oracle's Eminus(m) and H(m) off the parent
-and the tie tuple of E(m)."""
+The package keeps each component as a merge-tree node index; the oracle
+keeps it as a frozenset of minima. The comparison expands every node into
+the minima below it, and reads the oracle's Eminus(m) and H(m) off the
+parent and the ties of E(m). The oracle reads points by id, through a
+``ById`` view of the structure."""
 
 import math
 
@@ -15,9 +16,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sweep_oracle as oracle
-from conftest import (_chain, funnel, members, random_tree_structure,
-                      shuffled_chain, staircase, tied_structure, type1_gadget,
-                      type2_gadget)
+from conftest import (ById, _chain, funnel, members, random_tree_structure,
+                      shuffled_chain, staircase, tied_structure, ties,
+                      type1_gadget, type2_gadget)
 from schema_v1 import components
 from metastab import cli, topology
 from metastab.errors import InputDataError, InvariantViolation
@@ -41,39 +42,52 @@ def _ties(cs, node):
     """The tie tuple of a node, checked to list each minimum of the node at
     its deepest cluster exactly once."""
     L = oracle.levels(cs)
-    assert len(set(node.ties)) == len(node.ties)
-    assert set(node.ties) == {x for x in members(node)
-                              if L.of(cs.minimum(x).phi) == node.deepest[0]}
-    return frozenset(node.ties)
+    tree = topology.merge_tree(cs)
+    phi = dict(zip(cs.min_ids, cs.min_phi))
+    got = ties(cs, node)
+    assert len(set(got)) == len(got)
+    assert set(got) == {x for x in members(cs, node)
+                        if L.of(phi[x]) == cs.min_cluster[tree.deepest[node]]}
+    return frozenset(got)
 
 
 def _as_sets(cs, cd):
     """A decomposition of the package in the oracle's terms; the saddle
     value clusters, which the labelling no longer carries, come off the
-    tree."""
+    tree, and a class's stored orders and Upsilon cells, which the oracle
+    derives or lacks, are left out."""
     lab = cd.labelling
     tree = topology.merge_tree(cs)
-    Ehat = {m: lab.E[m].parent.children[0] for m in lab.mhat}
+    parent = tree.parent
+    Ehat = {m: tree.kids[tree.kid_at[parent[lab.E[m]]]] for m in lab.mhat}
     for m, node in Ehat.items():
-        assert node.deepest[1] == lab.mhat[m]
+        assert cs.min_ids[tree.deepest[node]] == lab.mhat[m]
         _ties(cs, node)         # the equal-level set prefactors reads
     labelling = {**lab._asdict(),
-                 "sigma_cluster": {m: n.parent and n.parent.born
+                 "sigma_cluster": {m: None if parent[n] < 0
+                                   else tree.born[parent[n]]
                                    for m, n in lab.E.items()},
-                 "E": {m: members(n) for m, n in lab.E.items()},
-                 "ssv_clusters": tuple(sorted(tree.born, reverse=True))}
+                 "E": {m: members(cs, n) for m, n in lab.E.items()},
+                 "ssv_clusters": tuple(sorted(set(tree.born[len(cs.min_ids):]),
+                                              reverse=True))}
     del labelling["mhat"], labelling["type2"]
-    maps = oracle.Maps({m: members(lab.E[m].parent) for m in lab.mhat},
+    maps = oracle.Maps({m: members(cs, parent[lab.E[m]]) for m in lab.mhat},
                        lab.mhat,
-                       {m: members(n) for m, n in Ehat.items()},
+                       {m: members(cs, n) for m, n in Ehat.items()},
                        {m: _ties(cs, n) for m, n in lab.E.items()},
                        lab.type2)
-    classes = [{**vars(c), "Ehat": c.Ehat and members(c.Ehat)}
-               for c in cd.classes]
+    classes = []
+    for c in cd.classes:
+        row = {k: getattr(c, k) for k in c.__slots__}
+        row["Ehat"] = None if c.Ehat is None else members(cs, c.Ehat)
+        del row["uhat"], row["member_order"], row["cells"]
+        classes.append(row)
     return labelling, maps, classes
 
 
 def _decomposition(mod, cs):
+    if mod is not topology:
+        cs = ById(cs)
     kind, cd = _outcome(mod.decompose, cs)
     if kind != "ok":
         return kind, cd
@@ -170,7 +184,8 @@ def test_report_components_are_labelled_components(seed, flat):
         table, num = cli._merge_tree_block(topology.merge_tree(cs))
         rows = components(table)
         assert {m: rows[num[lab.E[m]]] for m in lab.E} == {
-            m: sorted(E) for m, E in oracle.label_minima(cs).E.items()}
+            m: sorted(E)
+            for m, E in oracle.label_minima(ById(cs)).E.items()}
 
 
 @given(seeds, st.integers(min_value=0, max_value=3))
@@ -204,6 +219,6 @@ def test_disconnected_landscape_is_not_labelled():
          Minimum("m3", 0.2, 1.0), Minimum("m4", 0.3, 1.0)],
         [Saddle("s1", 1.0, 1.0, 1.0, ("m1", "m2")),
          Saddle("s2", 2.0, 1.0, 1.0, ("m3", "m4"))])
-    assert oracle.label_minima(cs).sigma["m3"] == 2.0
+    assert oracle.label_minima(ById(cs)).sigma["m3"] == 2.0
     with pytest.raises(InputDataError, match="not connected"):
         topology.decompose(cs)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (class_matrices, graded_core, make_rng, type1_gadget,
-                      type2_gadget)
+import spectrum_oracle as oracle
+from conftest import (class_matrices, graded_core, make_rng, oracle_view,
+                      tied_structure, type1_gadget, type2_gadget)
 from metastab.errors import InputDataError
 from metastab.examples import double_well, ex_a, ex_b
 from metastab.landscape import (CriticalStructure, Minimum, Saddle,
@@ -64,6 +65,28 @@ def test_h_phi_errors():
         h_phi(cs, cd, "m23", c)
 
 
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.lists(st.one_of(st.floats(min_value=5e-324, max_value=1e300),
+                          st.sampled_from([2.0 ** -106, 1.0, 4.0])),
+                min_size=16, max_size=16))
+def test_h_phi_partials_match_the_oracle_bit_for_bit(seed, dets):
+    """The weight from a node's exact partials equals the oracle's fsum over
+    every tied minimum, from subnormal Hessians to 1e300, whatever order
+    the minima come in. Terms det_hess^-1/2 of 2^53, 1 and 1/2 make sums
+    that a rounded running sum gets wrong."""
+    rng = np.random.default_rng(seed)
+    base = tied_structure(rng, n_max=16)
+    minima = [m._replace(det_hess=d) for m, d in zip(base.minima, dets)]
+    rng.shuffle(minima)
+    cs = CriticalStructure(minima, base.saddles, base.level_tolerance)
+    cd = decompose(cs)
+    ocs, ocd = oracle_view(cs, cd)
+    for alpha, oalpha in zip(cd.classes[1:], ocd.classes[1:]):
+        for mid in alpha.uhat:
+            got = h_phi(cs, cd, mid, alpha)
+            assert got.hex() == oracle.h_phi(ocs, ocd, mid, oalpha).hex()
+
+
 # ------------------------------------------------------------------- upsilon
 
 
@@ -72,7 +95,7 @@ def test_upsilon_three_wells():
     cd = decompose(cs)
     c = cd.classes[1]
     U = class_matrices(cs, cd, c).upsilon
-    assert [r.sid for r in c.saddles] == ["s1", "s2"]
+    assert [sid for sid, *_ in c.saddles] == ["s1", "s2"]
     want = np.array([[1.0, -1.0], [0.0, 1.0]]) / SQPI
     assert np.allclose(U, want, atol=1e-15)
 
@@ -84,7 +107,7 @@ def test_upsilon_chain():
     c = cd.classes[1]
     assert c.uhat == ("m23", "m21", "m22")
     U = class_matrices(b.structure, cd, c).upsilon
-    assert [r.sid for r in c.saddles] == ["s1", "s2", "s3"]
+    assert [sid for sid, *_ in c.saddles] == ["s1", "s2", "s3"]
     want = np.array([[0.0, 1.0, -1.0],
                      [1.0, 0.0, -1.0],
                      [theta, 0.0, 0.0]]) / SQPI

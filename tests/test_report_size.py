@@ -7,7 +7,8 @@ ring makes one class of n - 1 minima with a dense core; a report that listed
 those components, or printed that core, would grow about 4x per doubling,
 and so would a decomposition that stored each component's minima. The
 staircase is a merge tree of depth N, which an ancestor walk per query
-makes quadratic in time.
+makes quadratic in time. The one-level staircase ties every minimum with
+all those merged before it.
 """
 
 import gc
@@ -16,7 +17,7 @@ import tracemalloc
 
 from click.testing import CliRunner
 
-from conftest import funnel, members, staircase
+from conftest import funnel, level_staircase, members, staircase
 from metastab.cli import main
 from metastab.landscape import structure_to_dict
 from metastab.topology import decompose
@@ -36,9 +37,10 @@ def _assert_linear(sizes):
 
 
 def test_funnel_components_are_quadratic():
-    lab = decompose(funnel(6)).labelling
+    cs = funnel(6)
+    lab = decompose(cs).labelling
     for i in range(1, 6):
-        assert members(lab.E[f"m{i}"]) == {f"m{j}" for j in range(i, 6)}
+        assert members(cs, lab.E[f"m{i}"]) == {f"m{j}" for j in range(i, 6)}
 
 
 def test_funnel_report_is_linear(tmp_path):
@@ -74,3 +76,11 @@ def _decompose_peak(cs):
 def test_decompose_memory_is_linear():
     for shape in (funnel, staircase):
         _assert_linear([_decompose_peak(shape(n)) for n in (250, 500, 1000)])
+
+
+def test_decompose_memory_is_linear_on_one_level():
+    # every minimum is tied with every one merged before it, so a node that
+    # copied its children's ties, or summed their Hessian terms afresh,
+    # would make the decomposition quadratic
+    _assert_linear([_decompose_peak(level_staircase(n))
+                    for n in (500, 1000, 2000)])

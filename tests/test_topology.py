@@ -5,15 +5,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (make_rng, members, random_tree_structure,
+import sweep_oracle
+from conftest import (ById, make_rng, members, random_tree_structure,
                       type1_gadget, type2_gadget)
 from metastab.errors import InputDataError
 from metastab.examples import build_example, ex_a, ex_b, ex_c, nine_wells
 from metastab.landscape import CriticalStructure, Minimum, Saddle
-from metastab.topology import decompose, verify_separating
-from sweep_oracle import check_generic_assumption, sublevel_components
+from metastab.topology import decompose, merge_tree, verify_separating
 
 INF = math.inf
+
+
+def sublevel_components(cs, level):
+    return sweep_oracle.sublevel_components(ById(cs), level)
+
+
+def check_generic_assumption(cs):
+    return sweep_oracle.check_generic_assumption(ById(cs))
 
 
 def shifted(cs, c):
@@ -167,9 +175,11 @@ def test_maps_three_wells():
     cs = ex_a().structure
     lab = decompose(cs).labelling
     assert lab.mhat == {"m21": "m11", "m22": "m11", "m23": "m11"}
-    assert members(lab.E["m21"].parent) == {"m11", "m21", "m22", "m23"}
+    tree = merge_tree(cs)
+    node = tree.parent[lab.E["m21"]]
+    assert members(cs, node) == {"m11", "m21", "m22", "m23"}
     assert lab.type2 == {"m21": False, "m22": False, "m23": False}
-    assert members(lab.E["m21"].parent.children[0]) == {"m11"}
+    assert members(cs, tree.kids[tree.kid_at[node]]) == {"m11"}
 
 
 def test_maps_detect_type_two():
@@ -186,24 +196,25 @@ def test_maps_detect_type_two():
 
 
 def test_classes_three_wells():
-    cd = decompose(ex_a().structure)
+    cs = ex_a().structure
+    cd = decompose(cs)
     assert cd.ground.members == ("m11",)
     rest = cd.classes[1:]
     assert [c.members for c in rest] == [("m21", "m22"), ("m23",)]
     c = rest[0]
     assert not c.type2 and c.q == 2 and c.p == 1
-    assert c.mhat == "m11" and members(c.Ehat) == {"m11"}
+    assert c.mhat == "m11" and members(cs, c.Ehat) == {"m11"}
     assert c.member_order == ("m21", "m22")
     # type I: the reference minimum is not part of the extended set
     assert c.uhat == ("m21", "m22")
     assert c.block_S == (1.5,)
-    assert [(r.sid, r.m1, r.m2, r.boundary) for r in c.saddles] == [
+    assert list(c.saddles) == [
         ("s1", "m21", "m22", False),
         ("s2", "m22", "m11", True),
     ]
     c2 = rest[1]
     assert c2.members == ("m23",) and c2.q == 1 and not c2.type2
-    assert [(r.sid, r.m1, r.m2, r.boundary) for r in c2.saddles] == [
+    assert list(c2.saddles) == [
         ("s3", "m23", "m11", True),
     ]
 
@@ -260,10 +271,10 @@ def test_class_invariants_random():
             assert all(phis[c.mhat] <= phis[m] + cs.level_tolerance
                        for m in c.members)
             assert all(a < b for a, b in zip(c.block_S, c.block_S[1:]))
-            for r in c.saddles:
-                assert phis[r.m1] >= phis[r.m2] - cs.level_tolerance
-                if r.boundary:
-                    assert r.m2 == c.mhat
+            for _, m1, m2, boundary in c.saddles:
+                assert phis[m1] >= phis[m2] - cs.level_tolerance
+                if boundary:
+                    assert m2 == c.mhat
             # every member's sigma is the class's own
             assert {lab.sigma[m] for m in c.members} == {c.sigma}
         assert seen | set(cd.ground.members) == {m.id for m in cs.minima}
@@ -277,7 +288,7 @@ def test_class_saddle_rows_cover_gadget():
         c = cd.classes[1]
         assert c.type2
         assert len(c.saddles) >= c.q
-        assert any(r.boundary for r in c.saddles)
+        assert any(boundary for *_, boundary in c.saddles)
 
 
 # -------------------------------------------------------- generic assumption
