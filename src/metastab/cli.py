@@ -18,12 +18,14 @@ import numpy as np
 
 from . import __version__
 from .errors import InputDataError, InvariantViolation
-from .examples import build_example
 from .landscape import (extract_critical_structure, load_samples,
                         load_structure, structure_to_dict)
 from .spectra import full_spectrum
 from .topology import decompose, merge_tree
-from .validator import _C_TOL, compare
+
+# ``examples`` and ``validator`` load inside the commands that use them, so
+# that importing the CLI and ``analyze`` never compile or run them; their
+# functions are looked up on their modules at each call.
 
 SCHEMA = "metastab/2"
 
@@ -287,6 +289,7 @@ def analyze_document(cs, h_list=()):
 
 
 def validation_document(vrep, source, h_list):
+    from . import validator
     steps = []
     for s in vrep.steps:
         rows = [{"index": i + 1,
@@ -307,7 +310,7 @@ def validation_document(vrep, source, h_list):
             "command": "validate",
             "input": source,
             "h": list(h_list),
-            "c_tol": _C_TOL,
+            "c_tol": validator._C_TOL,
             "nonzero_count": vrep.n0 - 1,
             "steps": steps,
             "verdicts": list(vrep.verdicts),
@@ -436,11 +439,12 @@ def validate(csv, h_text, grid, eps_level, out, emit_plots):
         raise click.UsageError("--grid must be at least 100")
 
     def run():
+        from . import validator
         p = load_samples(csv)
         cs = extract_critical_structure(p, eps_level=eps_level)
         cd = decompose(cs)
         report = full_spectrum(cs, cd)
-        vrep = compare(report, p, h_list, grid=grid)
+        vrep = validator.compare(report, p, h_list, grid=grid)
         _emit(validation_document(vrep, csv, sorted(h_list, reverse=True)),
               out)
         if emit_plots:
@@ -464,7 +468,8 @@ def example(name, n, theta, out):
     """Run a bundled example and print reference values alongside."""
 
     def run():
-        bundle = build_example(name, n=n, theta=theta)
+        from . import examples, validator
+        bundle = examples.build_example(name, n=n, theta=theta)
         if bundle.kind == "structure":
             cs = bundle.structure
             p = None
@@ -477,7 +482,7 @@ def example(name, n, theta, out):
                           "realization": bundle.realization,
                           "reference": bundle.reference}
         if p is not None and bundle.validate_h:
-            vrep = compare(report, p, bundle.validate_h)
+            vrep = validator.compare(report, p, bundle.validate_h)
             doc["validation"] = validation_document(
                 vrep, bundle.name, bundle.validate_h)
         _emit(doc, out)

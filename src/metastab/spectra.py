@@ -58,17 +58,28 @@ def schur_R(g: GradedCore):
     one, class by class."""
     if g.p < 2:
         raise InputDataError("core has a single level; no Schur complement")
-    # SciPy loads only for classes with several barrier levels; NumPy's
-    # cholesky plus solve rounds differently and would change the report
-    from scipy.linalg import cho_factor, cho_solve
+    # LAPACK loads only for classes with several barrier levels (see
+    # _lapack). These are the potrf and potrs calls, with the checks, of
+    # scipy.linalg's cho_solve(cho_factor(J), B.T); NumPy's cholesky plus
+    # solve rounds differently and would change the report.
+    from ._lapack import check_info, flapack
+    lapack = flapack()
     r1 = g.blocks[0][0]
     n = g.core.shape[-1] - r1
     R = np.empty((len(g.core), n, n))
     for i, core in enumerate(g.core):
-        J = core[:r1, :r1]
-        B = core[r1:, :r1]
+        J = np.asarray_chkfinite(core[:r1, :r1])
+        B = np.asarray_chkfinite(core[r1:, :r1])
         N = core[r1:, r1:]
-        R[i] = N - B @ cho_solve(cho_factor(J), B.T)
+        c, info = lapack.dpotrf(J, lower=0, clean=0)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{info}-th leading minor of the array is not positive "
+                "definite")
+        check_info(info, "potrf")
+        X, info = lapack.dpotrs(c, B.T, lower=0)
+        check_info(info, "potrs")
+        R[i] = N - B @ X
     return GradedCore(0.5 * (R + np.swapaxes(R, 1, 2)), g.blocks[1:])
 
 

@@ -10,6 +10,10 @@ bisection on the Golub-Kahan tridiagonal form recovers each one to its own
 precision no matter how many orders of magnitude separate it from the norm.
 The discrete Gibbs vector e^(-phi/h) is annihilated exactly by the interior
 rows of C, so the bottom of the spectrum is clean.
+
+The bisection (LAPACK ``stebz``) and the spline solve (``gtsv``) are SciPy's
+compiled routines, called with the arguments of SciPy's public wrappers but
+loaded without importing the ``scipy.linalg`` package (see ``_lapack``).
 """
 
 import math
@@ -17,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._lapack import check_info, flapack
 from .errors import InputDataError
 from .landscape import SampledPotential
 
@@ -26,12 +31,23 @@ _MAX_EXP_ARG = 150.0     # per-cell exponent guard; beyond this the grid is
                          # far too coarse for the requested h anyway
 
 
-def eigh_tridiagonal(*args, **kwargs):
-    """``scipy.linalg.eigh_tridiagonal``, imported on first use so that the
-    analysis path never loads SciPy. It stays a module attribute because
-    ``bench/spans.py`` times the bisection by wrapping this name."""
-    from scipy.linalg import eigh_tridiagonal as eigh
-    return eigh(*args, **kwargs)
+def eigh_tridiagonal(d, e, lo, hi, tol):
+    """Eigenvalues ``lo..hi`` (0-based, ascending) of the symmetric
+    tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``, by LAPACK
+    bisection ``stebz`` to absolute tolerance ``tol``.
+
+    Bit for bit ``scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True,
+    select="i", select_range=(lo, hi), tol=tol, lapack_driver="stebz")``:
+    the same compiled routine with the same arguments and checks, loaded
+    without the ``scipy.linalg`` package (see ``_lapack``). It stays a
+    module attribute because ``bench/spans.py`` times the bisection by
+    wrapping this name."""
+    d = np.asarray_chkfinite(d, dtype=float)
+    e = np.asarray_chkfinite(e, dtype=float)
+    m, w, _, _, info = flapack().dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1,
+                                        float(tol), "E")
+    check_info(info, "stebz")
+    return w[:m]
 
 
 def _cubic_spline(x, y):
@@ -40,10 +56,10 @@ def _cubic_spline(x, y):
     Bit for bit ``scipy.interpolate.CubicSpline(x, y)`` for more than three
     samples: the same banded system with its two not-a-knot end rows, the
     same LAPACK ``gtsv`` solve, and the same Hermite coefficients and
-    evaluation order, without importing ``scipy.interpolate``. Queries
-    outside the samples extrapolate the end pieces.
+    evaluation order, without importing ``scipy.interpolate`` or
+    ``scipy.linalg``. Queries outside the samples extrapolate the end
+    pieces.
     """
-    from scipy.linalg import LinAlgError, solve_banded
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
@@ -71,11 +87,13 @@ def _cubic_spline(x, y):
     A[-1, -2] = d
     b[-1] = (dx[-1] ** 2 * slope[-2]
              + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    try:
-        s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
-                         check_finite=False)
-    except LinAlgError:
-        raise InputDataError("spline system is singular") from None
+    # overwrites A and b, as scipy.linalg.solve_banded((1, 1), A, b,
+    # overwrite_ab=True, overwrite_b=True, check_finite=False) does
+    _, _, _, s, info = flapack().dgtsv(A[2, :-1], A[1], A[0, 1:], b,
+                                       1, 1, 1, 1)
+    if info > 0:
+        raise InputDataError("spline system is singular")
+    check_info(info, "gtsv")
     if not np.all(np.isfinite(s)):
         raise InputDataError("spline slopes overflow double precision")
     t = (s[:-1] + s[1:] - 2 * slope) / dx
@@ -224,9 +242,8 @@ def small_eigenvalues(dw, k):
     off = np.empty(2 * n - 1)
     off[0::2] = d
     off[1::2] = e
-    w = eigh_tridiagonal(np.zeros(2 * n), off, eigvals_only=True,
-                         select="i", select_range=(n, n + k - 1),
-                         tol=np.finfo(float).tiny, lapack_driver="stebz")
+    w = eigh_tridiagonal(np.zeros(2 * n), off, n, n + k - 1,
+                         np.finfo(float).tiny)
     return np.maximum(w, 0.0) ** 2
 
 
@@ -266,8 +283,8 @@ def compare(report, p, h_list, grid=None):
     if not cs.positions:
         raise InputDataError("validation needs a structure extracted from "
                              "samples")
-    # one spline serves every h and both grids; it needs scipy.linalg only,
-    # which the bisection loads anyway
+    # one spline serves every h and both grids; its gtsv solve comes from
+    # the same LAPACK module as the bisection
     phi_fn = _cubic_spline(p.xs, p.phis)
     n0 = report.n0
     k_nonzero = n0 - 1

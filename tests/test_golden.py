@@ -16,7 +16,10 @@ thread variables unset. The digests do not depend on ``PYTHONHASHSEED``;
 one structure whose weights sum many tied Hessian terms is run under
 several hash seeds to show it.
 The runs that need no SciPy are repeated in a child where every import of
-SciPy fails, and must give the same bytes.
+SciPy fails, and must give the same bytes. The runs that need LAPACK
+(multi-level classes and the validator) must load SciPy's compiled module
+``scipy.linalg._flapack`` alone, without running SciPy's package
+initializers.
 """
 
 import json
@@ -269,8 +272,10 @@ def _write_double_well(path):
 
 def test_analysis_path_runs_without_scipy(tmp_path):
     """Importing the CLI and analyzing classes with one barrier level load
-    no SciPy; multi-level classes and the validator load ``scipy.linalg`` on
-    demand, and nothing loads ``scipy.interpolate``."""
+    no SciPy; multi-level classes and the validator load SciPy's compiled
+    LAPACK module ``scipy.linalg._flapack`` on demand and no other SciPy
+    module: not the ``scipy`` or ``scipy.linalg`` packages, nor
+    ``scipy._lib`` or ``scipy.interpolate``."""
     golden = {**GOLDEN, **GOLDEN_ANALYZE}
     golden_v2 = {**GOLDEN_V2, **GOLDEN_ANALYZE_V2}
     lean = {"chain-40": _analyze_args(tmp_path, "chain-40"),
@@ -284,9 +289,9 @@ def test_analysis_path_runs_without_scipy(tmp_path):
     got, v1, scipy = _run_cases({"nine-wells": ["example", "nine-wells"]})
     _assert_golden(got, v1, "nine-wells", GOLDEN_V2["nine-wells"],
                    GOLDEN["nine-wells"])
-    assert "scipy.linalg" in scipy
+    assert scipy == ["scipy.linalg._flapack"]
 
-    # the validator's spline and bisection both run on scipy.linalg
+    # the validator's spline and bisection both run on that module too
     _write_double_well(tmp_path / "dw.csv")
     got, v1, scipy = _run_cases({
         "double-well": ["example", "double-well"],
@@ -294,5 +299,4 @@ def test_analysis_path_runs_without_scipy(tmp_path):
     _assert_golden(got, v1, "double-well", GOLDEN_V2["double-well"],
                    GOLDEN["double-well"])
     _assert_golden(got, v1, "validate", GOLDEN_VALIDATE_V2, GOLDEN_VALIDATE)
-    assert "scipy.linalg" in scipy
-    assert "scipy.interpolate" not in scipy
+    assert scipy == ["scipy.linalg._flapack"]

@@ -1,0 +1,313 @@
+"""Oracle tests of the direct LAPACK calls.
+
+``validator.eigh_tridiagonal``, ``validator._cubic_spline`` and
+``spectra.schur_R`` call SciPy's compiled routines through
+``metastab._lapack`` without importing ``scipy.linalg``. They must return
+the bits of SciPy's public wrappers, pass the arguments those wrappers
+pass, and raise their errors. The spline's own oracle is
+``tests/test_spline.py``, which also covers its singular systems.
+"""
+
+import functools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.linalg
+from click.testing import CliRunner
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
+
+import metastab
+from metastab import _lapack, validator
+from metastab.cli import main
+from metastab.examples import chain_sampled, double_well
+from metastab.landscape import extract_critical_structure
+from metastab.prefactors import GradedCore
+from metastab.spectra import full_spectrum, schur_R
+from metastab.topology import decompose
+
+_NAME = "scipy.linalg._flapack"
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------------- bisection
+
+def _scipy_eigh(d, e, lo, hi, tol):
+    return scipy.linalg.eigh_tridiagonal(
+        d, e, eigvals_only=True, select="i", select_range=(lo, hi), tol=tol,
+        lapack_driver="stebz")
+
+
+@functools.cache
+def _golub_kahan_calls():
+    """The (d, e, lo, hi, tol) of every bisection ``compare`` runs for the
+    sampled ex-a chain and the bundled double well."""
+    calls = []
+    real = validator.eigh_tridiagonal
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validator, "eigh_tridiagonal", spy)
+        for p, hs in ((chain_sampled(), (0.3, 0.2)),
+                      (double_well().potential, (0.15,))):
+            cs = extract_critical_structure(p)
+            validator.compare(full_spectrum(cs, decompose(cs)), p, hs)
+    return calls
+
+
+def test_golub_kahan_matrices_match_scipy():
+    calls = _golub_kahan_calls()
+    assert len(calls) == 6
+    for d, e, lo, hi, tol in calls:
+        assert hi > lo     # both examples have several minima
+        _same_bits(validator.eigh_tridiagonal(d, e, lo, hi, tol),
+                   _scipy_eigh(d, e, lo, hi, tol))
+
+
+@st.composite
+def tridiagonals(draw):
+    """Diagonal and off-diagonal at several scales, with zero off-diagonal
+    entries that split the matrix into blocks, and an index range."""
+    n = draw(st.integers(2, 30))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    entry = st.floats(-1.0, 1.0).map(lambda v: scale * v)
+    d = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    e = np.array(draw(st.lists(st.one_of(st.just(0.0), entry),
+                               min_size=n - 1, max_size=n - 1)))
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo, n - 1))
+    tol = draw(st.sampled_from([0.0, np.finfo(float).tiny, 1e-6 * scale]))
+    return d, e, lo, hi, tol
+
+
+# two blocks, the first holding the larger eigenvalues: only a
+# matrix-ordered result lists them ascending
+@example((np.array([5.0, 5.0, 0.0, 0.0]), np.array([1.0, 0.0, 1.0]), 0, 3,
+          0.0))
+@given(tridiagonals())
+def test_tridiagonal_draws_match_scipy(case):
+    _same_bits(validator.eigh_tridiagonal(*case), _scipy_eigh(*case))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_tridiagonal_rejected_like_scipy(bad):
+    d, e = np.zeros(4), np.ones(3)
+    d[2] = bad
+    with pytest.raises(ValueError):
+        _scipy_eigh(d, e, 0, 1, 0.0)
+    with pytest.raises(ValueError):
+        validator.eigh_tridiagonal(d, e, 0, 1, 0.0)
+
+
+# ------------------------------------------------------------------ Schur
+
+def _schur_R_oracle(g):
+    """The former ``spectra.schur_R``, on SciPy's public wrappers."""
+    r1 = g.blocks[0][0]
+    R = np.array([core[r1:, r1:] - core[r1:, :r1]
+                  @ cho_solve(cho_factor(core[:r1, :r1]), core[r1:, :r1].T)
+                  for core in g.core])
+    return 0.5 * (R + np.swapaxes(R, 1, 2))
+
+
+def _random_group(seed):
+    """A shape group of one to three SPD cores with two or three blocks and
+    eigenvalues spread over eight decades."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 4))
+    sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(2, 4)))]
+    dim = sum(sizes)
+    cores = []
+    for _ in range(k):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        c = (q * 10.0 ** rng.uniform(-4.0, 4.0, size=dim)) @ q.T
+        cores.append(0.5 * (c + c.T))
+    blocks = tuple((r, tuple(float(j + 1) for _ in range(k)))
+                   for j, r in enumerate(sizes))
+    return GradedCore(np.array(cores), blocks)
+
+
+@given(seeds)
+def test_schur_complement_matches_scipy(seed):
+    g = _random_group(seed)
+    R = schur_R(g)
+    _same_bits(R.core, _schur_R_oracle(g))
+    assert R.blocks == g.blocks[1:]
+
+
+def _two_level(core):
+    return GradedCore(np.array([core]), ((2, (1.0,)), (1, (2.0,))))
+
+
+def test_non_positive_definite_leading_block_like_scipy():
+    g = _two_level(np.array([[1.0, 2.0, 0.0],
+                             [2.0, 1.0, 0.0],
+                             [0.0, 0.0, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        _schur_R_oracle(g)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="2-th leading minor of the array is not"):
+        schur_R(g)
+
+
+@pytest.mark.parametrize("at", [(0, 1), (2, 0)], ids=["J", "B"])
+def test_non_finite_core_rejected_like_scipy(at):
+    core = np.eye(3)
+    core[at] = np.nan
+    g = _two_level(core)
+    with pytest.raises(ValueError):
+        _schur_R_oracle(g)
+    with pytest.raises(ValueError):
+        schur_R(g)
+
+
+# -------------------------------------------------------------- the calls
+
+class _Lapack:
+    """Stands in for the compiled module: records every call and can force
+    the ``info`` a routine returns."""
+
+    def __init__(self, real, force=()):
+        self.real = real
+        self.force = dict(force)
+        self.calls = []
+
+    def __getattr__(self, name):
+        fn = getattr(self.real, name)
+
+        def call(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            out = fn(*args, **kwargs)
+            if name in self.force:
+                out = (*out[:-1], self.force[name])
+            return out
+        return call
+
+
+@pytest.fixture
+def fake_lapack(monkeypatch):
+    real = _lapack.flapack()
+
+    def install(**force):
+        fake = _Lapack(real, force)
+        monkeypatch.setitem(sys.modules, _NAME, fake)
+        return fake
+    return install
+
+
+def test_routines_get_scipys_arguments(fake_lapack):
+    """The scalar arguments SciPy's ``eigh_tridiagonal`` (stebz driver),
+    ``solve_banded`` (one band each side, overwriting) and
+    ``cho_factor``/``cho_solve`` pass."""
+    fake = fake_lapack()
+    tiny = np.finfo(float).tiny
+    validator.eigh_tridiagonal(np.zeros(6), np.ones(5), 1, 3, tiny)
+    x = np.arange(6.0)
+    validator._cubic_spline(x, x * x)
+    schur_R(_two_level(np.eye(3)))
+    got = [(name, args[k:], kwargs)
+           for (name, args, kwargs), k in zip(fake.calls, (2, 4, 1, 2))]
+    assert got == [("dstebz", (2, 0.0, 1.0, 2, 4, tiny, "E"), {}),
+                   ("dgtsv", (1, 1, 1, 1), {}),
+                   ("dpotrf", (), {"lower": 0, "clean": 0}),
+                   ("dpotrs", (), {"lower": 0})]
+
+
+def _write_double_well(path):
+    xs = np.linspace(-2.0, 2.0, 2001)
+    path.write_text("x,phi\n" + "".join(
+        f"{x!r},{(x * x - 1.0) ** 2!r}\n" for x in xs.tolist()))
+
+
+def _error(args):
+    res = CliRunner().invoke(main, args)
+    err = json.loads(res.stdout)["error"]
+    return res.exit_code, err["type"], err["message"]
+
+
+def test_lapack_failures_keep_their_exit_codes(fake_lapack, tmp_path,
+                                               monkeypatch):
+    csv = tmp_path / "dw.csv"
+    _write_double_well(csv)
+    validate = ["validate", str(csv), "--h", "0.15"]
+    fake_lapack(dgtsv=1)
+    assert _error(validate) == (2, "InputDataError",
+                                "spline system is singular")
+    fake_lapack(dgtsv=-3)
+    assert _error(validate)[:2] == (3, "ValueError")
+    fake_lapack(dstebz=1)
+    assert _error(validate)[:2] == (3, "LinAlgError")
+    fake_lapack(dpotrf=2)                               # not definite
+    assert _error(["example", "nine-wells"])[:2] == (3, "LinAlgError")
+    fake_lapack(dpotrs=-1)
+    assert _error(["example", "nine-wells"])[:2] == (3, "ValueError")
+    fake_lapack()
+    monkeypatch.setattr(validator, "_qr_bidiagonal",
+                        lambda dw: (np.full(dw.n, np.nan), np.ones(dw.n - 1)))
+    assert _error(validate)[:2] == (3, "ValueError")    # non-finite input
+
+
+# ------------------------------------------------------------ the loader
+
+def _no_finder(*args, **kwargs):
+    raise ImportError("no extension finder")
+
+
+@pytest.mark.parametrize("attr, fake", [
+    ("util.find_spec", lambda name, package=None: None),
+    ("machinery.FileFinder", _no_finder),
+], ids=["no-scipy-spec", "no-finder"])
+def test_fallback_to_the_public_module_gives_the_same_bits(monkeypatch, attr,
+                                                           fake):
+    d, e, lo, hi, tol = _golub_kahan_calls()[0]
+    g = _random_group(3)
+    x = np.linspace(0.0, 3.0, 9)
+    q = np.linspace(-0.5, 3.5, 41)
+    direct = (validator.eigh_tridiagonal(d, e, lo, hi, tol), schur_R(g).core,
+              validator._cubic_spline(x, np.sin(x))(q))
+
+    monkeypatch.delitem(sys.modules, _NAME)
+    monkeypatch.setattr(f"importlib.{attr}", fake)
+    assert _lapack.flapack() is scipy.linalg.lapack
+    public = (validator.eigh_tridiagonal(d, e, lo, hi, tol), schur_R(g).core,
+              validator._cubic_spline(x, np.sin(x))(q))
+    assert _NAME not in sys.modules
+    for got, want in zip(public, direct):
+        _same_bits(got, want)
+
+
+_LOADER_CHILD = """
+import json, sys
+from metastab._lapack import flapack
+mod = flapack()
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import scipy.linalg
+from scipy.linalg import _flapack, lapack
+print(json.dumps([mod.__name__, loaded, _flapack is mod,
+                  lapack.dstebz is mod.dstebz]))
+"""
+
+
+def test_direct_load_runs_no_scipy_package_and_is_reused():
+    env = dict(os.environ)
+    src = str(Path(metastab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    res = subprocess.run([sys.executable, "-c", _LOADER_CHILD], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [_NAME, [_NAME], True, True]
