@@ -14,14 +14,21 @@ rows of C, so the bottom of the spectrum is clean.
 The bisection (LAPACK ``stebz``) and the spline solve (``gtsv``) are SciPy's
 compiled routines, called with the arguments of SciPy's public wrappers but
 loaded without importing the ``scipy.linalg`` package (see ``_lapack``).
+``stebz`` is called through ``ctypes`` and runs outside the GIL, so when the
+process may use two or more CPUs, ``compare`` bisects the coarse and the fine
+grid of each h at once, each on its own thread. The report bytes do not
+depend on that: every bisection is the same call with the same arguments.
 """
 
 import math
+import os
+import threading
+from ctypes import c_double, c_int
 from typing import NamedTuple
 
 import numpy as np
 
-from ._lapack import check_info, flapack
+from ._lapack import check_info, dstebz, flapack
 from .errors import InputDataError
 from .landscape import SampledPotential
 
@@ -31,23 +38,86 @@ _MAX_EXP_ARG = 150.0     # per-cell exponent guard; beyond this the grid is
                          # far too coarse for the requested h anyway
 
 
-def eigh_tridiagonal(d, e, lo, hi, tol):
-    """Eigenvalues ``lo..hi`` (0-based, ascending) of the symmetric
-    tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``, by LAPACK
-    bisection ``stebz`` to absolute tolerance ``tol``.
+def eigh_tridiagonal(problems):
+    """Eigenvalues ``lo..hi`` (0-based, ascending) of each symmetric
+    tridiagonal problem ``(d, e, lo, hi, tol)`` (diagonal ``d``,
+    off-diagonal ``e``), by LAPACK bisection ``stebz`` to absolute tolerance
+    ``tol``; one array per problem.
 
     Bit for bit ``scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True,
     select="i", select_range=(lo, hi), tol=tol, lapack_driver="stebz")``:
     the same compiled routine with the same arguments and checks, loaded
-    without the ``scipy.linalg`` package (see ``_lapack``). It stays a
-    module attribute because ``bench/spans.py`` times the bisection by
-    wrapping this name."""
-    d = np.asarray_chkfinite(d, dtype=float)
-    e = np.asarray_chkfinite(e, dtype=float)
-    m, w, _, _, info = flapack().dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1,
-                                        float(tol), "E")
-    check_info(info, "stebz")
-    return w[:m]
+    without the ``scipy.linalg`` package (see ``_lapack``). ``stebz`` runs
+    outside the GIL, so the problems are bisected at once when the process
+    may use several CPUs (see ``_in_parallel``); the results do not depend
+    on that, and errors are raised as a loop over the problems in order
+    would raise them. It stays a module attribute because
+    ``bench/spans.py`` times the bisection by wrapping this name."""
+    stebz = dstebz()
+    calls, outs, bad = [], [], None
+    for d, e, lo, hi, tol in problems:
+        try:
+            d = np.ascontiguousarray(np.asarray_chkfinite(d, dtype=float))
+            e = np.ascontiguousarray(np.asarray_chkfinite(e, dtype=float))
+            if d.ndim != 1 or e.shape != (d.size - 1,):
+                raise ValueError(f"d {d.shape} must have one more element "
+                                 f"than e {e.shape}")
+        except ValueError as exc:
+            bad = exc        # the problems before it still run first
+            break
+        n = d.size
+        m, w, info = c_int(), np.empty(n), c_int()
+        calls.append((b"I", b"E", c_int(n), c_double(0.0), c_double(1.0),
+                      c_int(lo + 1), c_int(hi + 1), c_double(tol), d, e, m,
+                      c_int(), w, np.empty(n, np.intc), np.empty(n, np.intc),
+                      np.empty(4 * n), np.empty(3 * n, np.intc), info))
+        outs.append((m, w, info))
+    out = []
+    for (m, w, info), exc in zip(outs, _in_parallel(stebz, calls)):
+        if exc is not None:
+            raise exc
+        check_info(info.value, "stebz")
+        out.append(w[:m.value])
+    if bad is not None:
+        raise bad
+    return out
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:       # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_parallel(fn, calls):
+    """Call ``fn(*args)`` for each ``args`` in ``calls``, largest problem
+    (dimension ``args[2]``) first, on up to ``_cpus()`` threads: the
+    calling thread takes the largest and each extra thread the next in
+    turn, so one CPU runs the plain loop. Returns each call's exception,
+    or None, in the order of ``calls``."""
+    errors = [None] * len(calls)
+
+    def run(lane):
+        for i in lane:
+            try:
+                fn(*calls[i])
+            except Exception as exc:
+                errors[i] = exc
+
+    order = sorted(range(len(calls)), key=lambda i: -calls[i][2].value)
+    k = max(1, min(_cpus(), len(calls)))
+    threads = [threading.Thread(target=run, args=(order[t::k],))
+               for t in range(1, k)]
+    for t in threads:
+        t.start()
+    try:
+        run(order[0::k])
+    finally:
+        for t in threads:
+            t.join()
+    return errors
 
 
 def _cubic_spline(x, y):
@@ -124,10 +194,10 @@ def _energy_window(p, cs, h):
     this check resolves.
     """
     xs, phis = p.xs, p.phis
-    top = max(s.phi for s in cs.saddles) if cs.saddles else float(np.max(phis))
+    top = max(cs.sad_phi) if cs.sad_phi else float(np.max(phis))
     target = top + max(0.5, 10.0 * h)
-    lo_x = min(cs.positions[m.id] for m in cs.minima)
-    hi_x = max(cs.positions[m.id] for m in cs.minima)
+    wells = [cs.positions[m] for m in cs.min_ids]
+    lo_x, hi_x = min(wells), max(wells)
     left = xs[0]
     for i in range(np.searchsorted(xs, lo_x), -1, -1):
         if phis[i] >= target:
@@ -202,49 +272,55 @@ def discretize(p, h, n=None, domain=None):
 def _qr_bidiagonal(dw):
     """Givens QR of the factor C; returns the upper bidiagonal R as (d, e).
 
-    The recurrence is sequential, so it runs on Python floats: indexing
-    NumPy arrays element by element costs more than the arithmetic.
+    Only the recurrence for the diagonal is sequential, so it runs on
+    Python floats, where indexing NumPy arrays element by element would
+    cost more than the arithmetic. Step j rotates by c = r/rho and
+    s = b[j+1]/rho (c = 1, s = 0 when rho is 0), leaving r c t for the next
+    step and s t above the diagonal, t = a[j+1]; NumPy then forms every
+    s t with the same operations, in the same order.
     """
     n = dw.n
-    a = dw.acoef.tolist()
-    b = dw.bcoef.tolist()
-    d = [0.0] * n
-    e = [0.0] * max(n - 1, 0)
-    r = a[0]
-    for j in range(n):
-        rho = math.hypot(r, b[j + 1])
-        d[j] = rho
-        if j + 1 < n:
-            t = a[j + 1]
-            if rho == 0.0:
-                c_, s_ = 1.0, 0.0
-            else:
-                c_, s_ = r / rho, b[j + 1] / rho
-            e[j] = s_ * t
-            r = c_ * t
-    return np.array(d), np.array(e)
+    a, b = dw.acoef, dw.bcoef
+    hypot = math.hypot
+    d = []
+    push = d.append
+    r = a.item(0)
+    for bj, t in zip(b[1:n].tolist(), a[1:].tolist()):
+        rho = hypot(r, bj)
+        push(rho)
+        r = r / rho * t if rho != 0.0 else t
+    push(hypot(r, b.item(n)))
+    d = np.array(d)
+    rho = d[:-1]
+    e = np.divide(b[1:n], rho, out=np.zeros(n - 1), where=rho != 0.0) * a[1:]
+    return d, e
 
 
-def small_eigenvalues(dw, k):
-    """The k smallest eigenvalues of the discretized operator, ascending.
+def small_eigenvalues(dws, k):
+    """The k smallest eigenvalues of each discretized operator in ``dws``,
+    ascending; one array per grid.
 
     Eigenvalues are squared singular values of the QR factor R of C, and the
     singular values of the bidiagonal R are found by bisection on its
     Golub-Kahan tridiagonal embedding (zero diagonal, R entries interleaved
     off the diagonal). With a tiny tolerance the bisection refines every
     eigenvalue to its own relative precision, which is what lets a 1e-40
-    eigenvalue coexist with an operator norm of 1e4.
+    eigenvalue coexist with an operator norm of 1e4. The grids are
+    bisected together (see ``eigh_tridiagonal``).
     """
-    if k < 1 or k > dw.n:
-        raise InputDataError("requested eigenvalue count exceeds dimension")
-    d, e = _qr_bidiagonal(dw)
-    n = dw.n
-    off = np.empty(2 * n - 1)
-    off[0::2] = d
-    off[1::2] = e
-    w = eigh_tridiagonal(np.zeros(2 * n), off, n, n + k - 1,
-                         np.finfo(float).tiny)
-    return np.maximum(w, 0.0) ** 2
+    problems = []
+    for dw in dws:
+        if k < 1 or k > dw.n:
+            raise InputDataError("requested eigenvalue count exceeds "
+                                 "dimension")
+        d, e = _qr_bidiagonal(dw)
+        n = dw.n
+        off = np.empty(2 * n - 1)
+        off[0::2] = d
+        off[1::2] = e
+        problems.append((np.zeros(2 * n), off, n, n + k - 1,
+                         np.finfo(float).tiny))
+    return [np.maximum(w, 0.0) ** 2 for w in eigh_tridiagonal(problems)]
 
 
 class HStep(NamedTuple):
@@ -294,9 +370,10 @@ def compare(report, p, h_list, grid=None):
         domain = _energy_window(p, cs, h)
         dw1 = discretize(phi_fn, h, grid, domain=domain)
         n = dw1.n
-        coarse = small_eigenvalues(dw1, n0)[1:]
         dw2 = discretize(phi_fn, h, 2 * n, domain=domain)
-        fine = small_eigenvalues(dw2, n0)[1:]
+        # the two grids of one h are bisected together; all six grids at
+        # once would hold every Golub-Kahan problem in memory
+        coarse, fine = (w[1:] for w in small_eigenvalues((dw1, dw2), n0))
         rich = tuple(
             abs(c - f) / f if f > 0 else math.inf
             for c, f in zip(coarse, fine))

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface: document shape, byte
 determinism, error exit codes, and the plot-table side channel."""
 
+import gc
 import json
 import math
 import os
@@ -14,10 +15,11 @@ import pytest
 from click.testing import CliRunner
 
 import metastab.cli as cli
+from conftest import tied_structure
 from metastab import landscape
 from metastab.cli import main
 from metastab.errors import InvariantViolation
-from metastab.examples import build_example
+from metastab.examples import build_example, example_names
 from metastab.landscape import structure_to_dict
 from test_spectrum_oracle import _degenerate
 
@@ -590,3 +592,56 @@ def test_validate_usage_errors(runner, tmp_path):
 
     res = runner.invoke(main, ["validate", str(csv)])
     assert res.exit_code == 2  # --h is required
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch):
+    """The commands run with the cyclic collector off and restore it on
+    return. Whatever cycles they made would wait for a later collection,
+    so they must make none: under ``DEBUG_SAVEALL``, a collection after each
+    command finds nothing. The runs cover the bundled examples, ``analyze``
+    of a ``tied_structure`` draw and ``validate`` of a double well. The
+    command callbacks are called directly, because click's own context and
+    exit exceptions form cycles of their own."""
+    states = []
+    real = cli.full_spectrum
+
+    def spy(*args):
+        states.append(gc.isenabled())
+        return real(*args)
+    monkeypatch.setattr(cli, "full_spectrum", spy)
+    doc = tmp_path / "tied.json"
+    doc.write_text(json.dumps(structure_to_dict(
+        tied_structure(np.random.default_rng(7), n_max=24))))
+    csv = tmp_path / "dw.csv"
+    xs = np.linspace(-2.0, 2.0, 2001)
+    csv.write_text("x,phi\n" + "".join(
+        f"{x!r},{(x * x - 1.0) ** 2!r}\n" for x in xs.tolist()))
+    out = str(tmp_path / "out.json")
+    runs = [lambda name=name: cli.example.callback(name, None, None, out)
+            for name in example_names()]
+    runs.append(lambda: cli.analyze.callback(str(doc), "0.1", None, out,
+                                             False))
+    runs.append(lambda: cli.validate.callback(str(csv), "0.15,0.1", None,
+                                              None, out, False))
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for run in runs:
+            run()
+            assert gc.isenabled()
+            gc.collect()
+            assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert states == [False] * len(runs)
+
+
+def test_collector_stays_off_when_the_caller_turned_it_off(tmp_path):
+    out = str(tmp_path / "out.json")
+    gc.disable()
+    try:
+        cli.example.callback("ex-a", None, None, out)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -4,15 +4,19 @@
 ``spectra.schur_R`` call SciPy's compiled routines through
 ``metastab._lapack`` without importing ``scipy.linalg``. They must return
 the bits of SciPy's public wrappers, pass the arguments those wrappers
-pass, and raise their errors. The spline's own oracle is
-``tests/test_spline.py``, which also covers its singular systems.
+pass, and raise their errors. ``stebz`` is called through ``ctypes`` and may
+run on several threads; its results and errors must not depend on that. The
+spline's own oracle is ``tests/test_spline.py``, which also covers its
+singular systems.
 """
 
+import ctypes
 import functools
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +53,10 @@ def _scipy_eigh(d, e, lo, hi, tol):
         lapack_driver="stebz")
 
 
+def _eigh(d, e, lo, hi, tol):
+    return validator.eigh_tridiagonal([(d, e, lo, hi, tol)])[0]
+
+
 @functools.cache
 def _golub_kahan_calls():
     """The (d, e, lo, hi, tol) of every bisection ``compare`` runs for the
@@ -56,9 +64,9 @@ def _golub_kahan_calls():
     calls = []
     real = validator.eigh_tridiagonal
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(problems):
+        calls.extend(problems)
+        return real(problems)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(validator, "eigh_tridiagonal", spy)
@@ -72,10 +80,12 @@ def _golub_kahan_calls():
 def test_golub_kahan_matrices_match_scipy():
     calls = _golub_kahan_calls()
     assert len(calls) == 6
-    for d, e, lo, hi, tol in calls:
+    together = validator.eigh_tridiagonal(calls)
+    for (d, e, lo, hi, tol), got in zip(calls, together):
         assert hi > lo     # both examples have several minima
-        _same_bits(validator.eigh_tridiagonal(d, e, lo, hi, tol),
-                   _scipy_eigh(d, e, lo, hi, tol))
+        want = _scipy_eigh(d, e, lo, hi, tol)
+        _same_bits(_eigh(d, e, lo, hi, tol), want)
+        _same_bits(got, want)
 
 
 @st.composite
@@ -96,11 +106,12 @@ def tridiagonals(draw):
 
 # two blocks, the first holding the larger eigenvalues: only a
 # matrix-ordered result lists them ascending
-@example((np.array([5.0, 5.0, 0.0, 0.0]), np.array([1.0, 0.0, 1.0]), 0, 3,
-          0.0))
-@given(tridiagonals())
-def test_tridiagonal_draws_match_scipy(case):
-    _same_bits(validator.eigh_tridiagonal(*case), _scipy_eigh(*case))
+@example([(np.array([5.0, 5.0, 0.0, 0.0]), np.array([1.0, 0.0, 1.0]), 0, 3,
+           0.0)])
+@given(st.lists(tridiagonals(), min_size=1, max_size=3))
+def test_tridiagonal_draws_match_scipy(cases):
+    for case, got in zip(cases, validator.eigh_tridiagonal(cases)):
+        _same_bits(got, _scipy_eigh(*case))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -110,7 +121,110 @@ def test_non_finite_tridiagonal_rejected_like_scipy(bad):
     with pytest.raises(ValueError):
         _scipy_eigh(d, e, 0, 1, 0.0)
     with pytest.raises(ValueError):
-        validator.eigh_tridiagonal(d, e, 0, 1, 0.0)
+        _eigh(d, e, 0, 1, 0.0)
+
+
+def _problem(n):
+    """The tridiagonal problem of dimension ``n`` with 2 on the diagonal and
+    -1 off it, for its two smallest eigenvalues."""
+    return np.full(n, 2.0), np.full(n - 1, -1.0), 0, 1, 0.0
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_stebz_threads_follow_the_cpu_count(monkeypatch, cpus):
+    # the largest problem runs on the calling thread, each other one on its
+    # own thread while CPUs last, and one CPU starts no thread
+    seen = []
+    real = _lapack.dstebz()
+
+    def stebz(*args):
+        seen.append((args[2].value, threading.current_thread()))
+        real(*args)
+    monkeypatch.setattr(validator, "dstebz", lambda: stebz)
+    monkeypatch.setattr(validator, "_cpus", lambda: cpus)
+    problems = [_problem(n) for n in (4, 9, 6)]
+    got = validator.eigh_tridiagonal(problems)
+    for problem, w in zip(problems, got):
+        _same_bits(w, _scipy_eigh(*problem))
+    threads = dict(seen)
+    assert sorted(threads) == [4, 6, 9]
+    assert threads[9] is threading.current_thread()
+    assert len(set(threads.values())) == cpus
+    if cpus == 2:
+        assert threads[4] is threading.current_thread()  # its lane's second
+
+
+def test_more_threads_than_cpus_give_the_serial_bits(monkeypatch):
+    # twelve bisections on up to twelve threads, switching as often as the
+    # interpreter allows: every result is still the serial one
+    rng = np.random.default_rng(5)
+    problems = [(rng.standard_normal(n), rng.standard_normal(n - 1), 0,
+                 n // 4, 0.0) for n in range(50, 650, 50)]
+    threads = threading.active_count()
+    monkeypatch.setattr(validator, "_cpus", lambda: 1)
+    serial = validator.eigh_tridiagonal(problems)
+    monkeypatch.setattr(validator, "_cpus", lambda: 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            for got, want in zip(validator.eigh_tridiagonal(problems),
+                                 serial):
+                _same_bits(got, want)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads    # every thread joined
+
+
+def test_stebz_errors_follow_the_serial_order(monkeypatch):
+    """Whichever thread ran a problem, the first failing problem in order
+    raises: a forced ``info``, an exception of the call, or a non-finite
+    input, which also stops the problems after it from running."""
+    real = _lapack.dstebz()
+    ran = []
+
+    def forced(*args):
+        ran.append(args[2].value)
+        real(*args)
+        args[-1].value = args[2].value     # INFO = N
+
+    def raising(*args):
+        raise RuntimeError(f"call of dimension {args[2].value}")
+    bad = (np.array([0.0, np.nan, 0.0]), np.ones(2), 0, 1, 0.0)
+    for cpus in (1, 2):
+        monkeypatch.setattr(validator, "_cpus", lambda: cpus)
+        monkeypatch.setattr(validator, "dstebz", lambda: forced)
+        with pytest.raises(np.linalg.LinAlgError, match=r"info=4\)"):
+            validator.eigh_tridiagonal([_problem(4), _problem(9)])
+        with pytest.raises(np.linalg.LinAlgError, match=r"info=9\)"):
+            validator.eigh_tridiagonal([_problem(9), _problem(4)])
+        ran.clear()
+        with pytest.raises(np.linalg.LinAlgError, match=r"info=4\)"):
+            validator.eigh_tridiagonal([_problem(4), bad, _problem(9)])
+        assert ran == [4]
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            validator.eigh_tridiagonal([bad, _problem(4)])
+        with pytest.raises(ValueError, match="one more element"):
+            validator.eigh_tridiagonal([(np.ones(3), np.ones(3), 0, 1, 0.0)])
+        monkeypatch.setattr(validator, "dstebz", lambda: raising)
+        with pytest.raises(RuntimeError, match="dimension 4$"):
+            validator.eigh_tridiagonal([_problem(4), _problem(9)])
+
+
+@pytest.mark.parametrize("bad", ["float32", "strided"])
+def test_stebz_refuses_arrays_it_cannot_pass(bad):
+    # the Fortran routine reads N doubles from each address it gets
+    d, e, lo, hi, tol = _problem(5)
+    d = d.astype(np.float32) if bad == "float32" else np.repeat(d, 2)[::2]
+    n = 5
+    with pytest.raises(ctypes.ArgumentError, match="C-contiguous float64"):
+        _lapack.dstebz()(b"I", b"E", ctypes.c_int(n), ctypes.c_double(0.0),
+                         ctypes.c_double(1.0), ctypes.c_int(1),
+                         ctypes.c_int(2), ctypes.c_double(tol), d, e,
+                         ctypes.c_int(), ctypes.c_int(), np.empty(n),
+                         np.empty(n, np.intc), np.empty(n, np.intc),
+                         np.empty(4 * n), np.empty(3 * n, np.intc),
+                         ctypes.c_int())
 
 
 # ------------------------------------------------------------------ Schur
@@ -179,12 +293,20 @@ def test_non_finite_core_rejected_like_scipy(at):
 
 class _Lapack:
     """Stands in for the compiled module: records every call and can force
-    the ``info`` a routine returns."""
+    the ``info`` a routine returns. ``stebz`` stands in for the ``ctypes``
+    function ``_lapack.dstebz()``, which sets INFO in place."""
 
-    def __init__(self, real, force=()):
+    def __init__(self, real, real_stebz, force=()):
         self.real = real
+        self.real_stebz = real_stebz
         self.force = dict(force)
         self.calls = []
+
+    def stebz(self, *args):
+        self.calls.append(("dstebz", args, {}))
+        self.real_stebz(*args)
+        if "dstebz" in self.force:
+            args[-1].value = self.force["dstebz"]
 
     def __getattr__(self, name):
         fn = getattr(self.real, name)
@@ -200,29 +322,41 @@ class _Lapack:
 
 @pytest.fixture
 def fake_lapack(monkeypatch):
-    real = _lapack.flapack()
+    real, real_stebz = _lapack.flapack(), _lapack.dstebz()
 
     def install(**force):
-        fake = _Lapack(real, force)
+        fake = _Lapack(real, real_stebz, force)
         monkeypatch.setitem(sys.modules, _NAME, fake)
+        monkeypatch.setattr(validator, "dstebz", lambda: fake.stebz)
         return fake
     return install
 
 
 def test_routines_get_scipys_arguments(fake_lapack):
-    """The scalar arguments SciPy's ``eigh_tridiagonal`` (stebz driver),
-    ``solve_banded`` (one band each side, overwriting) and
+    """The arguments SciPy's ``eigh_tridiagonal`` (stebz driver) hands the
+    Fortran ``dstebz`` through its f2py wrapper (RANGE "I", ORDER "E", VL 0,
+    VU 1, IL lo + 1, IU hi + 1, ABSTOL tol, WORK 4N, IWORK 3N), and the
+    scalar arguments ``solve_banded`` (one band each side, overwriting) and
     ``cho_factor``/``cho_solve`` pass."""
     fake = fake_lapack()
     tiny = np.finfo(float).tiny
-    validator.eigh_tridiagonal(np.zeros(6), np.ones(5), 1, 3, tiny)
+    d, e = np.zeros(6), np.ones(5)
+    _eigh(d, e, 1, 3, tiny)
     x = np.arange(6.0)
     validator._cubic_spline(x, x * x)
     schur_R(_two_level(np.eye(3)))
+    name, args, _ = fake.calls[0]
+    assert name == "dstebz" and len(args) == 18
+    assert [a if type(a) is bytes else a.value for a in args[:8]] == [
+        b"I", b"E", 6, 0.0, 1.0, 2, 4, tiny]
+    _same_bits(args[8], d)
+    _same_bits(args[9], e)
+    f8, i4 = np.dtype(float), np.dtype(np.intc)
+    assert [(a.dtype, a.shape) for a in args[12:17]] == [
+        (f8, (6,)), (i4, (6,)), (i4, (6,)), (f8, (24,)), (i4, (18,))]
     got = [(name, args[k:], kwargs)
-           for (name, args, kwargs), k in zip(fake.calls, (2, 4, 1, 2))]
-    assert got == [("dstebz", (2, 0.0, 1.0, 2, 4, tiny, "E"), {}),
-                   ("dgtsv", (1, 1, 1, 1), {}),
+           for (name, args, kwargs), k in zip(fake.calls[1:], (4, 1, 2))]
+    assert got == [("dgtsv", (1, 1, 1, 1), {}),
                    ("dpotrf", (), {"lower": 0, "clean": 0}),
                    ("dpotrs", (), {"lower": 0})]
 
@@ -277,13 +411,13 @@ def test_fallback_to_the_public_module_gives_the_same_bits(monkeypatch, attr,
     g = _random_group(3)
     x = np.linspace(0.0, 3.0, 9)
     q = np.linspace(-0.5, 3.5, 41)
-    direct = (validator.eigh_tridiagonal(d, e, lo, hi, tol), schur_R(g).core,
+    direct = (_eigh(d, e, lo, hi, tol), schur_R(g).core,
               validator._cubic_spline(x, np.sin(x))(q))
 
     monkeypatch.delitem(sys.modules, _NAME)
     monkeypatch.setattr(f"importlib.{attr}", fake)
     assert _lapack.flapack() is scipy.linalg.lapack
-    public = (validator.eigh_tridiagonal(d, e, lo, hi, tol), schur_R(g).core,
+    public = (_eigh(d, e, lo, hi, tol), schur_R(g).core,
               validator._cubic_spline(x, np.sin(x))(q))
     assert _NAME not in sys.modules
     for got, want in zip(public, direct):

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from metastab import validator
 from metastab.errors import InputDataError
 from metastab.examples import chain_sampled, double_well, ex_a
 from metastab.landscape import extract_critical_structure, make_sampled
 from metastab.spectra import full_spectrum
 from metastab.topology import decompose
-from metastab.validator import (_cubic_spline, _energy_window, compare,
+from metastab.validator import (DiscretizedWitten, _cubic_spline,
+                                _energy_window, _qr_bidiagonal, compare,
                                 default_grid, discretize, small_eigenvalues)
 
 # every h at which the tests, the bundled examples and the benchmark solve a
@@ -55,7 +57,7 @@ def test_quadratic_well_spectrum():
     # phi = x^2 gives |phi'|^2 - h phi'' = 4x^2 - 2h, a shifted oscillator
     # with exact eigenvalues 4hk
     dw = discretize(lambda x: x * x, 1.0, n=4000, domain=(-6.0, 6.0))
-    w = small_eigenvalues(dw, 3)
+    w, = small_eigenvalues([dw], 3)
     assert w[0] <= 1e-12
     assert abs(w[1] - 4.0) <= 1e-8
     assert abs(w[2] - 8.0) <= 1e-7
@@ -83,8 +85,8 @@ def test_default_energy_window():
 
 def test_grid_refinement_is_converged():
     p = double_well().potential
-    w1 = small_eigenvalues(_sampled(p, 0.1), 2)
-    w2 = small_eigenvalues(_sampled(p, 0.1, n=8000), 2)
+    w1, w2 = small_eigenvalues([_sampled(p, 0.1), _sampled(p, 0.1, n=8000)],
+                               2)
     assert abs(w1[1] - w2[1]) / w2[1] <= 1e-8
 
 
@@ -128,12 +130,60 @@ def test_per_cell_exponent_guard():
                    n=100, domain=(0.0, 1.0))
 
 
+def _qr_oracle(dw):
+    """The Givens QR of the factor as one loop over Python floats, each
+    rotation formed and applied in turn."""
+    n = dw.n
+    a = dw.acoef.tolist()
+    b = dw.bcoef.tolist()
+    d = [0.0] * n
+    e = [0.0] * (n - 1)
+    r = a[0]
+    for j in range(n):
+        rho = math.hypot(r, b[j + 1])
+        d[j] = rho
+        if j + 1 < n:
+            t = a[j + 1]
+            if rho == 0.0:
+                c_, s_ = 1.0, 0.0
+            else:
+                c_, s_ = r / rho, b[j + 1] / rho
+            e[j] = s_ * t
+            r = c_ * t
+    return np.array(d), np.array(e)
+
+
+def _qr_cases():
+    # every grid compare solves for the bundled sampled potentials, then
+    # random factors with zero pairs (rho = 0) and negative entries
+    for p in (chain_sampled(), double_well().potential):
+        for h in _H_USED:
+            dw = _sampled(p, h)
+            yield dw
+            yield _sampled(p, h, 2 * dw.n)
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7, 300):
+        a = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+        b = rng.standard_normal(n + 1) * 10.0 ** rng.integers(-30, 30, n + 1)
+        zero = rng.random(n) < 0.3
+        a[zero] = 0.0
+        b[1:][zero] = 0.0
+        yield DiscretizedWitten(np.zeros(n), 1.0, a, b, np.zeros(n))
+
+
+def test_qr_matches_the_rotation_loop_bit_for_bit():
+    for dw in _qr_cases():
+        for got, want in zip(_qr_bidiagonal(dw), _qr_oracle(dw)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_small_eigenvalues_bounds():
     dw = discretize(lambda x: x * x, 1.0, n=200, domain=(-6.0, 6.0))
     with pytest.raises(InputDataError, match="exceeds dimension"):
-        small_eigenvalues(dw, 201)
+        small_eigenvalues([dw], 201)
     with pytest.raises(InputDataError, match="exceeds dimension"):
-        small_eigenvalues(dw, 0)
+        small_eigenvalues([dw], 0)
 
 
 # -------------------------------------------------------------- double well
@@ -141,7 +191,7 @@ def test_small_eigenvalues_bounds():
 
 def test_double_well_eigenvalue_near_prediction():
     dw = _sampled(double_well().potential, 0.1)
-    w = small_eigenvalues(dw, 2)
+    w, = small_eigenvalues([dw], 2)
     assert w[0] <= 1e-15
     pred = (8.0 * math.sqrt(2.0) / math.pi) * 0.1 * math.exp(-2.0 / 0.1)
     assert abs(w[1] / pred - 1.0) <= 0.05
@@ -161,7 +211,7 @@ def test_double_well_sturm_count():
 
 def test_chain_small_cluster_and_gap():
     dw = _sampled(chain_sampled(), 0.08)
-    w = small_eigenvalues(dw, 5)
+    w, = small_eigenvalues([dw], 5)
     # four metastable states, then an O(1) spectral gap
     assert w[0] <= 1e-25
     assert w[4] / w[3] > 1e4
@@ -180,6 +230,25 @@ def test_chain_compare_passes():
         devs = [s.deviations[i] for s in vr.steps]
         assert devs[1] <= devs[0] <= 0.15
         assert all(s.richardson[i] <= 1e-6 for s in vr.steps)
+
+
+@pytest.mark.parametrize("which", ["chain", "double-well"])
+def test_compare_does_not_depend_on_the_cpu_count(monkeypatch, which):
+    # the coarse and fine bisections of each h run on one thread or on two;
+    # every number of the result must be the same
+    p, hs = {"chain": (chain_sampled(), (0.3, 0.2)),
+             "double-well": (double_well().potential, (0.15, 0.1))}[which]
+    report = _report(p)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(validator, "_cpus", lambda: cpus)
+        runs.append(compare(report, p, hs))
+    serial, threaded = runs
+    assert serial.verdicts == threaded.verdicts
+    assert serial.verdicts and "FAIL" not in serial.verdicts
+    for a, b in zip(serial.steps, threaded.steps):
+        assert np.array(a[2:]).tobytes() == np.array(b[2:]).tobytes()
+        assert a[:2] == b[:2]
 
 
 def test_compare_single_well_is_vacuous():
