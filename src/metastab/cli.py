@@ -15,7 +15,6 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
-import numpy as np
 
 from . import __version__
 from .errors import InputDataError, InvariantViolation
@@ -41,32 +40,17 @@ def _escape(m):
     return "\\" + ch if ch in '"\\' else f"\\u{ord(ch):04x}"
 
 
-def _float(v):
-    return f"{v:.17g}" if math.isfinite(v) else "null"
-
-
-def _scalar(x):
-    if x is None:
-        return "null"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return _float(float(x))
-    raise TypeError(f"cannot serialize {type(x).__name__}")
-
-
 def dumps(obj, indent=0):
     """Deterministic JSON: insertion-ordered keys, 17 significant digits,
     -0 kept, non-finite floats rendered as null.
 
-    Dispatch is on the exact type: float, str, dict, list, tuple and int
-    take the fast path, and a container loop writes its str and float items
-    and values in place. Anything else (bool, None, NumPy scalars and
-    arrays, subclasses such as named tuples) goes through ``generic``, the
-    isinstance chain, and is written as the recursive encoder of
-    ``tests/encoder_oracle.py`` writes it. One call shares, across the
+    A document holds exactly dict, list, tuple, str, float, int, bool and
+    None, and is written as the recursive encoder of
+    ``tests/encoder_oracle.py`` writes it; dict keys are written as
+    ``str(key)``. Any other value, a subclass such as a named tuple or a
+    NumPy scalar or array included, raises ``TypeError`` naming its type.
+    Dispatch is on the exact type, and a container loop writes its str and
+    float items and values in place. One call shares, across the
     document, the text of each string, the line start of each str key at
     each indent, and the text of each tuple at each indent (a class's
     member tuple recurs once per eigenvalue of the class). Each container's
@@ -84,7 +68,7 @@ def dumps(obj, indent=0):
         out = strings[s] = f'"{_ESCAPE.sub(_escape, s)}"'
         return out
 
-    # v - v == 0.0 is the test of _float without a call: it holds for every
+    # v - v == 0.0 is math.isfinite(v) without a call: it holds for every
     # finite float and for neither infinity nor NaN
 
     def encode(obj, indent):
@@ -105,18 +89,16 @@ def dumps(obj, indent=0):
             return out
         if t is int:
             return f"{obj}"
-        return generic(obj, indent)
+        return generic(obj)
 
-    def generic(obj, indent):
-        if isinstance(obj, str):
-            return strings.get(obj) or string(obj)
-        if isinstance(obj, np.ndarray):
-            obj = obj.tolist()
-        if isinstance(obj, dict):
-            return mapping(obj, indent)
-        if isinstance(obj, (list, tuple)):
-            return sequence(obj, indent)
-        return _scalar(obj)
+    def generic(obj):
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
     def mapping(obj, indent):
         if not obj:
@@ -180,7 +162,7 @@ def dumps(obj, indent=0):
     try:
         return encode(obj, indent)
     finally:
-        del encode, generic, mapping, sequence
+        del encode, mapping, sequence
 
 
 # ------------------------------------------------------------ report pieces
@@ -486,11 +468,8 @@ def example(name, n, theta, out):
     def run():
         from . import examples
         bundle = examples.build_example(name, n=n, theta=theta)
-        if bundle.kind == "structure":
-            cs = bundle.structure
-            p = None
-        else:
-            p = bundle.potential
+        cs, p = bundle.structure, bundle.potential
+        if cs is None:
             cs = extract_critical_structure(p)
         doc, report = analyze_document(cs, bundle.validate_h)
         doc["command"] = "example"

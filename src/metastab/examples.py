@@ -13,15 +13,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputDataError
-from .landscape import (CriticalStructure, Minimum, Saddle, SampledPotential,
-                        make_sampled)
+from .landscape import CriticalStructure, make_sampled
 
 
 class ExampleBundle(NamedTuple):
     name: str
-    kind: str                  # "structure" or "sampled"
-    structure: object          # CriticalStructure or None
-    potential: object          # SampledPotential or None
+    structure: object          # CriticalStructure, or None when sampled
+    potential: object          # SampledPotential, or None
     realization: dict          # the numeric choices made
     reference: dict            # closed-form values the run should reproduce
     validate_h: tuple          # h schedule for the direct check, or ()
@@ -34,18 +32,18 @@ def _chain_structure():
     saddle, with a second saddle leaking to the global well; m23 stays a
     singleton class.
     """
-    minima = [Minimum("m11", 0.0, 1.0), Minimum("m21", 0.5, 1.0),
-              Minimum("m22", 0.5, 1.0), Minimum("m23", 1.0, 1.0)]
-    saddles = [Saddle("s1", 2.0, 1.0, 1.0, ("m21", "m22")),
-               Saddle("s2", 2.0, 1.0, 1.0, ("m22", "m11")),
-               Saddle("s3", 2.0, 1.0, 1.0, ("m23", "m11"))]
+    minima = [("m11", 0.0, 1.0), ("m21", 0.5, 1.0),
+              ("m22", 0.5, 1.0), ("m23", 1.0, 1.0)]
+    saddles = [("s1", 2.0, 1.0, 1.0, ("m21", "m22")),
+               ("s2", 2.0, 1.0, 1.0, ("m22", "m11")),
+               ("s3", 2.0, 1.0, 1.0, ("m23", "m11"))]
     return CriticalStructure(minima, saddles)
 
 
 def ex_a():
     golden = math.sqrt(5.0) / 2.0
     return ExampleBundle(
-        "ex-a", "structure", _chain_structure(), None,
+        "ex-a", _chain_structure(), None,
         {"phi_minima": {"m11": 0.0, "m21": 0.5, "m22": 0.5, "m23": 1.0},
          "saddle_level": 2.0, "hessians": "unit"},
         {"classes": [
@@ -66,15 +64,15 @@ def ex_b(theta=1.0):
     if not theta > 0:
         raise InputDataError("theta must be positive")
     t4 = float(theta) ** 4
-    minima = [Minimum("m11", 0.0, 1.0), Minimum("m21", 0.5, 1.0),
-              Minimum("m22", 0.5, 1.0), Minimum("m23", 1.0, 1.0)]
-    saddles = [Saddle("s1", 2.0, 1.0, 1.0, ("m21", "m22")),
-               Saddle("s2", 2.0, 1.0, 1.0, ("m22", "m23")),
-               Saddle("s3", 2.0, t4, t4, ("m23", "m11"))]
+    minima = [("m11", 0.0, 1.0), ("m21", 0.5, 1.0),
+              ("m22", 0.5, 1.0), ("m23", 1.0, 1.0)]
+    saddles = [("s1", 2.0, 1.0, 1.0, ("m21", "m22")),
+               ("s2", 2.0, 1.0, 1.0, ("m22", "m23")),
+               ("s3", 2.0, t4, t4, ("m23", "m11"))]
     nu = 1.0 / (1.0 + theta ** 2)
     disc = math.sqrt((3.0 - nu) ** 2 - 4.0 * (1.0 - nu))
     return ExampleBundle(
-        "ex-b", "structure", CriticalStructure(minima, saddles), None,
+        "ex-b", CriticalStructure(minima, saddles), None,
         {"phi_minima": {"m11": 0.0, "m21": 0.5, "m22": 0.5, "m23": 1.0},
          "saddle_level": 2.0, "theta": float(theta),
          "hessians": "unit except the exit saddle (theta^4)"},
@@ -99,14 +97,14 @@ def ex_c(n=4):
     if n < 3:
         raise InputDataError("the ring needs at least 3 minima")
     width = len(str(n))
-    minima = [Minimum(f"m{j + 1:0{width}d}", 0.0, 1.0) for j in range(n)]
-    saddles = [Saddle(f"s{j + 1:0{width}d}", 1.0, 1.0, 1.0,
-                      (minima[j].id, minima[(j + 1) % n].id))
-               for j in range(n)]
+    ids = [f"m{j + 1:0{width}d}" for j in range(n)]
+    minima = [(mid, 0.0, 1.0) for mid in ids]
+    saddles = [(f"s{j + 1:0{width}d}", 1.0, 1.0, 1.0,
+                (ids[j], ids[(j + 1) % n])) for j in range(n)]
     ref = sorted(2.0 - 2.0 * math.cos(2.0 * math.pi * k / n)
                  for k in range(1, n))
     return ExampleBundle(
-        "ex-c", "structure", CriticalStructure(minima, saddles), None,
+        "ex-c", CriticalStructure(minima, saddles), None,
         {"n": n, "phi_minima": 0.0, "saddle_level": 1.0, "hessians": "unit"},
         {"pi_zeta2": ref, "S": 1.0},
         ())
@@ -125,11 +123,11 @@ def nine_wells():
              "s3": (20.0, "m11", "m41"), "s4": (30.0, "m41", "m32"),
              "s5": (40.0, "m32", "m22"), "s6": (40.0, "m22", "m33"),
              "s7": (30.0, "m33", "m23"), "s8": (30.0, "m23", "m34")}
-    minima = [Minimum(k, v, 1.0) for k, v in sorted(mphi.items())]
-    saddles = [Saddle(k, lvl, 1.0, 1.0, (a, b))
+    minima = [(k, v, 1.0) for k, v in sorted(mphi.items())]
+    saddles = [(k, lvl, 1.0, 1.0, (a, b))
                for k, (lvl, a, b) in sorted(joins.items())]
     return ExampleBundle(
-        "nine-wells", "structure", CriticalStructure(minima, saddles), None,
+        "nine-wells", CriticalStructure(minima, saddles), None,
         {"phi_minima": mphi,
          "saddle_levels": {k: v[0] for k, v in sorted(joins.items())},
          "hessians": "unit"},
@@ -163,7 +161,7 @@ def double_well():
     """
     zeta2 = 8.0 * math.sqrt(2.0) / math.pi
     return ExampleBundle(
-        "double-well", "sampled", None, _double_well_samples(),
+        "double-well", None, _double_well_samples(),
         {"potential": "(x^2-1)^2", "domain": [-2.5, 2.5], "samples": 2501},
         {"zeta2": zeta2, "S": 1.0,
          "lambda_form": "h * zeta2 * exp(-2/h)"},

@@ -11,17 +11,18 @@ Only scalar Hessian data is kept (|det Hess phi| and, for saddles, the modulus
 of the negative eigenvalue): nothing downstream needs more than
 |det Hess|^(1/4) and the square root of the negative eigenvalue.
 
-A structure numbers its minima 0..n-1 and its saddles 0..s-1 in id order,
-so that comparing two indices compares their ids, and keeps each point's
-data as flat lists over those indices; a saddle's joins are minimum
-indices. Everything downstream works on the indices, and ids come back
-only where a class or a report block names a point.
+Both modes hand the structure plain rows, (id, phi, det_hess) per minimum
+and (id, phi, det_hess, neg_eig, joins) per saddle, with joins the pair of
+minimum ids. A structure numbers its minima 0..n-1 and its saddles 0..s-1
+in id order, so that comparing two indices compares their ids, and keeps
+each point's data as flat lists over those indices; a saddle's joins are
+minimum indices. Everything downstream works on the indices, and ids come
+back only where a class or a report block names a point.
 """
 
 import json
 import math
 import os
-from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -30,20 +31,6 @@ import numpy as np
 from .errors import DegenerateLandscapeError, InputDataError
 
 DEFAULT_LEVEL_TOL = 1e-9
-
-
-class Minimum(NamedTuple):
-    id: str
-    phi: float
-    det_hess: float
-
-
-class Saddle(NamedTuple):
-    id: str
-    phi: float
-    det_hess: float
-    neg_eig: float
-    joins: tuple  # pair of minimum ids, one per side of the saddle
 
 
 class LevelIndex:
@@ -77,16 +64,15 @@ class LevelIndex:
         self.cluster = cluster.tolist()
         self.reps = reps
 
-    def __len__(self):
-        return len(self.reps)
-
 
 class CriticalStructure:
     """A validated Morse landscape skeleton.
 
     Parameters
     ----------
-    minima, saddles : sequences of Minimum / Saddle
+    minima : iterable of (id, phi, det_hess) rows
+    saddles : iterable of (id, phi, det_hess, neg_eig, joins) rows, where
+        joins is the pair of minimum ids, one per side of the saddle
     level_tolerance : float
         Absolute tolerance used to decide equality of potential values.
     positions : dict, optional
@@ -99,25 +85,11 @@ class CriticalStructure:
     ``sad_det_hess``, ``sad_neg_eig``, ``sad_joins`` (the pair of minimum
     indices, in input order) and ``sad_cluster`` for the saddles. ``levels``
     clusters the critical values, and a point's cluster is decided once,
-    here. ``minima`` and ``saddles`` give the points back as records by id.
+    here.
     """
 
     def __init__(self, minima, saddles, level_tolerance=DEFAULT_LEVEL_TOL,
                  positions=None):
-        self._setup([(m.id, m.phi, m.det_hess) for m in minima],
-                    [(s.id, s.phi, s.det_hess, s.neg_eig, s.joins)
-                     for s in saddles], level_tolerance, positions)
-
-    @classmethod
-    def from_rows(cls, minima, saddles, level_tolerance=DEFAULT_LEVEL_TOL):
-        """The structure of plain (id, phi, det_hess) minimum rows and
-        (id, phi, det_hess, neg_eig, joins) saddle rows, as
-        ``load_structure`` reads them off a document."""
-        cs = cls.__new__(cls)
-        cs._setup(minima, saddles, level_tolerance, None)
-        return cs
-
-    def _setup(self, minima, saddles, level_tolerance, positions):
         first = itemgetter(0)
         minima = sorted(minima, key=first)
         saddles = sorted(saddles, key=first)
@@ -152,19 +124,6 @@ class CriticalStructure:
                     raise InputDataError(
                         f"saddle {self.sad_ids[s]} is not above joined "
                         f"minimum {self.min_ids[m]} (within level tolerance)")
-
-    @cached_property
-    def minima(self):
-        return tuple(map(Minimum, self.min_ids, self.min_phi,
-                         self.min_det_hess))
-
-    @cached_property
-    def saddles(self):
-        ids = self.min_ids
-        return tuple(Saddle(sid, phi, det, neg, (ids[a], ids[b]))
-                     for sid, phi, det, neg, (a, b) in zip(
-                         self.sad_ids, self.sad_phi, self.sad_det_hess,
-                         self.sad_neg_eig, self.sad_joins))
 
     def _validate(self, joins):
         """Reject non-finite or non-positive data and bad joins, naming the
@@ -214,7 +173,7 @@ def structure_to_dict(cs):
 
 def _document_rows(doc):
     """(minimum rows, saddle rows, level tolerance) of a structure document,
-    each field checked; see ``CriticalStructure.from_rows``."""
+    each field checked, as ``CriticalStructure`` takes them."""
 
     def _req(obj, key, kinds, where):
         if key not in obj:
@@ -305,7 +264,7 @@ def load_structure(document):
             raise InputDataError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputDataError("structure document must be a JSON object")
-    cs = CriticalStructure.from_rows(*_document_rows(doc))
+    cs = CriticalStructure(*_document_rows(doc))
     # the merge tree is built without the parsed document, so the cyclic
     # collector has far fewer objects to walk while it grows
     del doc
@@ -477,11 +436,11 @@ def extract_critical_structure(p: SampledPotential, eps_level=None):
                     f"degenerate minimum near x = {xs[i]:g}")
             n_min += 1
             mid = f"m{n_min}"
-            minima.append(Minimum(mid, value, second))
+            minima.append((mid, value, second))
             positions[mid] = x_star
             if pending is not None:
                 sid, sval, ssec, left_id = pending
-                saddles.append(Saddle(sid, sval, ssec, ssec, (left_id, mid)))
+                saddles.append((sid, sval, ssec, ssec, (left_id, mid)))
                 pending = None
             last_min_id = mid
         else:

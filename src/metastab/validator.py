@@ -213,10 +213,8 @@ def _energy_window(p, cs, h):
 
 class DiscretizedWitten(NamedTuple):
     x: np.ndarray          # interior grid points
-    h: float
     acoef: np.ndarray      # C[j, j] entries, j = 0..n-1
     bcoef: np.ndarray      # C[j, j-1] entries, j = 1..n (index 0 unused)
-    phi: np.ndarray        # potential on interior points
 
     @property
     def n(self):
@@ -266,7 +264,7 @@ def discretize(p, h, n=None, domain=None):
     scale = h / dx
     acoef = scale * np.exp(up[:-1])                       # j = 0..n-1
     bcoef = np.concatenate([[0.0], -scale * np.exp(dn[1:])])  # j = 1..n
-    return DiscretizedWitten(full[1:-1], h, acoef, bcoef, phi[1:-1])
+    return DiscretizedWitten(full[1:-1], acoef, bcoef)
 
 
 def _qr_bidiagonal(dw):
@@ -373,7 +371,8 @@ def compare(report, p, h_list, grid=None):
         dw2 = discretize(phi_fn, h, 2 * n, domain=domain)
         # the two grids of one h are bisected together; all six grids at
         # once would hold every Golub-Kahan problem in memory
-        coarse, fine = (w[1:] for w in small_eigenvalues((dw1, dw2), n0))
+        coarse, fine = (w[1:].tolist()
+                        for w in small_eigenvalues((dw1, dw2), n0))
         rich = tuple(
             abs(c - f) / f if f > 0 else math.inf
             for c, f in zip(coarse, fine))

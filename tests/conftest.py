@@ -9,11 +9,12 @@ import copy
 import os
 import zlib
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from metastab.landscape import CriticalStructure, Minimum, Saddle
+from metastab.landscape import CriticalStructure
 from metastab.prefactors import (ClassMatrices, GradedCore,
                                  build_class_matrices, build_graded_core)
 from metastab.topology import merge_tree
@@ -99,6 +100,36 @@ def random_spd(rng, dim):
 
 
 # -------------------------------------------------------------- landscapes
+
+
+class Minimum(NamedTuple):
+    """A minimum row of ``CriticalStructure`` with named fields."""
+    id: str
+    phi: float
+    det_hess: float
+
+
+class Saddle(NamedTuple):
+    """A saddle row of ``CriticalStructure`` with named fields."""
+    id: str
+    phi: float
+    det_hess: float
+    neg_eig: float
+    joins: tuple  # pair of minimum ids, one per side of the saddle
+
+
+def minima(cs):
+    """The minima of a structure as rows, by id."""
+    return tuple(map(Minimum, cs.min_ids, cs.min_phi, cs.min_det_hess))
+
+
+def saddles(cs):
+    """The saddles of a structure as rows, by id, joins as minimum ids."""
+    ids = cs.min_ids
+    return tuple(Saddle(sid, phi, det, neg, (ids[a], ids[b]))
+                 for sid, phi, det, neg, (a, b) in zip(
+                     cs.sad_ids, cs.sad_phi, cs.sad_det_hess,
+                     cs.sad_neg_eig, cs.sad_joins))
 
 
 def _tree_edges(rng, verts):
@@ -321,14 +352,16 @@ def oracle_view(cs, cd):
 
 
 class ById:
-    """A structure with the by-id lookups ``minimum(id)`` and ``saddle(id)``
-    that the oracles were written against; every other attribute is the
-    structure's own."""
+    """A structure with the rows ``minima`` and ``saddles`` and the by-id
+    lookups ``minimum(id)`` and ``saddle(id)`` that the oracles were written
+    against; every other attribute is the structure's own."""
 
     def __init__(self, cs):
         self._cs = cs
-        self._minima = {m.id: m for m in cs.minima}
-        self._saddles = {s.id: s for s in cs.saddles}
+        self.minima = minima(cs)
+        self.saddles = saddles(cs)
+        self._minima = {m.id: m for m in self.minima}
+        self._saddles = {s.id: s for s in self.saddles}
 
     def __getattr__(self, name):
         return getattr(self._cs, name)

@@ -80,7 +80,8 @@ def _class_v1(c):
         elif key == "theta0":
             continue
         elif key == "levels":
-            out["matrices"] = {"upsilon": U, "T": T, "core": core}
+            out["matrices"] = {"upsilon": U.tolist(), "T": T.tolist(),
+                               "core": core.tolist()}
         out[key] = value
     return out
 

@@ -2,10 +2,14 @@
 
 Every top-level function and class of ``metastab`` and every method other
 than a dunder must be named somewhere in the package or in ``bench/``
-outside its own definition: as an identifier, an attribute, an imported
-name, or a string equal to the name (``bench/spans.py`` names the functions
-it traces that way). A name found only inside its own body, such as a
-recursive call, does not count.
+outside its own definition. A top-level name counts when it occurs as an
+identifier, an attribute or an imported name, or as a string in
+``bench/spans.py``, which lists the functions it traces by name. A method
+counts only when it is read as an attribute ``.name``, so a local variable
+or a report key of the same name is no caller. A decorated top-level
+function counts as registered by its decorator (the click commands). A
+name found only inside its own body, such as a recursive call, does not
+count.
 
 Every field of a ``NamedTuple`` of ``metastab`` must likewise be read as an
 attribute ``.field`` somewhere in the package or in ``bench/``. The match is
@@ -20,32 +24,39 @@ SOURCES = sorted((ROOT / "src" / "metastab").glob("*.py"))
 CALLERS = SOURCES + sorted((ROOT / "bench").glob("*.py"))
 
 
+# the one file whose string constants name functions
+TRACED = "bench/spans.py"
+
+
 def _definitions(tree):
-    """(name, first line, last line) of the top-level functions and classes
-    and of the non-dunder methods of those classes."""
+    """(name, first line, last line, is a method) of the top-level functions
+    and classes, other than decorated functions, and of the non-dunder
+    methods of those classes."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef) or (
+                isinstance(node, ast.FunctionDef)
+                and not node.decorator_list):
+            yield node.name, node.lineno, node.end_lineno, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef)
                         and not item.name.startswith("__")):
-                    yield item.name, item.lineno, item.end_lineno
+                    yield item.name, item.lineno, item.end_lineno, True
 
 
-def _references(tree):
-    """(name, line) of every identifier, attribute, imported name and
-    identifier-like string constant."""
+def _references(tree, strings):
+    """(name, line, is an attribute read) of every identifier, attribute,
+    imported name and, if ``strings``, identifier-like string constant."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, isinstance(node.ctx, ast.Load)
         elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1], node.lineno
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node.value.isidentifier()):
-            yield node.value, node.lineno
+            yield node.name.rsplit(".", 1)[-1], node.lineno, False
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and node.value.isidentifier()):
+            yield node.value, node.lineno, False
 
 
 def unreferenced(sources, callers):
@@ -54,13 +65,15 @@ def unreferenced(sources, callers):
     source text."""
     refs = {}
     for fname, text in callers.items():
-        for name, line in _references(ast.parse(text)):
-            refs.setdefault(name, []).append((fname, line))
+        for name, line, read in _references(ast.parse(text),
+                                            fname == TRACED):
+            refs.setdefault(name, []).append((fname, line, read))
     missing = []
     for fname, text in sources.items():
-        for name, first, last in _definitions(ast.parse(text)):
-            if not any(f != fname or not first <= line <= last
-                       for f, line in refs.get(name, ())):
+        for name, first, last, method in _definitions(ast.parse(text)):
+            if not any((read or not method)
+                       and (f != fname or not first <= line <= last)
+                       for f, line, read in refs.get(name, ())):
                 missing.append(f"{fname}:{first} {name}")
     return missing
 
@@ -121,3 +134,28 @@ def test_a_self_reference_is_no_caller():
            "        return self.dead()\n")
     callers = {"lib.py": lib, "app.py": "print(A().used())\n"}
     assert unreferenced({"lib.py": lib}, callers) == ["lib.py:4 dead"]
+
+
+def test_a_same_named_local_or_report_key_is_no_caller():
+    lib = ("class S:\n"
+           "    def minima(self):\n"
+           "        return 1\n"
+           "def build():\n"
+           "    return 2\n"
+           "def traced():\n"
+           "    return 3\n"
+           "@register\n"
+           "def command():\n"
+           "    return 4\n")
+    app = ("def block():\n"
+           "    minima = S()\n"
+           "    return {'minima': minima, 'build': build, 'traced': 1}\n")
+    spans = "TARGETS = (('lib', 'traced'),)\n"
+    callers = {"lib.py": lib, "app.py": app}
+    # the method is only a local's name and a report key, a string names a
+    # function only in the list of traced names, and the decorated command
+    # is registered
+    assert unreferenced({"lib.py": lib}, callers) == [
+        "lib.py:2 minima", "lib.py:6 traced"]
+    callers[TRACED] = spans + "x = S().minima\n"
+    assert unreferenced({"lib.py": lib}, callers) == []

@@ -572,6 +572,42 @@ def test_validation_extracts_the_structure_once(runner, tmp_path,
     assert len(calls) == 1
 
 
+def _leaf_types(doc):
+    """The type of every key and every value of a document below its
+    dicts, lists and tuples."""
+    t = type(doc)
+    if t is dict:
+        for k, v in doc.items():
+            yield type(k)
+            yield from _leaf_types(v)
+    elif t is list or t is tuple:
+        for v in doc:
+            yield from _leaf_types(v)
+    else:
+        yield t
+
+
+def test_reports_hold_plain_values():
+    """A report is made of plain Python values, so ``dumps`` never meets a
+    NumPy scalar or array: the validation of the sampled chain, whose
+    eigenvalues come out of LAPACK, and the dense spectrum of a large
+    ring."""
+    from metastab import validator
+    from metastab.examples import chain_sampled
+    from metastab.spectra import full_spectrum
+    from metastab.topology import decompose
+
+    hs = (0.3, 0.2, 0.15)
+    p = chain_sampled()
+    cs = landscape.extract_critical_structure(p)
+    vrep = validator.compare(full_spectrum(cs, decompose(cs)), p, hs)
+    ring, _ = cli.analyze_document(build_example("ex-c", n=200).structure,
+                                   (0.1,))
+    for doc in (cli.validation_document(vrep, "chain", list(hs)), ring):
+        assert set(_leaf_types(doc)) <= {float, int, str, bool, type(None)}
+        assert float in set(_leaf_types(doc))
+
+
 def test_validate_usage_errors(runner, tmp_path):
     csv = tmp_path / "well.csv"
     xs = np.linspace(-6.0, 6.0, 2001)

@@ -32,9 +32,8 @@ from pathlib import Path
 import numpy as np
 
 import metastab
-from conftest import tied_structure
-from metastab.landscape import (CriticalStructure, Minimum, Saddle,
-                                structure_to_dict)
+from conftest import Minimum, Saddle, saddles, tied_structure
+from metastab.landscape import CriticalStructure, structure_to_dict
 from metastab.topology import decompose
 
 # schema metastab/2, for the runs of the schema 1 tables below
@@ -232,9 +231,9 @@ def test_ring_bytes_without_a_thread_setting():
 
 def test_many_level_structures():
     chain = _STRUCTURES["chain-40"]()
-    assert len(chain.levels) == 79
+    assert len(chain.levels.reps) == 79
     tied = _STRUCTURES["tied-7"]()
-    pairs = [frozenset(s.joins) for s in tied.saddles]
+    pairs = [frozenset(s.joins) for s in saddles(tied)]
     assert len(set(pairs)) < len(pairs)          # parallel saddles
     cd = decompose(tied)
     assert len({c.sigma_cluster for c in cd.classes[1:] if c.type2}) >= 3

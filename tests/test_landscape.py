@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import Minimum, Saddle, minima, saddles
 from metastab.errors import DegenerateLandscapeError, InputDataError
-from metastab.landscape import (LevelIndex, CriticalStructure, Minimum,
-                                Saddle, extract_critical_structure,
-                                load_samples, load_structure, make_sampled,
+from metastab.landscape import (LevelIndex, CriticalStructure,
+                                extract_critical_structure, load_samples,
+                                load_structure, make_sampled,
                                 structure_to_dict)
 
 
@@ -23,7 +24,7 @@ def _dw_samples(n=2001, lo=-2.0, hi=2.0):
 
 def test_level_index_chains_close_values():
     L = LevelIndex([1.0, 2e-10, 0.0, 1e-10], eps=1e-9)
-    assert len(L) == 2
+    assert len(L.reps) == 2
     assert L.cluster == [1, 0, 0, 0]
     assert L.reps[0] == pytest.approx(1e-10)
     assert L.reps[1] == 1.0
@@ -31,7 +32,7 @@ def test_level_index_chains_close_values():
 
 def test_level_index_separates_distant_values():
     L = LevelIndex([0.5, 1.0, 0.0], eps=1e-9)
-    assert len(L) == 3
+    assert len(L.reps) == 3
     assert L.cluster == [1, 2, 0]
     assert L.reps == [0.0, 0.5, 1.0]
 
@@ -55,7 +56,7 @@ def test_level_index_representatives_match_numpy_mean():
     values = [-0.0, 0.3, 0.3 + 1e-10, 0.1 + 0.2, 0.7, -1.5]
     L = LevelIndex(values, eps=1e-9)
     clusters = [[-1.5], [-0.0], [0.3, 0.1 + 0.2, 0.3 + 1e-10], [0.7]]
-    assert len(L) == len(clusters)
+    assert len(L.reps) == len(clusters)
     assert L.cluster == [1, 2, 2, 2, 3, 0]
     for k, chunk in enumerate(clusters):
         want = float(np.sort(np.array(chunk)).mean())
@@ -162,7 +163,7 @@ def _exa_doc():
 
 def test_load_structure_roundtrip_dict():
     cs = load_structure(_exa_doc())
-    assert len(cs.minima) == 4 and len(cs.saddles) == 3
+    assert len(minima(cs)) == 4 and len(saddles(cs)) == 3
     assert structure_to_dict(cs) == _exa_doc()
 
 
@@ -252,14 +253,14 @@ def test_make_sampled_errors():
 
 def test_extract_double_well():
     cs = extract_critical_structure(_dw_samples())
-    assert [m.id for m in cs.minima] == ["m1", "m2"]
-    assert [s.id for s in cs.saddles] == ["s1"]
+    assert [m.id for m in minima(cs)] == ["m1", "m2"]
+    assert [s.id for s in saddles(cs)] == ["s1"]
     # the sample is an exact quartic, so the 5-point fits are exact up to
     # rounding
-    for m in cs.minima:
+    for m in minima(cs):
         assert m.phi == pytest.approx(0.0, abs=1e-10)
         assert m.det_hess == pytest.approx(8.0, rel=1e-8)
-    s = cs.saddles[0]
+    s = saddles(cs)[0]
     assert s.phi == pytest.approx(1.0, rel=1e-10)
     assert s.neg_eig == pytest.approx(4.0, rel=1e-8)
     assert s.det_hess == s.neg_eig
@@ -272,18 +273,18 @@ def test_extract_double_well():
 def test_extract_single_well():
     xs = np.linspace(-2, 2, 801)
     cs = extract_critical_structure(make_sampled(xs, xs ** 2))
-    assert len(cs.minima) == 1 and len(cs.saddles) == 0
-    assert cs.minima[0].det_hess == pytest.approx(2.0, rel=1e-8)
+    assert len(minima(cs)) == 1 and len(saddles(cs)) == 0
+    assert minima(cs)[0].det_hess == pytest.approx(2.0, rel=1e-8)
 
 
 def test_extract_alternation_and_counts():
     xs = np.linspace(-4, 4, 4001)
     phis = xs ** 2 / 4 + 0.5 * np.sin(3 * xs) + 0.3 * np.cos(7 * xs)
     cs = extract_critical_structure(make_sampled(xs, phis))
-    assert len(cs.minima) == len(cs.saddles) + 1
+    assert len(minima(cs)) == len(saddles(cs)) + 1
     pts = sorted(cs.positions.items(), key=lambda kv: kv[1])
     kinds = [pid[0] for pid, _ in pts]
-    assert kinds == ["m", "s"] * len(cs.saddles) + ["m"]
+    assert kinds == ["m", "s"] * len(saddles(cs)) + ["m"]
 
 
 def test_extract_rejects_plateau():
@@ -330,11 +331,12 @@ def test_extract_shift_equivariance(c):
     base = extract_critical_structure(_dw_samples(n=801))
     shifted = extract_critical_structure(
         make_sampled(_dw_samples(n=801).xs, _dw_samples(n=801).phis + c))
-    assert [m.id for m in shifted.minima] == [m.id for m in base.minima]
-    assert [s.joins for s in shifted.saddles] == [s.joins for s in base.saddles]
-    for a, b in zip(shifted.minima, base.minima):
+    assert [m.id for m in minima(shifted)] == [m.id for m in minima(base)]
+    assert ([s.joins for s in saddles(shifted)]
+            == [s.joins for s in saddles(base)])
+    for a, b in zip(minima(shifted), minima(base)):
         assert a.phi - b.phi == pytest.approx(c, abs=1e-9)
         assert a.det_hess == pytest.approx(b.det_hess, rel=1e-9)
-    for a, b in zip(shifted.saddles, base.saddles):
+    for a, b in zip(saddles(shifted), saddles(base)):
         assert a.phi - b.phi == pytest.approx(c, abs=1e-9)
         assert a.neg_eig == pytest.approx(b.neg_eig, rel=1e-9)

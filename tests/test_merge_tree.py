@@ -16,16 +16,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sweep_oracle as oracle
-from conftest import (ById, _chain, funnel, members, random_tree_structure,
-                      shuffled_chain, staircase, tied_structure, ties,
-                      type1_gadget, type2_gadget)
+from conftest import (ById, Minimum, Saddle, _chain, funnel, members,
+                      minima, random_tree_structure, saddles, shuffled_chain,
+                      staircase, tied_structure, ties, type1_gadget,
+                      type2_gadget)
 from schema_v1 import components
 from metastab import cli, topology
 from metastab.errors import InputDataError, InvariantViolation
 from metastab.examples import (build_example, chain_sampled, ex_b, ex_c,
                                example_names)
-from metastab.landscape import (CriticalStructure, Minimum, Saddle,
-                                extract_critical_structure)
+from metastab.landscape import CriticalStructure, extract_critical_structure
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -38,10 +38,10 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
-def _ties(cs, node):
+def _ties(cs, L, node):
     """The tie tuple of a node, checked to list each minimum of the node at
-    its deepest cluster exactly once."""
-    L = oracle.levels(cs)
+    its deepest cluster (of the oracle's level clusters ``L``) exactly
+    once."""
     tree = topology.merge_tree(cs)
     phi = dict(zip(cs.min_ids, cs.min_phi))
     got = ties(cs, node)
@@ -57,12 +57,13 @@ def _as_sets(cs, cd):
     tree, and a class's stored orders and Upsilon cells, which the oracle
     derives or lacks, are left out."""
     lab = cd.labelling
+    L = oracle.levels(ById(cs))
     tree = topology.merge_tree(cs)
     parent = tree.parent
     Ehat = {m: tree.kids[tree.kid_at[parent[lab.E[m]]]] for m in lab.mhat}
     for m, node in Ehat.items():
         assert cs.min_ids[tree.deepest[node]] == lab.mhat[m]
-        _ties(cs, node)         # the equal-level set prefactors reads
+        _ties(cs, L, node)      # the equal-level set prefactors reads
     labelling = {**lab._asdict(),
                  "sigma_cluster": {m: None if parent[n] < 0
                                    else tree.born[parent[n]]
@@ -74,7 +75,7 @@ def _as_sets(cs, cd):
     maps = oracle.Maps({m: members(cs, parent[lab.E[m]]) for m in lab.mhat},
                        lab.mhat,
                        {m: members(cs, n) for m, n in Ehat.items()},
-                       {m: _ties(cs, n) for m, n in lab.E.items()},
+                       {m: _ties(cs, L, n) for m, n in lab.E.items()},
                        lab.type2)
     classes = []
     for c in cd.classes:
@@ -107,8 +108,8 @@ def assert_same(cs):
 def _thinned(cs, rng):
     """The structure with a random subset of its saddles dropped; what is
     left still separates but may leave the landscape disconnected."""
-    keep = [s for s in cs.saddles if rng.random() < 0.8]
-    return CriticalStructure(cs.minima, keep, cs.level_tolerance)
+    keep = [s for s in saddles(cs) if rng.random() < 0.8]
+    return CriticalStructure(minima(cs), keep, cs.level_tolerance)
 
 
 @pytest.mark.parametrize("name", example_names())
@@ -168,7 +169,7 @@ def test_chains_k_ulps_apart(seed, k, n):
     rise = rng.integers(1, 4, size=n - 1)
     cs = _chain(1e8 + step * j,
                 1e8 + step * (np.maximum(j[:-1], j[1:]) + rise))
-    L = oracle.levels(cs)
+    L = oracle.levels(ById(cs))
     drifted = any(not lo <= r <= hi for (lo, hi), r in zip(L.spans, L.reps))
     assert assert_same(cs) == "ok" or drifted
 

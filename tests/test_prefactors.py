@@ -6,12 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spectrum_oracle as oracle
-from conftest import (class_matrices, graded_core, make_rng, oracle_view,
-                      tied_structure, type1_gadget, type2_gadget)
+from conftest import (Minimum, Saddle, class_matrices, graded_core, make_rng,
+                      minima, oracle_view, saddles, tied_structure,
+                      type1_gadget, type2_gadget)
 from metastab.errors import InputDataError
 from metastab.examples import double_well, ex_a, ex_b
-from metastab.landscape import (CriticalStructure, Minimum, Saddle,
-                                extract_critical_structure)
+from metastab.landscape import CriticalStructure, extract_critical_structure
 from metastab.prefactors import (build_class_matrices, build_graded_core,
                                  h_phi)
 from metastab.spectra import class_spectrum
@@ -76,9 +76,9 @@ def test_h_phi_partials_match_the_oracle_bit_for_bit(seed, dets):
     that a rounded running sum gets wrong."""
     rng = np.random.default_rng(seed)
     base = tied_structure(rng, n_max=16)
-    minima = [m._replace(det_hess=d) for m, d in zip(base.minima, dets)]
-    rng.shuffle(minima)
-    cs = CriticalStructure(minima, base.saddles, base.level_tolerance)
+    rows = [m._replace(det_hess=d) for m, d in zip(minima(base), dets)]
+    rng.shuffle(rows)
+    cs = CriticalStructure(rows, saddles(base), base.level_tolerance)
     cd = decompose(cs)
     ocs, ocd = oracle_view(cs, cd)
     for alpha, oalpha in zip(cd.classes[1:], ocd.classes[1:]):
@@ -252,9 +252,9 @@ def test_upsilon_scaling_law(c):
     # scales every minimum weight by c, so U picks up exactly one factor c
     base = ex_a().structure
     scaled = CriticalStructure(
-        [Minimum(m.id, m.phi, m.det_hess * c ** 4) for m in base.minima],
+        [Minimum(m.id, m.phi, m.det_hess * c ** 4) for m in minima(base)],
         [Saddle(s.id, s.phi, s.det_hess * c ** 4, s.neg_eig * c ** 2, s.joins)
-         for s in base.saddles])
+         for s in saddles(base)])
     cd0 = decompose(base)
     cd1 = decompose(scaled)
     U0 = class_matrices(base, cd0, cd0.classes[1]).upsilon

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (class_matrices, cluster_eigenvalues, graded_core,
-                      make_rng, random_spd_core)
+from conftest import (Minimum, Saddle, class_matrices, cluster_eigenvalues,
+                      graded_core, make_rng, random_spd_core)
 from metastab.errors import InputDataError, InvariantViolation
 from metastab.examples import ex_a, ex_b, ex_c, nine_wells
-from metastab.landscape import CriticalStructure, Minimum, Saddle
+from metastab.landscape import CriticalStructure
 from metastab.prefactors import GradedCore
 from metastab.spectra import (class_spectrum, full_spectrum, schur_J, schur_R,
                               sym_eig)

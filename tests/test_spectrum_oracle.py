@@ -14,13 +14,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spectrum_oracle as oracle
-from conftest import (funnel, oracle_view, shuffled_chain, staircase,
-                      tied_structure)
+from conftest import (Minimum, Saddle, funnel, oracle_view, shuffled_chain,
+                      staircase, tied_structure)
 from metastab import spectra
 from metastab.errors import InputDataError, InvariantViolation
 from metastab.examples import build_example, example_names
-from metastab.landscape import (CriticalStructure, Minimum, Saddle,
-                                extract_critical_structure)
+from metastab.landscape import CriticalStructure, extract_critical_structure
 from metastab.topology import decompose
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)

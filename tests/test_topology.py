@@ -6,11 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sweep_oracle
-from conftest import (ById, make_rng, members, random_tree_structure,
-                      type1_gadget, type2_gadget)
+from conftest import (ById, Minimum, Saddle, make_rng, members, minima,
+                      random_tree_structure, saddles, type1_gadget,
+                      type2_gadget)
 from metastab.errors import InputDataError
 from metastab.examples import build_example, ex_a, ex_b, ex_c, nine_wells
-from metastab.landscape import CriticalStructure, Minimum, Saddle
+from metastab.landscape import CriticalStructure
 from metastab.topology import decompose, merge_tree, verify_separating
 
 INF = math.inf
@@ -25,10 +26,10 @@ def check_generic_assumption(cs):
 
 
 def shifted(cs, c):
-    minima = [Minimum(m.id, m.phi + c, m.det_hess) for m in cs.minima]
-    saddles = [Saddle(s.id, s.phi + c, s.det_hess, s.neg_eig, s.joins)
-               for s in cs.saddles]
-    return CriticalStructure(minima, saddles, cs.level_tolerance)
+    return CriticalStructure(
+        [Minimum(m.id, m.phi + c, m.det_hess) for m in minima(cs)],
+        [Saddle(s.id, s.phi + c, s.det_hess, s.neg_eig, s.joins)
+         for s in saddles(cs)], cs.level_tolerance)
 
 
 # ------------------------------------------------------- sublevel components
@@ -63,14 +64,14 @@ def test_sublevel_components_match_union_find():
         # oracle: plain union-find over saddles strictly below the level,
         # restricted to minima strictly below it
         eps = cs.level_tolerance
-        parent = {m.id: m.id for m in cs.minima if m.phi < level - eps}
+        parent = {m.id: m.id for m in minima(cs) if m.phi < level - eps}
 
         def find(a):
             while parent[a] != a:
                 a = parent[a]
             return a
 
-        for s in cs.saddles:
+        for s in saddles(cs):
             if s.phi < level - eps:
                 ra, rb = find(s.joins[0]), find(s.joins[1])
                 if ra != rb:
@@ -87,10 +88,10 @@ def test_sublevel_components_match_union_find():
 
 def test_verify_separating_rejects_cycle_edge():
     doc = ex_a().structure
-    minima = list(doc.minima)
-    saddles = list(doc.saddles) + [Saddle("s4", 3.0, 1.0, 1.0, ("m21", "m22"))]
+    extra = Saddle("s4", 3.0, 1.0, 1.0, ("m21", "m22"))
     with pytest.raises(InputDataError, match="already connected below"):
-        verify_separating(CriticalStructure(minima, saddles))
+        verify_separating(
+            CriticalStructure(minima(doc), saddles(doc) + (extra,)))
 
 
 def test_verify_separating_rejects_disconnected():
@@ -267,7 +268,7 @@ def test_class_invariants_random():
         for c in cd.classes[1:]:
             assert not seen & set(c.members)
             seen.update(c.members)
-            phis = {m.id: m.phi for m in cs.minima}
+            phis = {m.id: m.phi for m in minima(cs)}
             assert all(phis[c.mhat] <= phis[m] + cs.level_tolerance
                        for m in c.members)
             assert all(a < b for a, b in zip(c.block_S, c.block_S[1:]))
@@ -277,7 +278,7 @@ def test_class_invariants_random():
                     assert m2 == c.mhat
             # every member's sigma is the class's own
             assert {lab.sigma[m] for m in c.members} == {c.sigma}
-        assert seen | set(cd.ground.members) == {m.id for m in cs.minima}
+        assert seen | set(cd.ground.members) == {m.id for m in minima(cs)}
 
 
 def test_class_saddle_rows_cover_gadget():
@@ -347,8 +348,8 @@ def test_decomposition_shift_invariant(c):
 def test_decomposition_ignores_id_order(seed):
     rng = np.random.default_rng(seed)
     cs = ex_b().structure
-    perm_m = list(cs.minima)
-    perm_s = list(cs.saddles)
+    perm_m = list(minima(cs))
+    perm_s = list(saddles(cs))
     rng.shuffle(perm_m)
     rng.shuffle(perm_s)
     cd1 = decompose(CriticalStructure(perm_m, perm_s, cs.level_tolerance))

@@ -5,6 +5,7 @@ import pytest
 
 from metastab import validator
 from metastab.errors import InputDataError
+from conftest import minima
 from metastab.examples import chain_sampled, double_well, ex_a
 from metastab.landscape import extract_critical_structure, make_sampled
 from metastab.spectra import full_spectrum
@@ -66,8 +67,9 @@ def test_quadratic_well_spectrum():
 def test_gibbs_vector_near_kernel():
     # interior rows of the factor kill e^(-phi/h) up to rounding, so its
     # Rayleigh quotient sits at the boundary-truncation floor
-    dw = discretize(lambda x: x * x, 1.0, n=4000, domain=(-6.0, 6.0))
-    v = np.exp(-dw.phi / dw.h)
+    h = 1.0
+    dw = discretize(lambda x: x * x, h, n=4000, domain=(-6.0, 6.0))
+    v = np.exp(-(dw.x * dw.x) / h)
     r = np.zeros(dw.n + 1)
     r[:dw.n] += dw.acoef * v
     r[1:] += dw.bcoef[1:] * v
@@ -95,7 +97,7 @@ def test_energy_window_inside_samples_and_covers_minima():
     # the samples, and a well outside the window would go missing
     for p in (double_well().potential, chain_sampled()):
         cs = extract_critical_structure(p)
-        wells = [cs.positions[m.id] for m in cs.minima]
+        wells = [cs.positions[m.id] for m in minima(cs)]
         for h in _H_USED:
             lo, hi = _energy_window(p, cs, h)
             assert p.xs[0] <= lo < min(wells), h
@@ -168,7 +170,7 @@ def _qr_cases():
         zero = rng.random(n) < 0.3
         a[zero] = 0.0
         b[1:][zero] = 0.0
-        yield DiscretizedWitten(np.zeros(n), 1.0, a, b, np.zeros(n))
+        yield DiscretizedWitten(np.zeros(n), a, b)
 
 
 def test_qr_matches_the_rotation_loop_bit_for_bit():
