@@ -17,7 +17,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import click
 
 from . import __version__
-from .errors import InputDataError, InvariantViolation
+from .errors import InputDataError
 from .landscape import (extract_critical_structure, load_samples,
                         load_structure, structure_to_dict)
 from .spectra import full_spectrum
@@ -40,7 +40,7 @@ def _escape(m):
     return "\\" + ch if ch in '"\\' else f"\\u{ord(ch):04x}"
 
 
-def dumps(obj, indent=0):
+def dumps(obj):
     """Deterministic JSON: insertion-ordered keys, 17 significant digits,
     -0 kept, non-finite floats rendered as null.
 
@@ -160,7 +160,7 @@ def dumps(obj, indent=0):
         return f",\n{inner}".join(parts)
 
     try:
-        return encode(obj, indent)
+        return encode(obj, 0)
     finally:
         del encode, mapping, sequence
 

@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateLandscapeError, InputDataError
+from .topology import verify_separating
 
 DEFAULT_LEVEL_TOL = 1e-9
 
@@ -268,8 +269,6 @@ def load_structure(document):
     # the merge tree is built without the parsed document, so the cyclic
     # collector has far fewer objects to walk while it grows
     del doc
-    # separating condition needs the merge tree; deferred import avoids a cycle
-    from .topology import verify_separating
     verify_separating(cs)
     return cs
 

@@ -6,11 +6,12 @@ sublevel set {phi < level} is a node of one merge tree, built in a single
 ascending union-find pass over integer indices: minima and saddles are
 numbered in id order by the structure (see ``landscape``), and nodes are
 numbered from the leaves up. A node knows its birth cluster, its parent and
-children, its deepest minimum, the minima tied with it and the saddles that
-formed it, and nothing else. Two components touch at a level exactly when
-some listed saddle at that level joins them. Potential values are never
-compared directly; every decision goes through the level clusters of the
-structure, which keeps equality transitive.
+children, its deepest minimum, the saddles that formed it and the exact sum
+of det_hess^-1/2 over the minima tied with it, and nothing else. Two
+components touch at a level exactly when some listed saddle at that level
+joins them. Potential values are never compared directly; every decision
+goes through the level clusters of the structure, which keeps equality
+transitive.
 
 Ids come back only where a class or a report block names a point: the
 labelling is keyed by minimum id, and a class lists its members, blocks,
@@ -19,7 +20,7 @@ reference minimum and saddle rows by id, while ``Labelling.E`` and
 """
 
 import math
-from itertools import groupby, islice
+from itertools import groupby
 from typing import NamedTuple
 
 from .errors import InputDataError, InvariantViolation
@@ -69,11 +70,8 @@ class MergeTree:
     the saddles whose two ends are already one node, by cluster, and
     ``roots`` the nodes without a parent.
 
-    The minima of v at its deepest cluster are the first ``tie_len[v]``
-    entries of ``tie_list[v]``: a node shares the list of its largest tied
-    child and appends the others', so the tie storage stays linear.
     ``partials[v]`` holds the exact Shewchuk partials of the sum of
-    det_hess^-1/2 over those minima.
+    det_hess^-1/2 over the minima of v at its deepest cluster.
     """
 
     def __init__(self, cs):
@@ -88,10 +86,8 @@ class MergeTree:
         low = list(range(n)) + [0] * n_sad
         kids, kid_at = [], [0] * (size + 1)
         sads, sad_at = [], [0] * (size + 1)
-        # a leaf's ties and partials are 1-tuples, which the cyclic
-        # collector stops tracking; a list starts where ties first merge
-        tie_list = [(i,) for i in range(n)] + [None] * n_sad
-        tie_len = [1] * n + [0] * n_sad
+        # a leaf's partials are a 1-tuple, which the cyclic collector stops
+        # tracking; a list starts where ties first merge
         partials = [(d ** -0.5,) for d in cs.min_det_hess] + [None] * n_sad
         joins = cs.sad_joins
         ends = [None] * n_sad
@@ -104,20 +100,18 @@ class MergeTree:
             """Add node v, born at cluster k with root r, from children ks
             (sorted by deepest minimum) and saddles ss."""
             first = ks[0]
-            ties, sums = tie_list[first], partials[first]
+            sums = partials[first]
             dk = mc[deepest[first]]
-            # ks is sorted by deepest minimum, so any tied child comes next
+            # ks is sorted by the (cluster, index) of its deepest minima, so
+            # the tied children come first; the fsum of exact partials does
+            # not depend on the order they are added in
             if len(ks) > 1 and mc[deepest[ks[1]]] == dk:
-                tied = [c for c in ks if mc[deepest[c]] == dk]
-                big = max(tied, key=tie_len.__getitem__)
-                ties, sums = tie_list[big], list(partials[big])
-                if type(ties) is tuple:
-                    ties = list(ties)
-                for c in tied:
-                    if c != big:
-                        ties.extend(islice(tie_list[c], tie_len[c]))
-                        for x in partials[c]:
-                            _add(sums, x)
+                sums = list(sums)
+                for c in ks[1:]:
+                    if mc[deepest[c]] != dk:
+                        break
+                    for x in partials[c]:
+                        _add(sums, x)
             for c in ks:
                 parent[c] = v
             born[v] = k
@@ -127,8 +121,6 @@ class MergeTree:
             kid_at[v + 1] = len(kids)
             sads.extend(ss)
             sad_at[v + 1] = len(sads)
-            tie_list[v] = ties
-            tie_len[v] = len(ties)
             partials[v] = sums
             top[r] = v
 
@@ -168,7 +160,7 @@ class MergeTree:
                 ks, ss = groups[r]
                 node(k, r, sorted(ks, key=lambda c: rank[deepest[c]]), ss)
                 v += 1
-        for col in (born, parent, deepest, low, tie_list, tie_len, partials):
+        for col in (born, parent, deepest, low, partials):
             del col[v:]
         del kid_at[v + 1:], sad_at[v + 1:]
         self.ids = cs.min_ids
@@ -176,7 +168,6 @@ class MergeTree:
         self.deepest, self.low = deepest, low
         self.kids, self.kid_at = kids, kid_at
         self.sads, self.sad_at = sads, sad_at
-        self.tie_list, self.tie_len = tie_list, tie_len
         self.partials = partials
         self.ends, self.redundant = ends, redundant
         self.roots = [v for v, p in enumerate(parent) if p < 0]
@@ -221,10 +212,10 @@ class Labelling(NamedTuple):
 class EquivClass:
     """One equivalence class of minima sharing a saddle value.
 
-    ``uhat_blocks`` partitions the extended set (members plus, for type II,
-    the reference minimum) by barrier height, smallest barrier first;
-    ``member_blocks`` is the same partition without the reference minimum,
-    and ``member_order`` and ``uhat`` run through the blocks in turn.
+    ``member_blocks`` partitions the members by barrier height, smallest
+    barrier first, and ``member_order`` runs through the blocks in turn.
+    ``uhat``, the extended set, is ``member_order`` followed, for type II,
+    by the reference minimum ``mhat``.
     ``Ehat`` is the merge-tree node of the reference minimum just below
     ``sigma``. ``saddles`` lists the class's saddle rows, sorted by id, each
     a plain tuple (saddle id, m1, m2, boundary): m1 is the member-side
@@ -236,29 +227,25 @@ class EquivClass:
     lies outside it): where the row's Upsilon entries go.
     """
 
-    __slots__ = ("members", "sigma", "sigma_cluster", "mhat", "Ehat", "type2",
-                 "member_blocks", "uhat_blocks", "block_S", "ground",
+    __slots__ = ("members", "sigma", "mhat", "Ehat", "type2",
+                 "member_blocks", "block_S", "ground",
                  "saddles", "cells", "member_order", "uhat")
 
-    def __init__(self, members, sigma, sigma_cluster, mhat, Ehat, type2,
-                 member_blocks, uhat_blocks, block_S, saddles, cells,
-                 ground=False):
+    def __init__(self, members, sigma, mhat, Ehat, type2, member_blocks,
+                 block_S, saddles, cells, ground=False):
         self.members = members
         self.sigma = sigma
-        self.sigma_cluster = sigma_cluster
         self.mhat = mhat
         self.Ehat = Ehat
         self.type2 = type2
         self.member_blocks = member_blocks
-        self.uhat_blocks = uhat_blocks
         self.block_S = block_S
         self.ground = ground
         self.saddles = saddles
         self.cells = cells
         self.member_order = (member_blocks[0] if len(member_blocks) == 1
                              else tuple(x for b in member_blocks for x in b))
-        self.uhat = (uhat_blocks[0] if len(uhat_blocks) == 1
-                     else tuple(x for b in uhat_blocks for x in b))
+        self.uhat = (*self.member_order, mhat) if type2 else self.member_order
 
     @property
     def q(self):
@@ -346,16 +333,12 @@ def _node_classes(cs, tree, v):
             raise InvariantViolation(
                 "barriers not strictly increasing over blocks")
         member_blocks = tuple(tuple(ids[m] for m in b) for b in blocks)
-        uhat_blocks = member_blocks
         col = {m: j for j, m in enumerate(m for b in blocks for m in b)}
         if type2:
-            uhat_blocks = (*member_blocks[:-1],
-                           member_blocks[-1] + (ids[hat],))
             col[hat] = len(col)
         rows.sort()
         classes.append(EquivClass(
-            members, sigma, k, ids[hat], first, type2, member_blocks,
-            uhat_blocks, block_S,
+            members, sigma, ids[hat], first, type2, member_blocks, block_S,
             tuple([(cs.sad_ids[s], ids[m1], ids[m2], bd)
                    for s, m1, m2, bd in rows]),
             tuple((s, col[m1], col.get(m2, -1)) for s, m1, m2, _ in rows)))
@@ -380,8 +363,8 @@ def decompose(cs):
     mbar = ids[deepest[root]]
     sigma, S, E, index = {mbar: INF}, {mbar: INF}, {mbar: root}, {mbar: (1, 1)}
     mhat, type2 = {}, {}
-    ground = EquivClass((mbar,), INF, None, None, None, False, ((mbar,),),
-                        ((mbar,),), (INF,), (), (), ground=True)
+    ground = EquivClass((mbar,), INF, None, None, False, ((mbar,),), (INF,),
+                        (), (), ground=True)
     classes = []
     n = len(ids)
     step, top = 1, len(born)
@@ -415,8 +398,7 @@ def decompose(cs):
             t2 = type2[mid]
             ss = sads[sad_at[v]:sad_at[v + 1]]
             found.append(EquivClass(
-                block, sig, k, ids[hat], kids[kid_at[v]], t2, (block,),
-                ((mid, ids[hat]),) if t2 else (block,), (S[mid],),
+                block, sig, ids[hat], kids[kid_at[v]], t2, (block,), (S[mid],),
                 tuple([(sad_ids[s], mid, ids[hat], True) for s in ss]),
                 tuple([(s, 0, 1 if t2 else -1) for s in ss])))
         if len(fresh) > 1:

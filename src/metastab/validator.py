@@ -221,7 +221,7 @@ class DiscretizedWitten(NamedTuple):
         return self.x.size
 
 
-def discretize(p, h, n=None, domain=None):
+def discretize(p, h, n=None, *, domain):
     """Factored finite-difference Witten operator on a uniform grid.
 
     ``p`` is a callable phi(x) evaluated on arrays of grid points, such as
@@ -233,8 +233,6 @@ def discretize(p, h, n=None, domain=None):
         raise InputDataError("h must be positive")
     if not callable(p):
         raise InputDataError("potential must be a callable phi(x)")
-    if domain is None:
-        raise InputDataError("discretize needs an explicit domain")
     lo, hi = domain
     if not hi > lo:
         raise InputDataError("empty domain")

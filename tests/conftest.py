@@ -5,7 +5,6 @@ so a run with the same seed is reproducible; the default seed is fixed and
 the hypothesis profile is derandomized, which keeps CI output stable.
 """
 
-import copy
 import os
 import zlib
 from types import SimpleNamespace
@@ -311,40 +310,58 @@ def shuffled_chain(rng, n):
                           for i in range(n - 1)])
 
 
-def members(cs, node):
-    """The minima of a merge-tree node of ``cs``: the leaves below it, by
-    id."""
-    tree = merge_tree(cs)
-    out, stack = set(), [node]
+def _leaves(tree, node):
+    """The minimum indices below a merge-tree node: a leaf's node index is
+    its minimum's."""
+    out, stack = [], [node]
     while stack:
         node = stack.pop()
         kids = tree.kids[tree.kid_at[node]:tree.kid_at[node + 1]]
         stack.extend(kids)
         if not kids:
-            out.add(tree.ids[node])
-    return frozenset(out)
+            out.append(node)
+    return out
+
+
+def members(cs, node):
+    """The minima of a merge-tree node of ``cs``: the leaves below it, by
+    id."""
+    tree = merge_tree(cs)
+    return frozenset(tree.ids[m] for m in _leaves(tree, node))
 
 
 def ties(cs, node):
-    """The ids of the minima tied at the bottom of a merge-tree node."""
+    """The ids of the minima tied at the bottom of a merge-tree node: the
+    leaves below it at the cluster of its deepest minimum."""
     tree = merge_tree(cs)
-    return tuple(tree.ids[m] for m in tree.tie_list[node][:tree.tie_len[node]])
+    k = cs.min_cluster[tree.deepest[node]]
+    return tuple(tree.ids[m] for m in _leaves(tree, node)
+                 if cs.min_cluster[m] == k)
+
+
+def uhat_blocks(c):
+    """The extended set of class ``c`` split by barrier height: its member
+    blocks, with the reference minimum closing the last block of a type II
+    class."""
+    if not c.type2:
+        return c.member_blocks
+    return (*c.member_blocks[:-1], c.member_blocks[-1] + (c.mhat,))
 
 
 def oracle_view(cs, cd):
     """The structure and decomposition as ``spectrum_oracle`` reads them:
-    points by id, saddle rows with named fields, and E(m) and Ehat as
-    objects whose ``ties`` lists the ids of the minima tied at the bottom
-    of the merge-tree node."""
+    points by id, classes with their ``uhat_blocks`` and saddle rows with
+    named fields, and E(m) and Ehat as objects whose ``ties`` lists the ids
+    of the minima tied at the bottom of the merge-tree node."""
     def node(v):
         return SimpleNamespace(ties=ties(cs, v))
 
     classes = [cd.classes[0]]
     for c in cd.classes[1:]:
-        c = copy.copy(c)
-        c.Ehat = node(c.Ehat)
-        c.saddles = tuple(map(SaddleRow._make, c.saddles))
-        classes.append(c)
+        view = {k: getattr(c, k) for k in c.__slots__}
+        view.update(Ehat=node(c.Ehat), uhat_blocks=uhat_blocks(c),
+                    saddles=tuple(map(SaddleRow._make, c.saddles)))
+        classes.append(SimpleNamespace(**view))
     lab = cd.labelling
     return ById(cs), cd._replace(
         classes=tuple(classes),

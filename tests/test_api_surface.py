@@ -12,8 +12,14 @@ name found only inside its own body, such as a recursive call, does not
 count.
 
 Every field of a ``NamedTuple`` of ``metastab`` must likewise be read as an
-attribute ``.field`` somewhere in the package or in ``bench/``. The match is
-by name alone, so a read of any attribute of that name counts.
+attribute ``.field`` somewhere in the package or in ``bench/``, and so must
+every instance attribute a class of ``metastab`` stores: an entry of its
+``__slots__`` or the target ``self.x`` of an assignment in one of its
+methods. The match is by name alone, so a read of any attribute of that
+name counts.
+
+Every name that an import binds in a module of ``metastab`` or ``tests/``
+must be read in that module.
 """
 
 import ast
@@ -22,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "metastab").glob("*.py"))
 CALLERS = SOURCES + sorted((ROOT / "bench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 # the one file whose string constants name functions
@@ -90,17 +97,81 @@ def _namedtuple_fields(tree):
                     yield node.name, item.target.id, item.lineno
 
 
-def unread_fields(sources, callers):
-    """``file:line Class.field`` of each NamedTuple field in ``sources``
-    that no file of ``callers`` reads as an attribute."""
-    read = {node.attr for text in callers.values()
+def _attribute_reads(callers):
+    """The names read as an attribute ``.name`` anywhere in ``callers``."""
+    return {node.attr for text in callers.values()
             for node in ast.walk(ast.parse(text))
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(sources, callers):
+    """``file:line Class.field`` of each NamedTuple field in ``sources``
+    that no file of ``callers`` reads as an attribute."""
+    read = _attribute_reads(callers)
     return [f"{fname}:{line} {cls}.{field}"
             for fname, text in sources.items()
             for cls, field, line in _namedtuple_fields(ast.parse(text))
             if field not in read]
+
+
+def _stored_attributes(tree):
+    """(class, attribute, line) of each ``__slots__`` entry of the top-level
+    classes and each ``self.x`` their methods assign, ``self`` being a
+    method's first parameter."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__"
+                    for t in item.targets):
+                for elt in item.value.elts:
+                    yield node.name, elt.value, elt.lineno
+            elif isinstance(item, ast.FunctionDef) and item.args.args:
+                me = item.args.args[0].arg
+                for sub in ast.walk(item):
+                    if (isinstance(sub, ast.Attribute)
+                            and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name)
+                            and sub.value.id == me):
+                        yield node.name, sub.attr, sub.lineno
+
+
+def unread_attributes(sources, callers):
+    """``file:line Class.attribute`` of each instance attribute a class in
+    ``sources`` stores and no file of ``callers`` reads, at its first
+    mention."""
+    read = _attribute_reads(callers)
+    missing = {}
+    for fname, text in sources.items():
+        for cls, attr, line in _stored_attributes(ast.parse(text)):
+            if attr not in read:
+                missing.setdefault((fname, cls, attr), line)
+    return [f"{fname}:{line} {cls}.{attr}"
+            for (fname, cls, attr), line in missing.items()]
+
+
+def unused_imports(modules):
+    """``file:line name`` of each name an import binds in a module of
+    ``modules`` that the module never reads."""
+    missing = []
+    for fname, text in modules.items():
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            missing += [f"{fname}:{node.lineno} {name}"
+                        for name in bound if name not in read]
+    return missing
 
 
 def _texts(paths):
@@ -113,6 +184,14 @@ def test_every_definition_has_a_caller_outside_tests():
 
 def test_every_namedtuple_field_is_read_outside_tests():
     assert unread_fields(_texts(SOURCES), _texts(CALLERS)) == []
+
+
+def test_every_stored_attribute_is_read_outside_tests():
+    assert unread_attributes(_texts(SOURCES), _texts(CALLERS)) == []
+
+
+def test_every_import_is_read():
+    assert unused_imports(_texts(SOURCES + TESTS)) == []
 
 
 def test_an_unread_field_is_reported():
@@ -159,3 +238,35 @@ def test_a_same_named_local_or_report_key_is_no_caller():
         "lib.py:2 minima", "lib.py:6 traced"]
     callers[TRACED] = spans + "x = S().minima\n"
     assert unreferenced({"lib.py": lib}, callers) == []
+
+
+def test_an_unread_attribute_is_reported():
+    lib = ("class A:\n"
+           "    __slots__ = ('kept', 'slot')\n"
+           "    def __init__(this, x):\n"
+           "        this.kept = x\n"
+           "        this.slot = this.own = x\n"
+           "        this.pair, other.b = x, x\n"
+           "    def grow(self):\n"
+           "        self.late = self.own\n")
+    app = "a = A(1)\nprint(a.kept)\na.pair = 2\n"
+    # a store is no read, another object's attribute is not the class's,
+    # and a slot counts once, at its entry
+    callers = {"lib.py": lib, "app.py": app}
+    assert unread_attributes({"lib.py": lib}, callers) == [
+        "lib.py:2 A.slot", "lib.py:6 A.pair", "lib.py:8 A.late"]
+
+
+def test_an_unused_import_is_reported():
+    mod = ("from __future__ import annotations\n"
+           "import os.path\n"
+           "import numpy as np\n"
+           "from math import inf, pi as PI\n"
+           "from typing import NamedTuple\n"
+           "def f(x):\n"
+           "    import json\n"
+           "    NamedTuple = 1\n"
+           "    return os.path.join(x, str(inf)), np\n")
+    # a name only stored to is not read, and a future import binds nothing
+    assert unused_imports({"mod.py": mod}) == [
+        "mod.py:4 PI", "mod.py:5 NamedTuple", "mod.py:7 json"]

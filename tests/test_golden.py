@@ -236,7 +236,7 @@ def test_many_level_structures():
     pairs = [frozenset(s.joins) for s in saddles(tied)]
     assert len(set(pairs)) < len(pairs)          # parallel saddles
     cd = decompose(tied)
-    assert len({c.sigma_cluster for c in cd.classes[1:] if c.type2}) >= 3
+    assert len({c.sigma for c in cd.classes[1:] if c.type2}) >= 3
 
 
 def _analyze_args(tmp_path, case):

@@ -19,7 +19,7 @@ import sweep_oracle as oracle
 from conftest import (ById, Minimum, Saddle, _chain, funnel, members,
                       minima, random_tree_structure, saddles, shuffled_chain,
                       staircase, tied_structure, ties, type1_gadget,
-                      type2_gadget)
+                      type2_gadget, uhat_blocks)
 from schema_v1 import components
 from metastab import cli, topology
 from metastab.errors import InputDataError, InvariantViolation
@@ -53,8 +53,9 @@ def _ties(cs, L, node):
 
 def _as_sets(cs, cd):
     """A decomposition of the package in the oracle's terms; the saddle
-    value clusters, which the labelling no longer carries, come off the
-    tree, and a class's stored orders and Upsilon cells, which the oracle
+    value clusters, which neither the labelling nor a class carries, come
+    off the tree, a class's ``uhat_blocks`` is derived from its member
+    blocks, and its stored orders and Upsilon cells, which the oracle
     derives or lacks, are left out."""
     lab = cd.labelling
     L = oracle.levels(ById(cs))
@@ -81,6 +82,9 @@ def _as_sets(cs, cd):
     for c in cd.classes:
         row = {k: getattr(c, k) for k in c.__slots__}
         row["Ehat"] = None if c.Ehat is None else members(cs, c.Ehat)
+        row["sigma_cluster"] = (None if c.Ehat is None
+                                else tree.born[parent[c.Ehat]])
+        row["uhat_blocks"] = uhat_blocks(c)
         del row["uhat"], row["member_order"], row["cells"]
         classes.append(row)
     return labelling, maps, classes

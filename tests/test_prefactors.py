@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import spectrum_oracle as oracle
 from conftest import (Minimum, Saddle, class_matrices, graded_core, make_rng,
                       minima, oracle_view, saddles, tied_structure,
-                      type1_gadget, type2_gadget)
+                      type1_gadget, type2_gadget, uhat_blocks)
 from metastab.errors import InputDataError
 from metastab.examples import double_well, ex_a, ex_b
 from metastab.landscape import CriticalStructure, extract_critical_structure
@@ -159,7 +159,7 @@ def test_T_completes_kernel_direction():
         c = cd.classes[1]
         assert c.type2
         cm = class_matrices(cs, cd, c)
-        blk = c.uhat_blocks[-1]
+        blk = uhat_blocks(c)[-1]
         # orthonormal columns
         assert np.allclose(cm.T.T @ cm.T, np.eye(c.q), atol=1e-13)
         # the type II block columns are orthogonal to theta0

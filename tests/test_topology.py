@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 import sweep_oracle
 from conftest import (ById, Minimum, Saddle, make_rng, members, minima,
-                      random_tree_structure, saddles, type1_gadget,
-                      type2_gadget)
+                      random_tree_structure, saddles, type2_gadget)
 from metastab.errors import InputDataError
 from metastab.examples import build_example, ex_a, ex_b, ex_c, nine_wells
 from metastab.landscape import CriticalStructure

@@ -107,8 +107,6 @@ def test_energy_window_inside_samples_and_covers_minima():
 def test_discretize_errors():
     with pytest.raises(InputDataError, match="h must be positive"):
         discretize(lambda x: x * x, 0.0, domain=(-1.0, 1.0))
-    with pytest.raises(InputDataError, match="needs an explicit domain"):
-        discretize(lambda x: x * x, 0.1)
     with pytest.raises(InputDataError, match="must be a callable"):
         discretize(double_well().potential, 0.1, domain=(-1.0, 1.0))
     with pytest.raises(InputDataError, match="must be a callable"):
