@@ -1,6 +1,7 @@
 """Golden bytes: the exact stdout of ``metastab example`` for the bundled
 examples, of ``metastab analyze --h 0.1`` on two seeded structures with
-many levels, and of one ``metastab validate``, pinned by sha256 and length.
+many levels, and of two ``metastab validate`` runs (a double well, and the
+benchmark's sampled ex-a chain), pinned by sha256 and length.
 
 The reports follow schema ``metastab/2``; their ``metastab/1`` digests stay
 pinned beside them, and every run must rebuild its schema 1 bytes through
@@ -33,6 +34,7 @@ import numpy as np
 
 import metastab
 from conftest import Minimum, Saddle, saddles, tied_structure
+from metastab.examples import chain_sampled
 from metastab.landscape import CriticalStructure, structure_to_dict
 from metastab.topology import decompose
 
@@ -73,6 +75,9 @@ GOLDEN_ANALYZE_V2 = {
 GOLDEN_VALIDATE_V2 = (
     "f4077c8b93324ebf772261691dbc367b9d7fcd82be182c4a9088d426c76ff64a", 947)
 
+GOLDEN_VALIDATE_CHAIN_V2 = (
+    "e28f333854522537f073ecc280a2776f833e7ad8cb29d8784469f94db9617092", 2930)
+
 # schema metastab/1, which expand_v1 must rebuild from the reports above
 GOLDEN = {
     "ex-a": (
@@ -102,6 +107,12 @@ GOLDEN = {
 # writes
 GOLDEN_VALIDATE = (
     "aee9e22bae40808845c98e7f09c36ba6cfc5c2b7d38eed8ca57ec3d66d6c512e", 947)
+
+# ``metastab validate chain.csv --h 0.3,0.2,0.15`` on the samples
+# _write_sampled_chain writes: the benchmark's validation, three h and six
+# bisections
+GOLDEN_VALIDATE_CHAIN = (
+    "4714bc23e8f14738310b2ca4a6c7b910b2ddb9549b74fc03b5e91731211596f2", 2930)
 
 # ``metastab analyze --h 0.1`` on the structures built by _STRUCTURES
 GOLDEN_ANALYZE = {
@@ -267,6 +278,27 @@ def _write_double_well(path):
     xs = np.linspace(-2.0, 2.0, 4001)
     path.write_text("x,phi\n" + "".join(
         f"{x!r},{(x * x - 1.0) ** 2!r}\n" for x in xs.tolist()))
+
+
+def _write_sampled_chain(path):
+    """The 8501 samples of ``examples.chain_sampled()``, written as the
+    benchmark writes them."""
+    p = chain_sampled()
+    np.savetxt(path, np.column_stack([p.xs, p.phis]), delimiter=",",
+               fmt="%.17g", header="x,phi", comments="")
+
+
+def test_sampled_chain_validate_matches_golden_bytes(tmp_path):
+    """The benchmark's validation: six bisections over three h, all under
+    the byte gate, loading SciPy's compiled LAPACK module alone (writing
+    the samples imports ``scipy.interpolate`` in this process only)."""
+    _write_sampled_chain(tmp_path / "chain.csv")
+    got, v1, scipy = _run_cases(
+        {"chain": ["validate", "chain.csv", "--h", "0.3,0.2,0.15"]},
+        cwd=tmp_path)
+    _assert_golden(got, v1, "chain", GOLDEN_VALIDATE_CHAIN_V2,
+                   GOLDEN_VALIDATE_CHAIN)
+    assert scipy == ["scipy.linalg._flapack"]
 
 
 def test_analysis_path_runs_without_scipy(tmp_path):
