@@ -14,10 +14,14 @@ rows of C, so the bottom of the spectrum is clean.
 The bisection (LAPACK ``stebz``) and the spline solve (``gtsv``) are SciPy's
 compiled routines, called with the arguments of SciPy's public wrappers but
 loaded without importing the ``scipy.linalg`` package (see ``_lapack``).
-``stebz`` is called through ``ctypes`` and runs outside the GIL, so when the
-process may use two or more CPUs, ``compare`` bisects the coarse and the fine
-grid of each h at once, each on its own thread. The report bytes do not
-depend on that: every bisection is the same call with the same arguments.
+``stebz`` is called through ``ctypes`` and runs outside the GIL, so
+``compare`` hands the coarse and the fine grid of every h to one call, which
+deals them, largest first, to one thread per CPU the process may use. Each
+grid is dropped once its QR factor is formed, and each bisection allocates
+its workspace only while it runs, so the batch holds the Golub-Kahan
+problems and one workspace per running thread. The report bytes do not
+depend on the threads: every bisection is the same call with the same
+arguments.
 """
 
 import math
@@ -51,10 +55,23 @@ def eigh_tridiagonal(problems):
     outside the GIL, so the problems are bisected at once when the process
     may use several CPUs (see ``_in_parallel``); the results do not depend
     on that, and errors are raised as a loop over the problems in order
-    would raise them. It stays a module attribute because
+    would raise them. Each call allocates its outputs and workspace
+    (``W``, ``IBLOCK``, ``ISPLIT``, ``WORK``, ``IWORK``) on the thread that
+    runs it, so at most one workspace per thread is alive; the checks run
+    on the calling thread. It stays a module attribute because
     ``bench/spans.py`` times the bisection by wrapping this name."""
     stebz = dstebz()
-    calls, outs, bad = [], [], None
+
+    def bisect(d, e, lo, hi, tol):
+        n = d.size
+        m, w, info = c_int(), np.empty(n), c_int()
+        stebz(b"I", b"E", c_int(n), c_double(0.0), c_double(1.0),
+              c_int(lo + 1), c_int(hi + 1), c_double(tol), d, e, m, c_int(),
+              w, np.empty(n, np.intc), np.empty(n, np.intc), np.empty(4 * n),
+              np.empty(3 * n, np.intc), info)
+        return w[:m.value], info.value
+
+    calls, bad = [], None
     for d, e, lo, hi, tol in problems:
         try:
             d = np.ascontiguousarray(np.asarray_chkfinite(d, dtype=float))
@@ -65,19 +82,14 @@ def eigh_tridiagonal(problems):
         except ValueError as exc:
             bad = exc        # the problems before it still run first
             break
-        n = d.size
-        m, w, info = c_int(), np.empty(n), c_int()
-        calls.append((b"I", b"E", c_int(n), c_double(0.0), c_double(1.0),
-                      c_int(lo + 1), c_int(hi + 1), c_double(tol), d, e, m,
-                      c_int(), w, np.empty(n, np.intc), np.empty(n, np.intc),
-                      np.empty(4 * n), np.empty(3 * n, np.intc), info))
-        outs.append((m, w, info))
+        calls.append((d, e, lo, hi, tol))
     out = []
-    for (m, w, info), exc in zip(outs, _in_parallel(stebz, calls)):
+    for result, exc in _in_parallel(bisect, calls):
         if exc is not None:
             raise exc
-        check_info(info.value, "stebz")
-        out.append(w[:m.value])
+        w, info = result
+        check_info(info, "stebz")
+        out.append(w)
     if bad is not None:
         raise bad
     return out
@@ -92,21 +104,23 @@ def _cpus():
 
 
 def _in_parallel(fn, calls):
-    """Call ``fn(*args)`` for each ``args`` in ``calls``, largest problem
-    (dimension ``args[2]``) first, on up to ``_cpus()`` threads: the
-    calling thread takes the largest and each extra thread the next in
-    turn, so one CPU runs the plain loop. Returns each call's exception,
-    or None, in the order of ``calls``."""
-    errors = [None] * len(calls)
+    """Call ``fn(*args)`` for each ``args`` in ``calls`` on up to
+    ``_cpus()`` threads. The calls are ordered largest problem (size of
+    ``args[0]``) first, and with ``k`` threads thread ``t`` runs the calls
+    at ``t, t + k, t + 2k, ...`` of that order, the calling thread being
+    thread 0, so one CPU runs the plain loop. Returns
+    ``(result, exception)`` per call, one of them None, in the order of
+    ``calls``."""
+    out = [None] * len(calls)
 
     def run(lane):
         for i in lane:
             try:
-                fn(*calls[i])
+                out[i] = fn(*calls[i]), None
             except Exception as exc:
-                errors[i] = exc
+                out[i] = None, exc
 
-    order = sorted(range(len(calls)), key=lambda i: -calls[i][2].value)
+    order = sorted(range(len(calls)), key=lambda i: -calls[i][0].size)
     k = max(1, min(_cpus(), len(calls)))
     threads = [threading.Thread(target=run, args=(order[t::k],))
                for t in range(1, k)]
@@ -117,7 +131,7 @@ def _in_parallel(fn, calls):
     finally:
         for t in threads:
             t.join()
-    return errors
+    return out
 
 
 def _cubic_spline(x, y):
@@ -301,22 +315,26 @@ def small_eigenvalues(dws, k):
     Golub-Kahan tridiagonal embedding (zero diagonal, R entries interleaved
     off the diagonal). With a tiny tolerance the bisection refines every
     eigenvalue to its own relative precision, which is what lets a 1e-40
-    eigenvalue coexist with an operator norm of 1e4. The grids are
-    bisected together (see ``eigh_tridiagonal``).
+    eigenvalue coexist with an operator norm of 1e4. Every grid is reduced
+    first, and no grid is held past its QR, so ``dws`` may be a generator
+    that builds each one on demand; then all are bisected together (see
+    ``eigh_tridiagonal``).
     """
-    problems = []
+    reduced = []
     for dw in dws:
         if k < 1 or k > dw.n:
             raise InputDataError("requested eigenvalue count exceeds "
                                  "dimension")
-        d, e = _qr_bidiagonal(dw)
         n = dw.n
         off = np.empty(2 * n - 1)
-        off[0::2] = d
-        off[1::2] = e
-        problems.append((np.zeros(2 * n), off, n, n + k - 1,
-                         np.finfo(float).tiny))
-    return [np.maximum(w, 0.0) ** 2 for w in eigh_tridiagonal(problems)]
+        off[0::2], off[1::2] = _qr_bidiagonal(dw)
+        del dw                # before the next grid is built
+        reduced.append((n, off))
+    # every Golub-Kahan diagonal is zero, so one array serves every problem
+    zero = np.zeros(2 * max((n for n, _ in reduced), default=0))
+    tiny = np.finfo(float).tiny
+    return [np.maximum(w, 0.0) ** 2 for w in eigh_tridiagonal(
+        [(zero[:2 * n], off, n, n + k - 1, tiny) for n, off in reduced])]
 
 
 class HStep(NamedTuple):
@@ -355,22 +373,30 @@ def compare(report, p, h_list, grid=None):
     if not cs.positions:
         raise InputDataError("validation needs a structure extracted from "
                              "samples")
-    # one spline serves every h and both grids; its gtsv solve comes from
-    # the same LAPACK module as the bisection
-    phi_fn = _cubic_spline(p.xs, p.phis)
     n0 = report.n0
     k_nonzero = n0 - 1
+    predictions, ns = [], []
+
+    def grids():
+        # the coarse and fine grid of every h, each built when
+        # small_eigenvalues asks for it and dropped after its QR, so every
+        # input check runs before the first bisection; one spline serves
+        # them all and is dropped with the last (its gtsv solve comes from
+        # the same LAPACK module as the bisection)
+        phi_fn = _cubic_spline(p.xs, p.phis)
+        for h in hs:
+            predictions.append(report.evaluate(h)[1:])
+            domain = _energy_window(p, cs, h)
+            dw = discretize(phi_fn, h, grid, domain=domain)
+            ns.append(dw.n)
+            yield dw
+            del dw
+            yield discretize(phi_fn, h, 2 * ns[-1], domain=domain)
+
+    nonzero = [w[1:].tolist() for w in small_eigenvalues(grids(), n0)]
     steps = []
-    for h in hs:
-        entries = report.evaluate(h)[1:]
-        domain = _energy_window(p, cs, h)
-        dw1 = discretize(phi_fn, h, grid, domain=domain)
-        n = dw1.n
-        dw2 = discretize(phi_fn, h, 2 * n, domain=domain)
-        # the two grids of one h are bisected together; all six grids at
-        # once would hold every Golub-Kahan problem in memory
-        coarse, fine = (w[1:].tolist()
-                        for w in small_eigenvalues((dw1, dw2), n0))
+    for h, n, entries, coarse, fine in zip(hs, ns, predictions,
+                                           nonzero[0::2], nonzero[1::2]):
         rich = tuple(
             abs(c - f) / f if f > 0 else math.inf
             for c, f in zip(coarse, fine))

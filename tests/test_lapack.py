@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,23 @@ def test_more_threads_than_cpus_give_the_serial_bits(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads    # every thread joined
+
+
+def test_workspaces_live_only_while_their_call_runs(monkeypatch):
+    # IBLOCK, ISPLIT, WORK and IWORK are made by the call that uses them, so
+    # a finished call's workspace is gone before the next call starts
+    real = _lapack.dstebz()
+    finished = []
+
+    def stebz(*args):
+        assert all(ref() is None for ref in finished)
+        real(*args)
+        finished.extend(weakref.ref(a) for a in args[13:17])
+    monkeypatch.setattr(validator, "dstebz", lambda: stebz)
+    monkeypatch.setattr(validator, "_cpus", lambda: 1)
+    validator.eigh_tridiagonal([_problem(n) for n in (4, 9, 6)])
+    assert len(finished) == 12
+    assert all(ref() is None for ref in finished)
 
 
 def test_stebz_errors_follow_the_serial_order(monkeypatch):

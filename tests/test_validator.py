@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -232,23 +233,94 @@ def test_chain_compare_passes():
         assert all(s.richardson[i] <= 1e-6 for s in vr.steps)
 
 
-@pytest.mark.parametrize("which", ["chain", "double-well"])
+@pytest.mark.parametrize("which", ["chain", "bench chain", "double-well"])
 def test_compare_does_not_depend_on_the_cpu_count(monkeypatch, which):
-    # the coarse and fine bisections of each h run on one thread or on two;
-    # every number of the result must be the same
+    # every grid of the schedule is bisected on one, two or three threads;
+    # the bench chain's six problems give three lanes of two on three CPUs,
+    # and every number of the result must be the same
     p, hs = {"chain": (chain_sampled(), (0.3, 0.2)),
+             "bench chain": (chain_sampled(), (0.3, 0.2, 0.15)),
              "double-well": (double_well().potential, (0.15, 0.1))}[which]
     report = _report(p)
     runs = []
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         monkeypatch.setattr(validator, "_cpus", lambda: cpus)
         runs.append(compare(report, p, hs))
-    serial, threaded = runs
-    assert serial.verdicts == threaded.verdicts
+    serial = runs[0]
     assert serial.verdicts and "FAIL" not in serial.verdicts
-    for a, b in zip(serial.steps, threaded.steps):
-        assert np.array(a[2:]).tobytes() == np.array(b[2:]).tobytes()
-        assert a[:2] == b[:2]
+    for threaded in runs[1:]:
+        assert serial.verdicts == threaded.verdicts
+        for a, b in zip(serial.steps, threaded.steps):
+            assert np.array(a[2:]).tobytes() == np.array(b[2:]).tobytes()
+            assert a[:2] == b[:2]
+
+
+def _spy_bisection(monkeypatch):
+    """Record the problems of every ``eigh_tridiagonal`` call."""
+    calls = []
+    real = validator.eigh_tridiagonal
+
+    def spy(problems):
+        calls.append(list(problems))
+        return real(calls[-1])
+    monkeypatch.setattr(validator, "eigh_tridiagonal", spy)
+    return calls
+
+
+def test_compare_bisects_the_whole_schedule_in_one_call(monkeypatch):
+    # the coarse and fine grid of every h, in schedule order
+    p = chain_sampled()
+    report = _report(p)
+    calls = _spy_bisection(monkeypatch)
+    vr = compare(report, p, (0.3, 0.2, 0.15))
+    assert len(calls) == 1
+    sizes = [d.size // 2 for d, *_ in calls[0]]
+    assert sizes == [n for s in vr.steps for n in (s.n, 2 * s.n)]
+
+
+def test_input_checks_of_every_h_run_before_any_bisection(monkeypatch):
+    # h = 1e-3 is far too small for the chain's potential range: the spread
+    # guard rejects it before the grids of h = 0.3 are bisected
+    p = chain_sampled()
+    report = _report(p)
+    calls = _spy_bisection(monkeypatch)
+    with pytest.raises(InputDataError, match="underflow double precision"):
+        compare(report, p, (0.3, 1e-3))
+    assert calls == []
+
+
+def test_grids_and_spline_are_dropped_before_the_bisection(monkeypatch):
+    # the batch holds the Golub-Kahan problems, not the grids they came
+    # from: each grid is gone before the next one is built, and every grid
+    # and the spline before the bisection starts
+    p = chain_sampled()
+    report = _report(p)
+    built = []
+    real = (validator._cubic_spline, validator._qr_bidiagonal,
+            validator.discretize, validator.eigh_tridiagonal)
+
+    def spline(*args):
+        phi = real[0](*args)
+        built.append(weakref.ref(phi))
+        return phi
+
+    def qr(dw):
+        built.append(weakref.ref(dw.acoef))
+        return real[1](dw)
+
+    def discretize(*args, **kwargs):
+        assert all(ref() is None for ref in built[1:])
+        return real[2](*args, **kwargs)
+
+    def eigh_tridiagonal(problems):
+        assert all(ref() is None for ref in built)
+        return real[3](problems)
+    for name, fn in (("_cubic_spline", spline), ("_qr_bidiagonal", qr),
+                     ("discretize", discretize),
+                     ("eigh_tridiagonal", eigh_tridiagonal)):
+        monkeypatch.setattr(validator, name, fn)
+    compare(report, p, (0.3, 0.2))
+    assert len(built) == 5
 
 
 def test_compare_single_well_is_vacuous():
