@@ -204,22 +204,24 @@ def _labelling_block(lab, num):
     return {"global_min": lab.mbar, "minima": minima}
 
 
-def _saddle_rows(alpha, upsilon):
-    """Saddle rows with their nonzero Upsilon entries: at m1, then at m2
-    unless m2 lies outside the extended set."""
+def _saddle_rows(sad_ids, alpha, upsilon):
+    """Saddle rows of a class by id, formed from its ``cells``, with their
+    nonzero Upsilon entries: at m1, then at m2 unless m2 lies outside the
+    extended set, where it is the reference minimum."""
+    uhat, mhat, q = alpha.uhat, alpha.mhat, alpha.q
     rows = []
-    for i, ((sid, m1, m2, boundary), (_, j1, j2)) in enumerate(
-            zip(alpha.saddles, alpha.cells)):
+    for i, (s, j1, j2) in enumerate(alpha.cells):
         coef = [upsilon.item(i, j1)]
         if j2 >= 0:
             coef.append(upsilon.item(i, j2))
-        rows.append({"saddle": sid, "m1": m1, "m2": m2,
-                     "kind": "boundary" if boundary else "interior",
+        rows.append({"saddle": sad_ids[s], "m1": uhat[j1],
+                     "m2": uhat[j2] if j2 >= 0 else mhat,
+                     "kind": "interior" if 0 <= j2 < q else "boundary",
                      "upsilon": coef})
     return rows
 
 
-def _class_block(spectrum):
+def _class_block(spectrum, sad_ids):
     alpha = spectrum.cls
     if alpha.ground:
         return {"members": list(alpha.members), "ground": True,
@@ -235,13 +237,14 @@ def _class_block(spectrum):
                       for b, s in zip(alpha.member_blocks, alpha.block_S)],
            "member_order": list(alpha.member_order),
            "uhat_order": list(alpha.uhat),
-           "saddle_rows": _saddle_rows(alpha, spectrum.matrices.upsilon)}
+           "saddle_rows": _saddle_rows(sad_ids, alpha,
+                                       spectrum.matrices.upsilon)}
     if alpha.type2:
         out["theta0"] = spectrum.matrices.theta0.tolist()
     levels = out["levels"] = []
-    for lv in spectrum.levels:
-        zeta2 = lv.zeta2.tolist()
-        levels.append({"S": lv.S, "zeta2": zeta2,
+    for S, zeta2 in zip(alpha.block_S, spectrum.levels):
+        zeta2 = zeta2.tolist()
+        levels.append({"S": S, "zeta2": zeta2,
                        "pi_zeta2": [math.pi * z for z in zeta2]})
     return out
 
@@ -269,13 +272,15 @@ def analyze_document(cs, h_list=()):
            "structure": _structure_block(cs),
            "labelling": _labelling_block(report.cd.labelling, num),
            "merge_tree": tree,
-           "classes": [_class_block(c) for c in report.classes]}
+           "classes": [_class_block(c, cs.sad_ids) for c in report.classes]}
     if h_list:
         doc["evaluated"] = _evaluated_block(report, h_list)
     return doc, report
 
 
 def validation_document(vrep, source, h_list):
+    """The validation report; its ``h`` is the schedule ``compare`` ran,
+    largest first, not ``h_list`` as given with its repeats."""
     from . import validator
     steps = []
     for s in vrep.steps:
@@ -296,7 +301,7 @@ def validation_document(vrep, source, h_list):
     return {"schema": SCHEMA,
             "command": "validate",
             "input": source,
-            "h": list(h_list),
+            "h": [s.h for s in vrep.steps],
             "c_tol": validator._C_TOL,
             "nonzero_count": vrep.n0 - 1,
             "steps": steps,
@@ -443,8 +448,7 @@ def validate(csv, h_text, grid, eps_level, out, emit_plots):
         cd = decompose(cs)
         report = full_spectrum(cs, cd)
         vrep = validator.compare(report, p, h_list, grid=grid)
-        _emit(validation_document(vrep, csv, sorted(h_list, reverse=True)),
-              out)
+        _emit(validation_document(vrep, csv, h_list), out)
         if emit_plots:
             rows = []
             for s in vrep.steps:

@@ -306,8 +306,6 @@ def load_samples(path):
         raise InputDataError(f"cannot read samples: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputDataError(f"{path}: samples are not UTF-8: {exc}") from exc
-    if len(rows) < 5:
-        raise InputDataError("need at least 5 samples")
     xs = np.array([r[0] for r in rows])
     phis = np.array([r[1] for r in rows])
     return make_sampled(xs, phis)
@@ -320,10 +318,10 @@ def make_sampled(xs, phis):
         raise InputDataError("xs and phis must be 1D arrays of equal length")
     if xs.size < 5:
         raise InputDataError("need at least 5 samples")
-    if not np.all(np.diff(xs) > 0):
-        raise InputDataError("xs must be strictly increasing")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(phis))):
         raise InputDataError("samples must be finite")
+    if not np.all(np.diff(xs) > 0):
+        raise InputDataError("xs must be strictly increasing")
     return SampledPotential(xs, phis)
 
 

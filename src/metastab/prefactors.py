@@ -7,21 +7,24 @@ the builders here take a whole group; a single class is a group of one. For
 a class with members U, extended set Uhat (members plus the reference
 minimum when the class is type II), and saddle set V, they build
 
-* the Hessian weights of Uhat (``h_phi``), once per class, and from them
-  together the interaction matrix Upsilon (rows V, columns Uhat) and the
-  orthonormal basis change T absorbing the type II quasimode mixing
+* the Hessian weights of Uhat (``h_phi``) off the merge-tree nodes E(m) of
+  the members and Ehat of the reference minimum, and from them together the
+  interaction matrix Upsilon (rows V, columns Uhat) and the orthonormal
+  basis change T absorbing the type II quasimode mixing
   (``build_class_matrices``), stacked over the group as (G, |V|, |Uhat|)
   and (G, |Uhat|, q) arrays filled in one pass over its classes, and
-* the graded core (Upsilon T)'(Upsilon T), whose blocks follow the barrier
-  partition, smallest barrier first (``build_graded_core``), for the whole
-  group with one stacked matmul and one stacked Cholesky check.
+* the cores (Upsilon T)'(Upsilon T), stacked as (G, q, q), for the whole
+  group with one stacked matmul and one stacked Cholesky check
+  (``build_graded_core``). A core's rows follow ``member_order``; its
+  block sizes and barriers are the class's ``member_blocks`` and
+  ``block_S``, smallest barrier first, and are not copied.
 
 A stacked NumPy call makes, per class, the call the class-by-class pipeline
 made, so every class gets the same matrices bit for bit. Hessian data at the
 ends of the float range that overflows Upsilon or a core is bad input, and
 is rejected before any LAPACK call; so is an Upsilon entry so small that its
 square underflows and leaves the core singular. No exponential factor is
-ever evaluated here; the barrier scales stay symbolic in the block metadata.
+ever evaluated here; the barrier scales stay symbolic in ``block_S``.
 """
 
 import math
@@ -36,22 +39,15 @@ _SQRT_PI = math.sqrt(math.pi)
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
-def h_phi(cs, cd, mid, alpha):
-    """Hessian weight of a minimum of the extended set of ``alpha``.
+def h_phi(cs, node):
+    """Hessian weight of the minima tied at the bottom of a merge-tree node.
 
-    The weight aggregates every minimum at the same level in the relevant
-    component: the minima tied at the bottom of E(mid) for a member, or of
-    the enclosing component Ehat for the reference minimum. The merge tree
-    keeps the exact partial sums of det_hess^-1/2 over those minima, so the
-    correctly rounded sum of the terms is one ``fsum`` of a few partials.
+    For a member m of a class the node is E(m), for the class's reference
+    minimum it is Ehat: the weight aggregates every minimum at the same
+    level in that component. The merge tree keeps the exact partial sums of
+    det_hess^-1/2 over those minima, so the correctly rounded sum of the
+    terms is one ``fsum`` of a few partials.
     """
-    if mid in alpha.members:
-        node = cd.labelling.E[mid]
-    elif mid == alpha.mhat:
-        node = alpha.Ehat
-    else:
-        raise InputDataError(f"{mid} belongs neither to the class nor is its "
-                             "reference minimum")
     return math.fsum(merge_tree(cs).partials[node]) ** -0.5
 
 
@@ -75,8 +71,8 @@ def build_class_matrices(cs, cd, classes):
     each class from one set of weights; every field stacks the group's
     classes along a first axis.
 
-    Upsilon has one row per saddle of the class, in the order of
-    ``alpha.saddles`` (sorted by id), and columns over ``alpha.uhat``. A row
+    Upsilon has one row per saddle row of the class, in the order of
+    ``alpha.cells`` (sorted by saddle), and columns over ``alpha.uhat``. A row
     has entries +-pi^(-1/2)|lambda_1(s)|^(1/2) h(m_i)/h(s) at its endpoints,
     with h(s) = |det Hess(s)|^(1/4); the negative entry at the far endpoint
     is dropped when that endpoint is outside Uhat (boundary rows of a type I
@@ -91,12 +87,15 @@ def build_class_matrices(cs, cd, classes):
     conjugates the core without moving its spectrum.
     """
     first = classes[0]
-    G, r, q = len(classes), len(first.saddles), first.q
+    G, r, q = len(classes), len(first.cells), first.q
     uhat_len = q + first.type2     # uhat is the member order, then mhat
     weights, coeffs, cols1, cols2 = [], [], [], []
     neg, det, sqrt = cs.sad_neg_eig, cs.sad_det_hess, math.sqrt
+    E = cd.labelling.E
     for alpha in classes:
-        weights += [h_phi(cs, cd, mid, alpha) for mid in alpha.uhat]
+        weights += [h_phi(cs, E[mid]) for mid in alpha.member_order]
+        if alpha.type2:
+            weights.append(h_phi(cs, alpha.Ehat))
         for s, j1, j2 in alpha.cells:
             coeffs.append(sqrt(neg[s]) / (_SQRT_PI * det[s] ** 0.25))
             cols1.append(j1)
@@ -139,27 +138,11 @@ def build_class_matrices(cs, cd, classes):
     return ClassMatrices(U, T, theta0)
 
 
-class GradedCore(NamedTuple):
-    """Symmetric positive definite cores of a shape group with their barrier
-    block structure.
-
-    ``core`` stacks the group's cores, (G, q, q). ``blocks`` lists
-    (size, barriers) pairs, one per level, smallest barrier first; the sizes
-    are shared by the group, and ``barriers`` holds each class's barrier of
-    that level, strictly increasing over the blocks for every class. The
-    matrix rows/columns follow the block order.
-    """
-    core: np.ndarray
-    blocks: tuple          # ((r_1, S_1), ..., (r_p, S_p)), S_k one per class
-
-    @property
-    def p(self):
-        return len(self.blocks)
-
-
 def build_graded_core(classes, matrices):
     """Cores (Upsilon T)'(Upsilon T) of a shape group over the members of
-    each class, ordered by ascending barrier."""
+    each class, stacked as (G, q, q). Rows and columns follow each class's
+    ``member_order``, so the barrier blocks come smallest barrier first
+    with the sizes of its ``member_blocks``."""
     with np.errstate(over="ignore", invalid="ignore"):
         A = matrices.upsilon @ matrices.T
         core = np.swapaxes(A, 1, 2) @ A
@@ -188,6 +171,4 @@ def build_graded_core(classes, matrices):
                     f"core of class {alpha.members} is not positive definite "
                     "(degenerate or badly conditioned Hessian data)") from None
         raise
-    return GradedCore(core, tuple(
-        (len(b), tuple(alpha.block_S[k] for alpha in classes))
-        for k, b in enumerate(classes[0].member_blocks)))
+    return core

@@ -1,10 +1,12 @@
 """Schur recursion over graded cores and assembly of the predicted spectrum.
 
 Each equivalence class contributes one eigenvalue group per barrier level:
-level k pairs the k-th smallest barrier S_k with the eigenvalues of
-J(R^(k-1)(core)), where J extracts the leading block and R forms the Schur
-complement onto the remaining blocks. The global minimum's class contributes
-the exact eigenvalue 0. An eigenvalue zeta^2 at barrier S predicts
+level k pairs the class's k-th barrier ``block_S[k]`` with the eigenvalues
+of J(R^(k-1)(core)), where J extracts the leading block, of the size of the
+class's ``member_blocks[k]``, and R forms the Schur complement onto the
+remaining blocks. A level holds its eigenvalues only; its barrier and size
+are read from the class. The global minimum's class contributes the exact
+eigenvalue 0. An eigenvalue zeta^2 at barrier S predicts
 lambda(h) = h * zeta^2 * exp(-2S/h).
 
 ``full_spectrum`` takes the classes one shape group at a time (see
@@ -19,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputDataError, InvariantViolation
-from .prefactors import (ClassMatrices, GradedCore, build_class_matrices,
+from .prefactors import (ClassMatrices, build_class_matrices,
                          build_graded_core)
 
 _EIG_RESIDUAL = 1e-12
@@ -47,27 +49,18 @@ def sym_eig(M):
     return w
 
 
-def schur_J(g: GradedCore):
-    """Leading blocks of the cores (the whole cores when p = 1)."""
-    r1 = g.blocks[0][0]
-    return g.core[:, :r1, :r1].copy()
-
-
-def schur_R(g: GradedCore):
-    """Schur complements onto the remaining blocks, dropping the leading
-    one, class by class."""
-    if g.p < 2:
-        raise InputDataError("core has a single level; no Schur complement")
+def schur_R(cores, r1):
+    """Schur complements of the stacked cores onto their blocks after the
+    leading ``r1`` rows and columns, class by class."""
     # LAPACK loads only for classes with several barrier levels (see
     # _lapack). These are the potrf and potrs calls, with the checks, of
     # scipy.linalg's cho_solve(cho_factor(J), B.T); NumPy's cholesky plus
     # solve rounds differently and would change the report.
     from ._lapack import check_info, flapack
     lapack = flapack()
-    r1 = g.blocks[0][0]
-    n = g.core.shape[-1] - r1
-    R = np.empty((len(g.core), n, n))
-    for i, core in enumerate(g.core):
+    n = cores.shape[-1] - r1
+    R = np.empty((len(cores), n, n))
+    for i, core in enumerate(cores):
         J = np.asarray_chkfinite(core[:r1, :r1])
         B = np.asarray_chkfinite(core[r1:, :r1])
         N = core[r1:, r1:]
@@ -80,22 +73,18 @@ def schur_R(g: GradedCore):
         X, info = lapack.dpotrs(c, B.T, lower=0)
         check_info(info, "potrs")
         R[i] = N - B @ X
-    return GradedCore(0.5 * (R + np.swapaxes(R, 1, 2)), g.blocks[1:])
+    return 0.5 * (R + np.swapaxes(R, 1, 2))
 
 
-class LevelSpectrum(NamedTuple):
-    S: float               # barrier of this level
-    zeta2: np.ndarray      # eigenvalues of J(R^(k-1)), ascending, all > 0
-
-
-def class_spectrum(g: GradedCore):
-    """For each class of the group, one LevelSpectrum per barrier level,
-    smallest barrier first."""
+def class_spectrum(classes, cores):
+    """For each class of a shape group, the eigenvalues zeta2 of each
+    barrier level, ascending, smallest barrier first: level k holds those of
+    J(R^(k-1)(core)), its size and its barrier are the k-th of the class's
+    ``member_blocks`` and ``block_S``."""
     levels = []
-    p = g.p
-    for k in range(p):
-        S = g.blocks[0][1]
-        w = sym_eig(schur_J(g))
+    sizes = [len(b) for b in classes[0].member_blocks]
+    for k, r1 in enumerate(sizes):
+        w = sym_eig(cores[:, :r1, :r1])
         if np.any(w[:, 0] <= 0):
             raise InvariantViolation(
                 "nonpositive leading eigenvalue in the Schur recursion")
@@ -104,12 +93,12 @@ def class_spectrum(g: GradedCore):
         with np.errstate(over="ignore", invalid="ignore"):
             big = ~np.isfinite(math.pi * w[:, -1])
         if big.any():
+            S = classes[int(np.argmax(big))].block_S[k]
             raise InputDataError(
-                f"pi * zeta2 at S = {S[int(np.argmax(big))]} is beyond float "
-                "range")
-        levels.append([LevelSpectrum(*lv) for lv in zip(S, w)])
-        if k + 1 < p:
-            g = schur_R(g)
+                f"pi * zeta2 at S = {S} is beyond float range")
+        levels.append(w)
+        if k + 1 < len(sizes):
+            cores = schur_R(cores, r1)
     return list(zip(*levels))
 
 
@@ -124,7 +113,8 @@ class SpectrumEntry(NamedTuple):
 class ClassSpectrum(NamedTuple):
     cls: object
     matrices: object    # ClassMatrices; None for the ground class
-    levels: tuple       # LevelSpectrum tuple; empty for the ground class
+    levels: tuple       # zeta2 array per barrier level, at cls.block_S;
+                        # empty for the ground class
 
 
 class SpectrumReport:
@@ -142,7 +132,7 @@ class SpectrumReport:
         self.classes = tuple(classes)
         n0 = sum(len(c.members) for c in cd.classes)
         count = 1 + sum(
-            lv.zeta2.size for cs_ in self.classes for lv in cs_.levels)
+            zeta2.size for cs_ in self.classes for zeta2 in cs_.levels)
         if count != n0:
             raise InvariantViolation(
                 f"spectrum carries {count} values for {n0} minima")
@@ -154,20 +144,19 @@ class SpectrumReport:
         out = [SpectrumEntry(0.0, -math.inf, math.inf, 0.0,
                              self.cd.ground.members)]
         for cs_ in self.classes:
-            for level in cs_.levels:
-                for z in level.zeta2.tolist():
+            for S, zeta2 in zip(cs_.cls.block_S, cs_.levels):
+                for z in zeta2.tolist():
                     hz = h * z
                     if not 0.0 < hz < math.inf:
                         raise InputDataError(
                             f"h * zeta2 = {hz} at h = {h} is out of range")
-                    log_lam = math.log(hz) - 2.0 * level.S / h
+                    log_lam = math.log(hz) - 2.0 * S / h
                     if not math.isfinite(log_lam):
                         raise InputDataError(
                             f"log lambda at h = {h} is out of range")
-                    lam = hz * math.exp(-2.0 * level.S / h)
+                    lam = hz * math.exp(-2.0 * S / h)
                     out.append(SpectrumEntry(
-                        lam, log_lam, level.S, z,
-                        cs_.cls.members))
+                        lam, log_lam, S, z, cs_.cls.members))
         out.sort(key=lambda e: e.log_lam)
         return out
 
@@ -179,14 +168,14 @@ def full_spectrum(cs, cd):
     are built once, and each class keeps views into its group's arrays."""
     groups = {}
     for i, c in enumerate(cd.classes[1:], start=1):
-        key = len(c.saddles), c.type2, tuple(map(len, c.member_blocks))
+        key = len(c.cells), c.type2, tuple(map(len, c.member_blocks))
         groups.setdefault(key, []).append(i)
     classes = [None] * len(cd.classes)
     classes[0] = ClassSpectrum(cd.ground, None, ())
     for at in groups.values():
         group = [cd.classes[i] for i in at]
         m = build_class_matrices(cs, cd, group)
-        levels = class_spectrum(build_graded_core(group, m))
+        levels = class_spectrum(group, build_graded_core(group, m))
         theta0 = [None] * len(at) if m.theta0 is None else m.theta0
         for i, c, U, T, th, lv in zip(at, group, m.upsilon, m.T, theta0,
                                       levels):

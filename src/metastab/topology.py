@@ -14,9 +14,10 @@ goes through the level clusters of the structure, which keeps equality
 transitive.
 
 Ids come back only where a class or a report block names a point: the
-labelling is keyed by minimum id, and a class lists its members, blocks,
-reference minimum and saddle rows by id, while ``Labelling.E`` and
-``EquivClass.Ehat`` are node indices of the merge tree.
+labelling is keyed by minimum id, and a class lists its members, blocks and
+reference minimum by id, while its saddle rows (``EquivClass.cells``, whose
+ids the report forms), ``Labelling.E`` and ``EquivClass.Ehat`` are indices.
+Each block's size and barrier S are held by the class alone.
 """
 
 import math
@@ -216,23 +217,25 @@ class EquivClass:
     barrier first, and ``member_order`` runs through the blocks in turn.
     ``uhat``, the extended set, is ``member_order`` followed, for type II,
     by the reference minimum ``mhat``.
+    ``block_S`` holds each block's barrier, strictly increasing; the
+    spectrum reads each level's size and barrier from the class.
     ``Ehat`` is the merge-tree node of the reference minimum just below
-    ``sigma``. ``saddles`` lists the class's saddle rows, sorted by id, each
-    a plain tuple (saddle id, m1, m2, boundary): m1 is the member-side
-    endpoint, phi(m1) >= phi(m2), and m2 the other one, the reference
-    minimum on a boundary row. Plain tuples of ids are left untracked by
-    the cyclic collector, so the classes of a large landscape do not make
-    it rescan the heap ever more often. ``cells`` gives, per saddle row,
-    the saddle's index and the columns of m1 and m2 in ``uhat`` (-1 when m2
-    lies outside it): where the row's Upsilon entries go.
+    ``sigma``. ``cells`` lists the class's saddle rows, sorted by saddle,
+    each a plain tuple of ints (s, j1, j2): the saddle's index and the
+    columns in ``uhat`` of m1, the member-side endpoint, phi(m1) >= phi(m2),
+    and of m2, the other one, or -1 when m2 is the reference minimum outside
+    ``uhat``. The row is interior iff 0 <= j2 < q, else a boundary row to
+    the reference minimum; ``cli`` forms its ids. Plain tuples of ints are
+    left untracked by the cyclic collector, so the classes of a large
+    landscape do not make it rescan the heap ever more often.
     """
 
     __slots__ = ("members", "sigma", "mhat", "Ehat", "type2",
                  "member_blocks", "block_S", "ground",
-                 "saddles", "cells", "member_order", "uhat")
+                 "cells", "member_order", "uhat")
 
     def __init__(self, members, sigma, mhat, Ehat, type2, member_blocks,
-                 block_S, saddles, cells, ground=False):
+                 block_S, cells, ground=False):
         self.members = members
         self.sigma = sigma
         self.mhat = mhat
@@ -241,7 +244,6 @@ class EquivClass:
         self.member_blocks = member_blocks
         self.block_S = block_S
         self.ground = ground
-        self.saddles = saddles
         self.cells = cells
         self.member_order = (member_blocks[0] if len(member_blocks) == 1
                              else tuple(x for b in member_blocks for x in b))
@@ -304,13 +306,13 @@ def _node_classes(cs, tree, v):
         if b == first:
             a, b = b, a
         if a == first:
-            row = (s, deepest[b], hat, True)
+            row = (s, deepest[b], hat)
         else:
             # member-side endpoint is the higher minimum, ties by id
             u, w = deepest[a], deepest[b]
             if mc[u] < mc[w] or (mc[u] == mc[w] and u > w):
                 u, w = w, u
-            row = (s, u, w, False)
+            row = (s, u, w)
         groups[_find(up, b)][1].append(row)
     classes = []
     for ms, rows in groups.values():
@@ -339,9 +341,7 @@ def _node_classes(cs, tree, v):
         rows.sort()
         classes.append(EquivClass(
             members, sigma, ids[hat], first, type2, member_blocks, block_S,
-            tuple([(cs.sad_ids[s], ids[m1], ids[m2], bd)
-                   for s, m1, m2, bd in rows]),
-            tuple((s, col[m1], col.get(m2, -1)) for s, m1, m2, _ in rows)))
+            tuple([(s, col[m1], col.get(m2, -1)) for s, m1, m2 in rows])))
     return classes
 
 
@@ -358,13 +358,12 @@ def decompose(cs):
     ids, mc, reps = cs.min_ids, cs.min_cluster, cs.levels.reps
     born, deepest, low = tree.born, tree.deepest, tree.low
     kids, kid_at, sads, sad_at = tree.kids, tree.kid_at, tree.sads, tree.sad_at
-    sad_ids = cs.sad_ids
     (root,) = tree.roots
     mbar = ids[deepest[root]]
     sigma, S, E, index = {mbar: INF}, {mbar: INF}, {mbar: root}, {mbar: (1, 1)}
     mhat, type2 = {}, {}
     ground = EquivClass((mbar,), INF, None, None, False, ((mbar,),), (INF,),
-                        (), (), ground=True)
+                        (), ground=True)
     classes = []
     n = len(ids)
     step, top = 1, len(born)
@@ -399,7 +398,6 @@ def decompose(cs):
             ss = sads[sad_at[v]:sad_at[v + 1]]
             found.append(EquivClass(
                 block, sig, ids[hat], kids[kid_at[v]], t2, (block,), (S[mid],),
-                tuple([(sad_ids[s], mid, ids[hat], True) for s in ss]),
                 tuple([(s, 0, 1 if t2 else -1) for s in ss])))
         if len(fresh) > 1:
             fresh.sort(key=low.__getitem__)

@@ -13,9 +13,10 @@ from typing import NamedTuple
 import numpy as np
 from hypothesis import HealthCheck, settings
 
+from metastab import cli
 from metastab.landscape import CriticalStructure
-from metastab.prefactors import (ClassMatrices, GradedCore,
-                                 build_class_matrices, build_graded_core)
+from metastab.prefactors import (ClassMatrices, build_class_matrices,
+                                 build_graded_core, h_phi)
 from metastab.topology import merge_tree
 from sweep_oracle import SaddleRow
 
@@ -62,9 +63,9 @@ def cluster_eigenvalues(w, rtol=_CLUSTER_RTOL):
 
 
 def random_spd_core(rng, max_dim=12):
-    """SPD graded core with 2..4 blocks of size 1..3 and eigenvalues in
-    [1/2, 2], so consecutive scale blocks never overlap at the tested tau;
-    a group of one class."""
+    """SPD core with 2..4 blocks of size 1..3 and eigenvalues in [1/2, 2],
+    so consecutive scale blocks never overlap at the tested tau; a group of
+    one class, (1, dim, dim), and its block sizes."""
     p = int(rng.integers(2, 5))
     sizes = [int(rng.integers(1, 4)) for _ in range(p)]
     assert sum(sizes) <= max_dim
@@ -73,8 +74,15 @@ def random_spd_core(rng, max_dim=12):
     d = rng.uniform(0.5, 2.0, size=dim)
     core = (q * d) @ q.T
     core = 0.5 * (core + core.T)
-    blocks = tuple((r, (float(j + 1),)) for j, r in enumerate(sizes))
-    return GradedCore(core[None], blocks)
+    return core[None], sizes
+
+
+def block_class(sizes):
+    """A stand-in class for ``class_spectrum``: barrier blocks of the given
+    sizes at barriers 1, 2, ..."""
+    return SimpleNamespace(
+        member_blocks=tuple((None,) * r for r in sizes),
+        block_S=tuple(float(j + 1) for j in range(len(sizes))))
 
 
 def class_matrices(cs, cd, alpha):
@@ -86,9 +94,16 @@ def class_matrices(cs, cd, alpha):
 
 
 def graded_core(cs, cd, alpha):
-    """The graded core of a class as a group of one, built from its matrices
-    as ``spectra.full_spectrum`` builds it."""
+    """The core of a class as a group of one, (1, q, q), built from its
+    matrices as ``spectra.full_spectrum`` builds it."""
     return build_graded_core([alpha], build_class_matrices(cs, cd, [alpha]))
+
+
+def weight(cs, cd, alpha, mid):
+    """The Hessian weight of ``mid`` in the extended set of ``alpha``: read
+    off E(mid) for a member, off Ehat for the reference minimum."""
+    return h_phi(cs, alpha.Ehat if mid == alpha.mhat
+                 else cd.labelling.E[mid])
 
 
 def random_spd(rng, dim):
@@ -348,11 +363,22 @@ def uhat_blocks(c):
     return (*c.member_blocks[:-1], c.member_blocks[-1] + (c.mhat,))
 
 
+def saddle_rows(cs, c):
+    """The saddle rows of class ``c`` as the report forms them
+    (``cli._saddle_rows``), as (saddle id, m1, m2, boundary) rows; the
+    Upsilon entries are left out, so a zero matrix stands in for Upsilon."""
+    rows = cli._saddle_rows(cs.sad_ids, c,
+                            np.zeros((len(c.cells), len(c.uhat))))
+    return tuple(SaddleRow(r["saddle"], r["m1"], r["m2"],
+                           r["kind"] == "boundary") for r in rows)
+
+
 def oracle_view(cs, cd):
     """The structure and decomposition as ``spectrum_oracle`` reads them:
     points by id, classes with their ``uhat_blocks`` and saddle rows with
-    named fields, and E(m) and Ehat as objects whose ``ties`` lists the ids
-    of the minima tied at the bottom of the merge-tree node."""
+    named fields (``saddle_rows``), and E(m) and Ehat as objects whose
+    ``ties`` lists the ids of the minima tied at the bottom of the
+    merge-tree node."""
     def node(v):
         return SimpleNamespace(ties=ties(cs, v))
 
@@ -360,7 +386,7 @@ def oracle_view(cs, cd):
     for c in cd.classes[1:]:
         view = {k: getattr(c, k) for k in c.__slots__}
         view.update(Ehat=node(c.Ehat), uhat_blocks=uhat_blocks(c),
-                    saddles=tuple(map(SaddleRow._make, c.saddles)))
+                    saddles=saddle_rows(cs, c))
         classes.append(SimpleNamespace(**view))
     lab = cd.labelling
     return ById(cs), cd._replace(

@@ -12,13 +12,12 @@ import numpy as np
 import scipy.linalg
 
 import sweep_oracle
-from conftest import (ById, alternating_family, class_matrices,
+from conftest import (ById, alternating_family, block_class, class_matrices,
                       cluster_eigenvalues, graded_core, make_rng, random_spd,
                       random_spd_core, random_tree_structure, type1_gadget,
-                      type2_gadget)
+                      type2_gadget, weight)
 from metastab.examples import build_example
 from metastab.landscape import extract_critical_structure, make_sampled
-from metastab.prefactors import h_phi
 from metastab.spectra import class_spectrum, full_spectrum, schur_R
 from metastab.topology import decompose
 from metastab.validator import compare
@@ -45,13 +44,13 @@ def test_criterion_1_two_member_chain():
     cd, rep = _pipeline(cs)
     levels = {c.cls.members: c.levels for c in rep.classes}
 
-    lv, = levels[("m21", "m22")]
-    got = np.sort(np.pi * np.asarray(lv.zeta2))
+    zeta2, = levels[("m21", "m22")]
+    got = np.sort(np.pi * zeta2)
     want = np.array([1.5 - math.sqrt(5) / 2, 1.5 + math.sqrt(5) / 2])
     assert np.max(np.abs(got - want)) <= 1e-12
 
-    lv, = levels[("m23",)]
-    assert abs(math.pi * lv.zeta2[0] - 1.0) <= 1e-12
+    zeta2, = levels[("m23",)]
+    assert abs(math.pi * zeta2[0] - 1.0) <= 1e-12
 
     ground = rep.evaluate(0.1)[0]
     assert ground.members == ("m11",)
@@ -68,15 +67,15 @@ def test_criterion_2_two_level_schur_recursion():
         core = graded_core(cs, cd, alpha)
         nu = 1.0 / (1.0 + theta * theta)
 
-        R = schur_R(core)
+        R = schur_R(core, len(alpha.member_blocks[0]))
         want = np.array([[1.0, -1.0], [-1.0, 2.0 - nu]]) / math.pi
-        assert np.max(np.abs(R.core[0] - want)) <= 1e-12
+        assert np.max(np.abs(R[0] - want)) <= 1e-12
 
         disc = math.sqrt((3 - nu) ** 2 - 4 * (1 - nu))
         lam_pm = [(3 - nu - disc) / 2, (3 - nu + disc) / 2]
-        (lv1, lv2), = class_spectrum(core)
-        assert abs(math.pi * lv1.zeta2[0] - (1 + theta * theta)) <= 1e-12
-        got = np.sort(np.pi * np.asarray(lv2.zeta2))
+        (zeta2_1, zeta2_2), = class_spectrum([alpha], core)
+        assert abs(math.pi * zeta2_1[0] - (1 + theta * theta)) <= 1e-12
+        got = np.sort(np.pi * zeta2_2)
         assert np.max(np.abs(got - lam_pm)) <= 1e-12
     _done(2, t0, 1.0, "R and both closed-form levels at theta in {0.5,1,2}")
 
@@ -87,8 +86,8 @@ def test_criterion_3_ring_spectrum_with_degeneracies():
         cs = build_example("ex-c", n=n).structure
         cd, rep = _pipeline(cs)
         cls = next(c for c in rep.classes if not c.cls.ground)
-        lv, = cls.levels
-        got = np.sort(np.pi * np.asarray(lv.zeta2))
+        zeta2, = cls.levels
+        got = np.sort(np.pi * zeta2)
         want = np.sort([2 * (1 - math.cos(2 * math.pi * k / n))
                         for k in range(1, n)])
         assert np.max(np.abs(got - want) / want) <= 1e-10
@@ -111,18 +110,16 @@ def test_criterion_4_graded_perturbation_law():
     taus = (0.1, 0.05, 0.025)
     ratios = []
     for i in range(200):
-        g = random_spd_core(make_rng(f"accept4:{i}"))
-        levels, = class_spectrum(g)
-        sizes = [r for r, _ in g.blocks]
+        cores, sizes = random_spd_core(make_rng(f"accept4:{i}"))
+        levels, = class_spectrum([block_class(sizes)], cores)
         errs = []
         for tau in taus:
             omega = np.concatenate([np.full(r, tau ** j)
                                     for j, r in enumerate(sizes)])
             dense = np.sort(np.linalg.eigvalsh(
-                g.core[0] * np.outer(omega, omega)))
+                cores[0] * np.outer(omega, omega)))
             pred = np.sort(np.concatenate(
-                [tau ** (2 * j) * np.asarray(lv.zeta2)
-                 for j, lv in enumerate(levels)]))
+                [tau ** (2 * j) * zeta2 for j, zeta2 in enumerate(levels)]))
             rel = float(np.max(np.abs(dense - pred) / pred))
             assert rel <= 2.0 * tau * tau
             errs.append(rel)
@@ -140,7 +137,7 @@ def test_criterion_5_kernel_and_rank():
         cd = decompose(cs)
         alpha = next(c for c in cd.classes if not c.ground)
         m = class_matrices(cs, cd, alpha)
-        inv_w = np.array([1.0 / h_phi(cs, cd, x, alpha) for x in alpha.uhat])
+        inv_w = np.array([1.0 / weight(cs, cd, alpha, x) for x in alpha.uhat])
         resid = np.max(np.abs(m.upsilon @ inv_w))
         assert resid <= 1e-12 * np.max(np.abs(m.upsilon))
         assert np.linalg.matrix_rank(m.upsilon @ m.T) == alpha.q
@@ -286,7 +283,7 @@ def test_criterion_9_singular_value_toolbox():
         cd = decompose(cs)
         alpha = next(c for c in cd.classes if not c.ground)
         m = class_matrices(cs, cd, alpha)
-        kernel = np.array([[1.0 / h_phi(cs, cd, x, alpha)
+        kernel = np.array([[1.0 / weight(cs, cd, alpha, x)
                             for x in alpha.uhat]])
         iso = scipy.linalg.null_space(kernel)
         full = padded_sv(m.upsilon, alpha.q + 1)

@@ -499,6 +499,17 @@ def _write_csv(path, xs, phis):
             fh.write(f"{x:.17g},{p:.17g}\n")
 
 
+def test_validate_writes_the_schedule_it_ran(runner, tmp_path):
+    # a repeated or unordered h is run once, largest first, and the report
+    # names the steps it holds
+    csv = tmp_path / "dw.csv"
+    xs = np.linspace(-2.0, 2.0, 4001)
+    _write_csv(csv, xs, (xs ** 2 - 1.0) ** 2)
+    doc = run_json(runner, ["validate", str(csv), "--h", "0.1,0.15,0.15"])
+    assert doc["h"] == [0.15, 0.1]
+    assert [s["h"] for s in doc["steps"]] == doc["h"]
+
+
 def test_validate_single_well_is_vacuous(runner, tmp_path):
     csv = tmp_path / "well.csv"
     xs = np.linspace(-6.0, 6.0, 2001)

@@ -46,16 +46,15 @@ def test_structure_bundles_are_self_consistent():
                 assert ref.get("pi_zeta2", [0.0]) == [0.0]
                 continue
             if "S" in ref:
-                assert [lv.S for lv in cspec.levels] == pytest.approx(
-                    ref["S"])
+                assert len(cspec.levels) == len(ref["S"])
+                assert list(cspec.cls.block_S) == pytest.approx(ref["S"])
             if "pi_zeta2" in ref:
-                got = np.sort(np.concatenate(
-                    [lv.zeta2 for lv in cspec.levels])) * math.pi
+                got = np.sort(np.concatenate(cspec.levels)) * math.pi
                 assert got == pytest.approx(ref["pi_zeta2"], abs=1e-12)
             if "pi_zeta2_by_level" in ref:
-                for lv, want in zip(cspec.levels,
-                                    ref["pi_zeta2_by_level"]):
-                    assert np.sort(lv.zeta2) * math.pi == pytest.approx(
+                for zeta2, want in zip(cspec.levels,
+                                       ref["pi_zeta2_by_level"]):
+                    assert np.sort(zeta2) * math.pi == pytest.approx(
                         want, abs=1e-12)
         assert not refs
 
@@ -66,7 +65,7 @@ def test_ring_bundle_reference():
         cd = decompose(b.structure)
         report = full_spectrum(b.structure, cd)
         got = np.sort(np.concatenate(
-            [lv.zeta2 for c in report.classes for lv in c.levels]))
+            [zeta2 for c in report.classes for zeta2 in c.levels]))
         assert got * math.pi == pytest.approx(b.reference["pi_zeta2"],
                                               abs=1e-10)
 
@@ -98,10 +97,10 @@ def test_chain_realization_matches_abstract_chain():
 
     assert [len(c.cls.members) for c in rep.classes] == [
         len(c.cls.members) for c in rep_abs.classes]
-    got = sorted((lv.S, z) for c in rep.classes for lv in c.levels
-                 for z in lv.zeta2)
-    want = sorted((lv.S, z) for c in rep_abs.classes for lv in c.levels
-                  for z in lv.zeta2)
+    got = sorted((S, z) for c in rep.classes
+                 for S, zeta2 in zip(c.cls.block_S, c.levels) for z in zeta2)
+    want = sorted((S, z) for c in rep_abs.classes
+                  for S, zeta2 in zip(c.cls.block_S, c.levels) for z in zeta2)
     for (S1, z1), (S2, z2) in zip(got, want):
         assert S1 == pytest.approx(S2, abs=1e-6)
         assert z1 == pytest.approx(z2, rel=1e-5)

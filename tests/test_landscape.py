@@ -242,6 +242,8 @@ def test_make_sampled_errors():
         make_sampled(xs[::-1], xs)
     with pytest.raises(InputDataError, match="finite"):
         make_sampled(xs, np.where(xs > 0.5, np.inf, 0.0))
+    with pytest.raises(InputDataError, match="samples must be finite"):
+        make_sampled([0.0, np.nan, 2.0, 3.0, 4.0], xs[:5])
     with pytest.raises(InputDataError, match="equal length"):
         make_sampled(xs, xs[:-1])
     with pytest.raises(InputDataError, match="at least 5"):

@@ -33,7 +33,6 @@ from metastab import _lapack, validator
 from metastab.cli import main
 from metastab.examples import chain_sampled, double_well
 from metastab.landscape import extract_critical_structure
-from metastab.prefactors import GradedCore
 from metastab.spectra import full_spectrum, schur_R
 from metastab.topology import decompose
 
@@ -247,18 +246,18 @@ def test_stebz_refuses_arrays_it_cannot_pass(bad):
 
 # ------------------------------------------------------------------ Schur
 
-def _schur_R_oracle(g):
+def _schur_R_oracle(cores, r1):
     """The former ``spectra.schur_R``, on SciPy's public wrappers."""
-    r1 = g.blocks[0][0]
     R = np.array([core[r1:, r1:] - core[r1:, :r1]
                   @ cho_solve(cho_factor(core[:r1, :r1]), core[r1:, :r1].T)
-                  for core in g.core])
+                  for core in cores])
     return 0.5 * (R + np.swapaxes(R, 1, 2))
 
 
 def _random_group(seed):
     """A shape group of one to three SPD cores with two or three blocks and
-    eigenvalues spread over eight decades."""
+    eigenvalues spread over eight decades, and the size of its leading
+    block."""
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 4))
     sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(2, 4)))]
@@ -268,21 +267,18 @@ def _random_group(seed):
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         c = (q * 10.0 ** rng.uniform(-4.0, 4.0, size=dim)) @ q.T
         cores.append(0.5 * (c + c.T))
-    blocks = tuple((r, tuple(float(j + 1) for _ in range(k)))
-                   for j, r in enumerate(sizes))
-    return GradedCore(np.array(cores), blocks)
+    return np.array(cores), sizes[0]
 
 
 @given(seeds)
 def test_schur_complement_matches_scipy(seed):
-    g = _random_group(seed)
-    R = schur_R(g)
-    _same_bits(R.core, _schur_R_oracle(g))
-    assert R.blocks == g.blocks[1:]
+    cores, r1 = _random_group(seed)
+    _same_bits(schur_R(cores, r1), _schur_R_oracle(cores, r1))
 
 
 def _two_level(core):
-    return GradedCore(np.array([core]), ((2, (1.0,)), (1, (2.0,))))
+    """A group of one core with blocks of sizes 2 and 1."""
+    return np.array([core]), 2
 
 
 def test_non_positive_definite_leading_block_like_scipy():
@@ -290,10 +286,10 @@ def test_non_positive_definite_leading_block_like_scipy():
                              [2.0, 1.0, 0.0],
                              [0.0, 0.0, 1.0]]))
     with pytest.raises(np.linalg.LinAlgError):
-        _schur_R_oracle(g)
+        _schur_R_oracle(*g)
     with pytest.raises(np.linalg.LinAlgError,
                        match="2-th leading minor of the array is not"):
-        schur_R(g)
+        schur_R(*g)
 
 
 @pytest.mark.parametrize("at", [(0, 1), (2, 0)], ids=["J", "B"])
@@ -302,9 +298,9 @@ def test_non_finite_core_rejected_like_scipy(at):
     core[at] = np.nan
     g = _two_level(core)
     with pytest.raises(ValueError):
-        _schur_R_oracle(g)
+        _schur_R_oracle(*g)
     with pytest.raises(ValueError):
-        schur_R(g)
+        schur_R(*g)
 
 
 # -------------------------------------------------------------- the calls
@@ -362,7 +358,7 @@ def test_routines_get_scipys_arguments(fake_lapack):
     _eigh(d, e, 1, 3, tiny)
     x = np.arange(6.0)
     validator._cubic_spline(x, x * x)
-    schur_R(_two_level(np.eye(3)))
+    schur_R(*_two_level(np.eye(3)))
     name, args, _ = fake.calls[0]
     assert name == "dstebz" and len(args) == 18
     assert [a if type(a) is bytes else a.value for a in args[:8]] == [
@@ -429,13 +425,13 @@ def test_fallback_to_the_public_module_gives_the_same_bits(monkeypatch, attr,
     g = _random_group(3)
     x = np.linspace(0.0, 3.0, 9)
     q = np.linspace(-0.5, 3.5, 41)
-    direct = (_eigh(d, e, lo, hi, tol), schur_R(g).core,
+    direct = (_eigh(d, e, lo, hi, tol), schur_R(*g),
               validator._cubic_spline(x, np.sin(x))(q))
 
     monkeypatch.delitem(sys.modules, _NAME)
     monkeypatch.setattr(f"importlib.{attr}", fake)
     assert _lapack.flapack() is scipy.linalg.lapack
-    public = (_eigh(d, e, lo, hi, tol), schur_R(g).core,
+    public = (_eigh(d, e, lo, hi, tol), schur_R(*g),
               validator._cubic_spline(x, np.sin(x))(q))
     assert _NAME not in sys.modules
     for got, want in zip(public, direct):

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 import sweep_oracle as oracle
 from conftest import (ById, Minimum, Saddle, _chain, funnel, members,
-                      minima, random_tree_structure, saddles, shuffled_chain,
-                      staircase, tied_structure, ties, type1_gadget,
-                      type2_gadget, uhat_blocks)
+                      minima, random_tree_structure, saddle_rows, saddles,
+                      shuffled_chain, staircase, tied_structure, ties,
+                      type1_gadget, type2_gadget, uhat_blocks)
 from schema_v1 import components
 from metastab import cli, topology
 from metastab.errors import InputDataError, InvariantViolation
@@ -55,7 +55,8 @@ def _as_sets(cs, cd):
     """A decomposition of the package in the oracle's terms; the saddle
     value clusters, which neither the labelling nor a class carries, come
     off the tree, a class's ``uhat_blocks`` is derived from its member
-    blocks, and its stored orders and Upsilon cells, which the oracle
+    blocks and its saddle rows from its cells as the report forms them
+    (``saddle_rows``), and its stored orders and cells, which the oracle
     derives or lacks, are left out."""
     lab = cd.labelling
     L = oracle.levels(ById(cs))
@@ -85,6 +86,7 @@ def _as_sets(cs, cd):
         row["sigma_cluster"] = (None if c.Ehat is None
                                 else tree.born[parent[c.Ehat]])
         row["uhat_blocks"] = uhat_blocks(c)
+        row["saddles"] = saddle_rows(cs, c)
         del row["uhat"], row["member_order"], row["cells"]
         classes.append(row)
     return labelling, maps, classes

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 import spectrum_oracle as oracle
 from conftest import (Minimum, Saddle, class_matrices, graded_core, make_rng,
-                      minima, oracle_view, saddles, tied_structure,
-                      type1_gadget, type2_gadget, uhat_blocks)
-from metastab.errors import InputDataError
+                      minima, oracle_view, saddle_rows, saddles,
+                      tied_structure, type1_gadget, type2_gadget,
+                      uhat_blocks, weight)
 from metastab.examples import double_well, ex_a, ex_b
 from metastab.landscape import CriticalStructure, extract_critical_structure
-from metastab.prefactors import (build_class_matrices, build_graded_core,
-                                 h_phi)
+from metastab.prefactors import build_class_matrices, build_graded_core
 from metastab.spectra import class_spectrum
 from metastab.topology import decompose
 
@@ -37,14 +36,15 @@ def test_h_phi_single_minimum():
     cs = ex_a().structure
     cd = decompose(cs)
     c = cd.classes[1]
-    assert h_phi(cs, cd, "m21", c) == 1.0
+    assert weight(cs, cd, c, "m21") == 1.0
 
 
 def test_h_phi_sampled_minimum():
     cs = extract_critical_structure(double_well().potential)
     cd = decompose(cs)
     c = cd.classes[1]
-    assert h_phi(cs, cd, c.members[0], c) == pytest.approx(8 ** 0.25, rel=1e-7)
+    assert weight(cs, cd, c, c.members[0]) == pytest.approx(8 ** 0.25,
+                                                            rel=1e-7)
 
 
 def test_h_phi_reference_minimum_aggregates_component():
@@ -54,15 +54,7 @@ def test_h_phi_reference_minimum_aggregates_component():
     # the exit of m3 opens at 2.0, where the enclosing component already
     # holds both deep wells
     assert c.mhat == "m1"
-    assert h_phi(cs, cd, "m1", c) == pytest.approx(2 ** -0.5)
-
-
-def test_h_phi_errors():
-    cs = ex_a().structure
-    cd = decompose(cs)
-    c = cd.classes[1]
-    with pytest.raises(InputDataError, match="belongs neither"):
-        h_phi(cs, cd, "m23", c)
+    assert weight(cs, cd, c, "m1") == pytest.approx(2 ** -0.5)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -83,7 +75,7 @@ def test_h_phi_partials_match_the_oracle_bit_for_bit(seed, dets):
     ocs, ocd = oracle_view(cs, cd)
     for alpha, oalpha in zip(cd.classes[1:], ocd.classes[1:]):
         for mid in alpha.uhat:
-            got = h_phi(cs, cd, mid, alpha)
+            got = weight(cs, cd, alpha, mid)
             assert got.hex() == oracle.h_phi(ocs, ocd, mid, oalpha).hex()
 
 
@@ -95,7 +87,7 @@ def test_upsilon_three_wells():
     cd = decompose(cs)
     c = cd.classes[1]
     U = class_matrices(cs, cd, c).upsilon
-    assert [sid for sid, *_ in c.saddles] == ["s1", "s2"]
+    assert [sid for sid, *_ in saddle_rows(cs, c)] == ["s1", "s2"]
     want = np.array([[1.0, -1.0], [0.0, 1.0]]) / SQPI
     assert np.allclose(U, want, atol=1e-15)
 
@@ -107,7 +99,8 @@ def test_upsilon_chain():
     c = cd.classes[1]
     assert c.uhat == ("m23", "m21", "m22")
     U = class_matrices(b.structure, cd, c).upsilon
-    assert [sid for sid, *_ in c.saddles] == ["s1", "s2", "s3"]
+    assert [sid for sid, *_ in saddle_rows(b.structure, c)] == [
+        "s1", "s2", "s3"]
     want = np.array([[0.0, 1.0, -1.0],
                      [1.0, 0.0, -1.0],
                      [theta, 0.0, 0.0]]) / SQPI
@@ -135,7 +128,7 @@ def test_upsilon_kernel_is_inverse_weight_vector():
             if not c.type2:
                 continue
             cm = class_matrices(cs, cd, c)
-            xi = np.array([1.0 / h_phi(cs, cd, x, c) for x in c.uhat])
+            xi = np.array([1.0 / weight(cs, cd, c, x) for x in c.uhat])
             assert np.max(np.abs(cm.upsilon @ xi)) <= 1e-12 * np.max(
                 np.abs(cm.upsilon))
 
@@ -167,7 +160,7 @@ def test_T_completes_kernel_direction():
         rows = [pos[x] for x in blk]
         assert np.allclose(cm.theta0 @ cm.T[rows, :], 0.0, atol=1e-13)
         # theta0 is the normalized inverse-weight direction on its block
-        xi = np.array([1.0 / h_phi(cs, cd, x, c) for x in blk])
+        xi = np.array([1.0 / weight(cs, cd, c, x) for x in blk])
         xi /= np.linalg.norm(xi)
         assert np.allclose(cm.theta0, xi, atol=1e-13)
 
@@ -190,23 +183,26 @@ def test_T_type_one_rows_of_gadgets():
 def test_core_three_wells():
     cs = ex_a().structure
     cd = decompose(cs)
-    g = graded_core(cs, cd, cd.classes[1])
+    cores = graded_core(cs, cd, cd.classes[1])
     want = np.array([[1.0, -1.0], [-1.0, 2.0]]) / math.pi
-    assert np.allclose(g.core[0], want, atol=1e-15)
-    assert g.blocks == ((2, (1.5,)),)
-    assert g.p == 1
+    assert cores.shape == (1, 2, 2)
+    assert np.allclose(cores[0], want, atol=1e-15)
 
 
 def test_core_chain_two_blocks():
     theta = 2.0
     b = ex_b(theta)
     cd = decompose(b.structure)
-    g = graded_core(b.structure, cd, cd.classes[1])
+    c = cd.classes[1]
+    cores = graded_core(b.structure, cd, c)
+    # rows follow member_order: the blocks of sizes 1 and 2, at S 1 and 1.5
+    assert c.member_order == ("m23", "m21", "m22")
+    assert c.member_blocks == (("m23",), ("m21", "m22"))
+    assert c.block_S == (1.0, 1.5)
     want = np.array([[1.0 + theta ** 2, 0.0, -1.0],
                      [0.0, 1.0, -1.0],
                      [-1.0, -1.0, 2.0]]) / math.pi
-    assert np.allclose(g.core[0], want, atol=1e-14)
-    assert g.blocks == ((1, (1.0,)), (2, (1.5,)))
+    assert np.allclose(cores[0], want, atol=1e-14)
 
 
 def test_core_positive_definite_on_gadgets():
@@ -215,12 +211,10 @@ def test_core_positive_definite_on_gadgets():
         cs = (type1_gadget if trial % 2 else type2_gadget)(rng)
         cd = decompose(cs)
         for c in cd.classes[1:]:
-            g = graded_core(cs, cd, c)
-            w = np.linalg.eigvalsh(g.core[0])
+            cores = graded_core(cs, cd, c)
+            assert cores.shape == (1, c.q, c.q)
+            w = np.linalg.eigvalsh(cores[0])
             assert w[0] > 0
-            assert sum(r for r, _ in g.blocks) == c.q
-            assert g.blocks == tuple(
-                (len(b), (S,)) for b, S in zip(c.member_blocks, c.block_S))
 
 
 def test_core_invariant_under_completion_choice():
@@ -238,11 +232,10 @@ def test_core_invariant_under_completion_choice():
         W = np.eye(c.q)
         W[c.q - nblk:, c.q - nblk:] = q_rot
         cm2 = cm._replace(T=cm.T @ W)
-        g1 = build_graded_core([c], cm)
-        g2 = build_graded_core([c], cm2)
-        (levels1,), (levels2,) = class_spectrum(g1), class_spectrum(g2)
-        for lv1, lv2 in zip(levels1, levels2):
-            assert np.allclose(np.sort(lv1.zeta2), np.sort(lv2.zeta2),
+        (levels1,) = class_spectrum([c], build_graded_core([c], cm))
+        (levels2,) = class_spectrum([c], build_graded_core([c], cm2))
+        for zeta2_1, zeta2_2 in zip(levels1, levels2):
+            assert np.allclose(np.sort(zeta2_1), np.sort(zeta2_2),
                                rtol=1e-11, atol=1e-13)
 
 

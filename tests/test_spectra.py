@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (Minimum, Saddle, class_matrices, cluster_eigenvalues,
-                      graded_core, make_rng, random_spd_core)
+from conftest import (Minimum, Saddle, block_class, class_matrices,
+                      cluster_eigenvalues, graded_core, make_rng,
+                      random_spd_core)
 from metastab.errors import InputDataError, InvariantViolation
 from metastab.examples import ex_a, ex_b, ex_c, nine_wells
 from metastab.landscape import CriticalStructure
-from metastab.prefactors import GradedCore
-from metastab.spectra import (class_spectrum, full_spectrum, schur_J, schur_R,
-                              sym_eig)
+from metastab.spectra import class_spectrum, full_spectrum, schur_R, sym_eig
 from metastab.topology import decompose
 
 PI = math.pi
@@ -19,69 +18,60 @@ PI = math.pi
 def _chain_core(theta):
     b = ex_b(theta)
     cd = decompose(b.structure)
-    return b.structure, cd, graded_core(b.structure, cd, cd.classes[1])
+    c = cd.classes[1]
+    return c, graded_core(b.structure, cd, c)
 
 
 # ------------------------------------------------------------ Schur recursion
 
 
 def test_schur_J_chain():
-    _, _, g = _chain_core(2.0)
-    assert np.allclose(schur_J(g)[0], [[5.0 / PI]], atol=1e-14)
+    c, cores = _chain_core(2.0)
+    r1 = len(c.member_blocks[0])
+    assert np.allclose(cores[0, :r1, :r1], [[5.0 / PI]], atol=1e-14)
 
 
 def test_schur_R_chain():
     theta = 2.0
     nu = 1.0 / (1.0 + theta ** 2)
-    _, _, g = _chain_core(theta)
-    R = schur_R(g)
+    c, cores = _chain_core(theta)
+    assert tuple(map(len, c.member_blocks)) == (1, 2)
+    assert c.block_S == (1.0, 1.5)
+    R = schur_R(cores, 1)
     want = np.array([[1.0, -1.0], [-1.0, 2.0 - nu]]) / PI
-    assert np.allclose(R.core[0], want, atol=1e-13)
-    assert R.blocks == ((2, (1.5,)),)
-
-
-def test_schur_R_single_level_error():
-    cs = ex_a().structure
-    cd = decompose(cs)
-    g = graded_core(cs, cd, cd.classes[1])
-    with pytest.raises(InputDataError, match="single level"):
-        schur_R(g)
+    assert R.shape == (1, 2, 2)
+    assert np.allclose(R[0], want, atol=1e-13)
 
 
 def test_schur_R_matches_direct_formula():
     for trial in range(30):
         rng = make_rng(f"schur-{trial}")
-        g = random_spd_core(rng)
-        if g.p < 2:
-            continue
-        r1 = g.blocks[0][0]
-        core = g.core[0]
+        cores, sizes = random_spd_core(rng)
+        r1 = sizes[0]
+        core = cores[0]
         J = core[:r1, :r1]
         B = core[r1:, :r1]
         N = core[r1:, r1:]
         want = N - B @ np.linalg.inv(J) @ B.T
-        R = schur_R(g)
-        assert np.allclose(R.core[0], want, atol=1e-12)
+        R = schur_R(cores, r1)
+        assert R.shape == (1, sum(sizes[1:]), sum(sizes[1:]))
+        assert np.allclose(R[0], want, atol=1e-12)
         # Schur complements of SPD matrices stay SPD
-        assert np.linalg.eigvalsh(R.core[0])[0] > 0
-        assert R.blocks == g.blocks[1:]
+        assert np.linalg.eigvalsh(R[0])[0] > 0
 
 
 def test_class_spectrum_level_count_and_order():
     for trial in range(10):
         rng = make_rng(f"levels-{trial}")
-        g = random_spd_core(rng)
-        levels, = class_spectrum(g)
-        assert len(levels) == g.p
-        assert [lv.S for lv in levels] == [S for _, (S,) in g.blocks]
-        assert all(lv.zeta2[0] > 0 for lv in levels)
-        assert sum(lv.zeta2.size for lv in levels) == g.core.shape[-1]
+        cores, sizes = random_spd_core(rng)
+        levels, = class_spectrum([block_class(sizes)], cores)
+        assert [zeta2.size for zeta2 in levels] == sizes
+        assert all(zeta2[0] > 0 for zeta2 in levels)
 
 
 def test_class_spectrum_rejects_nonpositive_leading_block():
-    bad = GradedCore(np.array([[[-1.0]]]), ((1, (1.0,)),))
     with pytest.raises(InvariantViolation, match="nonpositive leading"):
-        class_spectrum(bad)
+        class_spectrum([block_class([1])], np.array([[[-1.0]]]))
 
 
 # ----------------------------------------------------------------- exact refs
@@ -91,26 +81,28 @@ def test_spectrum_three_wells():
     cs = ex_a().structure
     cd = decompose(cs)
     report = full_spectrum(cs, cd)
-    by_members = {c.cls.members: c.levels for c in report.classes}
-    assert by_members[("m11",)] == ()
-    (lv,) = by_members[("m21", "m22")]
-    assert lv.S == 1.5
+    by_members = {c.cls.members: c for c in report.classes}
+    assert by_members[("m11",)].levels == ()
+    c = by_members[("m21", "m22")]
+    (zeta2,) = c.levels
+    assert c.cls.block_S == (1.5,)
     root = math.sqrt(5.0) / 2.0
-    assert np.allclose(PI * lv.zeta2, [1.5 - root, 1.5 + root], atol=1e-13)
-    (lv2,) = by_members[("m23",)]
-    assert lv2.S == 1.0
-    assert np.allclose(PI * lv2.zeta2, [1.0], atol=1e-14)
+    assert np.allclose(PI * zeta2, [1.5 - root, 1.5 + root], atol=1e-13)
+    c2 = by_members[("m23",)]
+    (zeta2,) = c2.levels
+    assert c2.cls.block_S == (1.0,)
+    assert np.allclose(PI * zeta2, [1.0], atol=1e-14)
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
 def test_spectrum_chain_closed_form(theta):
-    _, _, g = _chain_core(theta)
+    c, cores = _chain_core(theta)
     nu = 1.0 / (1.0 + theta ** 2)
     disc = math.sqrt((3.0 - nu) ** 2 - 4.0 * (1.0 - nu))
-    (lv1, lv2), = class_spectrum(g)
-    assert (lv1.S, lv2.S) == (1.0, 1.5)
-    assert np.allclose(PI * lv1.zeta2, [1.0 + theta ** 2], atol=1e-13)
-    assert np.allclose(PI * lv2.zeta2,
+    (zeta2_1, zeta2_2), = class_spectrum([c], cores)
+    assert c.block_S == (1.0, 1.5)
+    assert np.allclose(PI * zeta2_1, [1.0 + theta ** 2], atol=1e-13)
+    assert np.allclose(PI * zeta2_2,
                        [(3.0 - nu - disc) / 2.0, (3.0 - nu + disc) / 2.0],
                        atol=1e-13)
 
@@ -120,9 +112,9 @@ def test_spectrum_ring_closed_form(n):
     b = ex_c(n)
     cd = decompose(b.structure)
     report = full_spectrum(b.structure, cd)
-    levels = [lv for c in report.classes for lv in c.levels]
+    levels = [zeta2 for c in report.classes for zeta2 in c.levels]
     assert len(levels) == 1
-    got = np.sort(PI * levels[0].zeta2)
+    got = np.sort(PI * levels[0])
     want = np.sort([2.0 - 2.0 * math.cos(2.0 * PI * k / n)
                     for k in range(1, n)])
     assert np.allclose(got, want, atol=1e-12)
@@ -204,7 +196,7 @@ def test_sym_eig_residual_at_ring_size():
     n = 200
     b = ex_c(n)
     cd = decompose(b.structure)
-    M = schur_J(graded_core(b.structure, cd, cd.classes[1]))[0]
+    M = graded_core(b.structure, cd, cd.classes[1])[0]
     assert M.shape == (n - 1, n - 1)
     w = sym_eig(M)
     Ms = 0.5 * (M + M.T)
@@ -283,7 +275,7 @@ def test_evaluate_rejects_h_beyond_float_range():
     with pytest.raises(InputDataError, match=r"h \* zeta2 = 0.0"):
         report.evaluate(5e-324)
     big = report.classes[1]._replace(levels=tuple(
-        lv._replace(zeta2=lv.zeta2 * 1e10) for lv in report.classes[1].levels))
+        zeta2 * 1e10 for zeta2 in report.classes[1].levels))
     report.classes = (report.classes[0], big, *report.classes[2:])
     with pytest.raises(InputDataError, match=r"h \* zeta2 = inf"):
         report.evaluate(1e300)

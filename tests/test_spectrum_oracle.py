@@ -32,9 +32,9 @@ def _spectrum(cs, cd):
     build = spectra.build_graded_core
 
     def capture(classes, matrices):
-        g = build(classes, matrices)
-        cores.update(zip(map(id, classes), g.core))
-        return g
+        stacked = build(classes, matrices)
+        cores.update(zip(map(id, classes), stacked))
+        return stacked
 
     spectra.build_graded_core = capture
     try:
@@ -68,9 +68,9 @@ def assert_same_bits(cs):
             assert _bits(got.matrices.theta0, m.theta0), alpha
         assert _bits(cores[id(alpha)], g.core), alpha
         assert len(got.levels) == len(levels) == alpha.p
-        for lv, lv0 in zip(got.levels, levels):
-            assert type(lv.S) is float and lv.S == lv0.S, alpha
-            assert _bits(lv.zeta2, lv0.zeta2), alpha
+        for S, zeta2, lv0 in zip(alpha.block_S, got.levels, levels):
+            assert type(S) is float and S == lv0.S, alpha
+            assert _bits(zeta2, lv0.zeta2), alpha
     return sorted(sizes(cd).values())
 
 
@@ -78,7 +78,7 @@ def sizes(cd):
     """Number of classes per shape: saddle rows, type and block sizes."""
     out = {}
     for c in cd.classes[1:]:
-        key = len(c.saddles), c.type2, tuple(map(len, c.member_blocks))
+        key = len(c.cells), c.type2, tuple(map(len, c.member_blocks))
         out[key] = out.get(key, 0) + 1
     return out
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import sweep_oracle
 from conftest import (ById, Minimum, Saddle, make_rng, members, minima,
-                      random_tree_structure, saddles, type2_gadget)
+                      random_tree_structure, saddle_rows, saddles,
+                      type2_gadget)
 from metastab.errors import InputDataError
 from metastab.examples import build_example, ex_a, ex_b, ex_c, nine_wells
 from metastab.landscape import CriticalStructure
@@ -208,13 +209,13 @@ def test_classes_three_wells():
     # type I: the reference minimum is not part of the extended set
     assert c.uhat == ("m21", "m22")
     assert c.block_S == (1.5,)
-    assert list(c.saddles) == [
+    assert list(saddle_rows(cs, c)) == [
         ("s1", "m21", "m22", False),
         ("s2", "m22", "m11", True),
     ]
     c2 = rest[1]
     assert c2.members == ("m23",) and c2.q == 1 and not c2.type2
-    assert list(c2.saddles) == [
+    assert list(saddle_rows(cs, c2)) == [
         ("s3", "m23", "m11", True),
     ]
 
@@ -271,7 +272,7 @@ def test_class_invariants_random():
             assert all(phis[c.mhat] <= phis[m] + cs.level_tolerance
                        for m in c.members)
             assert all(a < b for a, b in zip(c.block_S, c.block_S[1:]))
-            for _, m1, m2, boundary in c.saddles:
+            for _, m1, m2, boundary in saddle_rows(cs, c):
                 assert phis[m1] >= phis[m2] - cs.level_tolerance
                 if boundary:
                     assert m2 == c.mhat
@@ -287,8 +288,9 @@ def test_class_saddle_rows_cover_gadget():
         cd = decompose(cs)
         c = cd.classes[1]
         assert c.type2
-        assert len(c.saddles) >= c.q
-        assert any(boundary for *_, boundary in c.saddles)
+        rows = saddle_rows(cs, c)
+        assert len(rows) >= c.q
+        assert any(boundary for *_, boundary in rows)
 
 
 # -------------------------------------------------------- generic assumption
