@@ -221,8 +221,7 @@ def _saddle_rows(sad_ids, alpha, upsilon):
     return rows
 
 
-def _class_block(spectrum, sad_ids):
-    alpha = spectrum.cls
+def _class_block(alpha, upsilon, theta0, levels, sad_ids):
     if alpha.ground:
         return {"members": list(alpha.members), "ground": True,
                 "levels": [{"S": None, "zeta2": [0.0], "pi_zeta2": [0.0]}]}
@@ -237,15 +236,14 @@ def _class_block(spectrum, sad_ids):
                       for b, s in zip(alpha.member_blocks, alpha.block_S)],
            "member_order": list(alpha.member_order),
            "uhat_order": list(alpha.uhat),
-           "saddle_rows": _saddle_rows(sad_ids, alpha,
-                                       spectrum.matrices.upsilon)}
+           "saddle_rows": _saddle_rows(sad_ids, alpha, upsilon)}
     if alpha.type2:
-        out["theta0"] = spectrum.matrices.theta0.tolist()
-    levels = out["levels"] = []
-    for S, zeta2 in zip(alpha.block_S, spectrum.levels):
+        out["theta0"] = theta0.tolist()
+    rows = out["levels"] = []
+    for S, zeta2 in zip(alpha.block_S, levels):
         zeta2 = zeta2.tolist()
-        levels.append({"S": S, "zeta2": zeta2,
-                       "pi_zeta2": [math.pi * z for z in zeta2]})
+        rows.append({"S": S, "zeta2": zeta2,
+                     "pi_zeta2": [math.pi * z for z in zeta2]})
     return out
 
 
@@ -266,13 +264,14 @@ def _evaluated_block(report, h_list):
 def analyze_document(cs, h_list=()):
     report = full_spectrum(cs, decompose(cs))
     tree, num = _merge_tree_block(merge_tree(cs))
+    rows = zip(report.cd.classes, report.upsilon, report.theta0, report.levels)
     doc = {"schema": SCHEMA,
            "command": "analyze",
            "block_order": "ascending-S",
            "structure": _structure_block(cs),
            "labelling": _labelling_block(report.cd.labelling, num),
            "merge_tree": tree,
-           "classes": [_class_block(c, cs.sad_ids) for c in report.classes]}
+           "classes": [_class_block(*row, cs.sad_ids) for row in rows]}
     if h_list:
         doc["evaluated"] = _evaluated_block(report, h_list)
     return doc, report
@@ -372,8 +371,9 @@ def _guard(fn):
 
 
 def _load_input(path, eps_level):
-    text_head = Path(path).read_bytes()[:64].lstrip()
-    if path.endswith(".json") or text_head.startswith(b"{"):
+    with open(path, "rb") as fh:
+        head = fh.read(64).lstrip()
+    if path.endswith(".json") or head.startswith(b"{"):
         # a Path, so that a file name starting with "{" is not read as JSON
         return load_structure(Path(path)), None
     p = load_samples(path)

@@ -9,10 +9,10 @@ minimum when the class is type II), and saddle set V, they build
 
 * the Hessian weights of Uhat (``h_phi``) off the merge-tree nodes E(m) of
   the members and Ehat of the reference minimum, and from them together the
-  interaction matrix Upsilon (rows V, columns Uhat) and the orthonormal
-  basis change T absorbing the type II quasimode mixing
-  (``build_class_matrices``), stacked over the group as (G, |V|, |Uhat|)
-  and (G, |Uhat|, q) arrays filled in one pass over its classes, and
+  interaction matrix Upsilon (rows V, columns Uhat), the orthonormal basis
+  change T absorbing the type II quasimode mixing and its kernel direction
+  theta0 (``build_class_matrices``), as plain arrays stacked over the group
+  and filled in one pass over its classes, and
 * the cores (Upsilon T)'(Upsilon T), stacked as (G, q, q), for the whole
   group with one stacked matmul and one stacked Cholesky check
   (``build_graded_core``). A core's rows follow ``member_order``; its
@@ -28,7 +28,6 @@ ever evaluated here; the barrier scales stay symbolic in ``block_S``.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,15 +50,6 @@ def h_phi(cs, node):
     return math.fsum(merge_tree(cs).partials[node]) ** -0.5
 
 
-class ClassMatrices(NamedTuple):
-    """The matrices of a shape group, each field stacked along a first axis
-    over its classes, or of one class: ``full_spectrum`` keeps per-class
-    views into the group's arrays."""
-    upsilon: np.ndarray   # rows: saddles of the class, columns: uhat
-    T: np.ndarray         # uhat x members, orthonormal columns
-    theta0: object        # unit kernel direction on the type II block, or None
-
-
 def _first_bad(classes, finite):
     """The members of the first class whose entries are not all finite."""
     return classes[int(np.argmin(finite.reshape(len(classes), -1).all(1)))
@@ -67,9 +57,11 @@ def _first_bad(classes, finite):
 
 
 def build_class_matrices(cs, cd, classes):
-    """Interaction matrices Upsilon and completions T of a shape group,
-    each class from one set of weights; every field stacks the group's
-    classes along a first axis.
+    """Interaction matrices Upsilon, completions T and kernel directions
+    theta0 of a shape group, each class from one set of weights, as the
+    triple ``(upsilon, T, theta0)``: Upsilon is (G, |V|, |Uhat|), T is
+    (G, |Uhat|, q) and theta0 is (G, b) over the b entries of the type II
+    block, or None for a type I group.
 
     Upsilon has one row per saddle row of the class, in the order of
     ``alpha.cells`` (sorted by saddle), and columns over ``alpha.uhat``. A row
@@ -122,7 +114,7 @@ def build_class_matrices(cs, cd, classes):
     T = np.zeros((G, uhat_len, q))
     T[:, np.arange(k), np.arange(k)] = 1.0
     if not first.type2:
-        return ClassMatrices(U, T, None)
+        return U, T, None
     theta0 = 1.0 / w[:, k:]
     # (1, b) @ (b, 1) per class is the vector dot product np.linalg.norm
     # takes, so each theta0 is normalized as on its own
@@ -135,16 +127,16 @@ def build_class_matrices(cs, cd, classes):
         H = np.eye(b) - (2.0 * v / nv2)[:, :, None] * v[:, None, :]
     H[nv2[:, 0] < 1e-26] = np.eye(b)
     T[:, k:, k:] = H[:, :, 1:]
-    return ClassMatrices(U, T, theta0)
+    return U, T, theta0
 
 
-def build_graded_core(classes, matrices):
-    """Cores (Upsilon T)'(Upsilon T) of a shape group over the members of
-    each class, stacked as (G, q, q). Rows and columns follow each class's
+def build_graded_core(classes, upsilon, T):
+    """Cores (Upsilon T)'(Upsilon T) of a shape group from its stacked
+    Upsilon and T, as (G, q, q). Rows and columns follow each class's
     ``member_order``, so the barrier blocks come smallest barrier first
     with the sizes of its ``member_blocks``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        A = matrices.upsilon @ matrices.T
+        A = upsilon @ T
         core = np.swapaxes(A, 1, 2) @ A
         core = 0.5 * (core + np.swapaxes(core, 1, 2))
     finite = np.isfinite(core)
@@ -156,7 +148,7 @@ def build_graded_core(classes, matrices):
         np.linalg.cholesky(core)
     except np.linalg.LinAlgError:
         # the stacked call names no matrix; find the first that fails
-        for alpha, c, U in zip(classes, core, matrices.upsilon):
+        for alpha, c, U in zip(classes, core, upsilon):
             try:
                 np.linalg.cholesky(c)
             except np.linalg.LinAlgError:

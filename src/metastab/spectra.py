@@ -12,7 +12,8 @@ lambda(h) = h * zeta^2 * exp(-2S/h).
 ``full_spectrum`` takes the classes one shape group at a time (see
 ``prefactors``): each level of a group is one stacked ``eigh`` with one
 residual check, and only groups with several barrier levels run the Schur
-complement, one class at a time.
+complement, one class at a time. The report keeps Upsilon, theta0 and the
+level eigenvalues as columns of views aligned with ``cd.classes``.
 """
 
 import math
@@ -21,8 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputDataError, InvariantViolation
-from .prefactors import (ClassMatrices, build_class_matrices,
-                         build_graded_core)
+from .prefactors import build_class_matrices, build_graded_core
 
 _EIG_RESIDUAL = 1e-12
 
@@ -110,29 +110,25 @@ class SpectrumEntry(NamedTuple):
     members: tuple
 
 
-class ClassSpectrum(NamedTuple):
-    cls: object
-    matrices: object    # ClassMatrices; None for the ground class
-    levels: tuple       # zeta2 array per barrier level, at cls.block_S;
-                        # empty for the ground class
-
-
 class SpectrumReport:
     """Predicted low-lying spectrum of the landscape.
 
-    ``classes`` holds one ClassSpectrum per equivalence class, in the order
-    of ``cd.classes`` (ground class first); ``cs`` is the structure they
-    came from. ``evaluate(h)`` turns the (S, zeta2) pairs into eigenvalues at a
-    concrete h, sorted ascending; the ground state is exactly 0.
+    Three columns aligned with ``cd.classes`` (ground class first) hold
+    each class's Upsilon, its theta0 (None unless type II) and ``levels``,
+    its zeta2 array per barrier level at ``block_S`` (empty for the ground
+    class); ``cs`` is the structure they came from. ``evaluate(h)`` turns
+    the (S, zeta2) pairs into eigenvalues at a concrete h, sorted
+    ascending; the ground state is exactly 0.
     """
 
-    def __init__(self, cs, cd, classes):
+    def __init__(self, cs, cd, upsilon, theta0, levels):
         self.cs = cs
         self.cd = cd
-        self.classes = tuple(classes)
+        self.upsilon = upsilon
+        self.theta0 = theta0
+        self.levels = levels
         n0 = sum(len(c.members) for c in cd.classes)
-        count = 1 + sum(
-            zeta2.size for cs_ in self.classes for zeta2 in cs_.levels)
+        count = 1 + sum(zeta2.size for lv in levels for zeta2 in lv)
         if count != n0:
             raise InvariantViolation(
                 f"spectrum carries {count} values for {n0} minima")
@@ -143,8 +139,8 @@ class SpectrumReport:
             raise InputDataError("h must be positive")
         out = [SpectrumEntry(0.0, -math.inf, math.inf, 0.0,
                              self.cd.ground.members)]
-        for cs_ in self.classes:
-            for S, zeta2 in zip(cs_.cls.block_S, cs_.levels):
+        for alpha, lv in zip(self.cd.classes, self.levels):
+            for S, zeta2 in zip(alpha.block_S, lv):
                 for z in zeta2.tolist():
                     hz = h * z
                     if not 0.0 < hz < math.inf:
@@ -156,7 +152,7 @@ class SpectrumReport:
                             f"log lambda at h = {h} is out of range")
                     lam = hz * math.exp(-2.0 * S / h)
                     out.append(SpectrumEntry(
-                        lam, log_lam, S, z, cs_.cls.members))
+                        lam, log_lam, S, z, alpha.members))
         out.sort(key=lambda e: e.log_lam)
         return out
 
@@ -165,19 +161,19 @@ def full_spectrum(cs, cd):
     """Matrices and spectra of every class plus the exact zero of the ground
     class. The non-ground classes are taken one shape group at a time, in
     the order of each group's first class; each class's Upsilon, T and core
-    are built once, and each class keeps views into its group's arrays."""
+    are built once, and the report keeps views into its group's arrays."""
     groups = {}
     for i, c in enumerate(cd.classes[1:], start=1):
         key = len(c.cells), c.type2, tuple(map(len, c.member_blocks))
         groups.setdefault(key, []).append(i)
-    classes = [None] * len(cd.classes)
-    classes[0] = ClassSpectrum(cd.ground, None, ())
+    n = len(cd.classes)
+    upsilon, theta0, levels = [None] * n, [None] * n, [()] * n
     for at in groups.values():
         group = [cd.classes[i] for i in at]
-        m = build_class_matrices(cs, cd, group)
-        levels = class_spectrum(group, build_graded_core(group, m))
-        theta0 = [None] * len(at) if m.theta0 is None else m.theta0
-        for i, c, U, T, th, lv in zip(at, group, m.upsilon, m.T, theta0,
-                                      levels):
-            classes[i] = ClassSpectrum(c, ClassMatrices(U, T, th), lv)
-    return SpectrumReport(cs, cd, classes)
+        U, T, th = build_class_matrices(cs, cd, group)
+        lv = class_spectrum(group, build_graded_core(group, U, T))
+        if th is None:
+            th = [None] * len(at)
+        for i, u, t, zeta2 in zip(at, U, th, lv):
+            upsilon[i], theta0[i], levels[i] = u, t, zeta2
+    return SpectrumReport(cs, cd, upsilon, theta0, levels)

@@ -15,8 +15,7 @@ from hypothesis import HealthCheck, settings
 
 from metastab import cli
 from metastab.landscape import CriticalStructure
-from metastab.prefactors import (ClassMatrices, build_class_matrices,
-                                 build_graded_core, h_phi)
+from metastab.prefactors import build_class_matrices, build_graded_core, h_phi
 from metastab.topology import merge_tree
 from sweep_oracle import SaddleRow
 
@@ -88,15 +87,15 @@ def block_class(sizes):
 def class_matrices(cs, cd, alpha):
     """Upsilon, T and theta0 of one class, built as a group of one and
     taken out of the stack."""
-    m = build_class_matrices(cs, cd, [alpha])
-    return ClassMatrices(m.upsilon[0], m.T[0],
-                         None if m.theta0 is None else m.theta0[0])
+    U, T, theta0 = build_class_matrices(cs, cd, [alpha])
+    return U[0], T[0], None if theta0 is None else theta0[0]
 
 
 def graded_core(cs, cd, alpha):
     """The core of a class as a group of one, (1, q, q), built from its
-    matrices as ``spectra.full_spectrum`` builds it."""
-    return build_graded_core([alpha], build_class_matrices(cs, cd, [alpha]))
+    Upsilon and T as ``spectra.full_spectrum`` builds it."""
+    U, T, _ = build_class_matrices(cs, cd, [alpha])
+    return build_graded_core([alpha], U, T)
 
 
 def weight(cs, cd, alpha, mid):

@@ -42,7 +42,7 @@ def test_criterion_1_two_member_chain():
     t0 = time.perf_counter()
     cs = build_example("ex-a").structure
     cd, rep = _pipeline(cs)
-    levels = {c.cls.members: c.levels for c in rep.classes}
+    levels = {c.members: lv for c, lv in zip(cd.classes, rep.levels)}
 
     zeta2, = levels[("m21", "m22")]
     got = np.sort(np.pi * zeta2)
@@ -85,8 +85,8 @@ def test_criterion_3_ring_spectrum_with_degeneracies():
     for n in range(3, 9):
         cs = build_example("ex-c", n=n).structure
         cd, rep = _pipeline(cs)
-        cls = next(c for c in rep.classes if not c.cls.ground)
-        zeta2, = cls.levels
+        zeta2, = next(lv for c, lv in zip(cd.classes, rep.levels)
+                      if not c.ground)
         got = np.sort(np.pi * zeta2)
         want = np.sort([2 * (1 - math.cos(2 * math.pi * k / n))
                         for k in range(1, n)])
@@ -136,19 +136,19 @@ def test_criterion_5_kernel_and_rank():
         cs = type2_gadget(make_rng(f"accept5:{i}"))
         cd = decompose(cs)
         alpha = next(c for c in cd.classes if not c.ground)
-        m = class_matrices(cs, cd, alpha)
+        U, T, _ = class_matrices(cs, cd, alpha)
         inv_w = np.array([1.0 / weight(cs, cd, alpha, x) for x in alpha.uhat])
-        resid = np.max(np.abs(m.upsilon @ inv_w))
-        assert resid <= 1e-12 * np.max(np.abs(m.upsilon))
-        assert np.linalg.matrix_rank(m.upsilon @ m.T) == alpha.q
+        resid = np.max(np.abs(U @ inv_w))
+        assert resid <= 1e-12 * np.max(np.abs(U))
+        assert np.linalg.matrix_rank(U @ T) == alpha.q
     for i in range(100):
         cs = type1_gadget(make_rng(f"accept5b:{i}"))
         cd = decompose(cs)
         for alpha in cd.classes:
             if alpha.ground:
                 continue
-            m = class_matrices(cs, cd, alpha)
-            assert np.linalg.matrix_rank(m.upsilon) == alpha.q
+            U, _, _ = class_matrices(cs, cd, alpha)
+            assert np.linalg.matrix_rank(U) == alpha.q
     _done(5, t0, 5.0, "100 type-II kernels/ranks, 100 type-I ranks")
 
 
@@ -282,23 +282,23 @@ def test_criterion_9_singular_value_toolbox():
         cs = type2_gadget(make_rng(f"accept9:proj:{i}"))
         cd = decompose(cs)
         alpha = next(c for c in cd.classes if not c.ground)
-        m = class_matrices(cs, cd, alpha)
+        U, _, _ = class_matrices(cs, cd, alpha)
         kernel = np.array([[1.0 / weight(cs, cd, alpha, x)
                             for x in alpha.uhat]])
         iso = scipy.linalg.null_space(kernel)
-        full = padded_sv(m.upsilon, alpha.q + 1)
+        full = padded_sv(U, alpha.q + 1)
         reduced = np.sort(np.concatenate(
-            [[0.0], padded_sv(m.upsilon @ iso, alpha.q)]))
+            [[0.0], padded_sv(U @ iso, alpha.q)]))
         assert np.max(np.abs(full - reduced)) <= 1e-12 * full[-1]
     for i in range(30):
         cs = type2_gadget(make_rng(f"accept9:flat:{i}"), flat=True)
         cd = decompose(cs)
         alpha = next(c for c in cd.classes if not c.ground)
         assert alpha.p == 1
-        m = class_matrices(cs, cd, alpha)
-        full = padded_sv(m.upsilon, alpha.q + 1)
+        U, T, _ = class_matrices(cs, cd, alpha)
+        full = padded_sv(U, alpha.q + 1)
         reduced = np.sort(np.concatenate(
-            [[0.0], padded_sv(m.upsilon @ m.T, alpha.q)]))
+            [[0.0], padded_sv(U @ T, alpha.q)]))
         assert np.max(np.abs(full - reduced)) <= 1e-12 * full[-1]
     _done(9, t0, 5.0,
           "Fan, block-diagonal union, Schur positivity, projected spectra")

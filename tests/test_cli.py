@@ -236,6 +236,25 @@ def test_analyze_sniffs_json_without_extension(runner, tmp_path):
     assert "evaluated" not in doc
 
 
+def test_analyze_sniffs_the_head_only(runner, tmp_path, monkeypatch):
+    # the format is told from the first bytes; the loader reads the file
+    # once, so reading all of it to sniff would read it twice
+    structure = tmp_path / "landscape.txt"
+    write_structure(structure, "ex-a")
+    samples = tmp_path / "dw.txt"
+    p = build_example("double-well").potential
+    samples.write_text("".join(
+        f"{x!r},{y!r}\n" for x, y in zip(p.xs.tolist(), p.phis.tolist())))
+
+    def whole(self):
+        raise AssertionError(f"{self} read whole")
+
+    monkeypatch.setattr(Path, "read_bytes", whole)
+    assert run_json(runner, ["analyze", str(structure)])["command"] == (
+        "analyze")
+    assert len(run_json(runner, ["analyze", str(samples)])["classes"]) == 2
+
+
 def test_analyze_rejects_bad_input(runner, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("hello world\nnot a table\n")

@@ -40,19 +40,20 @@ def test_structure_bundles_are_self_consistent():
         cd = decompose(b.structure)
         report = full_spectrum(b.structure, cd)
         refs = {tuple(c["members"]): c for c in b.reference["classes"]}
-        for cspec in report.classes:
-            ref = refs.pop(cspec.cls.members)
-            if not cspec.levels:
+        assert len(report.levels) == len(cd.classes)
+        for alpha, levels in zip(cd.classes, report.levels):
+            ref = refs.pop(alpha.members)
+            if not levels:
                 assert ref.get("pi_zeta2", [0.0]) == [0.0]
                 continue
             if "S" in ref:
-                assert len(cspec.levels) == len(ref["S"])
-                assert list(cspec.cls.block_S) == pytest.approx(ref["S"])
+                assert len(levels) == len(ref["S"])
+                assert list(alpha.block_S) == pytest.approx(ref["S"])
             if "pi_zeta2" in ref:
-                got = np.sort(np.concatenate(cspec.levels)) * math.pi
+                got = np.sort(np.concatenate(levels)) * math.pi
                 assert got == pytest.approx(ref["pi_zeta2"], abs=1e-12)
             if "pi_zeta2_by_level" in ref:
-                for zeta2, want in zip(cspec.levels,
+                for zeta2, want in zip(levels,
                                        ref["pi_zeta2_by_level"]):
                     assert np.sort(zeta2) * math.pi == pytest.approx(
                         want, abs=1e-12)
@@ -65,7 +66,7 @@ def test_ring_bundle_reference():
         cd = decompose(b.structure)
         report = full_spectrum(b.structure, cd)
         got = np.sort(np.concatenate(
-            [zeta2 for c in report.classes for zeta2 in c.levels]))
+            [zeta2 for lv in report.levels for zeta2 in lv]))
         assert got * math.pi == pytest.approx(b.reference["pi_zeta2"],
                                               abs=1e-10)
 
@@ -95,12 +96,14 @@ def test_chain_realization_matches_abstract_chain():
     cd = decompose(cs)
     rep = full_spectrum(cs, cd)
 
-    assert [len(c.cls.members) for c in rep.classes] == [
-        len(c.cls.members) for c in rep_abs.classes]
-    got = sorted((S, z) for c in rep.classes
-                 for S, zeta2 in zip(c.cls.block_S, c.levels) for z in zeta2)
-    want = sorted((S, z) for c in rep_abs.classes
-                  for S, zeta2 in zip(c.cls.block_S, c.levels) for z in zeta2)
+    assert len(rep.levels) == len(cd.classes)
+    assert len(rep_abs.levels) == len(cd_abs.classes)
+    assert [len(c.members) for c in cd.classes] == [
+        len(c.members) for c in cd_abs.classes]
+    got = sorted((S, z) for c, lv in zip(cd.classes, rep.levels)
+                 for S, zeta2 in zip(c.block_S, lv) for z in zeta2)
+    want = sorted((S, z) for c, lv in zip(cd_abs.classes, rep_abs.levels)
+                  for S, zeta2 in zip(c.block_S, lv) for z in zeta2)
     for (S1, z1), (S2, z2) in zip(got, want):
         assert S1 == pytest.approx(S2, abs=1e-6)
         assert z1 == pytest.approx(z2, rel=1e-5)

@@ -86,7 +86,7 @@ def test_upsilon_three_wells():
     cs = ex_a().structure
     cd = decompose(cs)
     c = cd.classes[1]
-    U = class_matrices(cs, cd, c).upsilon
+    U, _, _ = class_matrices(cs, cd, c)
     assert [sid for sid, *_ in saddle_rows(cs, c)] == ["s1", "s2"]
     want = np.array([[1.0, -1.0], [0.0, 1.0]]) / SQPI
     assert np.allclose(U, want, atol=1e-15)
@@ -98,7 +98,7 @@ def test_upsilon_chain():
     cd = decompose(b.structure)
     c = cd.classes[1]
     assert c.uhat == ("m23", "m21", "m22")
-    U = class_matrices(b.structure, cd, c).upsilon
+    U, _, _ = class_matrices(b.structure, cd, c)
     assert [sid for sid, *_ in saddle_rows(b.structure, c)] == [
         "s1", "s2", "s3"]
     want = np.array([[0.0, 1.0, -1.0],
@@ -112,7 +112,7 @@ def test_upsilon_sampled_double_well():
     cd = decompose(cs)
     c = cd.classes[1]
     assert c.type2 and c.uhat == (c.members[0], c.mhat)
-    U = class_matrices(cs, cd, c).upsilon
+    U, _, _ = class_matrices(cs, cd, c)
     want = 2 ** 1.25 / SQPI
     assert np.allclose(U, [[want, -want]], rtol=1e-6)
 
@@ -127,10 +127,9 @@ def test_upsilon_kernel_is_inverse_weight_vector():
         for c in cd.classes[1:]:
             if not c.type2:
                 continue
-            cm = class_matrices(cs, cd, c)
+            U, _, _ = class_matrices(cs, cd, c)
             xi = np.array([1.0 / weight(cs, cd, c, x) for x in c.uhat])
-            assert np.max(np.abs(cm.upsilon @ xi)) <= 1e-12 * np.max(
-                np.abs(cm.upsilon))
+            assert np.max(np.abs(U @ xi)) <= 1e-12 * np.max(np.abs(U))
 
 
 # ------------------------------------------------------------------------- T
@@ -139,9 +138,9 @@ def test_upsilon_kernel_is_inverse_weight_vector():
 def test_T_identity_for_type_one():
     cs = ex_a().structure
     cd = decompose(cs)
-    cm = class_matrices(cs, cd, cd.classes[1])
-    assert np.array_equal(cm.T, np.eye(2))
-    assert cm.theta0 is None
+    _, T, theta0 = class_matrices(cs, cd, cd.classes[1])
+    assert np.array_equal(T, np.eye(2))
+    assert theta0 is None
 
 
 def test_T_completes_kernel_direction():
@@ -151,18 +150,18 @@ def test_T_completes_kernel_direction():
         cd = decompose(cs)
         c = cd.classes[1]
         assert c.type2
-        cm = class_matrices(cs, cd, c)
+        _, T, theta0 = class_matrices(cs, cd, c)
         blk = uhat_blocks(c)[-1]
         # orthonormal columns
-        assert np.allclose(cm.T.T @ cm.T, np.eye(c.q), atol=1e-13)
+        assert np.allclose(T.T @ T, np.eye(c.q), atol=1e-13)
         # the type II block columns are orthogonal to theta0
         pos = {mid: i for i, mid in enumerate(c.uhat)}
         rows = [pos[x] for x in blk]
-        assert np.allclose(cm.theta0 @ cm.T[rows, :], 0.0, atol=1e-13)
+        assert np.allclose(theta0 @ T[rows, :], 0.0, atol=1e-13)
         # theta0 is the normalized inverse-weight direction on its block
         xi = np.array([1.0 / weight(cs, cd, c, x) for x in blk])
         xi /= np.linalg.norm(xi)
-        assert np.allclose(cm.theta0, xi, atol=1e-13)
+        assert np.allclose(theta0, xi, atol=1e-13)
 
 
 def test_T_type_one_rows_of_gadgets():
@@ -173,8 +172,8 @@ def test_T_type_one_rows_of_gadgets():
         for c in cd.classes[1:]:
             if c.type2:
                 continue
-            cm = class_matrices(cs, cd, c)
-            assert np.array_equal(cm.T, np.eye(c.q))
+            _, T, _ = class_matrices(cs, cd, c)
+            assert np.array_equal(T, np.eye(c.q))
 
 
 # --------------------------------------------------------------------- cores
@@ -226,14 +225,13 @@ def test_core_invariant_under_completion_choice():
         cs = type2_gadget(rng)
         cd = decompose(cs)
         c = cd.classes[1]
-        cm = build_class_matrices(cs, cd, [c])
+        U, T, _ = build_class_matrices(cs, cd, [c])
         nblk = len(c.member_blocks[-1])
         q_rot = np.linalg.qr(rng.standard_normal((nblk, nblk)))[0]
         W = np.eye(c.q)
         W[c.q - nblk:, c.q - nblk:] = q_rot
-        cm2 = cm._replace(T=cm.T @ W)
-        (levels1,) = class_spectrum([c], build_graded_core([c], cm))
-        (levels2,) = class_spectrum([c], build_graded_core([c], cm2))
+        (levels1,) = class_spectrum([c], build_graded_core([c], U, T))
+        (levels2,) = class_spectrum([c], build_graded_core([c], U, T @ W))
         for zeta2_1, zeta2_2 in zip(levels1, levels2):
             assert np.allclose(np.sort(zeta2_1), np.sort(zeta2_2),
                                rtol=1e-11, atol=1e-13)
@@ -250,6 +248,6 @@ def test_upsilon_scaling_law(c):
          for s in saddles(base)])
     cd0 = decompose(base)
     cd1 = decompose(scaled)
-    U0 = class_matrices(base, cd0, cd0.classes[1]).upsilon
-    U1 = class_matrices(scaled, cd1, cd1.classes[1]).upsilon
+    U0, _, _ = class_matrices(base, cd0, cd0.classes[1])
+    U1, _, _ = class_matrices(scaled, cd1, cd1.classes[1])
     assert np.allclose(U1, c * U0, rtol=1e-12)

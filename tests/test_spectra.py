@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from conftest import (Minimum, Saddle, block_class, class_matrices,
                       cluster_eigenvalues, graded_core, make_rng,
-                      random_spd_core)
+                      random_spd_core, shuffled_chain, tied_structure)
 from metastab.errors import InputDataError, InvariantViolation
 from metastab.examples import ex_a, ex_b, ex_c, nine_wells
 from metastab.landscape import CriticalStructure
@@ -81,16 +82,15 @@ def test_spectrum_three_wells():
     cs = ex_a().structure
     cd = decompose(cs)
     report = full_spectrum(cs, cd)
-    by_members = {c.cls.members: c for c in report.classes}
-    assert by_members[("m11",)].levels == ()
-    c = by_members[("m21", "m22")]
-    (zeta2,) = c.levels
-    assert c.cls.block_S == (1.5,)
+    by_members = {c.members: (c, lv)
+                  for c, lv in zip(cd.classes, report.levels)}
+    assert by_members[("m11",)][1] == ()
+    c, (zeta2,) = by_members[("m21", "m22")]
+    assert c.block_S == (1.5,)
     root = math.sqrt(5.0) / 2.0
     assert np.allclose(PI * zeta2, [1.5 - root, 1.5 + root], atol=1e-13)
-    c2 = by_members[("m23",)]
-    (zeta2,) = c2.levels
-    assert c2.cls.block_S == (1.0,)
+    c2, (zeta2,) = by_members[("m23",)]
+    assert c2.block_S == (1.0,)
     assert np.allclose(PI * zeta2, [1.0], atol=1e-14)
 
 
@@ -112,7 +112,7 @@ def test_spectrum_ring_closed_form(n):
     b = ex_c(n)
     cd = decompose(b.structure)
     report = full_spectrum(b.structure, cd)
-    levels = [zeta2 for c in report.classes for zeta2 in c.levels]
+    levels = [zeta2 for lv in report.levels for zeta2 in lv]
     assert len(levels) == 1
     got = np.sort(PI * levels[0])
     want = np.sort([2.0 - 2.0 * math.cos(2.0 * PI * k / n)
@@ -132,8 +132,8 @@ def graph_laplacian(cs, cd, alpha):
     if not (getattr(alpha, "type2", False) and alpha.p == 1):
         raise InputDataError(
             "graph Laplacian requires a type II class with one barrier level")
-    cm = class_matrices(cs, cd, alpha)
-    L = cm.upsilon.T @ cm.upsilon
+    U, _, _ = class_matrices(cs, cd, alpha)
+    L = U.T @ U
     return 0.5 * (L + L.T)
 
 
@@ -274,10 +274,40 @@ def test_evaluate_rejects_h_beyond_float_range():
         report.evaluate(1e-320)
     with pytest.raises(InputDataError, match=r"h \* zeta2 = 0.0"):
         report.evaluate(5e-324)
-    big = report.classes[1]._replace(levels=tuple(
-        zeta2 * 1e10 for zeta2 in report.classes[1].levels))
-    report.classes = (report.classes[0], big, *report.classes[2:])
+    report.levels[1] = tuple(zeta2 * 1e10 for zeta2 in report.levels[1])
     with pytest.raises(InputDataError, match=r"h \* zeta2 = inf"):
         report.evaluate(1e300)
     assert all(math.isfinite(e.lam) and math.isfinite(e.log_lam)
                for e in report.evaluate(1e-3)[1:])
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: shuffled_chain(np.random.default_rng(1), 1000),
+    lambda: tied_structure(np.random.default_rng(0), n_max=1000),
+], ids=["shuffled", "tied"])
+def test_full_spectrum_tracks_no_object_per_class(draw):
+    # the report holds its classes' data in columns of NumPy views, which
+    # the cyclic collector does not track. The call runs with the collector
+    # off, as in the CLI; one collection after it untracks what a young
+    # collection would (tuples of arrays), and what stays tracked is the
+    # report and its columns, not one object per class that every later
+    # full collection would walk
+    cs = draw()
+    cd = decompose(cs)
+    groups = {(len(c.cells), c.type2, tuple(map(len, c.member_blocks)))
+              for c in cd.classes[1:]}
+    assert len(cd.classes) > 3 * len(groups)
+    full_spectrum(cs, cd)         # loads what a first call loads
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        before = len(gc.get_objects())
+        report = full_spectrum(cs, cd)
+        gc.collect()
+        left = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert report.n0 == len(cs.min_ids)
+    assert left <= 6 + len(groups), (left, len(cd.classes), len(groups))

@@ -26,22 +26,30 @@ seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
 
 def _spectrum(cs, cd):
-    """``full_spectrum`` of the package, with the core of each class as its
-    group pass built it."""
-    cores = {}
-    build = spectra.build_graded_core
+    """``full_spectrum`` of the package, with the T and the core of each
+    class as its group pass built them (the report keeps neither)."""
+    Ts, cores = {}, {}
+    matrices = spectra.build_class_matrices
+    core = spectra.build_graded_core
 
-    def capture(classes, matrices):
-        stacked = build(classes, matrices)
+    def spy_matrices(cs, cd, classes):
+        out = matrices(cs, cd, classes)
+        Ts.update(zip(map(id, classes), out[1]))
+        return out
+
+    def spy_core(classes, upsilon, T):
+        stacked = core(classes, upsilon, T)
         cores.update(zip(map(id, classes), stacked))
         return stacked
 
-    spectra.build_graded_core = capture
+    spectra.build_class_matrices = spy_matrices
+    spectra.build_graded_core = spy_core
     try:
         rep = spectra.full_spectrum(cs, cd)
     finally:
-        spectra.build_graded_core = build
-    return rep, cores
+        spectra.build_class_matrices = matrices
+        spectra.build_graded_core = core
+    return rep, Ts, cores
 
 
 def _bits(a, b):
@@ -54,21 +62,26 @@ def assert_same_bits(cs):
     """Every class of ``cs`` comes out of both pipelines bit for bit; returns
     the shape groups' sizes."""
     cd = decompose(cs)
-    rep, cores = _spectrum(cs, cd)
+    rep, Ts, cores = _spectrum(cs, cd)
     want = oracle.class_spectra(*oracle_view(cs, cd))
-    assert len(rep.classes) == len(want) + 1
-    assert rep.classes[0].levels == ()
-    for got, (m, g, levels) in zip(rep.classes[1:], want):
-        alpha = got.cls
-        assert _bits(got.matrices.upsilon, m.upsilon), alpha
-        assert _bits(got.matrices.T, m.T), alpha
+    n = len(want) + 1
+    assert len(cd.classes) == len(rep.upsilon) == len(rep.theta0) == len(
+        rep.levels) == n
+    assert rep.upsilon[0] is None and rep.theta0[0] is None
+    assert rep.levels[0] == ()
+    assert len(Ts) == len(cores) == n - 1
+    for alpha, U, theta0, got, (m, g, levels) in zip(
+            cd.classes[1:], rep.upsilon[1:], rep.theta0[1:], rep.levels[1:],
+            want):
+        assert _bits(U, m.upsilon), alpha
+        assert _bits(Ts[id(alpha)], m.T), alpha
         if m.theta0 is None:
-            assert got.matrices.theta0 is None, alpha
+            assert theta0 is None, alpha
         else:
-            assert _bits(got.matrices.theta0, m.theta0), alpha
+            assert _bits(theta0, m.theta0), alpha
         assert _bits(cores[id(alpha)], g.core), alpha
-        assert len(got.levels) == len(levels) == alpha.p
-        for S, zeta2, lv0 in zip(alpha.block_S, got.levels, levels):
+        assert len(got) == len(levels) == alpha.p
+        for S, zeta2, lv0 in zip(alpha.block_S, got, levels):
             assert type(S) is float and S == lv0.S, alpha
             assert _bits(zeta2, lv0.zeta2), alpha
     return sorted(sizes(cd).values())

@@ -1,5 +1,11 @@
 import math
+import os
+import resource
+import subprocess
+import sys
+import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +20,7 @@ from metastab.topology import decompose
 from metastab.validator import (DiscretizedWitten, _cubic_spline,
                                 _energy_window, _qr_bidiagonal, compare,
                                 default_grid, discretize, small_eigenvalues)
+from test_golden import _write_sampled_chain
 
 # every h at which the tests, the bundled examples and the benchmark solve a
 # bundled sampled potential
@@ -321,6 +328,57 @@ def test_grids_and_spline_are_dropped_before_the_bisection(monkeypatch):
         monkeypatch.setattr(validator, name, fn)
     compare(report, p, (0.3, 0.2))
     assert len(built) == 5
+
+
+def test_compare_rejects_a_grid_over_budget(monkeypatch):
+    # the fine grid of every h is checked before the first grid is built;
+    # a fine grid of exactly the budget passes the check
+    p = chain_sampled()
+    report = _report(p)
+    built = []
+
+    def discretize(phi, h, n, *, domain):
+        built.append(n)
+        raise InterruptedError
+    monkeypatch.setattr(validator, "discretize", discretize)
+    budget = f"over the budget of {validator._MAX_GRID} grid points"
+    with pytest.raises(InputDataError, match="needs 1258720002 points, "
+                       + budget):
+        compare(report, p, (0.3, 1e-12))
+    with pytest.raises(InputDataError, match=budget):
+        compare(report, p, (0.3, 0.2), grid=validator._MAX_GRID // 2 + 1)
+    assert built == []
+    with pytest.raises(InterruptedError):
+        compare(report, p, (0.3, 0.2), grid=validator._MAX_GRID // 2)
+    assert built == [validator._MAX_GRID // 2]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+@pytest.mark.parametrize("args", [
+    ["--h", "1e-12"],
+    ["--h", "0.2", "--grid", "30000000"],
+], ids=["tiny-h", "huge-grid"])
+def test_validate_over_budget_exits_2_under_a_memory_limit(tmp_path, args):
+    # in a child limited to 1 GiB of address space: unchecked, the first
+    # asks for a 4.69 GiB grid at once and the second runs out of memory
+    # after seconds, both ending in MemoryError (exit 3)
+    _write_sampled_chain(tmp_path / "chain.csv")
+    src = str(Path(validator.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    t0 = time.perf_counter()
+    res = subprocess.run(
+        [sys.executable, "-m", "metastab.cli", "validate", "chain.csv", *args],
+        cwd=tmp_path, env=env, capture_output=True,
+        preexec_fn=_limit_address_space)
+    wall = time.perf_counter() - t0
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert b"over the budget of 4194304 grid points" in res.stdout
+    assert wall < 1.0
 
 
 def test_compare_single_well_is_vacuous():
