@@ -32,6 +32,10 @@ from .errors import DegenerateLandscapeError, InputDataError
 from .topology import verify_separating
 
 DEFAULT_LEVEL_TOL = 1e-9
+# Least and most x that five consecutive samples may span: the quartic fit
+# of an extremum (``_fit_extremum``) raises that span and its inverse to the
+# fourth power, which must stay well inside double precision
+_SPAN_RANGE = (1e-60, 1e60)
 
 
 class LevelIndex:
@@ -320,8 +324,16 @@ def make_sampled(xs, phis):
         raise InputDataError("need at least 5 samples")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(phis))):
         raise InputDataError("samples must be finite")
-    if not np.all(np.diff(xs) > 0):
+    with np.errstate(over="ignore"):     # a span beyond float range is inf
+        increasing = np.all(np.diff(xs) > 0)
+        span = xs[4:] - xs[:-4]
+    if not increasing:
         raise InputDataError("xs must be strictly increasing")
+    lo, hi = _SPAN_RANGE
+    if not (span.min() >= lo and span.max() <= hi):
+        raise InputDataError(
+            f"sample spacing out of range: every five consecutive samples "
+            f"must span {lo:g} to {hi:g} in x")
     return SampledPotential(xs, phis)
 
 

@@ -14,16 +14,21 @@ rows of C, so the bottom of the spectrum is clean.
 The bisection (LAPACK ``stebz``) and the spline solve (``gtsv``) are SciPy's
 compiled routines, called with the arguments of SciPy's public wrappers but
 loaded without importing the ``scipy.linalg`` package (see ``_lapack``).
-``stebz`` is called through ``ctypes`` and runs outside the GIL, so
-``compare`` hands the coarse and the fine grid of every h to one call, which
-deals them, largest first, to one thread per CPU the process may use. Each
-grid is dropped once its QR factor is formed, and each bisection allocates
-its workspace only while it runs, so the batch holds the Golub-Kahan
-problems and one workspace per running thread. The report bytes do not
-depend on the threads: every bisection is the same call with the same
-arguments.
+``compare`` first builds and checks the coarse and the fine grid of every h,
+keeping only each grid's factor, so an h the samples cannot support is
+rejected before any bisection runs. It then hands the grids to one
+``small_eigenvalues`` call: the calling thread forms their QR factors in
+schedule order, dropping each grid once its factor is formed, while
+``stebz``, called through ``ctypes`` outside the GIL, bisects the problems
+already formed on worker threads, each taking the largest problem ready.
+The calling thread joins them after the last QR, and at most one thread
+per CPU the process may use bisects, so one CPU starts no thread. Each
+problem is dropped after its bisection, and each bisection allocates its
+workspace only while it runs. The report bytes do not depend on the
+threads: every bisection is the same call with the same arguments.
 """
 
+import heapq
 import math
 import os
 import threading
@@ -43,27 +48,43 @@ _MAX_EXP_ARG = 150.0     # per-cell exponent guard; beyond this the grid is
 # Most points in a grid ``compare`` builds: one h whose fine grid is at the
 # budget peaks at 663 MB RSS in ``validate`` (x86-64 Linux, NumPy 2.4)
 _MAX_GRID = 2 ** 22
+# Largest entry of the factor C: ``stebz`` squares the entries of R, each at
+# most the norm of a column of C, the hypot of two entries of C
+_MAX_ENTRY = math.sqrt(np.finfo(float).max / 2)
+_QR_CHUNK = 1024        # factor entries the QR holds as Python floats at once
 
 
 def eigh_tridiagonal(problems):
     """Eigenvalues ``lo..hi`` (0-based, ascending) of each symmetric
     tridiagonal problem ``(d, e, lo, hi, tol)`` (diagonal ``d``,
     off-diagonal ``e``), by LAPACK bisection ``stebz`` to absolute tolerance
-    ``tol``; one array per problem.
+    ``tol``; one array per problem, in the order of ``problems``.
 
     Bit for bit ``scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True,
     select="i", select_range=(lo, hi), tol=tol, lapack_driver="stebz")``:
     the same compiled routine with the same arguments and checks, loaded
-    without the ``scipy.linalg`` package (see ``_lapack``). ``stebz`` runs
-    outside the GIL, so the problems are bisected at once when the process
-    may use several CPUs (see ``_in_parallel``); the results do not depend
-    on that, and errors are raised as a loop over the problems in order
-    would raise them. Each call allocates its outputs and workspace
-    (``W``, ``IBLOCK``, ``ISPLIT``, ``WORK``, ``IWORK``) on the thread that
-    runs it, so at most one workspace per thread is alive; the checks run
-    on the calling thread. It stays a module attribute because
+    without the ``scipy.linalg`` package (see ``_lapack``).
+
+    ``problems`` may be any iterable, such as a generator that forms each
+    problem on demand. The calling thread draws and checks the problems in
+    order, and ``stebz``, which runs outside the GIL, bisects each one as
+    soon as it is drawn: from the second problem on, up to
+    ``min(_cpus(), problems) - 1`` worker threads start, each taking the
+    largest problem ready, and the calling thread joins them once the
+    iterable is exhausted, so one CPU starts no thread. No reference to a
+    problem is kept past its bisection, and each call allocates its outputs
+    and workspace (``W``, ``IBLOCK``, ``ISPLIT``, ``WORK``, ``IWORK``) on
+    the thread that runs it, so at most one workspace per thread is alive.
+
+    The results do not depend on the threads. An exception raised by the
+    iterable wins: it is raised once every started bisection has finished
+    and every thread has joined, and no problem still waiting runs. Else
+    errors are raised as a loop over the problems in order would raise
+    them; a problem that fails its checks stops the drawing, and the
+    problems before it still run first. It stays a module attribute because
     ``bench/spans.py`` times the bisection by wrapping this name."""
     stebz = dstebz()
+    cpus = _cpus()
 
     def bisect(d, e, lo, hi, tol):
         n = d.size
@@ -74,28 +95,67 @@ def eigh_tridiagonal(problems):
               np.empty(3 * n, np.intc), info)
         return w[:m.value], info.value
 
-    calls, bad = [], None
-    for d, e, lo, hi, tol in problems:
-        try:
-            d = np.ascontiguousarray(np.asarray_chkfinite(d, dtype=float))
-            e = np.ascontiguousarray(np.asarray_chkfinite(e, dtype=float))
-            if d.ndim != 1 or e.shape != (d.size - 1,):
-                raise ValueError(f"d {d.shape} must have one more element "
-                                 f"than e {e.shape}")
-        except ValueError as exc:
-            bad = exc        # the problems before it still run first
-            break
-        calls.append((d, e, lo, hi, tol))
-    out = []
-    for result, exc in _in_parallel(bisect, calls):
-        if exc is not None:
-            raise exc
-        w, info = result
+    out = []                  # per problem: (w, info), or its exception
+    ready = []                # heap of (-size, index, problem)
+    done = False              # no problem will be added to ``ready``
+    lock = threading.Condition()    # guards ``ready`` and ``done``
+
+    def work():
+        while True:
+            with lock:
+                while not (ready or done):
+                    lock.wait()
+                if not ready:
+                    return
+                _, i, problem = heapq.heappop(ready)
+            try:
+                out[i] = bisect(*problem)
+            except Exception as exc:
+                out[i] = exc
+            del problem
+
+    workers, failure = [], None
+    try:
+        for d, e, lo, hi, tol in problems:
+            try:
+                d = np.ascontiguousarray(np.asarray_chkfinite(d, dtype=float))
+                e = np.ascontiguousarray(np.asarray_chkfinite(e, dtype=float))
+                if d.ndim != 1 or e.shape != (d.size - 1,):
+                    raise ValueError(f"d {d.shape} must have one more "
+                                     f"element than e {e.shape}")
+            except ValueError as exc:
+                out.append(exc)
+                break
+            with lock:
+                heapq.heappush(ready, (-d.size, len(out), (d, e, lo, hi, tol)))
+                out.append(None)
+                lock.notify()
+            del d, e
+            if len(workers) < min(cpus, len(out)) - 1:
+                workers.append(threading.Thread(target=work))
+                workers[-1].start()
+    except BaseException as exc:      # raised below, once every thread joined
+        failure = exc
+    with lock:
+        if failure is not None:
+            ready.clear()
+        done = True
+        lock.notify_all()
+    try:
+        work()
+    finally:
+        for t in workers:
+            t.join()
+    if failure is not None:
+        raise failure
+    results = []
+    for res in out:
+        if isinstance(res, Exception):
+            raise res
+        w, info = res
         check_info(info, "stebz")
-        out.append(w)
-    if bad is not None:
-        raise bad
-    return out
+        results.append(w)
+    return results
 
 
 def _cpus():
@@ -104,37 +164,6 @@ def _cpus():
         return len(os.sched_getaffinity(0))
     except AttributeError:       # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _in_parallel(fn, calls):
-    """Call ``fn(*args)`` for each ``args`` in ``calls`` on up to
-    ``_cpus()`` threads. The calls are ordered largest problem (size of
-    ``args[0]``) first, and with ``k`` threads thread ``t`` runs the calls
-    at ``t, t + k, t + 2k, ...`` of that order, the calling thread being
-    thread 0, so one CPU runs the plain loop. Returns
-    ``(result, exception)`` per call, one of them None, in the order of
-    ``calls``."""
-    out = [None] * len(calls)
-
-    def run(lane):
-        for i in lane:
-            try:
-                out[i] = fn(*calls[i]), None
-            except Exception as exc:
-                out[i] = None, exc
-
-    order = sorted(range(len(calls)), key=lambda i: -calls[i][0].size)
-    k = max(1, min(_cpus(), len(calls)))
-    threads = [threading.Thread(target=run, args=(order[t::k],))
-               for t in range(1, k)]
-    for t in threads:
-        t.start()
-    try:
-        run(order[0::k])
-    finally:
-        for t in threads:
-            t.join()
-    return out
 
 
 def _cubic_spline(x, y):
@@ -229,13 +258,12 @@ def _energy_window(p, cs, h):
 
 
 class DiscretizedWitten(NamedTuple):
-    x: np.ndarray          # interior grid points
     acoef: np.ndarray      # C[j, j] entries, j = 0..n-1
     bcoef: np.ndarray      # C[j, j-1] entries, j = 1..n (index 0 unused)
 
     @property
     def n(self):
-        return self.x.size
+        return self.acoef.size
 
 
 def discretize(p, h, n=None, *, domain):
@@ -243,8 +271,10 @@ def discretize(p, h, n=None, *, domain):
 
     ``p`` is a callable phi(x) evaluated on arrays of grid points, such as
     the spline ``compare`` builds from sampled data, and ``domain`` the
-    solve interval ``(lo, hi)``. ``n`` counts interior points; the ends are
-    Dirichlet.
+    solve interval ``(lo, hi)``. ``n`` counts interior points, the
+    ``n + 2`` points of ``numpy.linspace(lo, hi, n + 2)`` without its ends;
+    the ends are Dirichlet. Only the factor is returned: the points and the
+    potential on them are dropped once the checks pass.
     """
     if not h > 0:
         raise InputDataError("h must be positive")
@@ -276,10 +306,15 @@ def discretize(p, h, n=None, *, domain):
         raise InputDataError(
             f"grid resolves the potential too poorly at h={h:g} "
             f"(per-cell exponent {worst:.1f}); increase the grid size")
-    scale = h / dx
+    scale = h / float(dx)          # a Python float: inf, not a warning
     acoef = scale * np.exp(up[:-1])                       # j = 0..n-1
     bcoef = np.concatenate([[0.0], -scale * np.exp(dn[1:])])  # j = 1..n
-    return DiscretizedWitten(full[1:-1], acoef, bcoef)
+    if not max(acoef.max(), -bcoef.min()) < _MAX_ENTRY:
+        raise InputDataError(
+            f"h={h:g} is too large for a grid of {n} points: the factor's "
+            f"entries (h/dx = {scale:g}) overflow double precision when "
+            f"squared")
+    return DiscretizedWitten(acoef, bcoef)
 
 
 def _qr_bidiagonal(dw):
@@ -287,57 +322,70 @@ def _qr_bidiagonal(dw):
 
     Only the recurrence for the diagonal is sequential, so it runs on
     Python floats, where indexing NumPy arrays element by element would
-    cost more than the arithmetic. Step j rotates by c = r/rho and
-    s = b[j+1]/rho (c = 1, s = 0 when rho is 0), leaving r c t for the next
-    step and s t above the diagonal, t = a[j+1]; NumPy then forms every
-    s t with the same operations, in the same order.
+    cost more than the arithmetic. It converts ``_QR_CHUNK`` entries at a
+    time, so its Python floats stay few while the bisections of the grids
+    before it run. Step j rotates by c = r/rho and s = b[j+1]/rho (c = 1,
+    s = 0 when rho is 0), leaving r c t for the next step and s t above the
+    diagonal, t = a[j+1]; NumPy then forms every s t with the same
+    operations, in the same order.
     """
     n = dw.n
     a, b = dw.acoef, dw.bcoef
     hypot = math.hypot
-    d = []
-    push = d.append
+    d = np.empty(n)
     r = a.item(0)
-    for bj, t in zip(b[1:n].tolist(), a[1:].tolist()):
-        rho = hypot(r, bj)
-        push(rho)
-        r = r / rho * t if rho != 0.0 else t
-    push(hypot(r, b.item(n)))
-    d = np.array(d)
+    for lo in range(0, n - 1, _QR_CHUNK):
+        hi = min(lo + _QR_CHUNK, n - 1)
+        rhos = []
+        push = rhos.append
+        for bj, t in zip(b[lo + 1:hi + 1].tolist(), a[lo + 1:hi + 1].tolist()):
+            rho = hypot(r, bj)
+            push(rho)
+            r = r / rho * t if rho != 0.0 else t
+        d[lo:hi] = rhos
+    d[n - 1] = hypot(r, b.item(n))
     rho = d[:-1]
     e = np.divide(b[1:n], rho, out=np.zeros(n - 1), where=rho != 0.0) * a[1:]
     return d, e
 
 
+def _golub_kahan(dw):
+    """Off-diagonal of the Golub-Kahan form of the QR factor R of C: the
+    diagonal and superdiagonal of R interleaved."""
+    d, e = _qr_bidiagonal(dw)
+    off = np.empty(d.size + e.size)
+    off[0::2], off[1::2] = d, e
+    return off
+
+
 def small_eigenvalues(dws, k):
-    """The k smallest eigenvalues of each discretized operator in ``dws``,
-    ascending; one array per grid.
+    """The k smallest eigenvalues of each discretized operator in the list
+    ``dws``, ascending; one array per grid.
 
     Eigenvalues are squared singular values of the QR factor R of C, and the
     singular values of the bidiagonal R are found by bisection on its
     Golub-Kahan tridiagonal embedding (zero diagonal, R entries interleaved
     off the diagonal). With a tiny tolerance the bisection refines every
     eigenvalue to its own relative precision, which is what lets a 1e-40
-    eigenvalue coexist with an operator norm of 1e4. Every grid is reduced
-    first, and no grid is held past its QR, so ``dws`` may be a generator
-    that builds each one on demand; then all are bisected together (see
-    ``eigh_tridiagonal``).
+    eigenvalue coexist with an operator norm of 1e4.
+
+    The calling thread forms the QR factors in list order and hands each
+    problem to the bisection as soon as it is formed (see
+    ``eigh_tridiagonal``). Each grid is removed from ``dws`` as its QR
+    starts, so a caller that holds no other reference frees every grid once
+    its factor is formed; ``dws`` is empty on return.
     """
-    reduced = []
-    for dw in dws:
-        if k < 1 or k > dw.n:
-            raise InputDataError("requested eigenvalue count exceeds "
-                                 "dimension")
-        n = dw.n
-        off = np.empty(2 * n - 1)
-        off[0::2], off[1::2] = _qr_bidiagonal(dw)
-        del dw                # before the next grid is built
-        reduced.append((n, off))
+    sizes = [dw.n for dw in dws]
+    if not all(1 <= k <= n for n in sizes):
+        raise InputDataError("requested eigenvalue count exceeds dimension")
     # every Golub-Kahan diagonal is zero, so one array serves every problem
-    zero = np.zeros(2 * max((n for n, _ in reduced), default=0))
+    zero = np.zeros(2 * max(sizes, default=0))
     tiny = np.finfo(float).tiny
-    return [np.maximum(w, 0.0) ** 2 for w in eigh_tridiagonal(
-        [(zero[:2 * n], off, n, n + k - 1, tiny) for n, off in reduced])]
+
+    def problems():
+        for n in sizes:
+            yield zero[:2 * n], _golub_kahan(dws.pop(0)), n, n + k - 1, tiny
+    return [np.maximum(w, 0.0) ** 2 for w in eigh_tridiagonal(problems())]
 
 
 class HStep(NamedTuple):
@@ -370,7 +418,7 @@ def compare(report, p, h_list, grid=None):
     grid is built.
     """
     hs = sorted(set(float(x) for x in h_list), reverse=True)
-    if not hs or hs[-1] <= 0:
+    if not hs or not all(h > 0 for h in hs):    # NaN is no positive h
         raise InputDataError("need positive h values")
     if not isinstance(p, SampledPotential):
         raise InputDataError("validation needs a sampled potential")
@@ -388,21 +436,18 @@ def compare(report, p, h_list, grid=None):
             raise InputDataError(
                 f"the fine grid at h={h:g} needs {2 * n} points, over the "
                 f"budget of {_MAX_GRID} grid points")
-    predictions = []
-
-    def grids():
-        # the coarse and fine grid of every h, each built when
-        # small_eigenvalues asks for it and dropped after its QR, so every
-        # input check runs before the first bisection; one spline serves
-        # them all and is dropped with the last (its gtsv solve comes from
-        # the same LAPACK module as the bisection)
-        phi_fn = _cubic_spline(p.xs, p.phis)
-        for h, domain, n in zip(hs, domains, ns):
-            predictions.append(report.evaluate(h)[1:])
-            yield discretize(phi_fn, h, n, domain=domain)
-            yield discretize(phi_fn, h, 2 * n, domain=domain)
-
-    nonzero = [w[1:].tolist() for w in small_eigenvalues(grids(), n0)]
+    # the coarse and fine grid of every h, all built and checked before the
+    # first bisection; small_eigenvalues drops each after its QR. One spline
+    # serves every grid (its gtsv solve comes from the same LAPACK module as
+    # the bisection), and goes before the first bisection.
+    phi_fn = _cubic_spline(p.xs, p.phis)
+    predictions, grids = [], []
+    for h, domain, n in zip(hs, domains, ns):
+        predictions.append(report.evaluate(h)[1:])
+        grids.append(discretize(phi_fn, h, n, domain=domain))
+        grids.append(discretize(phi_fn, h, 2 * n, domain=domain))
+    del phi_fn
+    nonzero = [w[1:].tolist() for w in small_eigenvalues(grids, n0)]
     steps = []
     for h, n, entries, coarse, fine in zip(hs, ns, predictions,
                                            nonzero[0::2], nonzero[1::2]):

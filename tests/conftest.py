@@ -27,6 +27,10 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# the same with twenty times the examples, for a long run of the fuzz tests
+# outside tier-1 (``pytest --hypothesis-profile metastab-long``)
+settings.register_profile("metastab-long", settings.get_profile("metastab"),
+                          max_examples=2000)
 settings.load_profile("metastab")
 
 

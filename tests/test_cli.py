@@ -341,6 +341,21 @@ def test_analyze_rejects_h_beyond_float_range(runner, tmp_path):
                    "message": "log lambda at h = 1e-320 is out of range"}
 
 
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_extreme_sample_spacing_exits_2(runner, tmp_path, command, scale):
+    # unchecked, the quartic fit of an extremum overflows (exit 3)
+    csv = tmp_path / "dw.csv"
+    p = build_example("double-well").potential
+    _write_csv(csv, scale * p.xs, p.phis)
+    res = runner.invoke(main, [command, str(csv), "--h", "0.2"])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == ""
+    err = json.loads(res.stdout)["error"]
+    assert err["type"] == "InputDataError"
+    assert err["message"].startswith("sample spacing out of range")
+
+
 @pytest.mark.parametrize("name, data", [
     ("s.json", b'{"minima": [{"id": "m\xff1", "phi": 0, "det_hess": 1}]}'),
     ("p.csv", b"x,phi\n0,0\n1,1\n2,4\n3,\xe99\n4,16\n"),

@@ -1,4 +1,5 @@
-"""The exit-code contract of ``analyze`` on drawn structure documents.
+"""The exit-code contract of ``analyze`` on drawn structure documents, and
+of ``validate`` on drawn sample files.
 
 Every run exits 0 (a report), 2 (bad input) or 3 (an invariant violation),
 prints a JSON error document when it fails, and never lets a traceback reach
@@ -11,17 +12,28 @@ values, parallel saddles, levels chained by the level tolerance, and
 optionally one field replaced by a value of the wrong type or shape; the h
 values reach down to subnormal numbers. A NumPy RuntimeWarning, such as an
 overflow on the way to a result or to an error, fails the test.
+
+``validate`` gets sampled potentials with defects, h from 5e-324 to 1e308
+and grid sizes up to 10^9; the ``metastab-long`` hypothesis profile of
+``conftest.py`` reruns it with twenty times the examples.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metastab import cli
 from metastab.cli import main
+from test_validator import _limit_address_space
 
 ODD = [0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e308, math.nan, math.inf,
        -math.inf, 10 ** 400]
@@ -128,3 +140,85 @@ def test_analyze_keeps_the_exit_contract(data, h):
                     assert math.isfinite(e["log_lambda"])
     if wrong:
         assert res.exit_code == 2, res.output
+
+
+# ---------------------------------------------------------------- validate
+
+SHAPES = {
+    "double well": lambda x: (x * x - 1.0) ** 2,
+    "tilted": lambda x: (x * x - 1.0) ** 2 + 0.3 * x,
+    "triple well": lambda x: x * x * (x * x - 1.5) ** 2,
+    "one well": lambda x: x * x,
+    "monotone": lambda x: x,
+}
+# the valid choice first and most often, so that many drawn files reach the
+# solver
+DEFECTS = [None, None, None, "nan", "inf", "unsorted", "duplicate"]
+# the h lists and grid sizes that, unchecked, ask for grids of gigabytes
+BIG_H = ["1e-12", "5e-324"]
+BIG_GRID = 10 ** 9
+
+
+@st.composite
+def sample_files(draw):
+    """A sampled-potential CSV: a drawn shape and row count, x possibly
+    scaled far out of the range the quartic fits support, up to differences
+    beyond float range, and possibly one defect: a non-finite value, two
+    rows swapped, or a repeated x."""
+    rows = draw(st.sampled_from([401, 401, 41, 5, 4, 1]))
+    x = np.linspace(-2.0, 2.0, rows)
+    phi = SHAPES[draw(st.sampled_from(list(SHAPES)))](x)
+    x *= draw(st.sampled_from([1.0, 1.0, 1.0, 1e200, 1e-200, 8e307]))
+    defect = draw(st.sampled_from(DEFECTS))
+    i = draw(st.integers(1, rows - 1)) if rows > 1 else 0
+    if defect in ("nan", "inf"):
+        (x if draw(st.booleans()) else phi)[i] = float(defect)
+    elif defect == "unsorted":
+        x[[i - 1, i]] = x[[i, i - 1]]
+    elif defect == "duplicate":
+        x[i] = x[i - 1]
+    return "x,phi\n" + "".join(
+        f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), phi.tolist()))
+
+
+def _validate_in_a_child(path, args):
+    """``metastab validate`` in a child limited to 1 GiB of address space:
+    (exit code, stdout, stderr)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    res = subprocess.run(
+        [sys.executable, "-m", "metastab.cli", "validate", path, *args],
+        env=env, capture_output=True, text=True,
+        preexec_fn=_limit_address_space)
+    return res.returncode, res.stdout, res.stderr
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=settings.default.max_examples // 2)
+@given(sample_files(),
+       st.sampled_from(["0.3,0.2", "0.3,0.2", "1e152", "1e308"] + BIG_H),
+       st.sampled_from([None, None, 4000, 100, BIG_GRID]))
+def test_validate_keeps_the_exit_contract(tmp_path_factory, text, h, grid):
+    """``validate`` exits 0, 2 or 3 on drawn samples, h lists and grid
+    sizes, with no traceback and no warning. A case that, unchecked, would
+    build a grid of gigabytes runs in a child under a 1 GiB address-space
+    limit; the others run in-process, where a NumPy RuntimeWarning fails
+    the test."""
+    path = str(tmp_path_factory.mktemp("validate") / "s.csv")
+    with open(path, "w") as fh:
+        fh.write(text)
+    args = ["--h", h] + ([] if grid is None else ["--grid", str(grid)])
+    if h in BIG_H or grid == BIG_GRID:
+        code, stdout, stderr = _validate_in_a_child(path, args)
+    else:
+        res = CliRunner().invoke(main, ["validate", path, *args])
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        code, stdout, stderr = res.exit_code, res.stdout, res.stderr
+    assert code in (0, 2, 3), stdout + stderr
+    assert "Traceback" not in stderr and "Warning" not in stderr, stderr
+    out = json.loads(stdout)
+    if code:
+        assert set(out) == {"schema", "error"}
+        assert out["error"]["type"] != "RuntimeWarning", out

@@ -248,6 +248,14 @@ def test_make_sampled_errors():
         make_sampled(xs, xs[:-1])
     with pytest.raises(InputDataError, match="at least 5"):
         make_sampled(xs[:3], xs[:3])
+    for scale in (1e200, 1e-200):
+        with pytest.raises(InputDataError, match="sample spacing"):
+            make_sampled(scale * xs, (xs - 0.5) ** 2)
+    # differences beyond float range: inf, and no overflow warning
+    for wide in ([-1.7e308, -1e308, 0.0, 1e308, 1.7e308],
+                 [-1.7e308, 1e308, 1.1e308, 1.2e308, 1.3e308]):
+        with pytest.raises(InputDataError, match="sample spacing"):
+            make_sampled(wide, xs[:5])
 
 
 # ------------------------------------------------------------- extraction

@@ -65,6 +65,7 @@ def _golub_kahan_calls():
     real = validator.eigh_tridiagonal
 
     def spy(problems):
+        problems = list(problems)      # a generator is drawn only once
         calls.extend(problems)
         return real(problems)
 
@@ -132,8 +133,9 @@ def _problem(n):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_stebz_threads_follow_the_cpu_count(monkeypatch, cpus):
-    # the largest problem runs on the calling thread, each other one on its
-    # own thread while CPUs last, and one CPU starts no thread
+    # each problem is bisected once, on at most one thread per CPU, the
+    # calling thread included; one CPU starts no thread, and every thread
+    # started is joined
     seen = []
     real = _lapack.dstebz()
 
@@ -142,16 +144,77 @@ def test_stebz_threads_follow_the_cpu_count(monkeypatch, cpus):
         real(*args)
     monkeypatch.setattr(validator, "dstebz", lambda: stebz)
     monkeypatch.setattr(validator, "_cpus", lambda: cpus)
+    threads = threading.active_count()
     problems = [_problem(n) for n in (4, 9, 6)]
     got = validator.eigh_tridiagonal(problems)
     for problem, w in zip(problems, got):
         _same_bits(w, _scipy_eigh(*problem))
-    threads = dict(seen)
-    assert sorted(threads) == [4, 6, 9]
-    assert threads[9] is threading.current_thread()
-    assert len(set(threads.values())) == cpus
-    if cpus == 2:
-        assert threads[4] is threading.current_thread()  # its lane's second
+    assert sorted(n for n, _ in seen) == [4, 6, 9]
+    ran_on = {t for _, t in seen}
+    assert len(ran_on) <= cpus
+    if cpus == 1:
+        assert ran_on == {threading.current_thread()}
+    assert not any(t.is_alive() for t in ran_on
+                   if t is not threading.current_thread())
+    assert threading.active_count() == threads
+
+
+def test_bisection_starts_while_the_grids_are_reduced(monkeypatch):
+    # on two CPUs the third QR of the schedule waits for a bisection to
+    # start; a bisection that waited for every QR would never start
+    p = chain_sampled()
+    cs = extract_critical_structure(p)
+    report = full_spectrum(cs, decompose(cs))
+    started = threading.Event()
+    real_stebz, real_qr = _lapack.dstebz(), validator._qr_bidiagonal
+    waits = []
+
+    def stebz(*args):
+        started.set()
+        real_stebz(*args)
+
+    def qr(dw):
+        if len(waits) < 2:
+            waits.append(True)
+        else:
+            waits.append(started.wait(timeout=10.0))
+        return real_qr(dw)
+    monkeypatch.setattr(validator, "dstebz", lambda: stebz)
+    monkeypatch.setattr(validator, "_qr_bidiagonal", qr)
+    monkeypatch.setattr(validator, "_cpus", lambda: 2)
+    validator.compare(report, p, (0.3, 0.2))
+    assert waits == [True] * 4
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failing_producer_wins_and_leaves_no_thread(monkeypatch, cpus):
+    # the iterable fails after two problems while the first bisection runs:
+    # its error is raised once that bisection has finished, the problem
+    # still waiting never runs, and no thread outlives the call
+    real = _lapack.dstebz()
+    ran = []
+    started, failed = threading.Event(), threading.Event()
+
+    def stebz(*args):
+        started.set()
+        assert failed.wait(timeout=10.0)
+        ran.append(args[2].value)
+        real(*args)
+        args[-1].value = args[2].value     # INFO = N: loses to the failure
+
+    def problems():
+        yield _problem(6)
+        yield _problem(9)
+        assert cpus == 1 or started.wait(timeout=10.0)
+        failed.set()
+        raise KeyError("produced no third problem")
+    monkeypatch.setattr(validator, "dstebz", lambda: stebz)
+    monkeypatch.setattr(validator, "_cpus", lambda: cpus)
+    threads = threading.active_count()
+    with pytest.raises(KeyError, match="no third problem"):
+        validator.eigh_tridiagonal(problems())
+    assert threading.active_count() == threads
+    assert ran == ([] if cpus == 1 else [9])
 
 
 def test_more_threads_than_cpus_give_the_serial_bits(monkeypatch):

@@ -1,16 +1,20 @@
+import json
 import math
 import os
 import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from metastab import validator
+from metastab.cli import main
 from metastab.errors import InputDataError
 from conftest import minima
 from metastab.examples import chain_sampled, double_well, ex_a
@@ -46,6 +50,11 @@ def sturm_count(dw, threshold):
     return count
 
 
+def _points(domain, n):
+    """The interior points of the grid ``discretize`` builds."""
+    return np.linspace(*domain, n + 2)[1:-1]
+
+
 def _sampled(p, h, n=None):
     """Discretize a sampled potential as ``compare`` does: on the spline of
     the samples, over the energy window."""
@@ -77,7 +86,8 @@ def test_gibbs_vector_near_kernel():
     # Rayleigh quotient sits at the boundary-truncation floor
     h = 1.0
     dw = discretize(lambda x: x * x, h, n=4000, domain=(-6.0, 6.0))
-    v = np.exp(-(dw.x * dw.x) / h)
+    x = _points((-6.0, 6.0), dw.n)
+    v = np.exp(-(x * x) / h)
     r = np.zeros(dw.n + 1)
     r[:dw.n] += dw.acoef * v
     r[1:] += dw.bcoef[1:] * v
@@ -90,7 +100,8 @@ def test_default_energy_window():
     p = double_well().potential
     dw = _sampled(p, 0.1)
     assert dw.n == 4000
-    assert -1.6 < dw.x[0] < -1.5 and 1.5 < dw.x[-1] < 1.6
+    x = _points(_energy_window(p, extract_critical_structure(p), 0.1), dw.n)
+    assert -1.6 < x[0] < -1.5 and 1.5 < x[-1] < 1.6
 
 
 def test_grid_refinement_is_converged():
@@ -176,7 +187,7 @@ def _qr_cases():
         zero = rng.random(n) < 0.3
         a[zero] = 0.0
         b[1:][zero] = 0.0
-        yield DiscretizedWitten(np.zeros(n), a, b)
+        yield DiscretizedWitten(a, b)
 
 
 def test_qr_matches_the_rotation_loop_bit_for_bit():
@@ -297,37 +308,70 @@ def test_input_checks_of_every_h_run_before_any_bisection(monkeypatch):
 
 
 def test_grids_and_spline_are_dropped_before_the_bisection(monkeypatch):
-    # the batch holds the Golub-Kahan problems, not the grids they came
-    # from: each grid is gone before the next one is built, and every grid
-    # and the spline before the bisection starts
+    # the grid points and the potential on them are gone once a grid is
+    # checked, the spline before the first bisection, and each grid's
+    # factor once its QR is formed; the QRs run in schedule order
     p = chain_sampled()
     report = _report(p)
-    built = []
-    real = (validator._cubic_spline, validator._qr_bidiagonal,
-            validator.discretize, validator.eigh_tridiagonal)
+    spline, points, factors, reduced = [], [], [], []
+    real = (validator._cubic_spline, np.linspace, validator.discretize,
+            validator._qr_bidiagonal, validator.dstebz())
 
-    def spline(*args):
+    def cubic_spline(*args):
         phi = real[0](*args)
-        built.append(weakref.ref(phi))
+        spline.append(weakref.ref(phi))
         return phi
 
-    def qr(dw):
-        built.append(weakref.ref(dw.acoef))
-        return real[1](dw)
+    def linspace(*args, **kwargs):
+        full = real[1](*args, **kwargs)
+        # the array owning the memory: a view of the points holds it
+        points.append(weakref.ref(full if full.base is None else full.base))
+        return full
 
     def discretize(*args, **kwargs):
-        assert all(ref() is None for ref in built[1:])
-        return real[2](*args, **kwargs)
+        dw = real[2](*args, **kwargs)
+        assert all(ref() is None for ref in points)
+        factors.append([weakref.ref(a) for a in dw])
+        return dw
 
-    def eigh_tridiagonal(problems):
-        assert all(ref() is None for ref in built)
-        return real[3](problems)
-    for name, fn in (("_cubic_spline", spline), ("_qr_bidiagonal", qr),
-                     ("discretize", discretize),
-                     ("eigh_tridiagonal", eigh_tridiagonal)):
+    def qr(dw):
+        for refs in factors[:len(reduced)]:
+            assert all(ref() is None for ref in refs)
+        reduced.append(dw.n)
+        return real[3](dw)
+
+    def stebz(*args):
+        assert spline[0]() is None
+        for refs in factors[:len(reduced) - 1]:
+            assert all(ref() is None for ref in refs)
+        real[4](*args)
+    monkeypatch.setattr(np, "linspace", linspace)
+    for name, fn in (("_cubic_spline", cubic_spline),
+                     ("discretize", discretize), ("_qr_bidiagonal", qr)):
         monkeypatch.setattr(validator, name, fn)
-    compare(report, p, (0.3, 0.2))
-    assert len(built) == 5
+    monkeypatch.setattr(validator, "dstebz", lambda: stebz)
+    monkeypatch.setattr(validator, "_cpus", lambda: 2)
+    vr = compare(report, p, (0.3, 0.2))
+    assert len(spline) == 1 and len(points) == len(factors) == 4
+    assert reduced == [n for s in vr.steps for n in (s.n, 2 * s.n)]
+    assert all(ref() is None for refs in factors for ref in refs)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_compare_peak_memory(monkeypatch, cpus):
+    # the bench schedule's six grids: the factors of every grid, then the
+    # Golub-Kahan problems and a workspace per running bisection
+    p = chain_sampled()
+    report = _report(p)
+    monkeypatch.setattr(validator, "_cpus", lambda: cpus)
+    compare(report, p, (0.3, 0.2, 0.15))       # loads LAPACK before tracing
+    tracemalloc.start()
+    try:
+        compare(report, p, (0.3, 0.2, 0.15))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.65 * 2 ** 20
 
 
 def test_compare_rejects_a_grid_over_budget(monkeypatch):
@@ -379,6 +423,30 @@ def test_validate_over_budget_exits_2_under_a_memory_limit(tmp_path, args):
     assert res.returncode == 2, res.stdout + res.stderr
     assert b"over the budget of 4194304 grid points" in res.stdout
     assert wall < 1.0
+
+
+@pytest.mark.parametrize("h, code", [("1e151", 0), ("1e152", 2),
+                                     ("1e308", 2)])
+def test_validate_h_against_the_range_of_the_factor(tmp_path, h, code):
+    # stebz squares the entries of the factor, about h/dx: on the bench
+    # chain's fine grid they are 4.7e153 at h = 1e151 and 4.7e154 at 1e152,
+    # either side of sqrt(realmax) (exit 3 at 1e152 unchecked, and two NumPy
+    # warnings at 1e308)
+    _write_sampled_chain(tmp_path / "chain.csv")
+    res = CliRunner().invoke(main, ["validate", str(tmp_path / "chain.csv"),
+                                    "--h", h])
+    assert res.exit_code == code, res.output
+    assert res.stderr == ""
+    if code:
+        err = json.loads(res.stdout)["error"]
+        assert err["type"] == "InputDataError"
+        assert f"h={float(h):g} is too large for a grid" in err["message"]
+
+
+def test_compare_rejects_a_nan_h():
+    p = double_well().potential
+    with pytest.raises(InputDataError, match="positive h"):
+        compare(_report(p), p, (0.15, math.nan))
 
 
 def test_compare_single_well_is_vacuous():
