@@ -169,7 +169,7 @@ def dumps(obj):
 
 def _structure_block(cs):
     doc = structure_to_dict(cs)
-    doc["level_clusters"] = list(cs.levels.reps)
+    doc["level_clusters"] = list(cs.level_reps)
     return doc
 
 

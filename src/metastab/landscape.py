@@ -38,36 +38,34 @@ DEFAULT_LEVEL_TOL = 1e-9
 _SPAN_RANGE = (1e-60, 1e60)
 
 
-class LevelIndex:
-    """Clusters a set of real values into discrete levels.
+def cluster_levels(values, eps):
+    """Cluster a set of real values into discrete levels.
 
     Values whose sorted neighbors differ by at most ``eps`` are chained into
-    one cluster; clusters are numbered from the lowest. ``cluster[i]`` is the
-    cluster of the i-th value and ``reps[k]`` the representative of cluster
-    k. All equality and ordering decisions on potential values go through
-    cluster indices, which keeps the comparisons transitive.
+    one cluster; clusters are numbered from the lowest. Returns
+    ``(cluster, reps)``: ``cluster[i]`` is the cluster of the i-th value and
+    ``reps[k]`` the representative of cluster k. All equality and ordering
+    decisions on potential values go through cluster indices, which keeps
+    the comparisons transitive.
     """
-
-    def __init__(self, values, eps):
-        vals = np.array([float(v) for v in values])
-        if not vals.size:
-            raise InputDataError("no values to cluster")
-        order = np.argsort(vals, kind="stable")
-        ordered = vals[order]
-        starts = np.flatnonzero(np.diff(ordered) > eps) + 1
-        step = np.zeros(vals.size, dtype=np.intp)
-        step[starts] = 1
-        cluster = np.empty(vals.size, dtype=np.intp)
-        cluster[order] = np.cumsum(step)
-        # the representative is printed, so it stays NumPy's mean bit for
-        # bit: a lone value is added to the sum's +0 start (-0 becomes 0),
-        # and a tie cluster keeps the pairwise sum
-        bounds = np.concatenate(([0], starts, [vals.size]))
-        reps = (ordered[bounds[:-1]] + 0.0).tolist()
-        for k in np.flatnonzero(np.diff(bounds) > 1).tolist():
-            reps[k] = float(np.mean(ordered[bounds[k]:bounds[k + 1]]))
-        self.cluster = cluster.tolist()
-        self.reps = reps
+    vals = np.array([float(v) for v in values])
+    if not vals.size:
+        raise InputDataError("no values to cluster")
+    order = np.argsort(vals, kind="stable")
+    ordered = vals[order]
+    starts = np.flatnonzero(np.diff(ordered) > eps) + 1
+    step = np.zeros(vals.size, dtype=np.intp)
+    step[starts] = 1
+    cluster = np.empty(vals.size, dtype=np.intp)
+    cluster[order] = np.cumsum(step)
+    # the representative is printed, so it stays NumPy's mean bit for bit:
+    # a lone value is added to the sum's +0 start (-0 becomes 0), and a tie
+    # cluster keeps the pairwise sum
+    bounds = np.concatenate(([0], starts, [vals.size]))
+    reps = (ordered[bounds[:-1]] + 0.0).tolist()
+    for k in np.flatnonzero(np.diff(bounds) > 1).tolist():
+        reps[k] = float(np.mean(ordered[bounds[k]:bounds[k + 1]]))
+    return cluster.tolist(), reps
 
 
 class CriticalStructure:
@@ -88,9 +86,9 @@ class CriticalStructure:
     those indices: ``min_ids``, ``min_phi``, ``min_det_hess`` and
     ``min_cluster`` for the minima; ``sad_ids``, ``sad_phi``,
     ``sad_det_hess``, ``sad_neg_eig``, ``sad_joins`` (the pair of minimum
-    indices, in input order) and ``sad_cluster`` for the saddles. ``levels``
-    clusters the critical values, and a point's cluster is decided once,
-    here.
+    indices, in input order) and ``sad_cluster`` for the saddles, the
+    point's level cluster (see ``cluster_levels``), which is decided once,
+    here. ``level_reps`` holds each cluster's representative value.
     """
 
     def __init__(self, minima, saddles, level_tolerance=DEFAULT_LEVEL_TOL,
@@ -118,10 +116,9 @@ class CriticalStructure:
         self.sad_joins = [(at.get(a), at.get(b)) for a, b in joins]
         self._validate(joins)
         n = len(minima)
-        self.levels = LevelIndex(self.min_phi + self.sad_phi,
-                                 self.level_tolerance)
-        self.min_cluster = self.levels.cluster[:n]
-        self.sad_cluster = self.levels.cluster[n:]
+        cluster, self.level_reps = cluster_levels(
+            self.min_phi + self.sad_phi, self.level_tolerance)
+        self.min_cluster, self.sad_cluster = cluster[:n], cluster[n:]
         mc = self.min_cluster
         for s, (k, (a, b)) in enumerate(zip(self.sad_cluster, self.sad_joins)):
             for m in (a, b):
@@ -402,64 +399,55 @@ def extract_critical_structure(p: SampledPotential, eps_level=None):
         for j in flats:
             # an isolated equal pair is fine on a slope but degenerate at a
             # crest or trough
-            if 0 < j and j + 2 < n:
-                if (phis[j - 1] - phis[j]) * (phis[j + 2] - phis[j + 1]) > 0:
-                    raise DegenerateLandscapeError(
-                        f"flat extremum near x = {xs[j]:g}")
+            if (0 < j and j + 2 < n and
+                    (phis[j - 1] - phis[j]) * (phis[j + 2] - phis[j + 1]) > 0):
+                raise DegenerateLandscapeError(
+                    f"flat extremum near x = {xs[j]:g}")
     if phis[0] < phis[1] or phis[-1] < phis[-2]:
         raise DegenerateLandscapeError(
             "potential slopes downward at an edge (non-confining)")
 
-    # (index, 'min'|'max') in x order; a sample is a maximum only where it
-    # is no minimum, as in an if/elif over the interior samples
+    # the strict interior extrema in x order; a sample is a maximum only
+    # where it is no minimum, as in an if/elif over the interior samples
     left, mid, right = phis[:-2], phis[1:-1], phis[2:]
     is_min = (mid < left) & (mid < right)
     is_max = ~is_min & (mid > left) & (mid > right)
     hit = is_min | is_max
-    kinds = [(i + 1, "min" if low else "max")
-             for i, low in zip(np.flatnonzero(hit).tolist(),
-                               is_min[hit].tolist())]
-
-    if not kinds:
+    at = (np.flatnonzero(hit) + 1).tolist()
+    low = is_min[hit]
+    if not at:
         raise DegenerateLandscapeError("no interior extrema found")
-    for (ia, ka), (ib, kb) in zip(kinds, kinds[1:]):
-        if ka == kb:
-            raise InputDataError(
-                f"extrema do not alternate near x = {xs[ia]:g}")
-    if kinds[0][1] != "min" or kinds[-1][1] != "min":
+    # the checks above make the extrema alternate: between two minima the
+    # samples turn at a maximum or at a flat extremum, and so for maxima
+    same = np.flatnonzero(low[1:] == low[:-1])
+    if same.size:
+        raise InputDataError(
+            f"extrema do not alternate near x = {xs[at[same[0]]]:g}")
+    if not (low[0] and low[-1]):
         raise DegenerateLandscapeError(
             "outermost extrema must be minima (wells cut by the window?)")
 
-    minima, saddles, positions = [], [], {}
-    uncertainties = []
-    n_min = 0
-    n_sad = 0
-    last_min_id = None
-    pending = None  # saddle waiting for its right minimum
-    for i, kind in kinds:
+    # minimum j is the j-th even extremum, and saddle j the j-th odd one,
+    # between minima j and j + 1
+    minima, saddles, positions, uncertainties = [], [], {}, []
+    for k, i in enumerate(at):
         x_star, value, second, unc = _fit_extremum(xs, phis, i)
         uncertainties.append(unc)
-        if kind == "min":
+        j = k // 2 + 1
+        if k % 2 == 0:
             if second <= 0:
                 raise DegenerateLandscapeError(
                     f"degenerate minimum near x = {xs[i]:g}")
-            n_min += 1
-            mid = f"m{n_min}"
-            minima.append((mid, value, second))
-            positions[mid] = x_star
-            if pending is not None:
-                sid, sval, ssec, left_id = pending
-                saddles.append((sid, sval, ssec, ssec, (left_id, mid)))
-                pending = None
-            last_min_id = mid
+            pid = f"m{j}"
+            minima.append((pid, value, second))
         else:
             if second >= 0:
                 raise DegenerateLandscapeError(
                     f"degenerate maximum near x = {xs[i]:g}")
-            n_sad += 1
-            sid = f"s{n_sad}"
-            positions[sid] = x_star
-            pending = (sid, value, abs(second), last_min_id)
+            pid = f"s{j}"
+            saddles.append((pid, value, -second, -second,
+                            (f"m{j}", f"m{j + 1}")))
+        positions[pid] = x_star
 
     if eps_level is None:
         scale = max(1.0, float(np.max(np.abs(phis))))

@@ -281,7 +281,7 @@ def _node_classes(cs, tree, v):
     it (type II). Each saddle is a row of the class it touches: interior
     between two members, boundary to the first child.
     """
-    ids, mc, reps = cs.min_ids, cs.min_cluster, cs.levels.reps
+    ids, mc, reps = cs.min_ids, cs.min_cluster, cs.level_reps
     deepest, ends = tree.deepest, tree.ends
     ks = tree.kids[tree.kid_at[v]:tree.kid_at[v + 1]]
     first, others = ks[0], ks[1:]
@@ -355,7 +355,7 @@ def decompose(cs):
     """
     verify_separating(cs)
     tree = merge_tree(cs)
-    ids, mc, reps = cs.min_ids, cs.min_cluster, cs.levels.reps
+    ids, mc, reps = cs.min_ids, cs.min_cluster, cs.level_reps
     born, deepest, low = tree.born, tree.deepest, tree.low
     kids, kid_at, sads, sad_at = tree.kids, tree.kid_at, tree.sads, tree.sad_at
     (root,) = tree.roots

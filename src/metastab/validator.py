@@ -243,30 +243,25 @@ def _energy_window(p, cs, h):
     top = max(cs.sad_phi) if cs.sad_phi else float(np.max(phis))
     target = top + max(0.5, 10.0 * h)
     wells = [cs.positions[m] for m in cs.min_ids]
-    lo_x, hi_x = min(wells), max(wells)
-    left = xs[0]
-    for i in range(np.searchsorted(xs, lo_x), -1, -1):
-        if phis[i] >= target:
-            left = xs[i]
-            break
-    right = xs[-1]
-    for i in range(np.searchsorted(xs, hi_x), len(xs)):
-        if phis[i] >= target:
-            right = xs[i]
-            break
+    i = np.searchsorted(xs, min(wells))
+    above = np.flatnonzero(phis[:i + 1] >= target)
+    left = xs[above[-1]] if above.size else xs[0]
+    i = np.searchsorted(xs, max(wells))
+    above = np.flatnonzero(phis[i:] >= target)
+    right = xs[i + above[0]] if above.size else xs[-1]
     return float(left), float(right)
 
 
 class DiscretizedWitten(NamedTuple):
     acoef: np.ndarray      # C[j, j] entries, j = 0..n-1
-    bcoef: np.ndarray      # C[j, j-1] entries, j = 1..n (index 0 unused)
+    bcoef: np.ndarray      # C[j + 1, j] entries, j = 0..n-1
 
     @property
     def n(self):
         return self.acoef.size
 
 
-def discretize(p, h, n=None, *, domain):
+def discretize(p, h, n, *, domain):
     """Factored finite-difference Witten operator on a uniform grid.
 
     ``p`` is a callable phi(x) evaluated on arrays of grid points, such as
@@ -283,8 +278,6 @@ def discretize(p, h, n=None, *, domain):
     lo, hi = domain
     if not hi > lo:
         raise InputDataError("empty domain")
-    if n is None:
-        n = default_grid(h, lo, hi)
     if n < 100:
         raise InputDataError("grid too coarse (need at least 100 points)")
 
@@ -307,8 +300,8 @@ def discretize(p, h, n=None, *, domain):
             f"grid resolves the potential too poorly at h={h:g} "
             f"(per-cell exponent {worst:.1f}); increase the grid size")
     scale = h / float(dx)          # a Python float: inf, not a warning
-    acoef = scale * np.exp(up[:-1])                       # j = 0..n-1
-    bcoef = np.concatenate([[0.0], -scale * np.exp(dn[1:])])  # j = 1..n
+    acoef = scale * np.exp(up[:-1])
+    bcoef = -scale * np.exp(dn[1:])
     if not max(acoef.max(), -bcoef.min()) < _MAX_ENTRY:
         raise InputDataError(
             f"h={h:g} is too large for a grid of {n} points: the factor's "
@@ -317,14 +310,16 @@ def discretize(p, h, n=None, *, domain):
     return DiscretizedWitten(acoef, bcoef)
 
 
-def _qr_bidiagonal(dw):
-    """Givens QR of the factor C; returns the upper bidiagonal R as (d, e).
+def _golub_kahan(dw):
+    """Givens QR of the factor C, returned as the off-diagonal of the
+    Golub-Kahan form of the upper bidiagonal R: R's diagonal and
+    superdiagonal interleaved, ``off[0::2]`` and ``off[1::2]``.
 
     Only the recurrence for the diagonal is sequential, so it runs on
     Python floats, where indexing NumPy arrays element by element would
     cost more than the arithmetic. It converts ``_QR_CHUNK`` entries at a
     time, so its Python floats stay few while the bisections of the grids
-    before it run. Step j rotates by c = r/rho and s = b[j+1]/rho (c = 1,
+    before it run. Step j rotates by c = r/rho and s = b[j]/rho (c = 1,
     s = 0 when rho is 0), leaving r c t for the next step and s t above the
     diagonal, t = a[j+1]; NumPy then forms every s t with the same
     operations, in the same order.
@@ -332,29 +327,21 @@ def _qr_bidiagonal(dw):
     n = dw.n
     a, b = dw.acoef, dw.bcoef
     hypot = math.hypot
-    d = np.empty(n)
+    off = np.zeros(2 * n - 1)
     r = a.item(0)
     for lo in range(0, n - 1, _QR_CHUNK):
         hi = min(lo + _QR_CHUNK, n - 1)
         rhos = []
         push = rhos.append
-        for bj, t in zip(b[lo + 1:hi + 1].tolist(), a[lo + 1:hi + 1].tolist()):
+        for bj, t in zip(b[lo:hi].tolist(), a[lo + 1:hi + 1].tolist()):
             rho = hypot(r, bj)
             push(rho)
             r = r / rho * t if rho != 0.0 else t
-        d[lo:hi] = rhos
-    d[n - 1] = hypot(r, b.item(n))
-    rho = d[:-1]
-    e = np.divide(b[1:n], rho, out=np.zeros(n - 1), where=rho != 0.0) * a[1:]
-    return d, e
-
-
-def _golub_kahan(dw):
-    """Off-diagonal of the Golub-Kahan form of the QR factor R of C: the
-    diagonal and superdiagonal of R interleaved."""
-    d, e = _qr_bidiagonal(dw)
-    off = np.empty(d.size + e.size)
-    off[0::2], off[1::2] = d, e
+        off[2 * lo:2 * hi:2] = rhos
+    off[-1] = hypot(r, b.item(n - 1))
+    rho, e = off[:-1:2], off[1::2]
+    np.divide(b[:-1], rho, out=e, where=rho != 0.0)
+    e *= a[1:]
     return off
 
 

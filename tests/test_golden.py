@@ -242,7 +242,7 @@ def test_ring_bytes_without_a_thread_setting():
 
 def test_many_level_structures():
     chain = _STRUCTURES["chain-40"]()
-    assert len(chain.levels.reps) == 79
+    assert len(chain.level_reps) == 79
     tied = _STRUCTURES["tied-7"]()
     pairs = [frozenset(s.joins) for s in saddles(tied)]
     assert len(set(pairs)) < len(pairs)          # parallel saddles

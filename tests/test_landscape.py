@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import Minimum, Saddle, minima, saddles
+from extract_oracle import extract_critical_structure as oracle_extract
 from metastab.errors import DegenerateLandscapeError, InputDataError
-from metastab.landscape import (LevelIndex, CriticalStructure,
+from metastab.landscape import (CriticalStructure, cluster_levels,
                                 extract_critical_structure, load_samples,
                                 load_structure, make_sampled,
                                 structure_to_dict)
@@ -19,22 +20,22 @@ def _dw_samples(n=2001, lo=-2.0, hi=2.0):
     return make_sampled(xs, (xs ** 2 - 1.0) ** 2)
 
 
-# ---------------------------------------------------------------- LevelIndex
+# ----------------------------------------------------------- cluster_levels
 
 
 def test_level_index_chains_close_values():
-    L = LevelIndex([1.0, 2e-10, 0.0, 1e-10], eps=1e-9)
-    assert len(L.reps) == 2
-    assert L.cluster == [1, 0, 0, 0]
-    assert L.reps[0] == pytest.approx(1e-10)
-    assert L.reps[1] == 1.0
+    cluster, reps = cluster_levels([1.0, 2e-10, 0.0, 1e-10], eps=1e-9)
+    assert len(reps) == 2
+    assert cluster == [1, 0, 0, 0]
+    assert reps[0] == pytest.approx(1e-10)
+    assert reps[1] == 1.0
 
 
 def test_level_index_separates_distant_values():
-    L = LevelIndex([0.5, 1.0, 0.0], eps=1e-9)
-    assert len(L.reps) == 3
-    assert L.cluster == [1, 2, 0]
-    assert L.reps == [0.0, 0.5, 1.0]
+    cluster, reps = cluster_levels([0.5, 1.0, 0.0], eps=1e-9)
+    assert len(reps) == 3
+    assert cluster == [1, 2, 0]
+    assert reps == [0.0, 0.5, 1.0]
 
 
 def test_level_index_keeps_one_ulp_gaps():
@@ -45,28 +46,28 @@ def test_level_index_keeps_one_ulp_gaps():
     hi = math.nextafter(lo, math.inf)
     assert 0.5 * (lo + hi) == hi
     for eps in (0.0, 1e-9):
-        L = LevelIndex([hi, lo, hi, 0.0], eps=eps)
-        assert L.cluster == [2, 1, 2, 0]
-        assert L.reps == [0.0, lo, hi]
+        cluster, reps = cluster_levels([hi, lo, hi, 0.0], eps=eps)
+        assert cluster == [2, 1, 2, 0]
+        assert reps == [0.0, lo, hi]
 
 
 def test_level_index_representatives_match_numpy_mean():
     # representatives are printed, so each one must be the NumPy mean of its
     # cluster bit for bit, signed zeros included
     values = [-0.0, 0.3, 0.3 + 1e-10, 0.1 + 0.2, 0.7, -1.5]
-    L = LevelIndex(values, eps=1e-9)
+    cluster, reps = cluster_levels(values, eps=1e-9)
     clusters = [[-1.5], [-0.0], [0.3, 0.1 + 0.2, 0.3 + 1e-10], [0.7]]
-    assert len(L.reps) == len(clusters)
-    assert L.cluster == [1, 2, 2, 2, 3, 0]
+    assert len(reps) == len(clusters)
+    assert cluster == [1, 2, 2, 2, 3, 0]
     for k, chunk in enumerate(clusters):
         want = float(np.sort(np.array(chunk)).mean())
-        assert math.copysign(1.0, L.reps[k]) == math.copysign(1.0, want)
-        assert L.reps[k] == want
+        assert math.copysign(1.0, reps[k]) == math.copysign(1.0, want)
+        assert reps[k] == want
 
 
 def test_level_index_empty():
     with pytest.raises(InputDataError, match="no values"):
-        LevelIndex([], eps=1e-9)
+        cluster_levels([], eps=1e-9)
 
 
 # -------------------------------------------------------- structure checks
@@ -334,6 +335,68 @@ def test_extract_rejects_degenerate_minimum():
     xs = np.linspace(-1, 1, 201)
     with pytest.raises(DegenerateLandscapeError, match="degenerate minimum"):
         extract_critical_structure(make_sampled(xs, xs ** 4))
+
+
+def test_extract_rejects_degenerate_maximum():
+    # the crest at 0 is flat to fourth order: its fitted curvature is not
+    # negative
+    xs = np.linspace(-2, 2, 401)
+    with pytest.raises(DegenerateLandscapeError,
+                       match="degenerate maximum near x = 0$"):
+        extract_critical_structure(make_sampled(xs, xs ** 8 - xs ** 6
+                                                - xs ** 4))
+
+
+def _extracted(extract, p, eps_level):
+    """Every field of the structure ``extract`` builds from ``p``, floats as
+    their bytes, or the type and message of the error it raises."""
+    try:
+        cs = extract(p, eps_level)
+    except InputDataError as exc:           # DegenerateLandscapeError too
+        return type(exc).__name__, str(exc)
+
+    def bits(vals):
+        return np.array(vals, dtype=float).tobytes()
+    return (cs.min_ids, bits(cs.min_phi), bits(cs.min_det_hess), cs.sad_ids,
+            bits(cs.sad_phi), bits(cs.sad_det_hess), bits(cs.sad_neg_eig),
+            cs.sad_joins, list(cs.positions),
+            bits(list(cs.positions.values())), bits([cs.level_tolerance]))
+
+
+@st.composite
+def short_sequences(draw):
+    """Few-valued integer samples: plateaus, equal pairs at crests, troughs
+    and edges, extrema next to the edges, and the odd well."""
+    phis = draw(st.lists(st.integers(0, 3), min_size=5, max_size=9))
+    return make_sampled(np.arange(len(phis), dtype=float), phis)
+
+
+@st.composite
+def many_wells(draw):
+    """A tilted, modulated cosine with 10 to 14 wells, cut on the slopes
+    outside its outermost wells, so that ``m10`` sorts before ``m2``."""
+    wells = draw(st.integers(10, 14))
+    per = draw(st.integers(12, 40))              # samples per well
+    amp = draw(st.floats(0.0, 0.3))
+    omega = draw(st.floats(0.1, 1.0))
+    phase = draw(st.floats(0.0, 2 * math.pi))
+    tilt = draw(st.floats(-0.5, 0.5))
+    xs = np.linspace(-0.4, wells - 0.6, round((wells - 0.2) * per) + 1)
+    phis = ((1.0 - np.cos(2 * np.pi * xs))
+            * (1.0 + amp * np.sin(omega * xs + phase)) + tilt * xs)
+    return make_sampled(xs, phis)
+
+
+@given(st.one_of(short_sequences(), many_wells()),
+       st.sampled_from([None, 0.0, 1e-3, 1.0]))
+def test_extract_matches_the_classifying_loop(p, eps_level):
+    # the rows built by the parity of the extrema are those of the loop
+    # that classified every extremum, field for field and bit for bit, and
+    # every error is raised with the same class and message
+    want = _extracted(oracle_extract, p, eps_level)
+    assert _extracted(extract_critical_structure, p, eps_level) == want
+    if p.xs.size > 100 and not isinstance(want[0], str):
+        assert want[0][:2] == ["m1", "m10"]
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))

@@ -166,7 +166,7 @@ def test_bisection_starts_while_the_grids_are_reduced(monkeypatch):
     cs = extract_critical_structure(p)
     report = full_spectrum(cs, decompose(cs))
     started = threading.Event()
-    real_stebz, real_qr = _lapack.dstebz(), validator._qr_bidiagonal
+    real_stebz, real_qr = _lapack.dstebz(), validator._golub_kahan
     waits = []
 
     def stebz(*args):
@@ -180,7 +180,7 @@ def test_bisection_starts_while_the_grids_are_reduced(monkeypatch):
             waits.append(started.wait(timeout=10.0))
         return real_qr(dw)
     monkeypatch.setattr(validator, "dstebz", lambda: stebz)
-    monkeypatch.setattr(validator, "_qr_bidiagonal", qr)
+    monkeypatch.setattr(validator, "_golub_kahan", qr)
     monkeypatch.setattr(validator, "_cpus", lambda: 2)
     validator.compare(report, p, (0.3, 0.2))
     assert waits == [True] * 4
@@ -467,8 +467,8 @@ def test_lapack_failures_keep_their_exit_codes(fake_lapack, tmp_path,
     fake_lapack(dpotrs=-1)
     assert _error(["example", "nine-wells"])[:2] == (3, "ValueError")
     fake_lapack()
-    monkeypatch.setattr(validator, "_qr_bidiagonal",
-                        lambda dw: (np.full(dw.n, np.nan), np.ones(dw.n - 1)))
+    monkeypatch.setattr(validator, "_golub_kahan",
+                        lambda dw: np.full(2 * dw.n - 1, np.nan))
     assert _error(validate)[:2] == (3, "ValueError")    # non-finite input
 
 

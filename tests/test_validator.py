@@ -22,7 +22,7 @@ from metastab.landscape import extract_critical_structure, make_sampled
 from metastab.spectra import full_spectrum
 from metastab.topology import decompose
 from metastab.validator import (DiscretizedWitten, _cubic_spline,
-                                _energy_window, _qr_bidiagonal, compare,
+                                _energy_window, _golub_kahan, compare,
                                 default_grid, discretize, small_eigenvalues)
 from test_golden import _write_sampled_chain
 
@@ -35,8 +35,8 @@ def sturm_count(dw, threshold):
     """Number of eigenvalues of C'C below threshold, by a Sturm count on the
     tridiagonal assembled from the factor's entries."""
     n = dw.n
-    diag = dw.acoef ** 2 + dw.bcoef[1:n + 1] ** 2
-    offdiag = dw.acoef[1:] * dw.bcoef[1:n]
+    diag = dw.acoef ** 2 + dw.bcoef ** 2
+    offdiag = dw.acoef[1:] * dw.bcoef[:-1]
     t = 0.0
     count = 0
     tiny = np.finfo(float).tiny
@@ -57,8 +57,11 @@ def _points(domain, n):
 
 def _sampled(p, h, n=None):
     """Discretize a sampled potential as ``compare`` does: on the spline of
-    the samples, over the energy window."""
+    the samples, over the energy window, on its default grid unless ``n``
+    is given."""
     domain = _energy_window(p, extract_critical_structure(p), h)
+    if n is None:
+        n = default_grid(h, *domain)
     return discretize(_cubic_spline(p.xs, p.phis), h, n, domain=domain)
 
 
@@ -90,7 +93,7 @@ def test_gibbs_vector_near_kernel():
     v = np.exp(-(x * x) / h)
     r = np.zeros(dw.n + 1)
     r[:dw.n] += dw.acoef * v
-    r[1:] += dw.bcoef[1:] * v
+    r[1:] += dw.bcoef * v
     assert (r @ r) / (v @ v) <= 1e-20
 
 
@@ -125,13 +128,13 @@ def test_energy_window_inside_samples_and_covers_minima():
 
 def test_discretize_errors():
     with pytest.raises(InputDataError, match="h must be positive"):
-        discretize(lambda x: x * x, 0.0, domain=(-1.0, 1.0))
+        discretize(lambda x: x * x, 0.0, 4000, domain=(-1.0, 1.0))
     with pytest.raises(InputDataError, match="must be a callable"):
-        discretize(double_well().potential, 0.1, domain=(-1.0, 1.0))
+        discretize(double_well().potential, 0.1, 4000, domain=(-1.0, 1.0))
     with pytest.raises(InputDataError, match="must be a callable"):
-        discretize([1, 2, 3], 0.1, domain=(-1.0, 1.0))
+        discretize([1, 2, 3], 0.1, 4000, domain=(-1.0, 1.0))
     with pytest.raises(InputDataError, match="empty domain"):
-        discretize(lambda x: x * x, 0.1, domain=(1.0, 1.0))
+        discretize(lambda x: x * x, 0.1, 4000, domain=(1.0, 1.0))
     with pytest.raises(InputDataError, match="at least 100"):
         discretize(lambda x: x * x, 0.1, n=50, domain=(-1.0, 1.0))
 
@@ -151,25 +154,25 @@ def test_per_cell_exponent_guard():
 
 def _qr_oracle(dw):
     """The Givens QR of the factor as one loop over Python floats, each
-    rotation formed and applied in turn."""
+    rotation formed and applied in turn; R's diagonal and superdiagonal
+    interleaved, as the Golub-Kahan off-diagonal."""
     n = dw.n
     a = dw.acoef.tolist()
     b = dw.bcoef.tolist()
-    d = [0.0] * n
-    e = [0.0] * (n - 1)
+    off = [0.0] * (2 * n - 1)
     r = a[0]
     for j in range(n):
-        rho = math.hypot(r, b[j + 1])
-        d[j] = rho
+        rho = math.hypot(r, b[j])
+        off[2 * j] = rho
         if j + 1 < n:
             t = a[j + 1]
             if rho == 0.0:
                 c_, s_ = 1.0, 0.0
             else:
-                c_, s_ = r / rho, b[j + 1] / rho
-            e[j] = s_ * t
+                c_, s_ = r / rho, b[j] / rho
+            off[2 * j + 1] = s_ * t
             r = c_ * t
-    return np.array(d), np.array(e)
+    return np.array(off)
 
 
 def _qr_cases():
@@ -183,18 +186,18 @@ def _qr_cases():
     rng = np.random.default_rng(3)
     for n in (1, 2, 7, 300):
         a = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
-        b = rng.standard_normal(n + 1) * 10.0 ** rng.integers(-30, 30, n + 1)
+        b = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
         zero = rng.random(n) < 0.3
         a[zero] = 0.0
-        b[1:][zero] = 0.0
+        b[zero] = 0.0
         yield DiscretizedWitten(a, b)
 
 
 def test_qr_matches_the_rotation_loop_bit_for_bit():
     for dw in _qr_cases():
-        for got, want in zip(_qr_bidiagonal(dw), _qr_oracle(dw)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        got, want = _golub_kahan(dw), _qr_oracle(dw)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_small_eigenvalues_bounds():
@@ -315,7 +318,7 @@ def test_grids_and_spline_are_dropped_before_the_bisection(monkeypatch):
     report = _report(p)
     spline, points, factors, reduced = [], [], [], []
     real = (validator._cubic_spline, np.linspace, validator.discretize,
-            validator._qr_bidiagonal, validator.dstebz())
+            validator._golub_kahan, validator.dstebz())
 
     def cubic_spline(*args):
         phi = real[0](*args)
@@ -347,7 +350,7 @@ def test_grids_and_spline_are_dropped_before_the_bisection(monkeypatch):
         real[4](*args)
     monkeypatch.setattr(np, "linspace", linspace)
     for name, fn in (("_cubic_spline", cubic_spline),
-                     ("discretize", discretize), ("_qr_bidiagonal", qr)):
+                     ("discretize", discretize), ("_golub_kahan", qr)):
         monkeypatch.setattr(validator, name, fn)
     monkeypatch.setattr(validator, "dstebz", lambda: stebz)
     monkeypatch.setattr(validator, "_cpus", lambda: 2)
