@@ -1,6 +1,7 @@
 """Command-line surface: analyze landscapes, validate predictions, run the
-bundled examples. All output is versioned JSON with fixed float formatting,
-so identical invocations produce identical bytes."""
+bundled examples. ``main`` parses the command line with the standard
+library's argparse. All output is versioned JSON with fixed float
+formatting, so identical invocations produce identical bytes."""
 
 import gc
 import math
@@ -13,8 +14,6 @@ from pathlib import Path
 # spectrum changes in its last digits with the thread count, and the report
 # bytes must not. It only takes effect before NumPy loads OpenBLAS.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import click
 
 from . import __version__
 from .errors import InputDataError
@@ -167,12 +166,6 @@ def dumps(obj):
 
 # ------------------------------------------------------------ report pieces
 
-def _structure_block(cs):
-    doc = structure_to_dict(cs)
-    doc["level_clusters"] = list(cs.level_reps)
-    return doc
-
-
 def _merge_tree_block(tree):
     """One row per merge-tree node, by birth cluster, leaves first, then
     smallest minimum, so children come before parents; and the row number
@@ -268,7 +261,8 @@ def analyze_document(cs, h_list=()):
     doc = {"schema": SCHEMA,
            "command": "analyze",
            "block_order": "ascending-S",
-           "structure": _structure_block(cs),
+           "structure": dict(structure_to_dict(cs),
+                             level_clusters=list(cs.level_reps)),
            "labelling": _labelling_block(report.cd.labelling, num),
            "merge_tree": tree,
            "classes": [_class_block(*row, cs.sad_ids) for row in rows]}
@@ -291,12 +285,8 @@ def validation_document(vrep, source, h_list):
                  "grid_drift": s.richardson[i]}
                 for i in range(len(s.numeric))]
         steps.append({"h": s.h, "grid": s.n, "eigenvalues": rows})
-    if any(v == "FAIL" for v in vrep.verdicts):
-        overall = "FAIL"
-    elif any(v == "INCONCLUSIVE" for v in vrep.verdicts):
-        overall = "INCONCLUSIVE"
-    else:
-        overall = "PASS"
+    overall = next((v for v in ("FAIL", "INCONCLUSIVE")
+                    if v in vrep.verdicts), "PASS")
     return {"schema": SCHEMA,
             "command": "validate",
             "input": source,
@@ -310,42 +300,37 @@ def validation_document(vrep, source, h_list):
 
 # ------------------------------------------------------------------- helpers
 
+class UsageError(Exception):
+    """A command line that ``main`` rejects with exit 2."""
+
+
 def _parse_h(text):
     try:
         hs = tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError:
-        raise click.UsageError(f"cannot parse h list {text!r}")
+        raise UsageError(f"cannot parse h list {text!r}")
     if not hs or any(not (h > 0 and math.isfinite(h)) for h in hs):
-        raise click.UsageError("h values must be positive finite reals")
+        raise UsageError("h values must be positive finite reals")
     return hs
 
 
 def _emit(doc, out):
-    text = dumps(doc) + "\n"
+    """Write the document to ``out``, or else to stdout, in UTF-8."""
+    data = (dumps(doc) + "\n").encode("utf-8")
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(out).write_bytes(data)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.buffer.write(data)
 
 
-def _plot_table(path, rows):
+def _plot_table(out, source, rows):
+    path = (Path(out).with_suffix(".levels.csv") if out
+            else Path(source).name + ".levels.csv")
     lines = ["h,index,predicted,numeric"]
     for h, idx, pred, num in rows:
         lines.append(f"{h:.17g},{idx},{pred:.17g}," +
                      (f"{num:.17g}" if num is not None else ""))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _plot_path(out, fallback):
-    return (Path(out).with_suffix(".levels.csv") if out
-            else Path(fallback).name + ".levels.csv")
-
-
-def _fail(code, exc):
-    doc = {"schema": SCHEMA,
-           "error": {"type": type(exc).__name__, "message": str(exc)}}
-    click.echo(dumps(doc))
-    sys.exit(code)
 
 
 def _guard(fn):
@@ -359,12 +344,10 @@ def _guard(fn):
     gc.disable()
     try:
         return fn()
-    except click.ClickException:
-        raise
-    except (InputDataError, OSError) as e:
-        _fail(2, e)
-    except Exception as e:  # InvariantViolation, or a fault of the program
-        _fail(3, e)
+    except Exception as e:  # exit 2 for bad input, else 3
+        error = {"type": type(e).__name__, "message": str(e)}
+        _emit({"schema": SCHEMA, "error": error}, None)
+        sys.exit(2 if isinstance(e, (InputDataError, OSError)) else 3)
     finally:
         if enabled:
             gc.enable()
@@ -382,90 +365,44 @@ def _load_input(path, eps_level):
 
 # ------------------------------------------------------------------ commands
 
-@click.group()
-@click.version_option(__version__, prog_name="metastab")
-def main():
-    """Small-eigenvalue asymptotics for Morse landscapes.
-
-    Computes, for each equivalence class of local minima, the barrier
-    heights and prefactors of the exponentially small spectrum, and can
-    check the predictions against a direct 1D discretization.
-    """
-
-
-@main.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--h", "h_text", default=None,
-              help="Comma-separated h values to evaluate, e.g. 0.15,0.1.")
-@click.option("--eps-level", type=float, default=None,
-              help="Level-clustering tolerance for sampled input.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the report here instead of stdout.")
-@click.option("--emit-plots", is_flag=True,
-              help="Also write an (h, index, predicted, numeric) CSV table.")
 def analyze(path, h_text, eps_level, out, emit_plots):
     """Report labelling, classes, matrices, and predicted eigenvalues."""
     h_list = _parse_h(h_text) if h_text else ()
     if emit_plots and not h_list:
-        raise click.UsageError("--emit-plots needs --h")
+        raise UsageError("--emit-plots needs --h")
 
     def run():
         cs, _ = _load_input(path, eps_level)
         doc, report = analyze_document(cs, h_list)
         _emit(doc, out)
         if emit_plots:
-            rows = []
-            for h in h_list:
-                for i, e in enumerate(report.evaluate(h)):
-                    rows.append((h, i, e.lam, None))
-            _plot_table(_plot_path(out, path), rows)
+            _plot_table(out, path, [(h, i, e.lam, None) for h in h_list
+                                    for i, e in enumerate(report.evaluate(h))])
 
     _guard(run)
 
 
-@main.command()
-@click.argument("csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--h", "h_text", required=True,
-              help="Comma-separated h schedule, largest first.")
-@click.option("--grid", type=int, default=None,
-              help="Interior grid size for the direct solve.")
-@click.option("--eps-level", type=float, default=None,
-              help="Level-clustering tolerance for the extraction.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the report here instead of stdout.")
-@click.option("--emit-plots", is_flag=True,
-              help="Also write an (h, index, predicted, numeric) CSV table.")
 def validate(csv, h_text, grid, eps_level, out, emit_plots):
     """Check predictions against a direct solve of the sampled potential."""
     h_list = _parse_h(h_text)
     if grid is not None and grid < 100:
-        raise click.UsageError("--grid must be at least 100")
+        raise UsageError("--grid must be at least 100")
 
     def run():
         from . import validator
         p = load_samples(csv)
         cs = extract_critical_structure(p, eps_level=eps_level)
-        cd = decompose(cs)
-        report = full_spectrum(cs, cd)
+        report = full_spectrum(cs, decompose(cs))
         vrep = validator.compare(report, p, h_list, grid=grid)
         _emit(validation_document(vrep, csv, h_list), out)
         if emit_plots:
-            rows = []
-            for s in vrep.steps:
-                for i in range(len(s.numeric)):
-                    rows.append((s.h, i + 1, s.predicted[i], s.numeric[i]))
-            _plot_table(_plot_path(out, csv), rows)
+            _plot_table(out, csv, [
+                (s.h, i + 1, s.predicted[i], s.numeric[i])
+                for s in vrep.steps for i in range(len(s.numeric))])
 
     _guard(run)
 
 
-@main.command()
-@click.argument("name")
-@click.option("--n", type=int, default=None, help="Ring size for ex-c.")
-@click.option("--theta", type=float, default=None,
-              help="Exit-saddle parameter for ex-b.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the report here instead of stdout.")
 def example(name, n, theta, out):
     """Run a bundled example and print reference values alongside."""
 
@@ -488,6 +425,69 @@ def example(name, n, theta, out):
         _emit(doc, out)
 
     _guard(run)
+
+
+def main(argv=None):
+    """Parse and run the command line ``argv``, default ``sys.argv[1:]``."""
+    import argparse     # only a launch parses a command line
+
+    def parser(**kw):   # options match whole; --help is the only help flag
+        p = argparse.ArgumentParser(add_help=False, allow_abbrev=False, **kw)
+        p.add_argument("--help", action="help",
+                       help="Show this message and exit.")
+        return p
+
+    def file(path):
+        if os.path.isdir(path) or not os.path.exists(path):
+            raise argparse.ArgumentTypeError(
+                f"file {path!r} does not exist or is a directory")
+        return path
+
+    top = parser(prog="metastab", description=(
+        "Small-eigenvalue asymptotics for Morse landscapes.\n\n"
+        "Computes, for each equivalence class of local minima, the barrier\n"
+        "heights and prefactors of the exponentially small spectrum, and can\n"
+        "check the predictions against a direct 1D discretization."),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    top.add_argument("--version", action="version",
+                     version=f"metastab, version {__version__}",
+                     help="Show the version and exit.")
+    sub = top.add_subparsers(required=True, metavar="COMMAND",
+                             parser_class=parser)
+
+    def command(fn, dest, **kw):
+        p = sub.add_parser(fn.__name__, help=fn.__doc__,
+                           description=fn.__doc__)
+        p.set_defaults(command=(fn, p))
+        p.add_argument(dest, metavar=dest.upper(), **kw)
+        p.add_argument("--out", metavar="PATH",
+                       help="Write the report here instead of stdout.")
+        return p.add_argument
+
+    plots = "Also write an (h, index, predicted, numeric) CSV table."
+    option = command(analyze, "path", type=file)
+    option("--h", dest="h_text", metavar="H",
+           help="Comma-separated h values to evaluate, e.g. 0.15,0.1.")
+    option("--eps-level", type=float,
+           help="Level-clustering tolerance for sampled input.")
+    option("--emit-plots", action="store_true", help=plots)
+    option = command(validate, "csv", type=file)
+    option("--h", dest="h_text", metavar="H", required=True,
+           help="Comma-separated h schedule, largest first.")
+    option("--grid", type=int, help="Interior grid size for the direct solve.")
+    option("--eps-level", type=float,
+           help="Level-clustering tolerance for the extraction.")
+    option("--emit-plots", action="store_true", help=plots)
+    option = command(example, "name")
+    option("--n", type=int, help="Ring size for ex-c.")
+    option("--theta", type=float, help="Exit-saddle parameter for ex-b.")
+
+    args = vars(top.parse_args(argv))
+    fn, p = args.pop("command")
+    try:
+        fn(**args)
+    except UsageError as e:
+        p.error(str(e))
 
 
 if __name__ == "__main__":

@@ -5,6 +5,8 @@ so a run with the same seed is reproducible; the default seed is fixed and
 the hypothesis profile is derandomized, which keeps CI output stable.
 """
 
+import contextlib
+import io
 import os
 import zlib
 from types import SimpleNamespace
@@ -32,6 +34,28 @@ settings.register_profile(
 settings.register_profile("metastab-long", settings.get_profile("metastab"),
                           max_examples=2000)
 settings.load_profile("metastab")
+
+
+class CliRun(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(argv):
+    """Run ``cli.main(argv)`` with stdout and stderr captured; stdout is
+    decoded as UTF-8, which reports are written in. Only ``SystemExit`` is
+    caught: any other exception reaches the caller."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(argv)
+        except SystemExit as e:
+            code = 0 if e.code is None else e.code
+    out.flush()
+    return CliRun(code, out.buffer.getvalue().decode("utf-8"),
+                  err.getvalue())
 
 
 def make_rng(tag):

@@ -6,10 +6,8 @@ outside its own definition. A top-level name counts when it occurs as an
 identifier, an attribute or an imported name, or as a string in
 ``bench/spans.py``, which lists the functions it traces by name. A method
 counts only when it is read as an attribute ``.name``, so a local variable
-or a report key of the same name is no caller. A decorated top-level
-function counts as registered by its decorator (the click commands). A
-name found only inside its own body, such as a recursive call, does not
-count.
+or a report key of the same name is no caller. A name found only inside
+its own body, such as a recursive call, does not count.
 
 Every field of a ``NamedTuple`` of ``metastab`` must likewise be read as an
 attribute ``.field`` somewhere in the package or in ``bench/``, and so must
@@ -37,12 +35,9 @@ TRACED = "bench/spans.py"
 
 def _definitions(tree):
     """(name, first line, last line, is a method) of the top-level functions
-    and classes, other than decorated functions, and of the non-dunder
-    methods of those classes."""
+    and classes, and of the non-dunder methods of those classes."""
     for node in tree.body:
-        if isinstance(node, ast.ClassDef) or (
-                isinstance(node, ast.FunctionDef)
-                and not node.decorator_list):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             yield node.name, node.lineno, node.end_lineno, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
@@ -232,11 +227,11 @@ def test_a_same_named_local_or_report_key_is_no_caller():
     spans = "TARGETS = (('lib', 'traced'),)\n"
     callers = {"lib.py": lib, "app.py": app}
     # the method is only a local's name and a report key, a string names a
-    # function only in the list of traced names, and the decorated command
-    # is registered
+    # function only in the list of traced names, and a decorator registers
+    # no caller
     assert unreferenced({"lib.py": lib}, callers) == [
-        "lib.py:2 minima", "lib.py:6 traced"]
-    callers[TRACED] = spans + "x = S().minima\n"
+        "lib.py:2 minima", "lib.py:6 traced", "lib.py:9 command"]
+    callers[TRACED] = spans + "x = S().minima\ncommand()\n"
     assert unreferenced({"lib.py": lib}, callers) == []
 
 

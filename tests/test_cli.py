@@ -12,37 +12,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import metastab.cli as cli
-from conftest import tied_structure
+from conftest import run_cli, tied_structure
 from metastab import landscape
-from metastab.cli import main
 from metastab.errors import InvariantViolation
 from metastab.examples import build_example, example_names
 from metastab.landscape import structure_to_dict
+from test_golden import _STRUCTURES
 from test_spectrum_oracle import _degenerate
 
 RPI = 1.0 / math.sqrt(math.pi)
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def run_json(runner, args):
-    res = runner.invoke(main, args)
-    assert res.exit_code == 0, res.output
-    return json.loads(res.output)
+def run_json(args):
+    res = run_cli(args)
+    assert res.exit_code == 0, res
+    return json.loads(res.stdout)
 
 
 def all_text(res):
-    # usage errors land on stderr in recent click; accept either stream
-    try:
-        return res.output + res.stderr
-    except ValueError:
-        return res.output
+    return res.stdout + res.stderr
 
 
 def write_structure(path, name, **kw):
@@ -50,14 +40,14 @@ def write_structure(path, name, **kw):
     path.write_text(json.dumps(structure_to_dict(cs)))
 
 
-def test_version(runner):
-    res = runner.invoke(main, ["--version"])
+def test_version():
+    res = run_cli(["--version"])
     assert res.exit_code == 0
-    assert res.output == "metastab, version 0.1.0\n"
+    assert res.stdout == "metastab, version 0.1.0\n"
 
 
-def test_example_document_shape(runner):
-    doc = run_json(runner, ["example", "ex-a"])
+def test_example_document_shape():
+    doc = run_json(["example", "ex-a"])
     assert doc["schema"] == "metastab/2"
     assert doc["command"] == "example"
     assert doc["block_order"] == "ascending-S"
@@ -103,16 +93,16 @@ def test_example_document_shape(runner):
     assert np.allclose(single["levels"][0]["pi_zeta2"], [1.0], rtol=1e-12)
 
 
-def test_example_output_is_deterministic(runner):
-    a = runner.invoke(main, ["example", "ex-b", "--theta", "2"])
-    b = runner.invoke(main, ["example", "ex-b", "--theta", "2"])
-    assert a.exit_code == 0 and a.output == b.output
+def test_example_output_is_deterministic():
+    a = run_cli(["example", "ex-b", "--theta", "2"])
+    b = run_cli(["example", "ex-b", "--theta", "2"])
+    assert a.exit_code == 0 and a.stdout == b.stdout
 
 
-def test_example_theta_parameter(runner):
+def test_example_theta_parameter():
     """Two-level class: leading block (1+theta^2)/pi, then the Schur
     complement [[1,-1],[-1,2-nu]]/pi with nu = 1/(1+theta^2)."""
-    doc = run_json(runner, ["example", "ex-b", "--theta", "2"])
+    doc = run_json(["example", "ex-b", "--theta", "2"])
     cls = next(c for c in doc["classes"] if not c["ground"])
     lv1, lv2 = cls["levels"]
     assert (lv1["S"], lv2["S"]) == (1.0, 1.5)
@@ -122,8 +112,8 @@ def test_example_theta_parameter(runner):
     assert doc["example"]["reference"]["nu"] == pytest.approx(0.2)
 
 
-def test_example_ring_degenerate_pair(runner):
-    doc = run_json(runner, ["example", "ex-c", "--n", "3"])
+def test_example_ring_degenerate_pair():
+    doc = run_json(["example", "ex-c", "--n", "3"])
     cls = next(c for c in doc["classes"] if not c["ground"])
     lv, = cls["levels"]
     assert np.allclose(lv["pi_zeta2"], [3.0, 3.0], rtol=1e-10)
@@ -132,23 +122,23 @@ def test_example_ring_degenerate_pair(runner):
     assert ref["S"] == 1.0
 
 
-def test_example_errors(runner):
-    res = runner.invoke(main, ["example", "nope"])
+def test_example_errors():
+    res = run_cli(["example", "nope"])
     assert res.exit_code == 2
-    doc = json.loads(res.output)
+    doc = json.loads(res.stdout)
     assert doc["schema"] == "metastab/2"
     assert doc["error"]["type"] == "InputDataError"
     assert "unknown example" in doc["error"]["message"]
 
-    res = runner.invoke(main, ["example", "ex-a", "--n", "3"])
+    res = run_cli(["example", "ex-a", "--n", "3"])
     assert res.exit_code == 2
-    assert "takes no parameters" in json.loads(res.output)["error"]["message"]
+    assert "takes no parameters" in json.loads(res.stdout)["error"]["message"]
 
 
-def test_analyze_structure_json(runner, tmp_path):
+def test_analyze_structure_json(tmp_path):
     src = tmp_path / "s.json"
     write_structure(src, "ex-a")
-    doc = run_json(runner, ["analyze", str(src), "--h", "0.1,0.05"])
+    doc = run_json(["analyze", str(src), "--h", "0.1,0.05"])
     assert doc["command"] == "analyze"
     assert [b["h"] for b in doc["evaluated"]] == [0.1, 0.05]
     for block in doc["evaluated"]:
@@ -165,14 +155,14 @@ def test_analyze_structure_json(runner, tmp_path):
             assert e["pi_zeta2"] == pytest.approx(math.pi * e["zeta2"])
 
 
-def test_analyze_out_file_and_plot_table(runner, tmp_path):
+def test_analyze_out_file_and_plot_table(tmp_path):
     src = tmp_path / "s.json"
     write_structure(src, "ex-a")
     out = tmp_path / "rep.json"
-    res = runner.invoke(main, ["analyze", str(src), "--h", "0.1",
-                               "--out", str(out), "--emit-plots"])
+    res = run_cli(["analyze", str(src), "--h", "0.1",
+                   "--out", str(out), "--emit-plots"])
     assert res.exit_code == 0
-    assert res.output == ""
+    assert res.stdout == ""
     doc = json.loads(out.read_text())
 
     table = tmp_path / "rep.levels.csv"
@@ -211,32 +201,64 @@ def test_out_file_is_utf8_under_the_c_locale(tmp_path):
     assert out.read_bytes() == to_stdout.stdout
 
 
-def test_analyze_plot_table_default_name(runner):
-    with runner.isolated_filesystem():
-        write_structure(Path("s.json"), "ex-a")
-        res = runner.invoke(main, ["analyze", "s.json", "--h", "0.1",
-                                   "--emit-plots"])
-        assert res.exit_code == 0
-        assert Path("s.json.levels.csv").exists()
+_LOADED = """
+import sys
+start = set(sys.modules)     # what the interpreter loaded before the program
+import metastab.cli
+if sys.argv[1:]:
+    metastab.cli.main(sys.argv[1:])
+print(" ".join(sorted({m.split(".")[0] for m in set(sys.modules) - start}
+                      - set(sys.stdlib_module_names))))
+"""
 
 
-def test_emit_plots_requires_h(runner, tmp_path):
+@pytest.mark.parametrize("command", [[], ["analyze"]])
+def test_launch_loads_numpy_and_metastab_alone(tmp_path, command):
+    """Importing the CLI, and analyzing the 40-minimum chain of
+    ``test_golden``, load no package outside the standard library but
+    NumPy and metastab itself."""
+    args = []
+    if command:
+        src = tmp_path / "chain-40.json"
+        src.write_text(json.dumps(structure_to_dict(
+            _STRUCTURES["chain-40"]())))
+        args = command + [str(src), "--h", "0.1",
+                          "--out", str(tmp_path / "r.json")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])]
+        + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+           else [])))
+    res = subprocess.run([sys.executable, "-c", _LOADED, *args], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["metastab", "numpy"]
+
+
+def test_analyze_plot_table_default_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_structure(Path("s.json"), "ex-a")
+    res = run_cli(["analyze", "s.json", "--h", "0.1", "--emit-plots"])
+    assert res.exit_code == 0
+    assert Path("s.json.levels.csv").exists()
+
+
+def test_emit_plots_requires_h(tmp_path):
     src = tmp_path / "s.json"
     write_structure(src, "ex-a")
-    res = runner.invoke(main, ["analyze", str(src), "--emit-plots"])
+    res = run_cli(["analyze", str(src), "--emit-plots"])
     assert res.exit_code == 2
     assert "--emit-plots needs --h" in all_text(res)
 
 
-def test_analyze_sniffs_json_without_extension(runner, tmp_path):
+def test_analyze_sniffs_json_without_extension(tmp_path):
     src = tmp_path / "landscape.txt"
     write_structure(src, "ex-a")
-    doc = run_json(runner, ["analyze", str(src)])
+    doc = run_json(["analyze", str(src)])
     assert doc["command"] == "analyze"
     assert "evaluated" not in doc
 
 
-def test_analyze_sniffs_the_head_only(runner, tmp_path, monkeypatch):
+def test_analyze_sniffs_the_head_only(tmp_path, monkeypatch):
     # the format is told from the first bytes; the loader reads the file
     # once, so reading all of it to sniff would read it twice
     structure = tmp_path / "landscape.txt"
@@ -250,40 +272,40 @@ def test_analyze_sniffs_the_head_only(runner, tmp_path, monkeypatch):
         raise AssertionError(f"{self} read whole")
 
     monkeypatch.setattr(Path, "read_bytes", whole)
-    assert run_json(runner, ["analyze", str(structure)])["command"] == (
+    assert run_json(["analyze", str(structure)])["command"] == (
         "analyze")
-    assert len(run_json(runner, ["analyze", str(samples)])["classes"]) == 2
+    assert len(run_json(["analyze", str(samples)])["classes"]) == 2
 
 
-def test_analyze_rejects_bad_input(runner, tmp_path):
+def test_analyze_rejects_bad_input(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("hello world\nnot a table\n")
-    res = runner.invoke(main, ["analyze", str(bad)])
+    res = run_cli(["analyze", str(bad)])
     assert res.exit_code == 2
-    doc = json.loads(res.output)
+    doc = json.loads(res.stdout)
     assert doc["schema"] == "metastab/2"
     assert doc["error"]["type"] == "InputDataError"
     assert "two comma-separated columns" in doc["error"]["message"]
 
     bad = tmp_path / "bad.json"
     bad.write_text("{ nope")
-    res = runner.invoke(main, ["analyze", str(bad)])
+    res = run_cli(["analyze", str(bad)])
     assert res.exit_code == 2
-    assert "invalid JSON" in json.loads(res.output)["error"]["message"]
+    assert "invalid JSON" in json.loads(res.stdout)["error"]["message"]
 
 
 @pytest.mark.parametrize("mid, field, value", [
     ("m23", "phi", math.nan),         # used to exit 0 with log_lambda null
     ("m23", "det_hess", math.inf),    # used to end in a ZeroDivisionError
 ])
-def test_analyze_rejects_non_finite_input(runner, tmp_path, mid, field, value):
+def test_analyze_rejects_non_finite_input(tmp_path, mid, field, value):
     doc = structure_to_dict(build_example("ex-a").structure)
     next(m for m in doc["minima"] if m["id"] == mid)[field] = value
     src = tmp_path / "s.json"
     src.write_text(json.dumps(doc))
-    res = runner.invoke(main, ["analyze", str(src), "--h", "0.1"])
+    res = run_cli(["analyze", str(src), "--h", "0.1"])
     assert res.exit_code == 2
-    err = json.loads(res.output)["error"]
+    err = json.loads(res.stdout)["error"]
     assert err == {"type": "InputDataError",
                    "message": f"minimum {mid}: phi and det_hess must be finite"}
 
@@ -295,61 +317,61 @@ def test_analyze_rejects_non_finite_input(runner, tmp_path, mid, field, value):
     ("minima", "phi", 10 ** 400,
      "minimum: field 'phi' is beyond float range"),
 ], ids=["true-det_hess", "false-phi", "true-neg_eig", "huge-int-phi"])
-def test_analyze_rejects_non_numbers(runner, tmp_path, kind, field, value,
+def test_analyze_rejects_non_numbers(tmp_path, kind, field, value,
                                      message):
     doc = structure_to_dict(build_example("ex-a").structure)
     doc[kind][-1][field] = value
     src = tmp_path / "s.json"
     src.write_text(json.dumps(doc))
-    res = runner.invoke(main, ["analyze", str(src)])
-    assert res.exit_code == 2, res.output
-    err = json.loads(res.output)["error"]
+    res = run_cli(["analyze", str(src)])
+    assert res.exit_code == 2, res
+    err = json.loads(res.stdout)["error"]
     assert err == {"type": "InputDataError", "message": message}
 
 
 @pytest.mark.parametrize("saddles", [5, None, True, 0.5, {"id": "s1"}],
                          ids=["int", "null", "true", "float", "object"])
-def test_analyze_rejects_non_list_saddles(runner, tmp_path, saddles):
+def test_analyze_rejects_non_list_saddles(tmp_path, saddles):
     src = tmp_path / "s.json"
     src.write_text(json.dumps({
         "minima": [{"id": "m1", "phi": 0.0, "det_hess": 1.0}],
         "saddles": saddles}))
-    res = runner.invoke(main, ["analyze", str(src)])
-    assert res.exit_code == 2, res.output
-    assert json.loads(res.output)["error"] == {
+    res = run_cli(["analyze", str(src)])
+    assert res.exit_code == 2, res
+    assert json.loads(res.stdout)["error"] == {
         "type": "InputDataError",
         "message": "document: field 'saddles' has wrong type"}
 
 
-def test_analyze_rejects_deep_nesting(runner, tmp_path):
+def test_analyze_rejects_deep_nesting(tmp_path):
     src = tmp_path / "deep.json"
     src.write_text("[" * 200_000)
-    res = runner.invoke(main, ["analyze", str(src)])
-    assert res.exit_code == 2, res.output
-    assert json.loads(res.output)["error"] == {
+    res = run_cli(["analyze", str(src)])
+    assert res.exit_code == 2, res
+    assert json.loads(res.stdout)["error"] == {
         "type": "InputDataError", "message": "invalid JSON: nested too deeply"}
 
 
-def test_analyze_rejects_h_beyond_float_range(runner, tmp_path):
+def test_analyze_rejects_h_beyond_float_range(tmp_path):
     csv = tmp_path / "dw.csv"
     p = build_example("double-well").potential
     _write_csv(csv, p.xs, p.phis)
-    res = runner.invoke(main, ["analyze", str(csv), "--h", "0.1,1e-320"])
-    assert res.exit_code == 2, res.output
-    err = json.loads(res.output)["error"]
+    res = run_cli(["analyze", str(csv), "--h", "0.1,1e-320"])
+    assert res.exit_code == 2, res
+    err = json.loads(res.stdout)["error"]
     assert err == {"type": "InputDataError",
                    "message": "log lambda at h = 1e-320 is out of range"}
 
 
 @pytest.mark.parametrize("command", ["analyze", "validate"])
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
-def test_extreme_sample_spacing_exits_2(runner, tmp_path, command, scale):
+def test_extreme_sample_spacing_exits_2(tmp_path, command, scale):
     # unchecked, the quartic fit of an extremum overflows (exit 3)
     csv = tmp_path / "dw.csv"
     p = build_example("double-well").potential
     _write_csv(csv, scale * p.xs, p.phis)
-    res = runner.invoke(main, [command, str(csv), "--h", "0.2"])
-    assert res.exit_code == 2, res.output
+    res = run_cli([command, str(csv), "--h", "0.2"])
+    assert res.exit_code == 2, res
     assert res.stderr == ""
     err = json.loads(res.stdout)["error"]
     assert err["type"] == "InputDataError"
@@ -360,17 +382,17 @@ def test_extreme_sample_spacing_exits_2(runner, tmp_path, command, scale):
     ("s.json", b'{"minima": [{"id": "m\xff1", "phi": 0, "det_hess": 1}]}'),
     ("p.csv", b"x,phi\n0,0\n1,1\n2,4\n3,\xe99\n4,16\n"),
 ], ids=["json", "csv"])
-def test_analyze_rejects_invalid_utf8(runner, tmp_path, name, data):
+def test_analyze_rejects_invalid_utf8(tmp_path, name, data):
     src = tmp_path / name
     src.write_bytes(data)
-    res = runner.invoke(main, ["analyze", str(src)])
-    assert res.exit_code == 2, res.output
-    err = json.loads(res.output)["error"]
+    res = run_cli(["analyze", str(src)])
+    assert res.exit_code == 2, res
+    err = json.loads(res.stdout)["error"]
     assert err["type"] == "InputDataError"
     assert "not UTF-8" in err["message"]
 
 
-def _analyze_doc(runner, tmp_path, minima, saddles, *args, **kw):
+def _analyze_doc(tmp_path, minima, saddles, *args, **kw):
     """Run ``analyze`` on a structure given as (id, phi, det_hess) minima
     and (id, phi, joins, neg_eig) saddles with det_hess 1."""
     src = tmp_path / "s.json"
@@ -380,37 +402,37 @@ def _analyze_doc(runner, tmp_path, minima, saddles, *args, **kw):
                    for i, phi, d in minima],
         "saddles": [{"id": i, "phi": phi, "det_hess": 1.0, "neg_eig": neg,
                      "joins": list(j)} for i, phi, j, neg in saddles]}))
-    return runner.invoke(main, ["analyze", str(src), *args])
+    return run_cli(["analyze", str(src), *args])
 
 
 @pytest.mark.parametrize("m, s, tol", [
     (100000000.00000001, 100000000.00000003, {}),
     (0.9999999999999999, 1.0, {"level_tolerance": 0}),
 ], ids=["default-tolerance", "zero-tolerance"])
-def test_analyze_saddle_one_ulp_above_its_minimum(runner, tmp_path, m, s, tol):
+def test_analyze_saddle_one_ulp_above_its_minimum(tmp_path, m, s, tol):
     # the halfway point between the two values rounds onto the saddle's, so
     # a nearest-cluster lookup put the saddle at the minimum's level
     assert math.nextafter(m, math.inf) == s
-    res = _analyze_doc(runner, tmp_path, [("m0", m, 1.0), ("m1", 0.0, 1.0)],
+    res = _analyze_doc(tmp_path, [("m0", m, 1.0), ("m1", 0.0, 1.0)],
                        [("s0", s, ("m0", "m1"), 1.0)], **tol)
-    assert res.exit_code == 0, res.output
-    doc = json.loads(res.output)
+    assert res.exit_code == 0, res
+    doc = json.loads(res.stdout)
     assert doc["structure"]["level_clusters"] == [0.0, m, s]
     assert doc["labelling"]["minima"]["m0"]["S"] == s - m
 
 
-def test_analyze_levels_one_ulp_apart(runner, tmp_path):
+def test_analyze_levels_one_ulp_apart(tmp_path):
     # m1 and m2 sit one ulp apart: two levels, so m2 is type I and m1 and m2
     # get the same prefactor
     a = 100000000.00000001
     b = math.nextafter(a, math.inf)
     res = _analyze_doc(
-        runner, tmp_path,
+        tmp_path,
         [("m0", 0.0, 1.0), ("m1", a, 1.0), ("m2", b, 1.0)],
         [("s1", a + 10, ("m1", "m2"), 1.0),
          ("s2", a + 20, ("m0", "m1"), 1.0)])
-    assert res.exit_code == 0, res.output
-    doc = json.loads(res.output)
+    assert res.exit_code == 0, res
+    doc = json.loads(res.stdout)
     assert doc["structure"]["level_clusters"][1:3] == [a, b]
     classes = {c["members"][0]: c for c in doc["classes"]}
     assert classes["m2"]["type"] == "I"
@@ -420,14 +442,14 @@ def test_analyze_levels_one_ulp_apart(runner, tmp_path):
 
 
 @pytest.mark.parametrize("args", [(), ("--h", "0.1")], ids=["bare", "h"])
-def test_analyze_rejects_pi_zeta2_beyond_float_range(runner, tmp_path, args):
+def test_analyze_rejects_pi_zeta2_beyond_float_range(tmp_path, args):
     # zeta2 itself is finite, but pi * zeta2 would print as null
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = _analyze_doc(runner, tmp_path,
+        res = _analyze_doc(tmp_path,
                            [("m0", 0.0, 1.0), ("m1", 1.0, 4.0)],
                            [("s0", 2.0, ("m0", "m1"), 1e308)], *args)
-    assert res.exit_code == 2, res.output
+    assert res.exit_code == 2, res
     assert json.loads(res.stdout) == {
         "schema": "metastab/2",
         "error": {"type": "InputDataError",
@@ -436,17 +458,17 @@ def test_analyze_rejects_pi_zeta2_beyond_float_range(runner, tmp_path, args):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-def test_analyze_rejects_core_beyond_float_range(runner, tmp_path):
+def test_analyze_rejects_core_beyond_float_range(tmp_path):
     # Upsilon of m2 is about 8e230, so its 1x1 core overflows: that is bad
     # input, found before any LAPACK call and without a NumPy warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         res = _analyze_doc(
-            runner, tmp_path,
+            tmp_path,
             [("m0", 0.0, 1.7e308), ("m1", 0.5, 1.0), ("m2", 0.2, 1.7e308)],
             [("s0", 2.0, ("m0", "m1"), 1.7e308),
              ("s1", 1.5, ("m1", "m2"), 1.0)])
-    assert res.exit_code == 2, res.output
+    assert res.exit_code == 2, res
     assert json.loads(res.stdout) == {
         "schema": "metastab/2",
         "error": {"type": "InputDataError",
@@ -456,15 +478,15 @@ def test_analyze_rejects_core_beyond_float_range(runner, tmp_path):
     assert not caught
 
 
-def test_analyze_rejects_core_that_underflows(runner, tmp_path):
+def test_analyze_rejects_core_that_underflows(tmp_path):
     # the saddle between g0m1 and g0m2 has an Upsilon entry near 1e-239,
     # whose square underflows, so the core is singular: bad input
     src = tmp_path / "s.json"
     src.write_text(json.dumps(structure_to_dict(_degenerate(0))))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = runner.invoke(main, ["analyze", str(src)])
-    assert res.exit_code == 2, res.output
+        res = run_cli(["analyze", str(src)])
+    assert res.exit_code == 2, res
     assert json.loads(res.stdout) == {
         "schema": "metastab/2",
         "error": {"type": "InputDataError",
@@ -474,13 +496,13 @@ def test_analyze_rejects_core_that_underflows(runner, tmp_path):
     assert not caught
 
 
-def test_analyze_rejects_barriers_equal_in_double_precision(runner, tmp_path):
+def test_analyze_rejects_barriers_equal_in_double_precision(tmp_path):
     # m1 and m2 are distinct levels, but 1e8 - 0 and 1e8 - 5e-9 are one float
     res = _analyze_doc(
-        runner, tmp_path,
+        tmp_path,
         [("m0", -1.0, 1.0), ("m1", 0.0, 1.0), ("m2", 5e-9, 1.0)],
         [("s0", 1e8, ("m1", "m2"), 1.0), ("s1", 1e8, ("m0", "m1"), 1.0)])
-    assert res.exit_code == 2, res.output
+    assert res.exit_code == 2, res
     assert json.loads(res.stdout) == {
         "schema": "metastab/2",
         "error": {"type": "InputDataError",
@@ -489,15 +511,15 @@ def test_analyze_rejects_barriers_equal_in_double_precision(runner, tmp_path):
                              "precision"}}
 
 
-def test_analyze_file_name_starting_with_brace(runner, tmp_path, monkeypatch):
+def test_analyze_file_name_starting_with_brace(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name in ("{run}.json", "{run}"):
         write_structure(Path(name), "ex-a")
-        doc = run_json(runner, ["analyze", name])
+        doc = run_json(["analyze", name])
         assert doc["labelling"]["global_min"] == "m11"
 
 
-def test_internal_error_exit_code(runner, tmp_path, monkeypatch):
+def test_internal_error_exit_code(tmp_path, monkeypatch):
     src = tmp_path / "s.json"
     write_structure(src, "ex-a")
 
@@ -505,22 +527,22 @@ def test_internal_error_exit_code(runner, tmp_path, monkeypatch):
         raise InvariantViolation("sweep out of order")
 
     monkeypatch.setattr(cli, "decompose", boom)
-    res = runner.invoke(main, ["analyze", str(src)])
+    res = run_cli(["analyze", str(src)])
     assert res.exit_code == 3
-    assert json.loads(res.output) == {
+    assert json.loads(res.stdout) == {
         "schema": "metastab/2",
         "error": {"type": "InvariantViolation",
                   "message": "sweep out of order"}}
 
 
-def test_unexpected_error_exit_code(runner, monkeypatch):
+def test_unexpected_error_exit_code(monkeypatch):
     def boom(cs):
         raise ZeroDivisionError("float division by zero")
 
     monkeypatch.setattr(cli, "decompose", boom)
-    res = runner.invoke(main, ["example", "ex-a"])
+    res = run_cli(["example", "ex-a"])
     assert res.exit_code == 3
-    assert json.loads(res.output) == {
+    assert json.loads(res.stdout) == {
         "schema": "metastab/2",
         "error": {"type": "ZeroDivisionError",
                   "message": "float division by zero"}}
@@ -533,22 +555,22 @@ def _write_csv(path, xs, phis):
             fh.write(f"{x:.17g},{p:.17g}\n")
 
 
-def test_validate_writes_the_schedule_it_ran(runner, tmp_path):
+def test_validate_writes_the_schedule_it_ran(tmp_path):
     # a repeated or unordered h is run once, largest first, and the report
     # names the steps it holds
     csv = tmp_path / "dw.csv"
     xs = np.linspace(-2.0, 2.0, 4001)
     _write_csv(csv, xs, (xs ** 2 - 1.0) ** 2)
-    doc = run_json(runner, ["validate", str(csv), "--h", "0.1,0.15,0.15"])
+    doc = run_json(["validate", str(csv), "--h", "0.1,0.15,0.15"])
     assert doc["h"] == [0.15, 0.1]
     assert [s["h"] for s in doc["steps"]] == doc["h"]
 
 
-def test_validate_single_well_is_vacuous(runner, tmp_path):
+def test_validate_single_well_is_vacuous(tmp_path):
     csv = tmp_path / "well.csv"
     xs = np.linspace(-6.0, 6.0, 2001)
     _write_csv(csv, xs, xs * xs)
-    doc = run_json(runner, ["validate", str(csv), "--h", "0.5"])
+    doc = run_json(["validate", str(csv), "--h", "0.5"])
     assert doc["command"] == "validate"
     assert doc["overall"] == "PASS"
     assert doc["verdicts"] == []
@@ -557,14 +579,14 @@ def test_validate_single_well_is_vacuous(runner, tmp_path):
     assert step["grid"] == 4000 and step["eigenvalues"] == []
 
 
-def test_validate_double_well(runner, tmp_path):
+def test_validate_double_well(tmp_path):
     csv = tmp_path / "dw.csv"
     xs = np.linspace(-2.0, 2.0, 4001)
     _write_csv(csv, xs, (xs ** 2 - 1.0) ** 2)
     out = tmp_path / "v.json"
-    res = runner.invoke(main, ["validate", str(csv), "--h", "0.15,0.1",
-                               "--out", str(out), "--emit-plots"])
-    assert res.exit_code == 0, res.output
+    res = run_cli(["validate", str(csv), "--h", "0.15,0.1",
+                   "--out", str(out), "--emit-plots"])
+    assert res.exit_code == 0, res
     doc = json.loads(out.read_text())
     assert doc["h"] == [0.15, 0.1]
     assert doc["overall"] == "PASS"
@@ -588,7 +610,7 @@ def test_validate_double_well(runner, tmp_path):
         assert float(num) == s["eigenvalues"][0]["numeric"]
 
 
-def test_validation_extracts_the_structure_once(runner, tmp_path,
+def test_validation_extracts_the_structure_once(tmp_path,
                                                 monkeypatch):
     # every module attribute bound to the extraction is wrapped, whichever
     # name a caller reaches it through, as the benchmark's tracer does
@@ -608,11 +630,11 @@ def test_validation_extracts_the_structure_once(runner, tmp_path,
     csv = tmp_path / "dw.csv"
     xs = np.linspace(-2.0, 2.0, 4001)
     _write_csv(csv, xs, (xs ** 2 - 1.0) ** 2)
-    run_json(runner, ["validate", str(csv), "--h", "0.15"])
+    run_json(["validate", str(csv), "--h", "0.15"])
     assert len(calls) == 1
 
     calls.clear()
-    doc = run_json(runner, ["example", "double-well"])
+    doc = run_json(["example", "double-well"])
     assert doc["validation"]["overall"] == "PASS"
     assert len(calls) == 1
 
@@ -653,26 +675,50 @@ def test_reports_hold_plain_values():
         assert float in set(_leaf_types(doc))
 
 
-def test_validate_usage_errors(runner, tmp_path):
+def test_validate_usage_errors(tmp_path):
     csv = tmp_path / "well.csv"
     xs = np.linspace(-6.0, 6.0, 2001)
     _write_csv(csv, xs, xs * xs)
 
-    res = runner.invoke(main, ["validate", str(csv), "--h", "0.5",
-                               "--grid", "50"])
+    res = run_cli(["validate", str(csv), "--h", "0.5", "--grid", "50"])
     assert res.exit_code == 2
     assert "--grid must be at least 100" in all_text(res)
 
-    res = runner.invoke(main, ["validate", str(csv), "--h", "0.1,abc"])
+    res = run_cli(["validate", str(csv), "--h", "0.1,abc"])
     assert res.exit_code == 2
     assert "cannot parse h list" in all_text(res)
 
-    res = runner.invoke(main, ["validate", str(csv), "--h", "-1"])
+    res = run_cli(["validate", str(csv), "--h", "-1"])
     assert res.exit_code == 2
     assert "positive finite reals" in all_text(res)
 
-    res = runner.invoke(main, ["validate", str(csv)])
+    res = run_cli(["validate", str(csv)])
     assert res.exit_code == 2  # --h is required
+
+    src = tmp_path / "s.json"
+    write_structure(src, "ex-a")
+    for args in ([], ["nope"], ["analyze", str(src), "--bogus"],
+                 ["analyze", str(src), "--eps", "1e-9"],
+                 ["analyze"], ["analyze", str(tmp_path / "missing.json")],
+                 ["analyze", str(tmp_path)], ["validate", str(tmp_path),
+                                              "--h", "0.5"],
+                 ["example", "ex-c", "--n", "abc"],
+                 ["validate", str(csv), "--h", "0.5", "--grid", "12.5"],
+                 ["validate", str(csv), "--h", "0.5", "--grid", "50"],
+                 ["validate", str(csv)],
+                 ["validate", str(csv), "--emit-plots"],
+                 ["analyze", str(src), "--emit-plots"],
+                 ["validate", str(csv), "--h", "0.1,abc"],
+                 ["analyze", str(src), "--h", "-1"]):
+        res = run_cli(args)
+        assert res.exit_code == 2, (args, res)
+        assert res.stdout == "", (args, res)
+        assert "Traceback" not in res.stderr and "usage:" in res.stderr
+    for args in (["--version"], ["--help"], ["analyze", "--help"],
+                 ["validate", "--help"], ["example", "--help"]):
+        res = run_cli(args)
+        assert res.exit_code == 0, (args, res)
+        assert res.stdout and res.stderr == "", (args, res)
 
 
 def test_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch):
@@ -681,8 +727,8 @@ def test_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch):
     so they must make none: under ``DEBUG_SAVEALL``, a collection after each
     command finds nothing. The runs cover the bundled examples, ``analyze``
     of a ``tied_structure`` draw and ``validate`` of a double well. The
-    command callbacks are called directly, because click's own context and
-    exit exceptions form cycles of their own."""
+    command functions are called directly, because the parser that
+    ``main`` builds holds reference cycles of its own."""
     states = []
     real = cli.full_spectrum
 
@@ -698,12 +744,11 @@ def test_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch):
     csv.write_text("x,phi\n" + "".join(
         f"{x!r},{(x * x - 1.0) ** 2!r}\n" for x in xs.tolist()))
     out = str(tmp_path / "out.json")
-    runs = [lambda name=name: cli.example.callback(name, None, None, out)
+    runs = [lambda name=name: cli.example(name, None, None, out)
             for name in example_names()]
-    runs.append(lambda: cli.analyze.callback(str(doc), "0.1", None, out,
-                                             False))
-    runs.append(lambda: cli.validate.callback(str(csv), "0.15,0.1", None,
-                                              None, out, False))
+    runs.append(lambda: cli.analyze(str(doc), "0.1", None, out, False))
+    runs.append(lambda: cli.validate(str(csv), "0.15,0.1", None, None, out,
+                                     False))
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
@@ -722,7 +767,7 @@ def test_collector_stays_off_when_the_caller_turned_it_off(tmp_path):
     out = str(tmp_path / "out.json")
     gc.disable()
     try:
-        cli.example.callback("ex-a", None, None, out)
+        cli.example("ex-a", None, None, out)
         assert not gc.isenabled()
     finally:
         gc.enable()

@@ -27,12 +27,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_cli
 from metastab import cli
-from metastab.cli import main
 from test_validator import _limit_address_space
 
 ODD = [0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e308, math.nan, math.inf,
@@ -113,17 +112,15 @@ def wrong_shapes(draw, doc):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400)
 @given(st.data(), H)
-def test_analyze_keeps_the_exit_contract(data, h):
+def test_analyze_keeps_the_exit_contract(tmp_path_factory, data, h):
     doc = data.draw(chains())
     wrong = data.draw(st.booleans())
     text = data.draw(wrong_shapes(doc)) if wrong else json.dumps(doc)
-    runner = CliRunner()
-    with runner.isolated_filesystem():
-        with open("s.json", "w") as fh:
-            fh.write(text)
-        res = runner.invoke(main, ["analyze", "s.json", "--h", h])
-    assert res.exit_code in (0, 2, 3), res.output
-    assert res.exception is None or isinstance(res.exception, SystemExit)
+    path = tmp_path_factory.mktemp("analyze") / "s.json"
+    path.write_text(text)
+    # run_cli lets any exception but SystemExit reach the test, and fail it
+    res = run_cli(["analyze", str(path), "--h", h])
+    assert res.exit_code in (0, 2, 3), res
     assert "Traceback" not in res.stderr
     out = json.loads(res.stdout)
     if res.exit_code:
@@ -213,9 +210,8 @@ def test_validate_keeps_the_exit_contract(tmp_path_factory, text, h, grid):
     if h in BIG_H or grid == BIG_GRID:
         code, stdout, stderr = _validate_in_a_child(path, args)
     else:
-        res = CliRunner().invoke(main, ["validate", path, *args])
-        assert res.exception is None or isinstance(res.exception, SystemExit)
-        code, stdout, stderr = res.exit_code, res.stdout, res.stderr
+        # run_cli lets any exception but SystemExit reach the test
+        code, stdout, stderr = run_cli(["validate", path, *args])
     assert code in (0, 2, 3), stdout + stderr
     assert "Traceback" not in stderr and "Warning" not in stderr, stderr
     out = json.loads(stdout)

@@ -166,9 +166,9 @@ import hashlib, json, sys
 cases, block_scipy, tests = json.loads(sys.argv[1])
 if block_scipy:
     sys.modules["scipy"] = None     # every import of scipy now fails
-from click.testing import CliRunner
-from metastab.cli import dumps, main    # first: it pins the BLAS threads
+from metastab.cli import dumps    # first: it pins the BLAS threads
 sys.path.insert(0, tests)
+from conftest import run_cli
 from schema_v1 import expand_v1
 
 def digest(data):
@@ -176,10 +176,10 @@ def digest(data):
 
 out, v1 = {}, {}
 for case, args in cases.items():
-    res = CliRunner().invoke(main, args)
-    out[case] = [res.exit_code, *digest(res.stdout_bytes)]
-    if res.exit_code == 0:
-        doc = expand_v1(json.loads(res.stdout))
+    code, stdout, _ = run_cli(args)
+    out[case] = [code, *digest(stdout.encode("utf-8"))]
+    if code == 0:
+        doc = expand_v1(json.loads(stdout))
         v1[case] = digest((dumps(doc) + "\\n").encode("utf-8"))
 scipy = sorted(m for m, mod in sys.modules.items()
                if m.split(".")[0] == "scipy" and mod is not None)

@@ -23,14 +23,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from click.testing import CliRunner
 from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 import metastab
+from conftest import run_cli
 from metastab import _lapack, validator
-from metastab.cli import main
 from metastab.examples import chain_sampled, double_well
 from metastab.landscape import extract_critical_structure
 from metastab.spectra import full_spectrum, schur_R
@@ -445,7 +444,7 @@ def _write_double_well(path):
 
 
 def _error(args):
-    res = CliRunner().invoke(main, args)
+    res = run_cli(args)
     err = json.loads(res.stdout)["error"]
     return res.exit_code, err["type"], err["message"]
 

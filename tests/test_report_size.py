@@ -15,10 +15,7 @@ import gc
 import json
 import tracemalloc
 
-from click.testing import CliRunner
-
-from conftest import funnel, level_staircase, members, staircase
-from metastab.cli import main
+from conftest import funnel, level_staircase, members, run_cli, staircase
 from metastab.landscape import structure_to_dict
 from metastab.topology import decompose
 
@@ -26,9 +23,9 @@ GROWTH = 2.2        # largest ratio allowed per doubling of N
 
 
 def _report_bytes(args):
-    res = CliRunner().invoke(main, args)
-    assert res.exit_code == 0, res.output
-    return len(res.stdout_bytes)
+    res = run_cli(args)
+    assert res.exit_code == 0, res
+    return len(res.stdout.encode("utf-8"))
 
 
 def _assert_linear(sizes):

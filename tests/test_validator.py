@@ -11,12 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from metastab import validator
-from metastab.cli import main
 from metastab.errors import InputDataError
-from conftest import minima
+from conftest import minima, run_cli
 from metastab.examples import chain_sampled, double_well, ex_a
 from metastab.landscape import extract_critical_structure, make_sampled
 from metastab.spectra import full_spectrum
@@ -436,9 +434,8 @@ def test_validate_h_against_the_range_of_the_factor(tmp_path, h, code):
     # either side of sqrt(realmax) (exit 3 at 1e152 unchecked, and two NumPy
     # warnings at 1e308)
     _write_sampled_chain(tmp_path / "chain.csv")
-    res = CliRunner().invoke(main, ["validate", str(tmp_path / "chain.csv"),
-                                    "--h", h])
-    assert res.exit_code == code, res.output
+    res = run_cli(["validate", str(tmp_path / "chain.csv"), "--h", h])
+    assert res.exit_code == code, res
     assert res.stderr == ""
     if code:
         err = json.loads(res.stdout)["error"]
