@@ -23,6 +23,8 @@ back only where a class or a report block names a point.
 import json
 import math
 import os
+from contextlib import suppress
+from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -33,7 +35,7 @@ from .topology import verify_separating
 
 DEFAULT_LEVEL_TOL = 1e-9
 # Least and most x that five consecutive samples may span: the quartic fit
-# of an extremum (``_fit_extremum``) raises that span and its inverse to the
+# of an extremum (``_fit_extrema``) raises that span and its inverse to the
 # fourth power, which must stay well inside double precision
 _SPAN_RANGE = (1e-60, 1e60)
 
@@ -283,33 +285,56 @@ class SampledPotential(NamedTuple):
     phis: np.ndarray
 
 
+def _walk_samples(path, text):
+    """The samples of ``text`` read line by line, naming the first faulty
+    line: blank lines are skipped, and line 1 may be a header."""
+    xy = []
+    for lineno, line in enumerate(text.split("\n"), 1):
+        parts = line.strip().split(",")
+        if parts == [""]:
+            continue
+        if len(parts) != 2:
+            raise InputDataError(
+                f"{path}:{lineno}: expected two comma-separated columns")
+        try:
+            xy += float(parts[0]), float(parts[1])
+        except ValueError:
+            if lineno > 1:
+                raise InputDataError(
+                    f"{path}:{lineno}: non-numeric sample") from None
+    return np.array(xy, dtype=float)
+
+
 def load_samples(path):
-    """Read a two-column x,phi CSV (header optional)."""
-    rows = []
+    """Read a two-column x,phi CSV (header optional).
+
+    Blank and whitespace-only lines are skipped, and line 1 may be a header:
+    two fields that are not both numbers. Fields are read as Python's
+    ``float`` reads them. A UTF-8 byte-order mark is dropped, so that it
+    does not turn a headerless first line into a header.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise InputDataError(
-                        f"{path}:{lineno}: expected two comma-separated columns")
-                try:
-                    rows.append((float(parts[0]), float(parts[1])))
-                except ValueError:
-                    if lineno == 1:
-                        continue  # header
-                    raise InputDataError(
-                        f"{path}:{lineno}: non-numeric sample") from None
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
     except OSError as exc:
         raise InputDataError(f"cannot read samples: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputDataError(f"{path}: samples are not UTF-8: {exc}") from exc
-    xs = np.array([r[0] for r in rows])
-    phis = np.array([r[1] for r in rows])
-    return make_sampled(xs, phis)
+    lines = text.split("\n")
+    if not _walk_samples(path, lines[0]).size:
+        lines[0] = ""                                   # header
+    lines = list(filter(str.strip, lines))
+    xy = None
+    # with one comma on every line the fields pair up by line, and one
+    # conversion checks them all; on a fault the line walk names it
+    if set(map(str.count, lines, repeat(","))) <= {1}:
+        tokens = ",".join(lines).split(",")
+        del lines
+        with suppress(ValueError):
+            xy = np.fromiter(map(float, tokens), float, len(tokens))
+    if xy is None:
+        xy = _walk_samples(path, text)
+    return make_sampled(xy[0::2], xy[1::2])
 
 
 def make_sampled(xs, phis):
@@ -334,45 +359,105 @@ def make_sampled(xs, phis):
     return SampledPotential(xs, phis)
 
 
-def _fit_extremum(xs, phis, i):
-    """Refine one sampled extremum by a local quartic interpolation.
+# Stencil of an extremum, ordered from the sample outward: indices into
+# its five samples when the sample is the second, third or fourth of them
+_STENCIL = np.array([[1, 0, 2, 3, 4], [2, 1, 3, 0, 4], [3, 2, 4, 1, 0]])
+# A fitted curvature within CURVATURE_FLOOR * eps * max|y_k - y_i| / dx^2 of
+# zero is rounding, and the extremum degenerate (y_k the stencil's samples,
+# y_i the extremum's, dx their mean spacing). At a quartic minimum off the
+# sample grid, such as (x - dx/3)^4, the slope has a triple root, which
+# rounding moves by about eps^(1/3) dx; the curvature there then reads up to
+# about 0.4 eps^(2/3) max|y_k - y_i| / dx^2, 4e4 times eps. The floor,
+# 2^20 eps = 2^-32, is about 6 eps^(2/3).
+CURVATURE_FLOOR = 2.0 ** 20
+_NEWTON_STEPS = 100
 
-    Returns (x_star, value, second_derivative, value_uncertainty). The
-    uncertainty is the gap between the quartic and a plain parabola fit, an
-    a posteriori estimate of the sampling error on the critical value.
+
+def _fit_extrema(xs, phis, at):
+    """Refine the sampled extrema ``at`` by local quartic interpolation.
+
+    The quartic through the five samples around each extremum is built from
+    divided differences and expanded in powers of t = x - x_i. The refined
+    point is the real root of its derivative within max|t| over the stencil
+    that lies nearest the sample: the zeros of the second derivative split
+    that interval into pieces where the derivative is monotone, and a
+    safeguarded Newton iteration finds its root on each piece. Without such
+    a root the vertex of the parabola through the sample and its two
+    neighbors stands in. Only +, -, *, / and sqrt are used, elementwise, so
+    every CPU gives the same bits.
+
+    Returns arrays (x_star, value, second_derivative, value_uncertainty,
+    curvature_floor). The uncertainty is the gap between the quartic's
+    value and the parabola's vertex value, an a posteriori estimate of the
+    sampling error on the critical value.
     """
-    n = xs.size
-    lo = min(max(i - 2, 0), n - 5)
-    w = slice(lo, lo + 5)
-    t = xs[w] - xs[i]
-    y = phis[w]
-    quart = np.polynomial.Polynomial.fit(t, y, 4).convert()
-    dq = quart.deriv()
-    roots = dq.roots()
-    half = max(abs(t[0]), abs(t[-1]))
-    real = [r.real for r in roots if abs(r.imag) < 1e-9 * (1 + abs(r)) and
-            abs(r.real) <= half]
-    # parabola through the centered 3 points, used as the fallback and for
-    # the error estimate
-    c = i - lo
-    t3 = t[max(c - 1, 0):c + 2]
-    y3 = y[max(c - 1, 0):c + 2]
-    par = np.polynomial.Polynomial.fit(t3, y3, 2).convert()
-    pcoef = par.coef
-    if abs(pcoef[2]) > 0:
-        t_par = -pcoef[1] / (2 * pcoef[2])
-        v_par = par(t_par)
-    else:
-        t_par, v_par = 0.0, y[c]
-    if real:
-        t_star = min(real, key=abs)
-        value = float(quart(t_star))
-        second = float(quart.deriv(2)(t_star))
-    else:
-        t_star = t_par
-        value = float(v_par)
-        second = float(2 * pcoef[2])
-    return xs[i] + t_star, value, second, abs(value - float(v_par))
+    i = np.asarray(at)
+    lo = np.clip(i - 2, 0, xs.size - 5)
+    idx = lo[:, None] + _STENCIL[i - lo - 1]
+    t = xs[idx] - xs[i][:, None]                # t[:, 0] is 0
+    y = phis[idx]
+    half = np.maximum(-t.min(axis=1), t.max(axis=1))
+    dx = (xs[lo + 4] - xs[lo]) / 4
+    with np.errstate(all="ignore"):
+        floor = (CURVATURE_FLOOR * np.finfo(float).eps
+                 * np.abs(y - y[:, :1]).max(axis=1) / (dx * dx))
+        # divided differences, then p(t) = y_i + t (c1 + t (c2 + t (c3 + t c4)))
+        a = y.copy()
+        for j in range(1, 5):
+            a[:, j:] = (a[:, j:] - a[:, j - 1:-1]) / (t[:, j:] - t[:, :-j])
+        c = [a[:, 4]]
+        for k in (3, 2, 1):
+            z = t[:, k]
+            c = ([a[:, k] - z * c[0]]
+                 + [c[j] - z * c[j + 1] for j in range(len(c) - 1)] + [c[-1]])
+        c1, c2, c3, c4 = c
+
+        def slope(s):
+            return c1 + s * (2 * c2 + s * (3 * c3 + s * (4 * c4)))
+
+        def curvature(s):
+            return 2 * c2 + s * (6 * c3 + s * (12 * c4))
+
+        # zeros of the curvature, a quadratic, cut [-half, half] into three
+        # pieces (some empty) on each of which the slope is monotone
+        qa, qb, qc = 12 * c4, 6 * c3, 2 * c2
+        # (the stable form, which also gives the root of a linear one)
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4 * qa * qc), qb))
+        cuts = np.stack([q / qa, qc / q])
+        cuts = np.sort(np.where(np.abs(cuts) < half, cuts, -half), axis=0)
+        edges = np.concatenate([-half[None], cuts, half[None]])
+        left, right = edges[:-1], edges[1:]
+        # orient each piece so that the slope rises from <= 0 to >= 0
+        sign = np.where(slope(left) <= 0, 1.0, -1.0)
+        has = sign * slope(right) >= 0
+        x = np.clip(0.0, left, right)
+        for _ in range(_NEWTON_STEPS):
+            d = slope(x)
+            g = sign * d
+            left = np.where(g <= 0, x, left)
+            right = np.where(g >= 0, x, right)
+            step = x - d / curvature(x)
+            step = np.where((step > left) & (step < right), step,
+                            left + (right - left) / 2)
+            moved = (step != x) & (g != 0) & has
+            if not moved.any():
+                break
+            x = np.where(moved, step, x)
+        dist = np.where(has, np.abs(x), np.inf)
+        root = np.take_along_axis(x, dist.argmin(axis=0)[None], 0)[0]
+        real = np.isfinite(dist.min(axis=0))
+
+        # the parabola through the sample and its two neighbors, the first
+        # three terms of the quartic's Newton form: y_i + t (b + t a2)
+        a2 = a[:, 2]
+        b = a[:, 1] - a2 * t[:, 1]
+        t_par = np.where(a2 == 0, 0.0, -b / (2 * a2))
+        v_par = y[:, 0] + t_par * (b + t_par * a2)
+        s = np.where(real, root, t_par)
+        value = np.where(real, y[:, 0] + s * (c1 + s * (c2 + s * (c3 + s * c4))),
+                         v_par)
+        second = np.where(real, curvature(s), 2 * a2)
+    return xs[i] + s, value, second, np.abs(value - v_par), floor
 
 
 def extract_critical_structure(p: SampledPotential, eps_level=None):
@@ -427,30 +512,26 @@ def extract_critical_structure(p: SampledPotential, eps_level=None):
         raise DegenerateLandscapeError(
             "outermost extrema must be minima (wells cut by the window?)")
 
+    x_star, values, seconds, uncertainties, floors = _fit_extrema(xs, phis, at)
+    # a curvature within the rounding floor, or of the wrong sign, is flat
+    bad = np.flatnonzero(~(np.abs(seconds) > floors) | ((seconds > 0) != low))
+    if bad.size:
+        k = bad[0]
+        raise DegenerateLandscapeError(
+            f"degenerate {'minimum' if low[k] else 'maximum'} near "
+            f"x = {xs[at[k]]:g}")
     # minimum j is the j-th even extremum, and saddle j the j-th odd one,
     # between minima j and j + 1
-    minima, saddles, positions, uncertainties = [], [], {}, []
-    for k, i in enumerate(at):
-        x_star, value, second, unc = _fit_extremum(xs, phis, i)
-        uncertainties.append(unc)
-        j = k // 2 + 1
-        if k % 2 == 0:
-            if second <= 0:
-                raise DegenerateLandscapeError(
-                    f"degenerate minimum near x = {xs[i]:g}")
-            pid = f"m{j}"
-            minima.append((pid, value, second))
-        else:
-            if second >= 0:
-                raise DegenerateLandscapeError(
-                    f"degenerate maximum near x = {xs[i]:g}")
-            pid = f"s{j}"
-            saddles.append((pid, value, -second, -second,
-                            (f"m{j}", f"m{j + 1}")))
-        positions[pid] = x_star
+    ids = [f"{'ms'[k % 2]}{k // 2 + 1}" for k in range(len(at))]
+    values, seconds = values.tolist(), seconds.tolist()
+    minima = list(zip(ids[0::2], values[0::2], seconds[0::2]))
+    saddles = [(sid, v, -second, -second, (f"m{j}", f"m{j + 1}"))
+               for j, (sid, v, second) in enumerate(
+                   zip(ids[1::2], values[1::2], seconds[1::2]), 1)]
+    positions = dict(zip(ids, x_star.tolist()))
 
     if eps_level is None:
         scale = max(1.0, float(np.max(np.abs(phis))))
         floor = 64 * np.finfo(float).eps * scale
-        eps_level = max(10.0 * max(uncertainties), floor)
+        eps_level = max(10.0 * float(uncertainties.max()), floor)
     return CriticalStructure(minima, saddles, eps_level, positions=positions)

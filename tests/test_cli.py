@@ -234,6 +234,29 @@ def test_launch_loads_numpy_and_metastab_alone(tmp_path, command):
     assert res.stdout.split() == ["metastab", "numpy"]
 
 
+@pytest.mark.parametrize("command", [["analyze", "--h", "0.1"],
+                                     ["validate", "--h", "0.15,0.1"]])
+def test_sampled_input_loads_no_numpy_polynomial(tmp_path, command):
+    """Extraction fits in closed form: ``analyze`` and ``validate`` of a
+    CSV never load ``numpy.polynomial`` (nor does NumPy's own import)."""
+    xs = np.linspace(-2.0, 2.0, 2001)
+    _write_csv(tmp_path / "dw.csv", xs, (xs * xs - 1.0) ** 2)
+    child = ("import sys\n"
+             "import metastab.cli\n"
+             "metastab.cli.main(sys.argv[1:])\n"
+             "print('numpy.polynomial' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])]
+        + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+           else [])))
+    res = subprocess.run(
+        [sys.executable, "-c", child, command[0], str(tmp_path / "dw.csv"),
+         *command[1:], "--out", str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False"]
+
+
 def test_analyze_plot_table_default_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_structure(Path("s.json"), "ex-a")
