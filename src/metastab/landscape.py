@@ -23,8 +23,9 @@ back only where a class or a report block names a point.
 import json
 import math
 import os
+import re
 from contextlib import suppress
-from itertools import repeat
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -305,6 +306,23 @@ def _walk_samples(path, text):
     return np.array(xy, dtype=float)
 
 
+# a whitespace-only line after the first, and a line with two commas
+_BLANK_LINE = re.compile(r"\n[^\S\n]*(?=\n|\Z)")
+_TWO_COMMAS = re.compile(r",.*,")
+_BLOCK = 1 << 20            # characters of a CSV split into fields at once
+
+
+def _field_blocks(text):
+    """The fields of ``text``, split at commas and line ends, in lists of
+    those of about ``_BLOCK`` characters of whole lines."""
+    start = 0
+    while start <= len(text):
+        end = text.find("\n", start + _BLOCK)
+        end = len(text) if end < 0 else end
+        yield text[start:end].replace("\n", ",").split(",")
+        start = end + 1
+
+
 def load_samples(path):
     """Read a two-column x,phi CSV (header optional).
 
@@ -320,18 +338,20 @@ def load_samples(path):
         raise InputDataError(f"cannot read samples: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputDataError(f"{path}: samples are not UTF-8: {exc}") from exc
-    lines = text.split("\n")
-    if not _walk_samples(path, lines[0]).size:
-        lines[0] = ""                                   # header
-    lines = list(filter(str.strip, lines))
+    end = text.find("\n")
+    first = text[:end] if end >= 0 else text
+    if first.strip() and not _walk_samples(path, first).size:
+        text, first = text[len(first):], ""             # header
+    # with one comma on every non-blank line the fields pair up by line,
+    # and one conversion, a block of lines at a time, checks them all; on
+    # a fault the line walk names it
+    rows = (text.count("\n") + 1 - (not first.strip())
+            - len(_BLANK_LINE.findall(text)))
     xy = None
-    # with one comma on every line the fields pair up by line, and one
-    # conversion checks them all; on a fault the line walk names it
-    if set(map(str.count, lines, repeat(","))) <= {1}:
-        tokens = ",".join(lines).split(",")
-        del lines
+    if text.count(",") == rows and not _TWO_COMMAS.search(text):
+        fields = filter(str.strip, chain.from_iterable(_field_blocks(text)))
         with suppress(ValueError):
-            xy = np.fromiter(map(float, tokens), float, len(tokens))
+            xy = np.fromiter(map(float, fields), float, 2 * rows)
     if xy is None:
         xy = _walk_samples(path, text)
     return make_sampled(xy[0::2], xy[1::2])

@@ -8,7 +8,10 @@ the hypothesis profile is derandomized, which keeps CI output stable.
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -56,6 +59,18 @@ def run_cli(argv):
     out.flush()
     return CliRun(code, out.buffer.getvalue().decode("utf-8"),
                   err.getvalue())
+
+
+def run_python(code, *args, env=None):
+    """Run ``python -c code *args`` in a child with this checkout's
+    package first on PYTHONPATH, in ``env`` (default: this process's
+    environment), capturing its output as text."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
 
 
 def make_rng(tag):

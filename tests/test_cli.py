@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import metastab.cli as cli
-from conftest import run_cli, tied_structure
+from conftest import run_cli, run_python, tied_structure
 from metastab import landscape
 from metastab.errors import InvariantViolation
 from metastab.examples import build_example, example_names
@@ -209,52 +209,32 @@ if sys.argv[1:]:
     metastab.cli.main(sys.argv[1:])
 print(" ".join(sorted({m.split(".")[0] for m in set(sys.modules) - start}
                       - set(sys.stdlib_module_names))))
+print("numpy.polynomial" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("command", [[], ["analyze"]])
+@pytest.mark.parametrize("command", [[],
+                                     ["analyze", "chain-40.json", "--h", "0.1"],
+                                     ["analyze", "dw.csv", "--h", "0.1"],
+                                     ["validate", "dw.csv", "--h", "0.15,0.1"]])
 def test_launch_loads_numpy_and_metastab_alone(tmp_path, command):
-    """Importing the CLI, and analyzing the 40-minimum chain of
-    ``test_golden``, load no package outside the standard library but
-    NumPy and metastab itself."""
-    args = []
-    if command:
-        src = tmp_path / "chain-40.json"
-        src.write_text(json.dumps(structure_to_dict(
-            _STRUCTURES["chain-40"]())))
-        args = command + [str(src), "--h", "0.1",
-                          "--out", str(tmp_path / "r.json")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).resolve().parents[1])]
-        + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
-           else [])))
-    res = subprocess.run([sys.executable, "-c", _LOADED, *args], env=env,
-                         capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["metastab", "numpy"]
-
-
-@pytest.mark.parametrize("command", [["analyze", "--h", "0.1"],
-                                     ["validate", "--h", "0.15,0.1"]])
-def test_sampled_input_loads_no_numpy_polynomial(tmp_path, command):
-    """Extraction fits in closed form: ``analyze`` and ``validate`` of a
-    CSV never load ``numpy.polynomial`` (nor does NumPy's own import)."""
+    """Importing the CLI, analyzing the 40-minimum chain of ``test_golden``,
+    and analyzing a sampled double well load no package outside the
+    standard library but NumPy and metastab itself; validating it adds
+    SciPy's eigensolver. Extraction fits in closed form: no run loads
+    ``numpy.polynomial``."""
+    (tmp_path / "chain-40.json").write_text(json.dumps(structure_to_dict(
+        _STRUCTURES["chain-40"]())))
     xs = np.linspace(-2.0, 2.0, 2001)
     _write_csv(tmp_path / "dw.csv", xs, (xs * xs - 1.0) ** 2)
-    child = ("import sys\n"
-             "import metastab.cli\n"
-             "metastab.cli.main(sys.argv[1:])\n"
-             "print('numpy.polynomial' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).resolve().parents[1])]
-        + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
-           else [])))
-    res = subprocess.run(
-        [sys.executable, "-c", child, command[0], str(tmp_path / "dw.csv"),
-         *command[1:], "--out", str(tmp_path / "r.json")],
-        env=env, capture_output=True, text=True)
+    args = []
+    if command:
+        args = [command[0], str(tmp_path / command[1]), *command[2:],
+                "--out", str(tmp_path / "r.json")]
+    res = run_python(_LOADED, *args)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False"]
+    packages = "metastab numpy" + (" scipy" if "validate" in command else "")
+    assert res.stdout.split("\n")[:2] == [packages, "False"]
 
 
 def test_analyze_plot_table_default_name(tmp_path, monkeypatch):
