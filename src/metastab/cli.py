@@ -48,32 +48,46 @@ def dumps(obj):
     ``tests/encoder_oracle.py`` writes it; dict keys are written as
     ``str(key)``. Any other value, a subclass such as a named tuple or a
     NumPy scalar or array included, raises ``TypeError`` naming its type.
-    Dispatch is on the exact type, and a container loop writes its str and
-    float items and values in place. One call shares, across the
-    document, the text of each string, the line start of each str key at
-    each indent, and the text of each tuple at each indent (a class's
-    member tuple recurs once per eigenvalue of the class). Each container's
-    text is made by a single join, so the text of a large item is copied
-    about once per enclosing container, where a chain of ``+`` would copy
-    it once per operator. The encoding functions refer to each other, so
-    they are cleared on return: the call leaves no cycle for the collector."""
+    Dispatch is on the exact type: a container loop writes its str and
+    float items and values in place and hands a dict or list value (a dict
+    item) straight to the container writer, and a one-item list or tuple
+    skips the loop. One call shares, across the document, the text of each
+    string, of each nonzero finite float by value (0.0 and -0.0 are one
+    key with two texts, so neither is kept; NaN and the infinities are
+    null), the line start of each str key at each indent, and the text of
+    each tuple at each indent (a class's member tuple recurs once per
+    eigenvalue of the class). Each container's text is made by a single
+    join, so the text of a large item is copied about once per enclosing
+    container, where a chain of ``+`` would copy it once per operator. The
+    encoding functions refer to each other, so they are cleared on return:
+    the call leaves no cycle for the collector."""
     strings = {}
+    floats = {}    # nonzero finite float -> its text
     keys = {}      # indent -> {str key -> its line start up to the value}
     # (id, indent) -> text; the document keeps every tuple alive, so no id
     # is reused
     tuples = {}
 
     def string(s):
-        out = strings[s] = f'"{_ESCAPE.sub(_escape, s)}"'
+        # no character that needs an escape is alphanumeric
+        out = strings[s] = (f'"{s}"' if s.isalnum()
+                            else f'"{_ESCAPE.sub(_escape, s)}"')
         return out
 
     # v - v == 0.0 is math.isfinite(v) without a call: it holds for every
     # finite float and for neither infinity nor NaN
+    def real(v):        # the text of a float not in ``floats``
+        if v - v != 0.0:
+            return "null"
+        out = f"{v:.17g}"
+        if v:
+            floats[v] = out
+        return out
 
     def encode(obj, indent):
         t = type(obj)
         if t is float:
-            return f"{obj:.17g}" if obj - obj == 0.0 else "null"
+            return floats.get(obj) or real(obj)
         if t is str:
             return strings.get(obj) or string(obj)
         if t is dict:
@@ -122,9 +136,13 @@ def dumps(obj):
             append(kt)
             t = type(v)
             if t is float:
-                append(f"{v:.17g}" if v - v == 0.0 else "null")
+                append(floats.get(v) or real(v))
             elif t is str:
                 append(strings.get(v) or string(v))
+            elif t is list:
+                append(sequence(v, sub))
+            elif t is dict:
+                append(mapping(v, sub))
             else:
                 append(encode(v, sub))
             append(",\n")
@@ -135,6 +153,18 @@ def dumps(obj):
         if not obj:
             return "[]"
         sub = indent + 1
+        if len(obj) == 1:
+            v = obj[0]
+            t = type(v)
+            if t is str:
+                part = strings.get(v) or string(v)
+            elif t is float:
+                part = floats.get(v) or real(v)
+            else:
+                part = encode(v, sub)
+            if len(part) < 24 and "\n" not in part:
+                return f"[{part}]"
+            return f"[\n{'  ' * sub}{part}\n{'  ' * indent}]"
         parts = []
         append = parts.append
         for v in obj:
@@ -142,9 +172,11 @@ def dumps(obj):
             if t is str:
                 append(strings.get(v) or string(v))
             elif t is float:
-                append(f"{v:.17g}" if v - v == 0.0 else "null")
+                append(floats.get(v) or real(v))
             elif t is int:
                 append(f"{v}")
+            elif t is dict:
+                append(mapping(v, sub))
             else:
                 append(encode(v, sub))
         # a list is inline iff every part is under 24 characters, none

@@ -62,13 +62,22 @@ def cluster_levels(values, eps):
     cluster = np.empty(vals.size, dtype=np.intp)
     cluster[order] = np.cumsum(step)
     # the representative is printed, so it stays NumPy's mean bit for bit:
-    # a lone value is added to the sum's +0 start (-0 becomes 0), and a tie
-    # cluster keeps the pairwise sum
+    # a lone value is added to the sum's +0 start (-0 becomes 0). Under 8
+    # values NumPy sums left to right from +0, so the tie clusters of each
+    # such size are summed a column at a time; from 8 on it sums pairwise
     bounds = np.concatenate(([0], starts, [vals.size]))
-    reps = (ordered[bounds[:-1]] + 0.0).tolist()
-    for k in np.flatnonzero(np.diff(bounds) > 1).tolist():
-        reps[k] = float(np.mean(ordered[bounds[k]:bounds[k + 1]]))
-    return cluster.tolist(), reps
+    sizes = np.diff(bounds)
+    reps = ordered[bounds[:-1]] + 0.0
+    for m in range(2, 8):
+        ks = np.flatnonzero(sizes == m)
+        cols = ordered[bounds[ks, None] + np.arange(m)].T
+        total = cols[0] + 0.0
+        for col in cols[1:]:
+            total += col
+        reps[ks] = total / m
+    for k in np.flatnonzero(sizes >= 8).tolist():
+        reps[k] = np.mean(ordered[bounds[k]:bounds[k + 1]])
+    return cluster.tolist(), reps.tolist()
 
 
 class CriticalStructure:

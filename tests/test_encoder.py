@@ -108,6 +108,57 @@ def test_shared_tuple_at_several_indents():
     assert dumps(doc) == oracle(doc)
 
 
+@pytest.mark.parametrize("width", [23, 24])
+def test_one_item_lists_at_the_part_limit(width):
+    """A one-item list or tuple is inline iff its part is under 24
+    characters: strings, floats (5e-324 writes 23 characters, -5e-324 24)
+    and an inline list as the part."""
+    part = {23: ["x" * 21, 5e-324, [1.0, "x" * 16]],
+            24: ["x" * 22, -5e-324, [1.0, "x" * 17]]}[width]
+    for item in part:
+        for doc in ([item], (item,), {"k": [item]}, [[item], (item,)]):
+            assert dumps(doc) == oracle(doc)
+        assert ("\n" not in dumps([item])) == (width == 23)
+
+
+def test_one_item_list_whose_item_spans_lines():
+    items = [{"a": 1.0, "b": [0.5]}, [0.1] * 12, ["m" * 30], ({"x": None},)]
+    for item in items:
+        for doc in ([item], (item,), {"k": [item]}, [[[item]]]):
+            out = dumps(doc)
+            assert out == oracle(doc)
+            assert "\n" in out
+    assert dumps([{"a": 1.0}]) == '[\n  {\n    "a": 1\n  }\n]'
+
+
+def test_one_item_tuple_reused_at_two_indents():
+    """The one-item path keeps the tuple cache per indent: one tuple, whose
+    item spans lines, written at indent 1 and 3 and again at 1."""
+    one = ({"a": [0.5, "x"]},)
+    short = ("m1",)
+    doc = {"top": one, "rows": [{"class": one, "members": short}],
+           "again": one, "short": short}
+    assert dumps(doc) == oracle(doc)
+
+
+def test_equal_floats_shared_by_value_only():
+    """Equal floats, as distinct objects, at several depths and next to
+    0.0, -0.0 and NaN in one call: a float's text is shared by value, 0.0
+    and -0.0 keep their own texts in either order, and NaN stays null."""
+    x = [float("0." + "3" * 16) for _ in range(4)]
+    assert len({id(v) for v in x}) == 4
+    doc = {"a": x[0], "b": [x[1], 0.0, -0.0, math.nan],
+           "c": [{"d": [x[2]], "e": -0.0, "f": 0.0}],
+           "g": [[[x[3], math.nan, -0.0]]], "h": [-0.0, 0.0, 1e300, -1e300],
+           "i": (math.inf, -math.inf, 1e300)}
+    out = dumps(doc)
+    assert out == oracle(doc)
+    assert out.count("0.33333333333333331") == 4
+    assert out.count("-0") == 4 and out.count("null") == 4
+    for zeros in ([0.0, -0.0], [-0.0, 0.0]):
+        assert dumps(zeros) == oracle(zeros)
+
+
 def test_equal_keys_of_different_types():
     """True, 1 and 1.0 are one dict key but three texts, so a cache of key
     text must not hand the text of one to another at the same indent."""

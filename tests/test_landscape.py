@@ -1,11 +1,12 @@
 import json
 import math
 import os
+import random
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import Minimum, Saddle, minima, run_python, saddles
@@ -67,6 +68,37 @@ def test_level_index_representatives_match_numpy_mean():
         want = float(np.sort(np.array(chunk)).mean())
         assert math.copysign(1.0, reps[k]) == math.copysign(1.0, want)
         assert reps[k] == want
+
+
+# a cluster: a center ten apart from the others and 1-12 offsets of at most
+# 1 from it, so a tolerance of 2.5 chains exactly its members; the offsets
+# draw both signed zeros and full-mantissa values whose sums round
+_OFFSETS = st.one_of(st.sampled_from([0.0, -0.0, 0.1, -0.1, 5e-324]),
+                     st.integers(-10 ** 6, 10 ** 6).map(lambda i: i / 999983),
+                     st.floats(-1.0, 1.0))
+_CLUSTER = st.tuples(st.integers(-5, 5), st.integers(1, 12).flatmap(
+    lambda m: st.lists(_OFFSETS, min_size=m, max_size=m)))
+
+
+@given(st.lists(_CLUSTER, min_size=1, max_size=8, unique_by=lambda c: c[0]),
+       st.randoms(use_true_random=False))
+# the mean of -0s only is +0: NumPy's sum starts from +0
+@example([(0, [-0.0] * 2)], random.Random(0))
+@example([(0, [-0.0] * 8)], random.Random(0))
+def test_level_representatives_are_numpy_means_bit_for_bit(clusters, rnd):
+    # under 8 values the means are summed a column at a time, from 8 on
+    # they are NumPy's; either way each equals the NumPy mean of its
+    # cluster in the order of a stable sort, sign of zero included
+    # 10.0 * 0 + -0.0 would be +0
+    values = [10.0 * c + x if c else x for c, offsets in clusters
+              for x in offsets]
+    rnd.shuffle(values)
+    cluster, reps = cluster_levels(values, eps=2.5)
+    assert len(reps) == len(clusters)
+    for k, rep in enumerate(reps):
+        chunk = np.array([v for v, c in zip(values, cluster) if c == k])
+        want = float(np.mean(np.sort(chunk, kind="stable")))
+        assert rep.hex() == want.hex(), (k, chunk.tolist())
 
 
 def test_level_index_empty():

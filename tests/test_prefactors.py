@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +16,9 @@ from conftest import (Minimum, Saddle, class_matrices, graded_core, make_rng,
                       minima, oracle_view, saddle_rows, saddles,
                       tied_structure, type1_gadget, type2_gadget,
                       uhat_blocks, weight)
-from metastab.examples import double_well, ex_a, ex_b
+from metastab import prefactors
+from metastab.errors import InputDataError
+from metastab.examples import double_well, ex_a, ex_b, ex_c
 from metastab.landscape import CriticalStructure, extract_critical_structure
 from metastab.prefactors import build_class_matrices, build_graded_core
 from metastab.spectra import class_spectrum
@@ -251,3 +259,46 @@ def test_upsilon_scaling_law(c):
     U0, _, _ = class_matrices(base, cd0, cd0.classes[1])
     U1, _, _ = class_matrices(scaled, cd1, cd1.classes[1])
     assert np.allclose(U1, c * U0, rtol=1e-12)
+
+
+def test_class_matrices_budget_is_exact(monkeypatch):
+    # the ring of 10 equal minima is one class of 9 members over 10 saddle
+    # rows and 10 extended columns: 100 + 90 + 81 = 271 entries
+    cs = ex_c(10).structure
+    cd = decompose(cs)
+    ring = [a for a in cd.classes if not a.ground]
+    monkeypatch.setattr(prefactors, "_MAX_ENTRIES", 271)
+    build_class_matrices(cs, cd, ring)
+    monkeypatch.setattr(prefactors, "_MAX_ENTRIES", 270)
+    with pytest.raises(InputDataError, match=r"1 class\(es\) of 9 members "
+                       r"need 271 dense matrix entries, over the budget of "
+                       r"270; the level tolerance \(--eps-level\)"):
+        build_class_matrices(cs, cd, ring)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+def test_class_over_budget_exits_2_under_a_memory_limit(tmp_path):
+    # in a child limited to 1 GiB of address space: unchecked, the ring's
+    # 19 999-member class asks for a 2.98 GiB Upsilon and ends in
+    # MemoryError (exit 3)
+    src = str(Path(prefactors.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    res = subprocess.run(
+        [sys.executable, "-m", "metastab.cli", "example", "ex-c", "--n",
+         "20000"], cwd=tmp_path, env=env, capture_output=True, text=True,
+        preexec_fn=_limit_address_space)
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert res.stderr == ""
+    doc = json.loads(res.stdout)
+    assert list(doc) == ["schema", "error"]
+    assert doc["error"] == {
+        "type": "InputDataError",
+        "message": "1 class(es) of 19999 members need 1199940001 dense "
+                   f"matrix entries, over the budget of {2 ** 24}; the level "
+                   "tolerance (--eps-level) decides which minima tie into "
+                   "one class"}
