@@ -8,6 +8,7 @@ the hypothesis profile is derandomized, which keeps CI output stable.
 import contextlib
 import io
 import os
+import resource
 import subprocess
 import sys
 import zlib
@@ -61,16 +62,22 @@ def run_cli(argv):
                   err.getvalue())
 
 
-def run_python(code, *args, env=None):
+def run_python(code, *args, env=None, **kw):
     """Run ``python -c code *args`` in a child with this checkout's
     package first on PYTHONPATH, in ``env`` (default: this process's
-    environment), capturing its output as text."""
+    environment), capturing its output as text; ``kw`` goes on to
+    ``subprocess.run``."""
     env = dict(os.environ if env is None else env)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, **kw)
+
+
+def limit_address_space():
+    """``preexec_fn`` of a child limited to 1 GiB of address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
 
 def make_rng(tag):

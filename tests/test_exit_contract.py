@@ -30,9 +30,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_cli
+from conftest import limit_address_space, run_cli
 from metastab import cli
-from test_validator import _limit_address_space
 
 ODD = [0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e308, math.nan, math.inf,
        -math.inf, 10 ** 400]
@@ -188,7 +187,7 @@ def _validate_in_a_child(path, args):
     res = subprocess.run(
         [sys.executable, "-m", "metastab.cli", "validate", path, *args],
         env=env, capture_output=True, text=True,
-        preexec_fn=_limit_address_space)
+        preexec_fn=limit_address_space)
     return res.returncode, res.stdout, res.stderr
 
 

@@ -1,10 +1,5 @@
 import json
 import math
-import os
-import resource
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spectrum_oracle as oracle
-from conftest import (Minimum, Saddle, class_matrices, graded_core, make_rng,
-                      minima, oracle_view, saddle_rows, saddles,
-                      tied_structure, type1_gadget, type2_gadget,
-                      uhat_blocks, weight)
+from conftest import (Minimum, Saddle, class_matrices, graded_core,
+                      limit_address_space, make_rng, minima, oracle_view,
+                      run_python, saddle_rows, saddles, tied_structure,
+                      type1_gadget, type2_gadget, uhat_blocks, weight)
 from metastab import prefactors
 from metastab.errors import InputDataError
 from metastab.examples import double_well, ex_a, ex_b, ex_c
@@ -276,22 +271,12 @@ def test_class_matrices_budget_is_exact(monkeypatch):
         build_class_matrices(cs, cd, ring)
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
-
-
-def test_class_over_budget_exits_2_under_a_memory_limit(tmp_path):
+def test_class_over_budget_exits_2_under_a_memory_limit():
     # in a child limited to 1 GiB of address space: unchecked, the ring's
     # 19 999-member class asks for a 2.98 GiB Upsilon and ends in
     # MemoryError (exit 3)
-    src = str(Path(prefactors.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    res = subprocess.run(
-        [sys.executable, "-m", "metastab.cli", "example", "ex-c", "--n",
-         "20000"], cwd=tmp_path, env=env, capture_output=True, text=True,
-        preexec_fn=_limit_address_space)
+    res = run_python("from metastab.cli import main; main()", "example",
+                     "ex-c", "--n", "20000", preexec_fn=limit_address_space)
     assert res.returncode == 2, res.stdout + res.stderr
     assert res.stderr == ""
     doc = json.loads(res.stdout)

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import resource
 import subprocess
 import sys
 import time
@@ -14,7 +13,7 @@ import pytest
 
 from metastab import validator
 from metastab.errors import InputDataError
-from conftest import minima, run_cli
+from conftest import limit_address_space, minima, run_cli
 from metastab.examples import chain_sampled, double_well, ex_a
 from metastab.landscape import extract_critical_structure, make_sampled
 from metastab.spectra import full_spectrum
@@ -398,10 +397,6 @@ def test_compare_rejects_a_grid_over_budget(monkeypatch):
     assert built == [validator._MAX_GRID // 2]
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
-
-
 @pytest.mark.parametrize("args", [
     ["--h", "1e-12"],
     ["--h", "0.2", "--grid", "30000000"],
@@ -419,7 +414,7 @@ def test_validate_over_budget_exits_2_under_a_memory_limit(tmp_path, args):
     res = subprocess.run(
         [sys.executable, "-m", "metastab.cli", "validate", "chain.csv", *args],
         cwd=tmp_path, env=env, capture_output=True,
-        preexec_fn=_limit_address_space)
+        preexec_fn=limit_address_space)
     wall = time.perf_counter() - t0
     assert res.returncode == 2, res.stdout + res.stderr
     assert b"over the budget of 4194304 grid points" in res.stdout
