@@ -1,8 +1,8 @@
 """SciPy's compiled LAPACK wrappers, without the ``scipy.linalg`` package.
 
-The program calls four Fortran routines (``dstebz``, ``dgtsv``, ``dpotrf``,
-``dpotrs``), all in the extension module ``scipy.linalg._flapack``. Importing
-it the usual way first runs ``scipy/__init__.py`` and
+The validator calls two Fortran routines, ``dstebz`` and ``dgtsv``, both in
+the extension module ``scipy.linalg._flapack``; no other part of the program
+loads SciPy. Importing it the usual way first runs ``scipy/__init__.py`` and
 ``scipy/linalg/__init__.py``, whose array-API layer loads much of NumPy's
 tooling and costs more than the routines' work in a ``validate`` launch.
 ``flapack()`` loads the extension module from its file instead; should that

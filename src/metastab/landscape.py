@@ -61,10 +61,12 @@ def cluster_levels(values, eps):
     step[starts] = 1
     cluster = np.empty(vals.size, dtype=np.intp)
     cluster[order] = np.cumsum(step)
-    # the representative is printed, so it stays NumPy's mean bit for bit:
-    # a lone value is added to the sum's +0 start (-0 becomes 0). Under 8
+    # the representative is printed, so it is NumPy's mean bit for bit: a
+    # lone value is added to the sum's +0 start (-0 becomes 0). Under 8
     # values NumPy sums left to right from +0, so the tie clusters of each
-    # such size are summed a column at a time; from 8 on it sums pairwise
+    # such size are summed a column at a time; from 8 on it sums pairwise.
+    # A mean of three or more values can round past the cluster's span,
+    # onto the next level; only such a mean is replaced, by the nearer end
     bounds = np.concatenate(([0], starts, [vals.size]))
     sizes = np.diff(bounds)
     reps = ordered[bounds[:-1]] + 0.0
@@ -77,6 +79,8 @@ def cluster_levels(values, eps):
         reps[ks] = total / m
     for k in np.flatnonzero(sizes >= 8).tolist():
         reps[k] = np.mean(ordered[bounds[k]:bounds[k + 1]])
+    lo, hi = ordered[bounds[:-1]], ordered[bounds[1:] - 1]
+    reps = np.where(reps < lo, lo, np.where(reps > hi, hi, reps))
     return cluster.tolist(), reps.tolist()
 
 

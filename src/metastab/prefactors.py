@@ -14,8 +14,10 @@ minimum when the class is type II), and saddle set V, they build
   theta0 (``build_class_matrices``), as plain arrays stacked over the group
   and filled in one pass over its classes, and
 * the cores (Upsilon T)'(Upsilon T), stacked as (G, q, q), for the whole
-  group with one stacked matmul and one stacked Cholesky check
-  (``build_graded_core``). A core's rows follow ``member_order``; its
+  group with one stacked matmul, and their Cholesky factors L with one
+  stacked ``cholesky``, which is also the positive-definiteness check
+  (``build_graded_core``); ``spectra`` reads the deeper barrier levels off
+  the diagonal blocks of L. A core's rows follow ``member_order``; its
   block sizes and barriers are the class's ``member_blocks`` and
   ``block_S``, smallest barrier first, and are not copied.
 
@@ -145,9 +147,11 @@ def build_class_matrices(cs, cd, classes):
 
 def build_graded_core(classes, upsilon, T):
     """Cores (Upsilon T)'(Upsilon T) of a shape group from its stacked
-    Upsilon and T, as (G, q, q). Rows and columns follow each class's
-    ``member_order``, so the barrier blocks come smallest barrier first
-    with the sizes of its ``member_blocks``."""
+    Upsilon and T, and their lower Cholesky factors, as the pair
+    ``(core, L)`` of (G, q, q) stacks; L is None for a group with one
+    barrier level, which reads no factor. Rows and columns follow each
+    class's ``member_order``, so the barrier blocks come smallest barrier
+    first with the sizes of its ``member_blocks``."""
     with np.errstate(over="ignore", invalid="ignore"):
         A = upsilon @ T
         core = np.swapaxes(A, 1, 2) @ A
@@ -158,7 +162,7 @@ def build_graded_core(classes, upsilon, T):
             f"core of class {_first_bad(classes, finite)} is beyond float "
             "range (Hessian data)")
     try:
-        np.linalg.cholesky(core)
+        L = np.linalg.cholesky(core)
     except np.linalg.LinAlgError:
         # the stacked call names no matrix; find the first that fails
         for alpha, c, U in zip(classes, core, upsilon):
@@ -176,4 +180,6 @@ def build_graded_core(classes, upsilon, T):
                     f"core of class {alpha.members} is not positive definite "
                     "(degenerate or badly conditioned Hessian data)") from None
         raise
-    return core
+    # a one-level group reads no factor, and one kept alive through the
+    # eigen solve of a large core slows that solve measurably
+    return core, L if len(classes[0].member_blocks) > 1 else None

@@ -1,19 +1,24 @@
-"""Schur recursion over graded cores and assembly of the predicted spectrum.
+"""Class spectra from the graded cores and their Cholesky factors, and
+assembly of the predicted spectrum.
 
 Each equivalence class contributes one eigenvalue group per barrier level:
 level k pairs the class's k-th barrier ``block_S[k]`` with the eigenvalues
 of J(R^(k-1)(core)), where J extracts the leading block, of the size of the
 class's ``member_blocks[k]``, and R forms the Schur complement onto the
-remaining blocks. A level holds its eigenvalues only; its barrier and size
-are read from the class. The global minimum's class contributes the exact
-eigenvalue 0. An eigenvalue zeta^2 at barrier S predicts
-lambda(h) = h * zeta^2 * exp(-2S/h).
+remaining blocks. Level 0 reads the core's leading block itself. For the
+deeper levels, write the core as L L' with L its lower Cholesky factor
+(``prefactors``): by the quotient property of Schur complements (Crabtree
+and Haynsworth, Proc. AMS 22, 1969), R^(k-1)(core) = L[s:, s:] L[s:, s:]'
+for the offset s of block k, and as L is lower triangular, level k's matrix
+is L_kk L_kk', from the k-th diagonal block of the one factor. A level holds
+its eigenvalues only; its barrier and size are read from the class. The
+global minimum's class contributes the exact eigenvalue 0. An eigenvalue
+zeta^2 at barrier S predicts lambda(h) = h * zeta^2 * exp(-2S/h).
 
 ``full_spectrum`` takes the classes one shape group at a time (see
 ``prefactors``): each level of a group is one stacked ``eigh`` with one
-residual check, and only groups with several barrier levels run the Schur
-complement, one class at a time. The report keeps Upsilon, theta0 and the
-level eigenvalues as columns of views aligned with ``cd.classes``.
+residual check. The report keeps Upsilon, theta0 and the level eigenvalues
+as columns of views aligned with ``cd.classes``.
 """
 
 import math
@@ -49,42 +54,23 @@ def sym_eig(M):
     return w
 
 
-def schur_R(cores, r1):
-    """Schur complements of the stacked cores onto their blocks after the
-    leading ``r1`` rows and columns, class by class."""
-    # LAPACK loads only for classes with several barrier levels (see
-    # _lapack). These are the potrf and potrs calls, with the checks, of
-    # scipy.linalg's cho_solve(cho_factor(J), B.T); NumPy's cholesky plus
-    # solve rounds differently and would change the report.
-    from ._lapack import check_info, flapack
-    lapack = flapack()
-    n = cores.shape[-1] - r1
-    R = np.empty((len(cores), n, n))
-    for i, core in enumerate(cores):
-        J = np.asarray_chkfinite(core[:r1, :r1])
-        B = np.asarray_chkfinite(core[r1:, :r1])
-        N = core[r1:, r1:]
-        c, info = lapack.dpotrf(J, lower=0, clean=0)
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                f"{info}-th leading minor of the array is not positive "
-                "definite")
-        check_info(info, "potrf")
-        X, info = lapack.dpotrs(c, B.T, lower=0)
-        check_info(info, "potrs")
-        R[i] = N - B @ X
-    return 0.5 * (R + np.swapaxes(R, 1, 2))
-
-
-def class_spectrum(classes, cores):
+def class_spectrum(classes, cores, factors):
     """For each class of a shape group, the eigenvalues zeta2 of each
-    barrier level, ascending, smallest barrier first: level k holds those of
-    J(R^(k-1)(core)), its size and its barrier are the k-th of the class's
-    ``member_blocks`` and ``block_S``."""
+    barrier level, ascending, smallest barrier first: level 0 holds those
+    of the cores' leading block, level k >= 1 those of L_kk L_kk' for the
+    k-th diagonal block L_kk of the Cholesky factors ``factors``, that is
+    of J(R^(k-1)(core)); a level's size and barrier are the k-th of the
+    class's ``member_blocks`` and ``block_S``."""
     levels = []
-    sizes = [len(b) for b in classes[0].member_blocks]
-    for k, r1 in enumerate(sizes):
-        w = sym_eig(cores[:, :r1, :r1])
+    end = 0
+    for k, block in enumerate(classes[0].member_blocks):
+        start, end = end, end + len(block)
+        if k == 0:
+            M = cores[:, :end, :end]
+        else:
+            L = factors[:, start:end, start:end]
+            M = L @ np.swapaxes(L, 1, 2)
+        w = sym_eig(M)
         if np.any(w[:, 0] <= 0):
             raise InvariantViolation(
                 "nonpositive leading eigenvalue in the Schur recursion")
@@ -97,8 +83,6 @@ def class_spectrum(classes, cores):
             raise InputDataError(
                 f"pi * zeta2 at S = {S} is beyond float range")
         levels.append(w)
-        if k + 1 < len(sizes):
-            cores = schur_R(cores, r1)
     return list(zip(*levels))
 
 
@@ -160,8 +144,9 @@ class SpectrumReport:
 def full_spectrum(cs, cd):
     """Matrices and spectra of every class plus the exact zero of the ground
     class. The non-ground classes are taken one shape group at a time, in
-    the order of each group's first class; each class's Upsilon, T and core
-    are built once, and the report keeps views into its group's arrays."""
+    the order of each group's first class; each class's Upsilon, T, core
+    and factor are built once, and the report keeps views into its group's
+    arrays."""
     groups = {}
     for i, c in enumerate(cd.classes[1:], start=1):
         key = len(c.cells), c.type2, tuple(map(len, c.member_blocks))
@@ -171,7 +156,7 @@ def full_spectrum(cs, cd):
     for at in groups.values():
         group = [cd.classes[i] for i in at]
         U, T, th = build_class_matrices(cs, cd, group)
-        lv = class_spectrum(group, build_graded_core(group, U, T))
+        lv = class_spectrum(group, *build_graded_core(group, U, T))
         if th is None:
             th = [None] * len(at)
         for i, u, t, zeta2 in zip(at, U, th, lv):

@@ -142,8 +142,9 @@ def class_matrices(cs, cd, alpha):
 
 
 def graded_core(cs, cd, alpha):
-    """The core of a class as a group of one, (1, q, q), built from its
-    Upsilon and T as ``spectra.full_spectrum`` builds it."""
+    """The core of a class and its Cholesky factor as a group of one, two
+    (1, q, q) stacks (the factor is None for one barrier level), built from
+    its Upsilon and T as ``spectra.full_spectrum`` builds them."""
     U, T, _ = build_class_matrices(cs, cd, [alpha])
     return build_graded_core([alpha], U, T)
 

@@ -24,7 +24,8 @@ INF = math.inf
 class Levels:
     """The level clusters of a structure: sorted critical values chained by
     gaps of at most the level tolerance, numbered from the lowest, each
-    represented by the NumPy mean of its values."""
+    represented by the NumPy mean of its values, replaced by the nearer
+    end of the span when it rounds outside."""
 
     def __init__(self, cs):
         vals = sorted([m.phi for m in cs.minima] + [s.phi for s in cs.saddles])
@@ -34,7 +35,9 @@ class Levels:
         for i in range(1, len(vals) + 1):
             if i == len(vals) or vals[i] - vals[i - 1] > self.eps:
                 self.spans.append((vals[start], vals[i - 1]))
-                self.reps.append(float(np.mean(vals[start:i])))
+                mean = float(np.mean(vals[start:i]))
+                lo, hi = self.spans[-1]
+                self.reps.append(lo if mean < lo else hi if mean > hi else mean)
                 start = i
         self.lows = [lo for lo, _ in self.spans]
         self.tops = [hi for _, hi in self.spans]

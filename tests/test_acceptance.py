@@ -18,7 +18,7 @@ from conftest import (ById, alternating_family, block_class, class_matrices,
                       type2_gadget, weight)
 from metastab.examples import build_example
 from metastab.landscape import extract_critical_structure, make_sampled
-from metastab.spectra import class_spectrum, full_spectrum, schur_R
+from metastab.spectra import class_spectrum, full_spectrum
 from metastab.topology import decompose
 from metastab.validator import compare
 
@@ -64,16 +64,18 @@ def test_criterion_2_two_level_schur_recursion():
         cs = build_example("ex-b", theta=theta).structure
         cd = decompose(cs)
         alpha = next(c for c in cd.classes if not c.ground)
-        core = graded_core(cs, cd, alpha)
+        core, L = graded_core(cs, cd, alpha)
         nu = 1.0 / (1.0 + theta * theta)
 
-        R = schur_R(core, len(alpha.member_blocks[0]))
+        # the Schur complement onto the second block, read off the factor
+        s = len(alpha.member_blocks[0])
+        R = L[0, s:, s:] @ L[0, s:, s:].T
         want = np.array([[1.0, -1.0], [-1.0, 2.0 - nu]]) / math.pi
-        assert np.max(np.abs(R[0] - want)) <= 1e-12
+        assert np.max(np.abs(R - want)) <= 1e-12
 
         disc = math.sqrt((3 - nu) ** 2 - 4 * (1 - nu))
         lam_pm = [(3 - nu - disc) / 2, (3 - nu + disc) / 2]
-        (zeta2_1, zeta2_2), = class_spectrum([alpha], core)
+        (zeta2_1, zeta2_2), = class_spectrum([alpha], core, L)
         assert abs(math.pi * zeta2_1[0] - (1 + theta * theta)) <= 1e-12
         got = np.sort(np.pi * zeta2_2)
         assert np.max(np.abs(got - lam_pm)) <= 1e-12
@@ -111,7 +113,8 @@ def test_criterion_4_graded_perturbation_law():
     ratios = []
     for i in range(200):
         cores, sizes = random_spd_core(make_rng(f"accept4:{i}"))
-        levels, = class_spectrum([block_class(sizes)], cores)
+        levels, = class_spectrum([block_class(sizes)], cores,
+                                 np.linalg.cholesky(cores))
         errs = []
         for tau in taus:
             omega = np.concatenate([np.full(r, tau ** j)

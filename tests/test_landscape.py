@@ -56,16 +56,31 @@ def test_level_index_keeps_one_ulp_gaps():
         assert reps == [0.0, lo, hi]
 
 
+def _clamped_mean(chunk):
+    """NumPy's mean of a cluster in stable sorted order, replaced by the
+    nearer end of the cluster's span only when it rounds outside."""
+    chunk = np.sort(np.asarray(chunk, dtype=float), kind="stable")
+    mean = float(np.mean(chunk))
+    lo, hi = float(chunk[0]), float(chunk[-1])
+    return lo if mean < lo else hi if mean > hi else mean
+
+
 def test_level_index_representatives_match_numpy_mean():
-    # representatives are printed, so each one must be the NumPy mean of its
-    # cluster bit for bit, signed zeros included
-    values = [-0.0, 0.3, 0.3 + 1e-10, 0.1 + 0.2, 0.7, -1.5]
+    # representatives are printed, so each one is the NumPy mean of its
+    # cluster bit for bit, signed zeros included, unless that mean rounds
+    # out of the cluster: seven ties at 0.7 average to 0.7000000000000001
+    # and three at 0.1 to 0.10000000000000002, one ulp into the next level
+    values = [-0.0, 0.3, 0.3 + 1e-10, 0.1 + 0.2, 0.7, -1.5, *[0.7] * 6,
+              2.1, 2.1, 2.1]
     cluster, reps = cluster_levels(values, eps=1e-9)
-    clusters = [[-1.5], [-0.0], [0.3, 0.1 + 0.2, 0.3 + 1e-10], [0.7]]
+    clusters = [[-1.5], [-0.0], [0.3, 0.1 + 0.2, 0.3 + 1e-10], [0.7] * 7,
+                [2.1] * 3]
     assert len(reps) == len(clusters)
-    assert cluster == [1, 2, 2, 2, 3, 0]
+    assert cluster == [1, 2, 2, 2, 3, 0, *[3] * 6, 4, 4, 4]
+    assert float(np.mean([0.7] * 7)) > 0.7
+    assert reps[3] == 0.7
     for k, chunk in enumerate(clusters):
-        want = float(np.sort(np.array(chunk)).mean())
+        want = _clamped_mean(chunk)
         assert math.copysign(1.0, reps[k]) == math.copysign(1.0, want)
         assert reps[k] == want
 
@@ -85,10 +100,14 @@ _CLUSTER = st.tuples(st.integers(-5, 5), st.integers(1, 12).flatmap(
 # the mean of -0s only is +0: NumPy's sum starts from +0
 @example([(0, [-0.0] * 2)], random.Random(0))
 @example([(0, [-0.0] * 8)], random.Random(0))
+# means that round out of their tie, summed by columns and pairwise
+@example([(0, [0.1] * 3)], random.Random(0))
+@example([(0, [0.3] * 11)], random.Random(0))
 def test_level_representatives_are_numpy_means_bit_for_bit(clusters, rnd):
     # under 8 values the means are summed a column at a time, from 8 on
     # they are NumPy's; either way each equals the NumPy mean of its
-    # cluster in the order of a stable sort, sign of zero included
+    # cluster in the order of a stable sort, sign of zero included, clamped
+    # into the cluster's span
     # 10.0 * 0 + -0.0 would be +0
     values = [10.0 * c + x if c else x for c, offsets in clusters
               for x in offsets]
@@ -96,9 +115,9 @@ def test_level_representatives_are_numpy_means_bit_for_bit(clusters, rnd):
     cluster, reps = cluster_levels(values, eps=2.5)
     assert len(reps) == len(clusters)
     for k, rep in enumerate(reps):
-        chunk = np.array([v for v, c in zip(values, cluster) if c == k])
-        want = float(np.mean(np.sort(chunk, kind="stable")))
-        assert rep.hex() == want.hex(), (k, chunk.tolist())
+        chunk = [v for v, c in zip(values, cluster) if c == k]
+        want = _clamped_mean(chunk)
+        assert rep.hex() == want.hex(), (k, chunk)
 
 
 def test_level_index_empty():

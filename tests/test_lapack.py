@@ -1,8 +1,8 @@
 """Oracle tests of the direct LAPACK calls.
 
-``validator.eigh_tridiagonal``, ``validator._cubic_spline`` and
-``spectra.schur_R`` call SciPy's compiled routines through
-``metastab._lapack`` without importing ``scipy.linalg``. They must return
+``validator.eigh_tridiagonal`` and ``validator._cubic_spline`` call SciPy's
+compiled routines through ``metastab._lapack`` without importing
+``scipy.linalg``. They must return
 the bits of SciPy's public wrappers, pass the arguments those wrappers
 pass, and raise their errors. ``stebz`` is called through ``ctypes`` and may
 run on several threads; its results and errors must not depend on that. The
@@ -25,14 +25,13 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
 
 import metastab
 from conftest import run_cli
 from metastab import _lapack, validator
 from metastab.examples import chain_sampled, double_well
 from metastab.landscape import extract_critical_structure
-from metastab.spectra import full_spectrum, schur_R
+from metastab.spectra import full_spectrum
 from metastab.topology import decompose
 
 _NAME = "scipy.linalg._flapack"
@@ -306,65 +305,6 @@ def test_stebz_refuses_arrays_it_cannot_pass(bad):
                          ctypes.c_int())
 
 
-# ------------------------------------------------------------------ Schur
-
-def _schur_R_oracle(cores, r1):
-    """The former ``spectra.schur_R``, on SciPy's public wrappers."""
-    R = np.array([core[r1:, r1:] - core[r1:, :r1]
-                  @ cho_solve(cho_factor(core[:r1, :r1]), core[r1:, :r1].T)
-                  for core in cores])
-    return 0.5 * (R + np.swapaxes(R, 1, 2))
-
-
-def _random_group(seed):
-    """A shape group of one to three SPD cores with two or three blocks and
-    eigenvalues spread over eight decades, and the size of its leading
-    block."""
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(1, 4))
-    sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(2, 4)))]
-    dim = sum(sizes)
-    cores = []
-    for _ in range(k):
-        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        c = (q * 10.0 ** rng.uniform(-4.0, 4.0, size=dim)) @ q.T
-        cores.append(0.5 * (c + c.T))
-    return np.array(cores), sizes[0]
-
-
-@given(seeds)
-def test_schur_complement_matches_scipy(seed):
-    cores, r1 = _random_group(seed)
-    _same_bits(schur_R(cores, r1), _schur_R_oracle(cores, r1))
-
-
-def _two_level(core):
-    """A group of one core with blocks of sizes 2 and 1."""
-    return np.array([core]), 2
-
-
-def test_non_positive_definite_leading_block_like_scipy():
-    g = _two_level(np.array([[1.0, 2.0, 0.0],
-                             [2.0, 1.0, 0.0],
-                             [0.0, 0.0, 1.0]]))
-    with pytest.raises(np.linalg.LinAlgError):
-        _schur_R_oracle(*g)
-    with pytest.raises(np.linalg.LinAlgError,
-                       match="2-th leading minor of the array is not"):
-        schur_R(*g)
-
-
-@pytest.mark.parametrize("at", [(0, 1), (2, 0)], ids=["J", "B"])
-def test_non_finite_core_rejected_like_scipy(at):
-    core = np.eye(3)
-    core[at] = np.nan
-    g = _two_level(core)
-    with pytest.raises(ValueError):
-        _schur_R_oracle(*g)
-    with pytest.raises(ValueError):
-        schur_R(*g)
-
-
 # -------------------------------------------------------------- the calls
 
 class _Lapack:
@@ -412,15 +352,14 @@ def test_routines_get_scipys_arguments(fake_lapack):
     """The arguments SciPy's ``eigh_tridiagonal`` (stebz driver) hands the
     Fortran ``dstebz`` through its f2py wrapper (RANGE "I", ORDER "E", VL 0,
     VU 1, IL lo + 1, IU hi + 1, ABSTOL tol, WORK 4N, IWORK 3N), and the
-    scalar arguments ``solve_banded`` (one band each side, overwriting) and
-    ``cho_factor``/``cho_solve`` pass."""
+    scalar arguments ``solve_banded`` (one band each side, overwriting)
+    passes."""
     fake = fake_lapack()
     tiny = np.finfo(float).tiny
     d, e = np.zeros(6), np.ones(5)
     _eigh(d, e, 1, 3, tiny)
     x = np.arange(6.0)
     validator._cubic_spline(x, x * x)
-    schur_R(*_two_level(np.eye(3)))
     name, args, _ = fake.calls[0]
     assert name == "dstebz" and len(args) == 18
     assert [a if type(a) is bytes else a.value for a in args[:8]] == [
@@ -430,11 +369,8 @@ def test_routines_get_scipys_arguments(fake_lapack):
     f8, i4 = np.dtype(float), np.dtype(np.intc)
     assert [(a.dtype, a.shape) for a in args[12:17]] == [
         (f8, (6,)), (i4, (6,)), (i4, (6,)), (f8, (24,)), (i4, (18,))]
-    got = [(name, args[k:], kwargs)
-           for (name, args, kwargs), k in zip(fake.calls[1:], (4, 1, 2))]
-    assert got == [("dgtsv", (1, 1, 1, 1), {}),
-                   ("dpotrf", (), {"lower": 0, "clean": 0}),
-                   ("dpotrs", (), {"lower": 0})]
+    (name, args, kwargs), = fake.calls[1:]
+    assert (name, args[4:], kwargs) == ("dgtsv", (1, 1, 1, 1), {})
 
 
 def _write_double_well(path):
@@ -461,10 +397,6 @@ def test_lapack_failures_keep_their_exit_codes(fake_lapack, tmp_path,
     assert _error(validate)[:2] == (3, "ValueError")
     fake_lapack(dstebz=1)
     assert _error(validate)[:2] == (3, "LinAlgError")
-    fake_lapack(dpotrf=2)                               # not definite
-    assert _error(["example", "nine-wells"])[:2] == (3, "LinAlgError")
-    fake_lapack(dpotrs=-1)
-    assert _error(["example", "nine-wells"])[:2] == (3, "ValueError")
     fake_lapack()
     monkeypatch.setattr(validator, "_golub_kahan",
                         lambda dw: np.full(2 * dw.n - 1, np.nan))
@@ -484,16 +416,15 @@ def _no_finder(*args, **kwargs):
 def test_fallback_to_the_public_module_gives_the_same_bits(monkeypatch, attr,
                                                            fake):
     d, e, lo, hi, tol = _golub_kahan_calls()[0]
-    g = _random_group(3)
     x = np.linspace(0.0, 3.0, 9)
     q = np.linspace(-0.5, 3.5, 41)
-    direct = (_eigh(d, e, lo, hi, tol), schur_R(*g),
+    direct = (_eigh(d, e, lo, hi, tol),
               validator._cubic_spline(x, np.sin(x))(q))
 
     monkeypatch.delitem(sys.modules, _NAME)
     monkeypatch.setattr(f"importlib.{attr}", fake)
     assert _lapack.flapack() is scipy.linalg.lapack
-    public = (_eigh(d, e, lo, hi, tol), schur_R(*g),
+    public = (_eigh(d, e, lo, hi, tol),
               validator._cubic_spline(x, np.sin(x))(q))
     assert _NAME not in sys.modules
     for got, want in zip(public, direct):

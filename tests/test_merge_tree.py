@@ -163,21 +163,16 @@ def test_chains_k_ulps_apart(seed, k, n):
     """Chains on a grid k ulps wide near phi = 1e8, at the default level
     tolerance, which is below one ulp there: equal grid values are ties,
     and neighboring ones are distinct levels, as is a saddle one step above
-    its higher minimum.
-
-    The NumPy mean of three or more tied values may round out of the tie,
-    onto the next grid value; two barriers of a class can then come out
-    equal, and both sides raise InvariantViolation. Every other draw must
-    decompose."""
+    its higher minimum. Every draw must decompose: the NumPy mean of three
+    or more tied values may round out of the tie, onto the next grid value,
+    and the representative is then clamped back into its cluster."""
     rng = np.random.default_rng(seed)
     step = k * math.ulp(1e8)
     j = rng.integers(0, 4, size=n)
     rise = rng.integers(1, 4, size=n - 1)
     cs = _chain(1e8 + step * j,
                 1e8 + step * (np.maximum(j[:-1], j[1:]) + rise))
-    L = oracle.levels(ById(cs))
-    drifted = any(not lo <= r <= hi for (lo, hi), r in zip(L.spans, L.reps))
-    assert assert_same(cs) == "ok" or drifted
+    assert assert_same(cs) == "ok"
 
 
 @given(seeds, st.booleans())

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 import spectrum_oracle as oracle
 from conftest import (Minimum, Saddle, class_matrices, graded_core,
                       limit_address_space, make_rng, minima, oracle_view,
-                      run_python, saddle_rows, saddles, tied_structure,
-                      type1_gadget, type2_gadget, uhat_blocks, weight)
+                      run_cli, run_python, saddle_rows, saddles,
+                      tied_structure, type1_gadget, type2_gadget, uhat_blocks,
+                      weight)
 from metastab import prefactors
-from metastab.errors import InputDataError
+from metastab.errors import InputDataError, InvariantViolation
 from metastab.examples import double_well, ex_a, ex_b, ex_c
-from metastab.landscape import CriticalStructure, extract_critical_structure
+from metastab.landscape import (CriticalStructure, extract_critical_structure,
+                                structure_to_dict)
 from metastab.prefactors import build_class_matrices, build_graded_core
 from metastab.spectra import class_spectrum
 from metastab.topology import decompose
@@ -185,7 +187,7 @@ def test_T_type_one_rows_of_gadgets():
 def test_core_three_wells():
     cs = ex_a().structure
     cd = decompose(cs)
-    cores = graded_core(cs, cd, cd.classes[1])
+    cores, _ = graded_core(cs, cd, cd.classes[1])
     want = np.array([[1.0, -1.0], [-1.0, 2.0]]) / math.pi
     assert cores.shape == (1, 2, 2)
     assert np.allclose(cores[0], want, atol=1e-15)
@@ -196,7 +198,7 @@ def test_core_chain_two_blocks():
     b = ex_b(theta)
     cd = decompose(b.structure)
     c = cd.classes[1]
-    cores = graded_core(b.structure, cd, c)
+    cores, _ = graded_core(b.structure, cd, c)
     # rows follow member_order: the blocks of sizes 1 and 2, at S 1 and 1.5
     assert c.member_order == ("m23", "m21", "m22")
     assert c.member_blocks == (("m23",), ("m21", "m22"))
@@ -213,10 +215,54 @@ def test_core_positive_definite_on_gadgets():
         cs = (type1_gadget if trial % 2 else type2_gadget)(rng)
         cd = decompose(cs)
         for c in cd.classes[1:]:
-            cores = graded_core(cs, cd, c)
+            cores, _ = graded_core(cs, cd, c)
             assert cores.shape == (1, c.q, c.q)
             w = np.linalg.eigvalsh(cores[0])
             assert w[0] > 0
+
+
+def _flat_pair(neg_eig):
+    """Two gadgets of one shape off a conduit minimum a: members m1 and m2
+    at phi 0.5, joined by a saddle, and m1 linked to a by another. In the
+    first gadget, whose barrier is lower and whose class comes second, the
+    link has ``neg_eig``; a small one leaves the core c^2 [[1, -1], [-1, 1]]
+    to rounding, with no Upsilon entry near underflow."""
+    minima = [Minimum("a", 0.0, 1.0)]
+    saddles = []
+    for j, neg in enumerate((neg_eig, 1.0)):
+        m1, m2 = f"g{j}m1", f"g{j}m2"
+        minima += [Minimum(m1, 0.5, 1.0), Minimum(m2, 0.5, 2.0)]
+        saddles += [Saddle(f"g{j}s0", 2.0 + j, 1.0, neg, (m1, "a")),
+                    Saddle(f"g{j}s1", 2.0 + j, 1.0, 1.0, (m1, m2))]
+    return CriticalStructure(minima, saddles)
+
+
+def test_core_not_positive_definite_names_its_class(tmp_path):
+    # the stacked factor fails on the group; the error names its second
+    # class, the first that fails, and the CLI exits 3 with the error
+    # document
+    cs = _flat_pair(1e-20)
+    cd = decompose(cs)
+    group = cd.classes[1:]
+    assert [c.members for c in group] == [("g1m1", "g1m2"),
+                                         ("g0m1", "g0m2")]
+    assert len({(len(c.cells), c.type2, tuple(map(len, c.member_blocks)))
+                for c in group}) == 1
+    U, T, _ = build_class_matrices(cs, cd, group)
+    assert abs(U[U != 0]).min() > 1e-11
+    build_graded_core(group[:1], U[:1], T[:1])
+    message = ("core of class ('g0m1', 'g0m2') is not positive definite "
+               "(degenerate or badly conditioned Hessian data)")
+    with pytest.raises(InvariantViolation) as err:
+        build_graded_core(group, U, T)
+    assert str(err.value) == message
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(structure_to_dict(cs)))
+    res = run_cli(["analyze", str(path), "--h", "0.1"])
+    assert res.exit_code == 3
+    assert json.loads(res.stdout) == {
+        "schema": "metastab/2",
+        "error": {"type": "InvariantViolation", "message": message}}
 
 
 def test_core_invariant_under_completion_choice():
@@ -233,8 +279,8 @@ def test_core_invariant_under_completion_choice():
         q_rot = np.linalg.qr(rng.standard_normal((nblk, nblk)))[0]
         W = np.eye(c.q)
         W[c.q - nblk:, c.q - nblk:] = q_rot
-        (levels1,) = class_spectrum([c], build_graded_core([c], U, T))
-        (levels2,) = class_spectrum([c], build_graded_core([c], U, T @ W))
+        (levels1,) = class_spectrum([c], *build_graded_core([c], U, T))
+        (levels2,) = class_spectrum([c], *build_graded_core([c], U, T @ W))
         for zeta2_1, zeta2_2 in zip(levels1, levels2):
             assert np.allclose(np.sort(zeta2_1), np.sort(zeta2_2),
                                rtol=1e-11, atol=1e-13)

@@ -1,11 +1,14 @@
 """The shape-group pass of ``full_spectrum`` against the class-by-class
 pipeline it replaced (``tests/spectrum_oracle.py``).
 
-For every class, Upsilon, T, theta0, the graded core and each level's
-barrier and eigenvalues must be bit-equal to the oracle's. The structures
-are the bundled examples, the chains of ``conftest``, tie-heavy draws, and
-drawn landscapes of gadgets repeated with fresh Hessian data, so that shape
-groups hold several classes.
+For every class, Upsilon, T, theta0, the graded core, each level's barrier
+and the eigenvalues of the first barrier level must be bit-equal to the
+oracle's. The deeper levels come from the core's Cholesky factor, where the
+oracle runs the Schur recursion with SciPy's ``cho_solve``: their
+eigenvalues must agree within ``_DEEPER`` eps of the core's norm. The
+structures are the bundled examples, the chains of ``conftest``, tie-heavy
+draws, and drawn landscapes of gadgets repeated with fresh Hessian data, so
+that shape groups hold several classes.
 """
 
 import numpy as np
@@ -23,6 +26,9 @@ from metastab.landscape import CriticalStructure, extract_critical_structure
 from metastab.topology import decompose
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+# deeper levels against the oracle's, in eps of the core's 2-norm: at most
+# 4.1 over 3000 seeds each of the tied and the gadget draws below
+_DEEPER = 8
 
 
 def _spectrum(cs, cd):
@@ -38,9 +44,9 @@ def _spectrum(cs, cd):
         return out
 
     def spy_core(classes, upsilon, T):
-        stacked = core(classes, upsilon, T)
+        stacked, factors = core(classes, upsilon, T)
         cores.update(zip(map(id, classes), stacked))
-        return stacked
+        return stacked, factors
 
     spectra.build_class_matrices = spy_matrices
     spectra.build_graded_core = spy_core
@@ -81,9 +87,14 @@ def assert_same_bits(cs):
             assert _bits(theta0, m.theta0), alpha
         assert _bits(cores[id(alpha)], g.core), alpha
         assert len(got) == len(levels) == alpha.p
-        for S, zeta2, lv0 in zip(alpha.block_S, got, levels):
+        tol = _DEEPER * np.finfo(float).eps * np.linalg.eigvalsh(g.core)[-1]
+        for k, (S, zeta2, lv0) in enumerate(zip(alpha.block_S, got, levels)):
             assert type(S) is float and S == lv0.S, alpha
-            assert _bits(zeta2, lv0.zeta2), alpha
+            if k == 0:
+                assert _bits(zeta2, lv0.zeta2), alpha
+            else:
+                assert zeta2.shape == lv0.zeta2.shape, alpha
+                assert np.all(abs(zeta2 - lv0.zeta2) <= tol), alpha
     return sorted(sizes(cd).values())
 
 
