@@ -6,26 +6,27 @@ the conjugated derivative h e^(-phi/h) d/dx e^(phi/h) on interval midpoints.
 Working with the factor instead of assembling A is what makes eigenvalues of
 size 1e-13 and below resolvable at all: the small singular values of a
 bidiagonal matrix are determined to relative accuracy by its entries, and
-bisection on the Golub-Kahan tridiagonal form recovers each one to its own
-precision no matter how many orders of magnitude separate it from the norm.
-The discrete Gibbs vector e^(-phi/h) is annihilated exactly by the interior
-rows of C, so the bottom of the spectrum is clean.
+bisection on C's own Golub-Kahan form, a zero-diagonal tridiagonal with C's
+entries off the diagonal, recovers each one to its own precision no matter
+how many orders of magnitude separate it from the norm. The discrete Gibbs
+vector e^(-phi/h) is annihilated exactly by the interior rows of C, so the
+bottom of the spectrum is clean.
 
 The bisection (LAPACK ``stebz``) and the spline solve (``gtsv``) are SciPy's
 compiled routines, called with the arguments of SciPy's public wrappers but
 loaded without importing the ``scipy.linalg`` package (see ``_lapack``).
 ``compare`` first builds and checks the coarse and the fine grid of every h,
-keeping only each grid's factor, so an h the samples cannot support is
-rejected before any bisection runs. It then hands the grids to one
-``small_eigenvalues`` call: the calling thread forms their QR factors in
-schedule order, dropping each grid once its factor is formed, while
-``stebz``, called through ``ctypes`` outside the GIL, bisects the problems
-already formed on worker threads, each taking the largest problem ready.
-The calling thread joins them after the last QR, and at most one thread
-per CPU the process may use bisects, so one CPU starts no thread. Each
-problem is dropped after its bisection, and each bisection allocates its
-workspace only while it runs. The report bytes do not depend on the
-threads: every bisection is the same call with the same arguments.
+keeping only each grid's factor, whose interleaved entries are already the
+off-diagonal of its Golub-Kahan problem, so an h the samples cannot support
+is rejected before any bisection runs. It then hands the grids to one
+``small_eigenvalues`` call for the nonzero eigenvalues alone: ``stebz``,
+called through ``ctypes`` outside the GIL, bisects the problems on the
+calling thread and on worker threads, each taking the largest problem
+ready, with at most one thread per CPU the process may use, so one CPU
+starts no thread. Each factor is dropped after its bisection, and each
+bisection allocates its workspace only while it runs. The report bytes do
+not depend on the threads: every bisection is the same call with the same
+arguments.
 """
 
 import heapq
@@ -46,12 +47,11 @@ _RICHARDSON_TOL = 0.05   # grid n vs 2n drift beyond this is INCONCLUSIVE
 _MAX_EXP_ARG = 150.0     # per-cell exponent guard; beyond this the grid is
                          # far too coarse for the requested h anyway
 # Most points in a grid ``compare`` builds: one h whose fine grid is at the
-# budget peaks at 663 MB RSS in ``validate`` (x86-64 Linux, NumPy 2.4)
+# budget peaks at 324 MB RSS in ``validate`` (x86-64 Linux, NumPy 2.4)
 _MAX_GRID = 2 ** 22
-# Largest entry of the factor C: ``stebz`` squares the entries of R, each at
-# most the norm of a column of C, the hypot of two entries of C
+# Largest entry of the factor C: ``stebz`` squares C's entries, and each
+# square stays at most half the largest float
 _MAX_ENTRY = math.sqrt(np.finfo(float).max / 2)
-_QR_CHUNK = 1024        # factor entries the QR holds as Python floats at once
 
 
 def eigh_tridiagonal(problems):
@@ -253,12 +253,19 @@ def _energy_window(p, cs, h):
 
 
 class DiscretizedWitten(NamedTuple):
-    acoef: np.ndarray      # C[j, j] entries, j = 0..n-1
-    bcoef: np.ndarray      # C[j + 1, j] entries, j = 0..n-1
+    off: np.ndarray        # C[j, j], C[j + 1, j] interleaved, j = 0..n-1
 
     @property
     def n(self):
-        return self.acoef.size
+        return self.off.size // 2
+
+    @property
+    def acoef(self):       # C[j, j] entries, a strided view of ``off``
+        return self.off[0::2]
+
+    @property
+    def bcoef(self):       # C[j + 1, j] entries, a strided view of ``off``
+        return self.off[1::2]
 
 
 def discretize(p, h, n, *, domain):
@@ -300,78 +307,53 @@ def discretize(p, h, n, *, domain):
             f"grid resolves the potential too poorly at h={h:g} "
             f"(per-cell exponent {worst:.1f}); increase the grid size")
     scale = h / float(dx)          # a Python float: inf, not a warning
-    acoef = scale * np.exp(up[:-1])
-    bcoef = -scale * np.exp(dn[1:])
-    if not max(acoef.max(), -bcoef.min()) < _MAX_ENTRY:
+    dw = DiscretizedWitten(np.empty(2 * n))
+    a, b = dw.acoef, dw.bcoef
+    np.exp(up[:-1], out=a)
+    a *= scale
+    np.exp(dn[1:], out=b)
+    b *= -scale
+    if not max(a.max(), -b.min()) < _MAX_ENTRY:
         raise InputDataError(
             f"h={h:g} is too large for a grid of {n} points: the factor's "
             f"entries (h/dx = {scale:g}) overflow double precision when "
             f"squared")
-    return DiscretizedWitten(acoef, bcoef)
+    return dw
 
 
-def _golub_kahan(dw):
-    """Givens QR of the factor C, returned as the off-diagonal of the
-    Golub-Kahan form of the upper bidiagonal R: R's diagonal and
-    superdiagonal interleaved, ``off[0::2]`` and ``off[1::2]``.
+def small_eigenvalues(dws, first, last):
+    """Eigenvalues ``first..last`` (0-based, ascending) of C'C for each
+    discretized operator in the list ``dws``; one array per grid.
 
-    Only the recurrence for the diagonal is sequential, so it runs on
-    Python floats, where indexing NumPy arrays element by element would
-    cost more than the arithmetic. It converts ``_QR_CHUNK`` entries at a
-    time, so its Python floats stay few while the bisections of the grids
-    before it run. Step j rotates by c = r/rho and s = b[j]/rho (c = 1,
-    s = 0 when rho is 0), leaving r c t for the next step and s t above the
-    diagonal, t = a[j+1]; NumPy then forms every s t with the same
-    operations, in the same order.
-    """
-    n = dw.n
-    a, b = dw.acoef, dw.bcoef
-    hypot = math.hypot
-    off = np.zeros(2 * n - 1)
-    r = a.item(0)
-    for lo in range(0, n - 1, _QR_CHUNK):
-        hi = min(lo + _QR_CHUNK, n - 1)
-        rhos = []
-        push = rhos.append
-        for bj, t in zip(b[lo:hi].tolist(), a[lo + 1:hi + 1].tolist()):
-            rho = hypot(r, bj)
-            push(rho)
-            r = r / rho * t if rho != 0.0 else t
-        off[2 * lo:2 * hi:2] = rhos
-    off[-1] = hypot(r, b.item(n - 1))
-    rho, e = off[:-1:2], off[1::2]
-    np.divide(b[:-1], rho, out=e, where=rho != 0.0)
-    e *= a[1:]
-    return off
+    They are the squared singular values of C, found by bisection on C's
+    Golub-Kahan form: the tridiagonal of dimension 2n + 1 with a zero
+    diagonal and C's entries interleaved off it (``DiscretizedWitten.off``
+    itself). Its eigenvalues are +-sigma_i and one structural 0, so sigma_i
+    is its eigenvalue n + 1 + i. Bisection counts the eigenvalues of a
+    zero-diagonal tridiagonal to high relative accuracy whatever its
+    entries (Demmel & Kahan 1990), and with a tiny tolerance it refines
+    every eigenvalue to its own relative precision, which is what lets a
+    1e-40 eigenvalue coexist with an operator norm of 1e4.
 
-
-def small_eigenvalues(dws, k):
-    """The k smallest eigenvalues of each discretized operator in the list
-    ``dws``, ascending; one array per grid.
-
-    Eigenvalues are squared singular values of the QR factor R of C, and the
-    singular values of the bidiagonal R are found by bisection on its
-    Golub-Kahan tridiagonal embedding (zero diagonal, R entries interleaved
-    off the diagonal). With a tiny tolerance the bisection refines every
-    eigenvalue to its own relative precision, which is what lets a 1e-40
-    eigenvalue coexist with an operator norm of 1e4.
-
-    The calling thread forms the QR factors in list order and hands each
-    problem to the bisection as soon as it is formed (see
-    ``eigh_tridiagonal``). Each grid is removed from ``dws`` as its QR
-    starts, so a caller that holds no other reference frees every grid once
-    its factor is formed; ``dws`` is empty on return.
+    Each grid is removed from ``dws`` as its problem is handed to the
+    bisection (see ``eigh_tridiagonal``), so a caller that holds no other
+    reference frees each factor once its own bisection ends; ``dws`` is
+    empty on return. An empty range, ``first > last``, bisects nothing.
     """
     sizes = [dw.n for dw in dws]
-    if not all(1 <= k <= n for n in sizes):
-        raise InputDataError("requested eigenvalue count exceeds dimension")
+    if first < 0 or any(last >= n for n in sizes):
+        raise InputDataError("requested eigenvalue index exceeds dimension")
+    if first > last:
+        dws.clear()
+        return [np.empty(0) for _ in sizes]
     # every Golub-Kahan diagonal is zero, so one array serves every problem
-    zero = np.zeros(2 * max(sizes, default=0))
+    zero = np.zeros(2 * max(sizes, default=0) + 1)
     tiny = np.finfo(float).tiny
 
     def problems():
         for n in sizes:
-            yield zero[:2 * n], _golub_kahan(dws.pop(0)), n, n + k - 1, tiny
+            yield (zero[:2 * n + 1], dws.pop(0).off, n + 1 + first,
+                   n + 1 + last, tiny)
     return [np.maximum(w, 0.0) ** 2 for w in eigh_tridiagonal(problems())]
 
 
@@ -424,9 +406,9 @@ def compare(report, p, h_list, grid=None):
                 f"the fine grid at h={h:g} needs {2 * n} points, over the "
                 f"budget of {_MAX_GRID} grid points")
     # the coarse and fine grid of every h, all built and checked before the
-    # first bisection; small_eigenvalues drops each after its QR. One spline
-    # serves every grid (its gtsv solve comes from the same LAPACK module as
-    # the bisection), and goes before the first bisection.
+    # first bisection; each factor goes once its own bisection ends. One
+    # spline serves every grid (its gtsv solve comes from the same LAPACK
+    # module as the bisection), and goes before the first bisection.
     phi_fn = _cubic_spline(p.xs, p.phis)
     predictions, grids = [], []
     for h, domain, n in zip(hs, domains, ns):
@@ -434,7 +416,8 @@ def compare(report, p, h_list, grid=None):
         grids.append(discretize(phi_fn, h, n, domain=domain))
         grids.append(discretize(phi_fn, h, 2 * n, domain=domain))
     del phi_fn
-    nonzero = [w[1:].tolist() for w in small_eigenvalues(grids, n0)]
+    # the zero mode, eigenvalue 0, is not bisected
+    nonzero = [w.tolist() for w in small_eigenvalues(grids, 1, k_nonzero)]
     steps = []
     for h, n, entries, coarse, fine in zip(hs, ns, predictions,
                                            nonzero[0::2], nonzero[1::2]):

@@ -8,8 +8,11 @@ import tracemalloc
 import weakref
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from metastab import validator
 from metastab.errors import InputDataError
@@ -19,8 +22,8 @@ from metastab.landscape import extract_critical_structure, make_sampled
 from metastab.spectra import full_spectrum
 from metastab.topology import decompose
 from metastab.validator import (DiscretizedWitten, _cubic_spline,
-                                _energy_window, _golub_kahan, compare,
-                                default_grid, discretize, small_eigenvalues)
+                                _energy_window, compare, default_grid,
+                                discretize, small_eigenvalues)
 from test_golden import _write_sampled_chain
 
 # every h at which the tests, the bundled examples and the benchmark solve a
@@ -75,7 +78,7 @@ def test_quadratic_well_spectrum():
     # phi = x^2 gives |phi'|^2 - h phi'' = 4x^2 - 2h, a shifted oscillator
     # with exact eigenvalues 4hk
     dw = discretize(lambda x: x * x, 1.0, n=4000, domain=(-6.0, 6.0))
-    w, = small_eigenvalues([dw], 3)
+    w, = small_eigenvalues([dw], 0, 2)
     assert w[0] <= 1e-12
     assert abs(w[1] - 4.0) <= 1e-8
     assert abs(w[2] - 8.0) <= 1e-7
@@ -107,7 +110,7 @@ def test_default_energy_window():
 def test_grid_refinement_is_converged():
     p = double_well().potential
     w1, w2 = small_eigenvalues([_sampled(p, 0.1), _sampled(p, 0.1, n=8000)],
-                               2)
+                               0, 1)
     assert abs(w1[1] - w2[1]) / w2[1] <= 1e-8
 
 
@@ -149,60 +152,114 @@ def test_per_cell_exponent_guard():
                    n=100, domain=(0.0, 1.0))
 
 
-def _qr_oracle(dw):
-    """The Givens QR of the factor as one loop over Python floats, each
-    rotation formed and applied in turn; R's diagonal and superdiagonal
-    interleaved, as the Golub-Kahan off-diagonal."""
-    n = dw.n
-    a = dw.acoef.tolist()
-    b = dw.bcoef.tolist()
-    off = [0.0] * (2 * n - 1)
-    r = a[0]
-    for j in range(n):
-        rho = math.hypot(r, b[j])
-        off[2 * j] = rho
-        if j + 1 < n:
-            t = a[j + 1]
-            if rho == 0.0:
-                c_, s_ = 1.0, 0.0
-            else:
-                c_, s_ = r / rho, b[j] / rho
-            off[2 * j + 1] = s_ * t
-            r = c_ * t
-    return np.array(off)
+def test_factor_entries_are_views_of_one_interleaved_array():
+    # acoef and bcoef read the Golub-Kahan off-diagonal that is bisected, so
+    # no grid's factor is ever copied
+    dw = discretize(lambda x: x * x, 1.0, n=200, domain=(-6.0, 6.0))
+    assert dw.off.shape == (400,) and dw.off.flags.c_contiguous
+    assert dw.n == 200
+    for part, start in ((dw.acoef, 0), (dw.bcoef, 1)):
+        assert part.base is dw.off
+        assert part.tobytes() == dw.off[start::2].tobytes()
+    assert np.all(dw.acoef > 0) and np.all(dw.bcoef < 0)
 
 
-def _qr_cases():
-    # every grid compare solves for the bundled sampled potentials, then
-    # random factors with zero pairs (rho = 0) and negative entries
-    for p in (chain_sampled(), double_well().potential):
-        for h in _H_USED:
-            dw = _sampled(p, h)
-            yield dw
-            yield _sampled(p, h, 2 * dw.n)
-    rng = np.random.default_rng(3)
-    for n in (1, 2, 7, 300):
-        a = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
-        b = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
-        zero = rng.random(n) < 0.3
-        a[zero] = 0.0
-        b[zero] = 0.0
-        yield DiscretizedWitten(a, b)
-
-
-def test_qr_matches_the_rotation_loop_bit_for_bit():
-    for dw in _qr_cases():
-        got, want = _golub_kahan(dw), _qr_oracle(dw)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-
-def test_small_eigenvalues_bounds():
+def test_small_eigenvalues_bounds(monkeypatch):
     dw = discretize(lambda x: x * x, 1.0, n=200, domain=(-6.0, 6.0))
     with pytest.raises(InputDataError, match="exceeds dimension"):
-        small_eigenvalues([dw], 201)
+        small_eigenvalues([dw], 0, 200)
     with pytest.raises(InputDataError, match="exceeds dimension"):
-        small_eigenvalues([dw], 0)
+        small_eigenvalues([dw], -1, 2)
+    # an empty range bisects nothing, and still takes the grids
+    calls = _spy_bisection(monkeypatch)
+    dws = [dw, dw]
+    empty = small_eigenvalues(dws, 1, 0)
+    assert calls == [] and dws == []
+    assert [w.shape for w in empty] == [(0,), (0,)]
+
+
+# ------------------------------------------------------------------ accuracy
+
+
+def _sturm_count(e2, x):
+    """Eigenvalues below ``x`` > 0 of the zero-diagonal tridiagonal whose
+    squared off-diagonal entries are ``e2``, by the signs of the pivots of
+    its LDL' factorization shifted by ``x``."""
+    q, count = -x, 1
+    for s in e2:
+        q = -x - s / (q if q else -_MP_TINY)
+        count += q < 0
+    return count
+
+
+_MP_TINY = mpmath.mpf(2) ** -4000
+
+
+def _ulp_errors(dw, first, last, got):
+    """Errors of ``got``, eigenvalues ``first..last`` of C'C, in ulps of
+    the exact eigenvalues of the float factor ``dw``. Each is singular
+    value sigma_i of C squared, the eigenvalue n + 1 + i of its
+    Golub-Kahan form, which a 40-digit Sturm bisection in mpmath finds from
+    a bracket around sqrt(got) (else from Gershgorin's), to 2^-66
+    relative. An exact eigenvalue below 2^-1000, whose square root nears
+    the bisection's absolute tolerance, is skipped."""
+    errors = []
+    with mpmath.workdps(40):
+        e2 = [mpmath.mpf(v) ** 2 for v in dw.off.tolist()]
+        for i, w in zip(range(first, last + 1), got.tolist()):
+            target = dw.n + 1 + i
+            s = mpmath.sqrt(w)
+            lo, hi = s * (1 - 2.0 ** -46), s * (1 + 2.0 ** -46)
+            if not _sturm_count(e2, lo) <= target < _sturm_count(e2, hi):
+                lo, hi = _MP_TINY, 3 * mpmath.sqrt(max(e2))
+            while hi - lo > 2.0 ** -66 * hi:
+                mid = mpmath.sqrt(lo * hi) if hi > 2 * lo else (lo + hi) / 2
+                if _sturm_count(e2, mid) <= target:
+                    lo = mid
+                else:
+                    hi = mid
+            lam = ((lo + hi) / 2) ** 2
+            if lam >= mpmath.mpf(2) ** -1000:
+                errors.append(float(abs(w - lam) / np.spacing(float(lam))))
+    return errors
+
+
+# The largest error measured: 5.98 ulp on the grids below, and 6.20 over
+# the 2000 draws of the metastab-long profile (4.48 over tier-1's). The
+# eigenvalues of the Givens QR of C, bisected on the Golub-Kahan form of R,
+# erred by up to 15.20 and 6.93 ulp on the same cases.
+_MAX_ULPS = 6.5
+
+
+@pytest.mark.parametrize("which, hs", [("double-well", (0.15, 0.1)),
+                                       ("chain", (0.3, 0.2))])
+def test_nonzero_eigenvalues_against_40_digits(which, hs):
+    # the eigenvalues compare checks, on 300-point grids of the bundled
+    # sampled potentials
+    p = {"double-well": double_well().potential,
+         "chain": chain_sampled()}[which]
+    n0 = _report(p).n0
+    errors = []
+    for h in hs:
+        dw = _sampled(p, h, n=300)
+        w, = small_eigenvalues([dw], 1, n0 - 1)
+        errors += _ulp_errors(dw, 1, n0 - 1, w)
+    assert len(errors) == 2 * (n0 - 1)
+    assert max(errors) <= _MAX_ULPS
+
+
+_MAGNITUDES = st.tuples(st.booleans(), st.floats(-30.0, 30.0)).map(
+    lambda t: (-1.0 if t[0] else 1.0) * 10.0 ** t[1])
+
+
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(_MAGNITUDES, min_size=2 * n, max_size=2 * n)))
+def test_zero_diagonal_draws_against_40_digits(entries):
+    # every eigenvalue of C'C for factors whose entries, of either sign,
+    # span sixty decades
+    dw = DiscretizedWitten(np.array(entries))
+    w, = small_eigenvalues([dw], 0, dw.n - 1)
+    assert all(e <= _MAX_ULPS for e in _ulp_errors(dw, 0, dw.n - 1, w))
 
 
 # -------------------------------------------------------------- double well
@@ -210,7 +267,7 @@ def test_small_eigenvalues_bounds():
 
 def test_double_well_eigenvalue_near_prediction():
     dw = _sampled(double_well().potential, 0.1)
-    w, = small_eigenvalues([dw], 2)
+    w, = small_eigenvalues([dw], 0, 1)
     assert w[0] <= 1e-15
     pred = (8.0 * math.sqrt(2.0) / math.pi) * 0.1 * math.exp(-2.0 / 0.1)
     assert abs(w[1] / pred - 1.0) <= 0.05
@@ -230,7 +287,7 @@ def test_double_well_sturm_count():
 
 def test_chain_small_cluster_and_gap():
     dw = _sampled(chain_sampled(), 0.08)
-    w, = small_eigenvalues([dw], 5)
+    w, = small_eigenvalues([dw], 0, 4)
     # four metastable states, then an O(1) spectral gap
     assert w[0] <= 1e-25
     assert w[4] / w[3] > 1e4
@@ -309,13 +366,14 @@ def test_input_checks_of_every_h_run_before_any_bisection(monkeypatch):
 
 def test_grids_and_spline_are_dropped_before_the_bisection(monkeypatch):
     # the grid points and the potential on them are gone once a grid is
-    # checked, the spline before the first bisection, and each grid's
-    # factor once its QR is formed; the QRs run in schedule order
+    # checked, and the spline before the first bisection; each factor is
+    # itself, not a copy, the off-diagonal its bisection reads, and lives
+    # until that bisection ends. On one CPU the problems run largest first.
     p = chain_sampled()
     report = _report(p)
-    spline, points, factors, reduced = [], [], [], []
+    spline, points, factors, done = [], [], [], []
     real = (validator._cubic_spline, np.linspace, validator.discretize,
-            validator._golub_kahan, validator.dstebz())
+            validator.dstebz())
 
     def cubic_spline(*args):
         phi = real[0](*args)
@@ -331,30 +389,30 @@ def test_grids_and_spline_are_dropped_before_the_bisection(monkeypatch):
     def discretize(*args, **kwargs):
         dw = real[2](*args, **kwargs)
         assert all(ref() is None for ref in points)
-        factors.append([weakref.ref(a) for a in dw])
+        factors.append(weakref.ref(dw.off))
         return dw
-
-    def qr(dw):
-        for refs in factors[:len(reduced)]:
-            assert all(ref() is None for ref in refs)
-        reduced.append(dw.n)
-        return real[3](dw)
 
     def stebz(*args):
         assert spline[0]() is None
-        for refs in factors[:len(reduced) - 1]:
-            assert all(ref() is None for ref in refs)
-        real[4](*args)
+        live = [ref() for ref in factors]
+        mine = [i for i, off in enumerate(live) if off is args[9]]
+        assert len(mine) == 1
+        assert [off is None for off in live] == [
+            i in done for i in range(len(live))]
+        del live
+        real[3](*args)
+        done.append(mine[0])
     monkeypatch.setattr(np, "linspace", linspace)
     for name, fn in (("_cubic_spline", cubic_spline),
-                     ("discretize", discretize), ("_golub_kahan", qr)):
+                     ("discretize", discretize)):
         monkeypatch.setattr(validator, name, fn)
     monkeypatch.setattr(validator, "dstebz", lambda: stebz)
-    monkeypatch.setattr(validator, "_cpus", lambda: 2)
+    monkeypatch.setattr(validator, "_cpus", lambda: 1)
     vr = compare(report, p, (0.3, 0.2))
     assert len(spline) == 1 and len(points) == len(factors) == 4
-    assert reduced == [n for s in vr.steps for n in (s.n, 2 * s.n)]
-    assert all(ref() is None for refs in factors for ref in refs)
+    assert [s.n for s in vr.steps] == [4000, 4000]
+    assert done == [1, 3, 0, 2]
+    assert all(ref() is None for ref in factors)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -451,6 +509,40 @@ def test_compare_single_well_is_vacuous():
     vr = compare(report, p, (0.1,))
     assert vr.verdicts == ()
     assert vr.n0 == 1
+
+
+def test_single_well_checks_every_grid_and_bisects_nothing(monkeypatch):
+    # one minimum has no nonzero eigenvalue to check: the grids of every h
+    # are still built and checked, and no bisection runs
+    xs = np.linspace(-2.0, 2.0, 2001)
+    p = make_sampled(xs, xs ** 2)
+    report = _report(p)
+    calls = _spy_bisection(monkeypatch)
+    built = []
+    real = validator.discretize
+
+    def discretize(phi, h, n, *, domain):
+        built.append((h, n))
+        return real(phi, h, n, domain=domain)
+    monkeypatch.setattr(validator, "discretize", discretize)
+    vr = compare(report, p, (0.2, 0.1))
+    assert calls == []
+    assert built == [(0.2, 4000), (0.2, 8000), (0.1, 4000), (0.1, 8000)]
+    assert [(s.h, s.n, s.numeric, s.richardson) for s in vr.steps] == [
+        (0.2, 4000, (), ()), (0.1, 4000, (), ())]
+
+
+def test_single_well_h_too_small_exits_2(tmp_path):
+    # the spread guard of the grids still runs when nothing is bisected
+    xs = np.linspace(-2.0, 2.0, 2001)
+    csv = tmp_path / "well.csv"
+    csv.write_text("x,phi\n" + "".join(
+        f"{x!r},{x * x!r}\n" for x in xs.tolist()))
+    res = run_cli(["validate", str(csv), "--h", "0.1,1e-3"])
+    assert res.exit_code == 2, res
+    err = json.loads(res.stdout)["error"]
+    assert err["type"] == "InputDataError"
+    assert "underflow double precision" in err["message"]
 
 
 def test_compare_rejects_empty_schedule():
