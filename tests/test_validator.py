@@ -180,6 +180,8 @@ def test_small_eigenvalues_bounds(monkeypatch):
 
 # ------------------------------------------------------------------ accuracy
 
+_MP_TINY = mpmath.mpf(2) ** -4000
+
 
 def _sturm_count(e2, x):
     """Eigenvalues below ``x`` > 0 of the zero-diagonal tridiagonal whose
@@ -190,9 +192,6 @@ def _sturm_count(e2, x):
         q = -x - s / (q if q else -_MP_TINY)
         count += q < 0
     return count
-
-
-_MP_TINY = mpmath.mpf(2) ** -4000
 
 
 def _ulp_errors(dw, first, last, got):
