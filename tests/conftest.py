@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from metastab import cli
-from metastab.landscape import CriticalStructure
+from metastab.landscape import CriticalStructure, make_sampled
 from metastab.prefactors import build_class_matrices, build_graded_core, h_phi
 from metastab.topology import merge_tree
 from sweep_oracle import SaddleRow
@@ -373,6 +373,18 @@ def shuffled_chain(rng, n):
     v = rng.choice(np.arange(1, 10 * n), size=2 * n - 1, replace=False) / n
     return _chain(v[:n], [max(v[i], v[i + 1]) + 0.1 + 0.09 * v[n + i]
                           for i in range(n - 1)])
+
+
+def walled_wells(n):
+    """Samples of n wells, at x = 0 .. n - 1, of the modulated cosine
+    (1 - cos 2 pi x)(1 + 0.2 sin 0.37 x) plus walls 30 d^2, d the distance
+    beyond the outer wells, on [-1, n] with 40 samples per unit: the
+    validator's scaling input."""
+    xs = np.linspace(-1.0, float(n), 40 * (n + 1) + 1)
+    d = np.maximum(-xs, 0.0) + np.maximum(xs - (n - 1), 0.0)
+    phis = ((1.0 - np.cos(2.0 * np.pi * xs)) * (1.0 + 0.2 * np.sin(0.37 * xs))
+            + 30.0 * d * d)
+    return make_sampled(xs, phis)
 
 
 def _leaves(tree, node):

@@ -40,6 +40,21 @@ at most 3.7e-14 relative, and with them ratio, deviation and grid_drift
 * the sampled-chain ``validate``: v2 c39fb0f1 -> 3d49782a, v1 ed4170a6 ->
   1e186fcd; 8 numeric eigenvalues move, by at most 3.7e-14 relative.
 
+The three sampled cases were re-pinned a third time, layout and schema
+string unchanged, when the validator came to eliminate every grid onto the
+nodes of its wells and to bisect the n0-column reduction instead of the
+whole grid's factor. Their verdicts hold; the numeric eigenvalues move by
+at most 2.3e-14 relative, and with them ratio and deviation, and
+grid_drift, a difference of near-equal eigenvalues, by up to 0.4%
+relative:
+
+* ``double-well``: v2 da3b0186 -> 3ecbbc96, v1 a7c02882 -> e7ff17af; 3
+  numeric eigenvalues move, by at most 9.5e-15 relative.
+* ``validate`` (the double well): v2 90f76e4d -> 047c5355, v1 29da06ee ->
+  4ea6daae; 2 numeric eigenvalues move, by at most 8.3e-15 relative.
+* the sampled-chain ``validate``: v2 3d49782a -> 8d1d7b67, v1 1e186fcd ->
+  ed7ff8dd; 9 numeric eigenvalues move, by at most 2.3e-14 relative.
+
 The runs go through one child interpreter with single-threaded BLAS. The
 dense ring spectrum (``ex-c --n 200``) depends in its last bits on the BLAS
 thread count, so the digests are pinned for one thread, which the CLI
@@ -83,8 +98,8 @@ GOLDEN_V2 = {
         "cb76718ea3bf59e7f41edea91a256c57b35d277a3a4ec179da2f66154247f48d",
         10284),
     "double-well": (
-        "da3b01868cda8ff3c71c54cce2c208b28fa8607be5635fb18429e5123ca79766",
-        5220),
+        "3ecbbc96cd3b012f5c062a21b40d851a68774c044392ccec5b1d82bb44629223",
+        5224),
     "ex-c --n 4": (
         "480af0bd82bb78606c41e40aecdeb58d2a6296853468e132020660dd4459389b",
         3704),
@@ -103,10 +118,10 @@ GOLDEN_ANALYZE_V2 = {
 }
 
 GOLDEN_VALIDATE_V2 = (
-    "90f76e4d2b5c14e88f460ac395afc93d98343bef5f43fbe1013500d5c647f11f", 948)
+    "047c535547161b1c43958ba8521f43b3949ebd82f2a8504d147648419749c24e", 948)
 
 GOLDEN_VALIDATE_CHAIN_V2 = (
-    "3d49782a0f3ac289f07adf127f3afb3b23c254adb45106f555ef5fa729123744", 2930)
+    "8d1d7b67d25f6b6d37af2f7640b8310b91c95fe0ddf927ea7cde9b1ee071428a", 2930)
 
 # schema metastab/1, which expand_v1 must rebuild from the reports above
 GOLDEN = {
@@ -123,8 +138,8 @@ GOLDEN = {
         "512c9775d84a17287f4592ee25cdd5f9263f470059d1c5392e75957bc863e0f0",
         10883),
     "double-well": (
-        "a7c02882719733bc9225f9eeaaac14e52906817557410033c663239992d21f86",
-        5198),
+        "e7ff17af04a9e62fc5d13558d34cbde97aadf3a3fd3e496fa970cd5234c3a997",
+        5202),
     "ex-c --n 4": (
         "d1df88c5484b706382cf7b5f6f8e80690bf80e627666d6d5c8c674cb351f786e",
         3908),
@@ -136,13 +151,13 @@ GOLDEN = {
 # ``metastab validate dw.csv --h 0.15,0.1`` on the samples _write_double_well
 # writes
 GOLDEN_VALIDATE = (
-    "29da06ee642fede5cce65501f3785258fbd2b38eb5f412f9f62be668783e6f18", 948)
+    "4ea6daae478f721396773abb2f710c04579dc4bb37752bdc4c6338322d9433b2", 948)
 
 # ``metastab validate chain.csv --h 0.3,0.2,0.15`` on the samples
 # _write_sampled_chain writes: the benchmark's validation, three h and six
-# bisections
+# grids
 GOLDEN_VALIDATE_CHAIN = (
-    "1e186fcd8a44d7ded3743a48c59929f42edb058b753431c1632d2db9bf2799a0", 2930)
+    "ed7ff8dd6d201e3aa671153130e0ec8c09103e3c57ecb6c28c1b956adc625541", 2930)
 
 # ``metastab analyze --h 0.1`` on the structures built by _STRUCTURES
 GOLDEN_ANALYZE = {
@@ -319,7 +334,7 @@ def _write_sampled_chain(path):
 
 
 def test_sampled_chain_validate_matches_golden_bytes(tmp_path):
-    """The benchmark's validation: six bisections over three h, all under
+    """The benchmark's validation: six grids over three h, all under
     the byte gate, loading SciPy's compiled LAPACK module alone (writing
     the samples imports ``scipy.interpolate`` in this process only)."""
     _write_sampled_chain(tmp_path / "chain.csv")

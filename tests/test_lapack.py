@@ -58,7 +58,7 @@ def _eigh(d, e, lo, hi, tol):
 @functools.cache
 def _golub_kahan_calls():
     """The (d, e, lo, hi, tol) of every bisection ``compare`` runs for the
-    sampled ex-a chain and the bundled double well."""
+    sampled ex-a chain and the bundled double well, in order."""
     calls = []
     real = validator.eigh_tridiagonal
 
@@ -77,13 +77,17 @@ def _golub_kahan_calls():
 
 
 def test_golub_kahan_matrices_match_scipy():
+    # every problem is the Golub-Kahan form of a grid's reduction onto its
+    # wells: the chain's four minima give three nonzero eigenvalues, first
+    # bisected together for each of its four grids, then one at a time;
+    # the double well's two minima give one
     calls = _golub_kahan_calls()
-    assert len(calls) == 6
+    sizes = [d.size for d, *_ in calls]
+    assert set(sizes) == {9, 5} and sizes[:4] == [9] * 4
+    assert [hi - lo for _, _, lo, hi, _ in calls[:4]] == [2] * 4
+    assert all(hi == lo for _, _, lo, hi, _ in calls[4:])
     together = validator.eigh_tridiagonal(calls)
-    for i, ((d, e, lo, hi, tol), got) in enumerate(zip(calls, together)):
-        # the chain's four minima give three nonzero eigenvalues, the
-        # double well's two minima one
-        assert hi > lo if i < 4 else hi == lo
+    for (d, e, lo, hi, tol), got in zip(calls, together):
         want = _scipy_eigh(d, e, lo, hi, tol)
         _same_bits(_eigh(d, e, lo, hi, tol), want)
         _same_bits(got, want)

@@ -11,18 +11,19 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metastab import validator
 from metastab.errors import InputDataError
-from conftest import limit_address_space, minima, run_cli
+from conftest import limit_address_space, minima, run_cli, walled_wells
 from metastab.examples import chain_sampled, double_well, ex_a
 from metastab.landscape import extract_critical_structure, make_sampled
 from metastab.spectra import full_spectrum
 from metastab.topology import decompose
 from metastab.validator import (DiscretizedWitten, _cubic_spline,
-                                _energy_window, compare, default_grid,
+                                _energy_window, _reduce, _well_nodes,
+                                _wells_eigenvalues, compare, default_grid,
                                 discretize, small_eigenvalues)
 from test_golden import _write_sampled_chain
 
@@ -63,6 +64,18 @@ def _sampled(p, h, n=None):
     if n is None:
         n = default_grid(h, *domain)
     return discretize(_cubic_spline(p.xs, p.phis), h, n, domain=domain)
+
+
+def _reduced(p, h, n=None):
+    """The grid ``_sampled`` builds, and its reduction onto the wells as
+    ``compare`` makes it."""
+    cs = extract_critical_structure(p)
+    domain = _energy_window(p, cs, h)
+    if n is None:
+        n = default_grid(h, *domain)
+    dw = discretize(_cubic_spline(p.xs, p.phis), h, n, domain=domain)
+    wells = np.sort([cs.positions[m] for m in cs.min_ids])
+    return dw, _reduce(dw, _well_nodes(wells, domain, n), h)
 
 
 def _report(p):
@@ -176,6 +189,13 @@ def test_small_eigenvalues_bounds(monkeypatch):
     empty = small_eigenvalues(dws, 1, 0)
     assert calls == [] and dws == []
     assert [w.shape for w in empty] == [(0,), (0,)]
+    # a range per grid: a grid with an empty one is not bisected
+    dws = [dw, dw, dw]
+    got = small_eigenvalues(dws, [1, 2, 0], [2, 1, 0])
+    assert dws == [] and len(calls) == 1 and len(calls[0]) == 2
+    assert [w.tolist() for w in got] == [
+        small_eigenvalues([dw], 1, 2)[0].tolist(), [],
+        small_eigenvalues([dw], 0, 0)[0].tolist()]
 
 
 # ------------------------------------------------------------------ accuracy
@@ -223,28 +243,58 @@ def _ulp_errors(dw, first, last, got):
     return errors
 
 
-# The largest error measured: 5.98 ulp on the grids below, and 6.20 over
-# the 2000 draws of the metastab-long profile (4.48 over tier-1's). The
-# eigenvalues of the Givens QR of C, bisected on the Golub-Kahan form of R,
-# erred by up to 15.20 and 6.93 ulp on the same cases.
+# The largest error measured: 6.02 ulp on the grids below for the reduction
+# onto the wells that compare solves (5.98 for the bisection of the whole
+# grid's factor), and 6.20 over the 2000 draws of the metastab-long profile
+# (4.48 over tier-1's). The eigenvalues of the Givens QR of C, bisected on
+# the Golub-Kahan form of R, erred by up to 15.20 and 6.93 ulp on the same
+# cases.
 _MAX_ULPS = 6.5
+_BUNDLED = {"double-well": (lambda: double_well().potential, (0.15, 0.1)),
+            "chain": (chain_sampled, (0.3, 0.2, 0.15))}
 
 
 @pytest.mark.parametrize("which, hs", [("double-well", (0.15, 0.1)),
                                        ("chain", (0.3, 0.2))])
 def test_nonzero_eigenvalues_against_40_digits(which, hs):
-    # the eigenvalues compare checks, on 300-point grids of the bundled
-    # sampled potentials
-    p = {"double-well": double_well().potential,
-         "chain": chain_sampled()}[which]
+    # the eigenvalues compare checks, found as compare finds them, on
+    # 300-point grids of the bundled sampled potentials
+    p = _BUNDLED[which][0]()
     n0 = _report(p).n0
     errors = []
     for h in hs:
-        dw = _sampled(p, h, n=300)
-        w, = small_eigenvalues([dw], 1, n0 - 1)
+        dw, reduction = _reduced(p, h, n=300)
+        w, = _wells_eigenvalues([reduction], 1, n0 - 1)
         errors += _ulp_errors(dw, 1, n0 - 1, w)
     assert len(errors) == 2 * (n0 - 1)
     assert max(errors) <= _MAX_ULPS
+
+
+@pytest.mark.parametrize("which", ["double-well", "chain"])
+def test_production_grids_against_40_digits(which):
+    # the grids compare solves for the bundled potentials at the bundled
+    # and benchmark schedules, four for the double well and six for the
+    # chain: the reduction onto the wells errs by no more than the
+    # bisection of the whole grid's factor. A 40-digit Sturm count on a
+    # grid of 8000 points takes a fraction of a second, so this runs in the
+    # long profile only.
+    if settings.default.max_examples < 2000:
+        pytest.skip("the metastab-long profile runs the production grids")
+    make, hs = _BUNDLED[which]
+    p = make()
+    n0 = _report(p).n0
+    reduced, whole = [], []
+    for h in hs:
+        n = default_grid(h, *_energy_window(p, extract_critical_structure(p),
+                                            h))
+        for m in (n, 2 * n):
+            dw, reduction = _reduced(p, h, n=m)
+            w, = _wells_eigenvalues([reduction], 1, n0 - 1)
+            reduced += _ulp_errors(dw, 1, n0 - 1, w)
+            w, = small_eigenvalues([dw], 1, n0 - 1)
+            whole += _ulp_errors(dw, 1, n0 - 1, w)
+    assert len(reduced) == len(whole) == 2 * len(hs) * (n0 - 1)
+    assert max(reduced) <= max(whole)
 
 
 _MAGNITUDES = st.tuples(st.booleans(), st.floats(-30.0, 30.0)).map(
@@ -259,6 +309,87 @@ def test_zero_diagonal_draws_against_40_digits(entries):
     dw = DiscretizedWitten(np.array(entries))
     w, = small_eigenvalues([dw], 0, dw.n - 1)
     assert all(e <= _MAX_ULPS for e in _ulp_errors(dw, 0, dw.n - 1, w))
+
+
+# ----------------------------------------------------------------- reduction
+
+
+def _tilted():
+    # the tilted quartic of acceptance criterion 8
+    xs = np.linspace(-2.4, 2.4, 4801)
+    return make_sampled(xs, xs ** 4 / 4 - xs ** 2 / 2 + 0.1 * xs)
+
+
+@pytest.mark.parametrize("which, hs", [
+    ("bench chain", (0.3, 0.2, 0.15)),
+    ("double-well", (0.15, 0.1)),
+    ("tilted quartic", (0.2,)),
+    ("30 walled wells", (0.3,)),
+])
+def test_reduction_matches_the_whole_grid(which, hs):
+    # the eigenvalues compare takes from each grid's reduction onto its
+    # wells are those of the grid's own factor, bisected whole. The tilted
+    # quartic at h = 0.2 separates its two lowest eigenvalues from the rest
+    # by a ratio of only 0.047, so its reduction takes many terms.
+    p = {"bench chain": chain_sampled,
+         "double-well": lambda: double_well().potential,
+         "tilted quartic": _tilted,
+         "30 walled wells": lambda: walled_wells(30)}[which]()
+    n0 = _report(p).n0
+    terms = []
+    for h in hs:
+        n = default_grid(h, *_energy_window(p, extract_critical_structure(p),
+                                            h))
+        for m in (n, 2 * n):
+            dw, reduction = _reduced(p, h, n=m)
+            terms.append(len(reduction.off))
+            got, = _wells_eigenvalues([reduction], 1, n0 - 1)
+            want, = small_eigenvalues([dw], 1, n0 - 1)
+            assert got.shape == want.shape == (n0 - 1,)
+            assert np.all(np.abs(got / want - 1.0) <= 1e-12), (h, m)
+    if which == "tilted quartic":
+        assert min(terms) >= 10
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_reduction_of_drawn_chains_matches_the_whole_factor(seed):
+    # factors of up to 30 nodes whose wells, two to six nodes at
+    # potential 0 to 0.1 below a plateau at 0.8 to 1.2, may sit side by
+    # side or at the grid's ends, leaving segments with no node: every
+    # eigenvalue of the wells, the zero mode too, is the whole factor's
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 31))
+    wells = np.sort(rng.choice(n, int(rng.integers(2, min(n, 6) + 1)),
+                               replace=False))
+    if rng.integers(3) == 0:
+        wells = np.unique(np.concatenate(([0], wells, [n - 1])))
+    h = float(rng.uniform(0.03, 0.08))
+    nodes = rng.uniform(0.8, 1.2, n + 2)          # the ends are Dirichlet
+    nodes[wells + 1] = rng.uniform(0.0, 0.1, wells.size)
+    mids = np.maximum(np.maximum(nodes[:-1], nodes[1:])
+                      + rng.uniform(0.0, 0.3, n + 1), 0.9)
+    dw = DiscretizedWitten(np.empty(2 * n))
+    dw.acoef[:] = np.exp((nodes[1:-1] - mids[:-1]) / h)
+    dw.bcoef[:] = -np.exp((nodes[1:-1] - mids[1:]) / h)
+    want, = small_eigenvalues([dw], 0, wells.size - 1)
+    got, = _wells_eigenvalues([_reduce(dw, wells, h)], 0, wells.size - 1)
+    assert np.all(np.abs(got / want - 1.0) <= 1e-12)
+
+
+@pytest.mark.parametrize("which, h", [
+    ("chain", 0.3), ("chain", 0.2), ("chain", 0.15),
+    ("double-well", 0.15), ("double-well", 0.1),
+])
+def test_walls_leave_the_ground_eigenvalue_far_below(which, h):
+    # the Dirichlet ground eigenvalue lambda_0 measures how much the walls of
+    # the solve window bias the eigenvalues compare checks: on every
+    # bundled input it accepts, it sits four decades below lambda_1
+    p = _BUNDLED[which][0]()
+    for m in (None, 2 * default_grid(
+            h, *_energy_window(p, extract_critical_structure(p), h))):
+        _, reduction = _reduced(p, h, n=m)
+        lam, = _wells_eigenvalues([reduction], 0, 1)
+        assert 0.0 < lam[0] <= 1e-4 * lam[1], lam
 
 
 # -------------------------------------------------------------- double well
@@ -309,9 +440,10 @@ def test_chain_compare_passes():
 
 @pytest.mark.parametrize("which", ["chain", "bench chain", "double-well"])
 def test_compare_does_not_depend_on_the_cpu_count(monkeypatch, which):
-    # every grid of the schedule is bisected on one, two or three threads;
-    # the bench chain's six problems give three lanes of two on three CPUs,
-    # and every number of the result must be the same
+    # every round of the schedule's bisections runs on one, two or three
+    # threads; the bench chain's first round of six problems gives three
+    # lanes of two on three CPUs, and every number of the result must be
+    # the same
     p, hs = {"chain": (chain_sampled(), (0.3, 0.2)),
              "bench chain": (chain_sampled(), (0.3, 0.2, 0.15)),
              "double-well": (double_well().potential, (0.15, 0.1))}[which]
@@ -342,14 +474,26 @@ def _spy_bisection(monkeypatch):
 
 
 def test_compare_bisects_the_whole_schedule_in_one_call(monkeypatch):
-    # the coarse and fine grid of every h, in schedule order
+    # the first call bisects the reductions of the coarse and fine grid of
+    # every h at shift 0, in schedule order, for all three nonzero
+    # eigenvalues; each later call is one round, one problem per eigenvalue
+    # still moving, in the same order
     p = chain_sampled()
     report = _report(p)
     calls = _spy_bisection(monkeypatch)
     vr = compare(report, p, (0.3, 0.2, 0.15))
-    assert len(calls) == 1
-    sizes = [d.size // 2 for d, *_ in calls[0]]
-    assert sizes == [n for s in vr.steps for n in (s.n, 2 * s.n)]
+    first, *rounds = calls
+    assert [(d.size, lo, hi) for d, e, lo, hi, _ in first] == [(9, 6, 8)] * 6
+    reductions = [_reduced(p, s.h, n=m)[1]
+                  for s in vr.steps for m in (s.n, 2 * s.n)]
+    for (_, e, *_), reduction in zip(first, reductions):
+        assert e.tobytes() == validator._frozen(reduction, 0.0).off.tobytes()
+    assert 3 <= len(rounds) <= 8
+    for before, now in zip([first] + rounds, rounds):
+        assert 0 < len(now) <= 3 * len(before)
+        indices = [lo for _, _, lo, hi, _ in now]
+        assert all(lo == hi for _, _, lo, hi, _ in now)
+        assert set(indices) <= {6, 7, 8}
 
 
 def test_input_checks_of_every_h_run_before_any_bisection(monkeypatch):
@@ -365,12 +509,12 @@ def test_input_checks_of_every_h_run_before_any_bisection(monkeypatch):
 
 def test_grids_and_spline_are_dropped_before_the_bisection(monkeypatch):
     # the grid points and the potential on them are gone once a grid is
-    # checked, and the spline before the first bisection; each factor is
-    # itself, not a copy, the off-diagonal its bisection reads, and lives
-    # until that bisection ends. On one CPU the problems run largest first.
+    # checked, each grid's factor once it is reduced onto its wells, before
+    # the next grid is built, and the spline before the first bisection;
+    # every problem bisected is a reduction's, of four columns
     p = chain_sampled()
     report = _report(p)
-    spline, points, factors, done = [], [], [], []
+    spline, points, factors, bisected = [], [], [], []
     real = (validator._cubic_spline, np.linspace, validator.discretize,
             validator.dstebz())
 
@@ -386,6 +530,7 @@ def test_grids_and_spline_are_dropped_before_the_bisection(monkeypatch):
         return full
 
     def discretize(*args, **kwargs):
+        assert all(ref() is None for ref in factors)
         dw = real[2](*args, **kwargs)
         assert all(ref() is None for ref in points)
         factors.append(weakref.ref(dw.off))
@@ -393,14 +538,9 @@ def test_grids_and_spline_are_dropped_before_the_bisection(monkeypatch):
 
     def stebz(*args):
         assert spline[0]() is None
-        live = [ref() for ref in factors]
-        mine = [i for i, off in enumerate(live) if off is args[9]]
-        assert len(mine) == 1
-        assert [off is None for off in live] == [
-            i in done for i in range(len(live))]
-        del live
+        assert all(ref() is None for ref in factors)
+        bisected.append(args[9].size)
         real[3](*args)
-        done.append(mine[0])
     monkeypatch.setattr(np, "linspace", linspace)
     for name, fn in (("_cubic_spline", cubic_spline),
                      ("discretize", discretize)):
@@ -410,14 +550,13 @@ def test_grids_and_spline_are_dropped_before_the_bisection(monkeypatch):
     vr = compare(report, p, (0.3, 0.2))
     assert len(spline) == 1 and len(points) == len(factors) == 4
     assert [s.n for s in vr.steps] == [4000, 4000]
-    assert done == [1, 3, 0, 2]
-    assert all(ref() is None for ref in factors)
+    assert len(bisected) > 4 and set(bisected) == {8}
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_compare_peak_memory(monkeypatch, cpus):
-    # the bench schedule's six grids: the factors of every grid, then the
-    # Golub-Kahan problems and a workspace per running bisection
+    # the bench schedule's six grids, one at a time: a grid's factor and
+    # the arrays of its reduction, then the reductions' small problems
     p = chain_sampled()
     report = _report(p)
     monkeypatch.setattr(validator, "_cpus", lambda: cpus)
@@ -478,21 +617,44 @@ def test_validate_over_budget_exits_2_under_a_memory_limit(tmp_path, args):
     assert wall < 1.0
 
 
-@pytest.mark.parametrize("h, code", [("1e151", 0), ("1e152", 2),
+@pytest.mark.parametrize("h, code", [("1e151", 2), ("1e152", 2),
                                      ("1e308", 2)])
 def test_validate_h_against_the_range_of_the_factor(tmp_path, h, code):
-    # stebz squares the entries of the factor, about h/dx: on the bench
-    # chain's fine grid they are 4.7e153 at h = 1e151 and 4.7e154 at 1e152,
-    # either side of sqrt(realmax) (exit 3 at 1e152 unchecked, and two NumPy
-    # warnings at 1e308)
+    # the operator C'C squares the entries of the factor, about h/dx: on the
+    # bench chain's fine grid they are 4.7e153 at h = 1e151 and 4.7e154 at
+    # 1e152, either side of sqrt(realmax) (exit 3 at 1e152 unchecked, and
+    # two NumPy warnings at 1e308). At h = 1e151 the potential is flat on
+    # the scale of h, so the four lowest eigenvalues are those of a flat
+    # Dirichlet problem, 1, 4, 9 and 16 times the first, and the fourth is
+    # too close to the fifth, 25 times the first, to separate: it exits 2
+    # on the separation rule instead
     _write_sampled_chain(tmp_path / "chain.csv")
     res = run_cli(["validate", str(tmp_path / "chain.csv"), "--h", h])
     assert res.exit_code == code, res
     assert res.stderr == ""
-    if code:
-        err = json.loads(res.stdout)["error"]
-        assert err["type"] == "InputDataError"
+    err = json.loads(res.stdout)["error"]
+    assert err["type"] == "InputDataError"
+    if h == "1e151":
+        assert ("at h=1e+151 the 4 lowest eigenvalues are not separated from "
+                "the rest of the spectrum") in err["message"]
+    else:
         assert f"h={float(h):g} is too large for a grid" in err["message"]
+
+
+def test_validate_rejects_wells_on_one_grid_node(tmp_path):
+    # 300 wells on a grid of 100 points: several wells fall on one node,
+    # and the reduction needs a node of its own for each
+    p = walled_wells(300)
+    csv = tmp_path / "wells.csv"
+    np.savetxt(csv, np.column_stack([p.xs, p.phis]), delimiter=",",
+               fmt="%.17g", header="x,phi", comments="")
+    res = run_cli(["validate", str(csv), "--h", "0.3", "--grid", "100"])
+    assert res.exit_code == 2, res
+    assert res.stderr == ""
+    err = json.loads(res.stdout)["error"]
+    assert err["type"] == "InputDataError"
+    assert err["message"] == ("grid too coarse at h=0.3: two wells fall on "
+                              "one of its 100 points; increase the grid size")
 
 
 def test_compare_rejects_a_nan_h():
