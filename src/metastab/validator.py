@@ -24,29 +24,21 @@ orders of magnitude separate it from the norm.
 The bisection (LAPACK ``stebz``) and the spline solve (``gtsv``) are SciPy's
 compiled routines, called with the arguments of SciPy's public wrappers but
 loaded without importing the ``scipy.linalg`` package (see ``_lapack``).
-``compare`` first builds and checks the coarse and the fine grid of every h,
-reducing each grid onto its wells as soon as it is built and dropping its
-factor, so an h the samples cannot support is rejected before any bisection
-runs, and at most one grid's factor is alive at a time. It then bisects the
-reductions in rounds, each round one ``small_eigenvalues`` call for the
-nonzero eigenvalues alone: ``stebz``, called through ``ctypes`` outside the
-GIL, bisects the problems on the calling thread and on worker threads, each
-taking the largest problem ready, with at most one thread per CPU the
-process may use, so one CPU starts no thread. The report bytes do not
-depend on the threads: every bisection is the same call with the same
-arguments.
+``compare`` first checks the walls of the samples at every h, then builds
+and checks the coarse and the fine grid of every h, reducing each grid onto
+its wells as soon as it is built, so an h the samples cannot support is
+rejected before any bisection runs, and at most one grid's factor is alive
+at a time. It then bisects the reductions in rounds, each round one
+``small_eigenvalues`` call for the nonzero eigenvalues alone, whose
+problems ``stebz`` bisects one after the other on the calling thread.
 """
 
-import heapq
 import math
-import os
-import threading
-from ctypes import c_double, c_int
 from typing import NamedTuple
 
 import numpy as np
 
-from ._lapack import check_info, dstebz, flapack
+from ._lapack import check_info, flapack
 from .errors import InputDataError
 from .landscape import SampledPotential
 
@@ -54,9 +46,12 @@ _C_TOL = 3.0             # PASS needs a final |ratio - 1| <= _C_TOL * h
 _RICHARDSON_TOL = 0.05   # grid n vs 2n drift beyond this is INCONCLUSIVE
 _MAX_EXP_ARG = 150.0     # per-cell exponent guard; beyond this the grid is
                          # far too coarse for the requested h anyway
+# Most bias exp(-2 mu/h) the walls of the samples may put on the eigenvalues,
+# mu their height above the top saddle (``_energy_window``)
+_WALL_BIAS = 1e-4
 # Most points in a grid ``compare`` builds: one h whose fine grid is at the
-# budget peaks at 424 MB RSS in ``validate``, in the reduction of the fine
-# grid (x86-64 Linux, NumPy 2.4)
+# budget peaks at 360 MB RSS in ``validate``, in the reduction of the fine
+# grid (x86-64 Linux, CPython 3.11, NumPy 2.4)
 _MAX_GRID = 2 ** 22
 # Largest entry of the factor C: the operator C'C's entries are sums of
 # squares of C's entries, and each square stays at most half the largest
@@ -74,110 +69,25 @@ def eigh_tridiagonal(problems):
     off-diagonal ``e``), by LAPACK bisection ``stebz`` to absolute tolerance
     ``tol``; one array per problem, in the order of ``problems``.
 
-    Bit for bit ``scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True,
+    Each is ``scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True,
     select="i", select_range=(lo, hi), tol=tol, lapack_driver="stebz")``:
-    the same compiled routine with the same arguments and checks, loaded
-    without the ``scipy.linalg`` package (see ``_lapack``).
-
-    ``problems`` may be any iterable, such as a generator that forms each
-    problem on demand. The calling thread draws and checks the problems in
-    order, and ``stebz``, which runs outside the GIL, bisects each one as
-    soon as it is drawn: from the second problem on, up to
-    ``min(_cpus(), problems) - 1`` worker threads start, each taking the
-    largest problem ready, and the calling thread joins them once the
-    iterable is exhausted, so one CPU starts no thread. No reference to a
-    problem is kept past its bisection, and each call allocates its outputs
-    and workspace (``W``, ``IBLOCK``, ``ISPLIT``, ``WORK``, ``IWORK``) on
-    the thread that runs it, so at most one workspace per thread is alive.
-
-    The results do not depend on the threads. An exception raised by the
-    iterable wins: it is raised once every started bisection has finished
-    and every thread has joined, and no problem still waiting runs. Else
-    errors are raised as a loop over the problems in order would raise
-    them; a problem that fails its checks stops the drawing, and the
-    problems before it still run first. It stays a module attribute because
+    the same f2py wrapper called with the same arguments and checks, loaded
+    without the ``scipy.linalg`` package (see ``_lapack``). The problems
+    run one after the other on the calling thread, and the first that fails
+    raises before the next runs. It stays a module attribute because
     ``bench/spans.py`` times the bisection by wrapping this name."""
-    stebz = dstebz()
-    cpus = _cpus()
-
-    def bisect(d, e, lo, hi, tol):
-        n = d.size
-        m, w, info = c_int(), np.empty(n), c_int()
-        stebz(b"I", b"E", c_int(n), c_double(0.0), c_double(1.0),
-              c_int(lo + 1), c_int(hi + 1), c_double(tol), d, e, m, c_int(),
-              w, np.empty(n, np.intc), np.empty(n, np.intc), np.empty(4 * n),
-              np.empty(3 * n, np.intc), info)
-        return w[:m.value], info.value
-
-    out = []                  # per problem: (w, info), or its exception
-    ready = []                # heap of (-size, index, problem)
-    done = False              # no problem will be added to ``ready``
-    lock = threading.Condition()    # guards ``ready`` and ``done``
-
-    def work():
-        while True:
-            with lock:
-                while not (ready or done):
-                    lock.wait()
-                if not ready:
-                    return
-                _, i, problem = heapq.heappop(ready)
-            try:
-                out[i] = bisect(*problem)
-            except Exception as exc:
-                out[i] = exc
-            del problem
-
-    workers, failure = [], None
-    try:
-        for d, e, lo, hi, tol in problems:
-            try:
-                d = np.ascontiguousarray(np.asarray_chkfinite(d, dtype=float))
-                e = np.ascontiguousarray(np.asarray_chkfinite(e, dtype=float))
-                if d.ndim != 1 or e.shape != (d.size - 1,):
-                    raise ValueError(f"d {d.shape} must have one more "
-                                     f"element than e {e.shape}")
-            except ValueError as exc:
-                out.append(exc)
-                break
-            with lock:
-                heapq.heappush(ready, (-d.size, len(out), (d, e, lo, hi, tol)))
-                out.append(None)
-                lock.notify()
-            del d, e
-            if len(workers) < min(cpus, len(out)) - 1:
-                workers.append(threading.Thread(target=work))
-                workers[-1].start()
-    except BaseException as exc:      # raised below, once every thread joined
-        failure = exc
-    with lock:
-        if failure is not None:
-            ready.clear()
-        done = True
-        lock.notify_all()
-    try:
-        work()
-    finally:
-        for t in workers:
-            t.join()
-    if failure is not None:
-        raise failure
+    stebz = flapack().dstebz
     results = []
-    for res in out:
-        if isinstance(res, Exception):
-            raise res
-        w, info = res
+    for d, e, lo, hi, tol in problems:
+        d = np.asarray_chkfinite(d, dtype=float)
+        e = np.asarray_chkfinite(e, dtype=float)
+        if d.ndim != 1 or e.shape != (d.size - 1,):
+            raise ValueError(f"d {d.shape} must have one more element than "
+                             f"e {e.shape}")
+        m, w, _, _, info = stebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, tol, "E")
         check_info(info, "stebz")
-        results.append(w)
+        results.append(w[:m])
     return results
-
-
-def _cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:       # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _cubic_spline(x, y):
@@ -252,6 +162,13 @@ def _energy_window(p, cs, h):
     spectrum, so the window is kept as low as accuracy allows: the
     truncation bias is O(exp(-2 margin/h)), far below the h-sized error
     this check resolves.
+
+    Samples that never clear the top saddle by that margin leave the window
+    at their ends, whose walls then act as exits, with eigenvalues of their
+    own (Helffer & Nier 2006) biased by about exp(-2 mu/h), mu the lower
+    end's height above the top saddle. Such samples cannot judge the
+    prediction: with saddles to check, mu below h/2 log(1/_WALL_BIAS) is
+    bad input.
     """
     xs, phis = p.xs, p.phis
     top = max(cs.sad_phi) if cs.sad_phi else float(np.max(phis))
@@ -259,11 +176,21 @@ def _energy_window(p, cs, h):
     wells = [cs.positions[m] for m in cs.min_ids]
     i = np.searchsorted(xs, min(wells))
     above = np.flatnonzero(phis[:i + 1] >= target)
-    left = xs[above[-1]] if above.size else xs[0]
+    left = above[-1] if above.size else 0
     i = np.searchsorted(xs, max(wells))
     above = np.flatnonzero(phis[i:] >= target)
-    right = xs[i + above[0]] if above.size else xs[-1]
-    return float(left), float(right)
+    right = i + above[0] if above.size else xs.size - 1
+    need = 0.5 * h * math.log(1.0 / _WALL_BIAS)
+    mu, side = min((phis[left] - top, "left"), (phis[right] - top, "right"))
+    if cs.sad_phi and not mu >= need:
+        raise InputDataError(
+            f"at h={h:g} the samples end too low on the {side}: their end "
+            f"is mu = {mu:.3g} above the top saddle at phi = {top:.6g}, and "
+            f"checking the prediction needs mu >= {need:.3g} "
+            f"({need / h:.2g}h), where the walls bias the eigenvalues by "
+            f"exp(-2 mu/h) <= {_WALL_BIAS:g}; extend the samples on the "
+            f"{side} until phi reaches {top + need:.6g}")
+    return float(xs[left]), float(xs[right])
 
 
 class DiscretizedWitten(NamedTuple):
@@ -350,31 +277,16 @@ def small_eigenvalues(dws, first, last):
     every eigenvalue to its own relative precision, which is what lets a
     1e-40 eigenvalue coexist with an operator norm of 1e4.
 
-    Each grid is removed from ``dws`` as its problem is handed to the
-    bisection (see ``eigh_tridiagonal``), so a caller that holds no other
-    reference frees each factor once its own bisection ends; ``dws`` is
-    empty on return. A grid with an empty range, ``first > last``, is not
-    bisected.
+    A grid with an empty range, ``first > last``, is not bisected.
     """
-    sizes = [dw.n for dw in dws]
-    firsts = np.broadcast_to(first, len(sizes)).tolist()
-    lasts = np.broadcast_to(last, len(sizes)).tolist()
-    if any(f < 0 or l >= n for f, l, n in zip(firsts, lasts, sizes)):
+    firsts = np.broadcast_to(first, len(dws)).tolist()
+    lasts = np.broadcast_to(last, len(dws)).tolist()
+    if any(f < 0 or l >= dw.n for dw, f, l in zip(dws, firsts, lasts)):
         raise InputDataError("requested eigenvalue index exceeds dimension")
-    if all(f > l for f, l in zip(firsts, lasts)):
-        dws.clear()
-        return [np.empty(0) for _ in sizes]
-    # every Golub-Kahan diagonal is zero, so one array serves every problem
-    zero = np.zeros(2 * max(sizes) + 1)
     tiny = np.finfo(float).tiny
-
-    def problems():
-        for n, f, l in zip(sizes, firsts, lasts):
-            dw = dws.pop(0)
-            if f <= l:
-                yield zero[:2 * n + 1], dw.off, n + 1 + f, n + 1 + l, tiny
-            del dw
-    found = iter(eigh_tridiagonal(problems()))
+    problems = [(np.zeros(2 * dw.n + 1), dw.off, dw.n + 1 + f, dw.n + 1 + l,
+                 tiny) for dw, f, l in zip(dws, firsts, lasts) if f <= l]
+    found = iter(eigh_tridiagonal(problems) if problems else ())
     return [np.maximum(next(found), 0.0) ** 2 if f <= l else np.empty(0)
             for f, l in zip(firsts, lasts)]
 
@@ -423,7 +335,9 @@ def _reduce(dw, wells, h):
     in ``off`` and its row sums in ``mass``. Terms are added until the next
     changes no conductance or mass by more than eps/4 at ``bound``, an
     upper bound of the n0 lowest eigenvalues; a grid that needs more than
-    ``_MAX_TERMS`` is bad input, and so are two wells on one node.
+    ``_MAX_TERMS`` is bad input, and so are two wells on one node. ``dw``
+    is dropped once the chain is formed, so a factor the caller passes
+    without keeping a name for it is freed then.
     """
     n0, n = wells.size, dw.n
     if np.any(np.diff(wells) == 0):
@@ -441,7 +355,7 @@ def _reduce(dw, wells, h):
     np.ldexp(a, -exponent, out=c[:-1])
     c[:-1] *= w
     c[-1] = math.ldexp(-b[-1], -exponent) * w[-1]
-    del a, b
+    del a, b, dw
     shift = -(math.frexp(max(c.max(), w.max()))[1]
               + math.frexp(min(c.min(), w.min()))[1]) // 2
     for x in (c, w):
@@ -642,9 +556,10 @@ def compare(report, p, h_list, grid=None):
     For each nonzero prediction the verdict is PASS when |ratio - 1| is
     nonincreasing along descending h and the final value is at most
     _C_TOL * h_final; a grid whose n vs 2n eigenvalues disagree by more than
-    _RICHARDSON_TOL makes that eigenvalue INCONCLUSIVE instead. A fine
-    grid over ``_MAX_GRID`` points is bad input, and is rejected before any
-    grid is built; so is a grid whose n0 lowest eigenvalues its reduction
+    _RICHARDSON_TOL makes that eigenvalue INCONCLUSIVE instead. Samples
+    whose walls sit too low for some h (``_energy_window``) and a fine grid
+    over ``_MAX_GRID`` points are bad input, rejected before any grid is
+    built; so is a grid whose n0 lowest eigenvalues its reduction
     onto the wells cannot separate from the rest, or that puts two wells on
     one node (``_reduce``), before any bisection.
     """
@@ -678,10 +593,11 @@ def compare(report, p, h_list, grid=None):
     for h, domain, n in zip(hs, domains, ns):
         predictions.append(report.evaluate(h)[1:])
         for m in (n, 2 * n):
-            dw = discretize(phi_fn, h, m, domain=domain)
             if k_nonzero:
-                grids.append(_reduce(dw, _well_nodes(wells, domain, m), h))
-            del dw
+                grids.append(_reduce(discretize(phi_fn, h, m, domain=domain),
+                                     _well_nodes(wells, domain, m), h))
+            else:                          # one well: the checks alone
+                discretize(phi_fn, h, m, domain=domain)
     del phi_fn
     # the zero mode, eigenvalue 0, is not solved for
     nonzero = ([w.tolist() for w in _wells_eigenvalues(grids, 1, k_nonzero)]

@@ -1,24 +1,20 @@
 """Oracle tests of the direct LAPACK calls.
 
 ``validator.eigh_tridiagonal`` and ``validator._cubic_spline`` call SciPy's
-compiled routines through ``metastab._lapack`` without importing
-``scipy.linalg``. They must return
-the bits of SciPy's public wrappers, pass the arguments those wrappers
-pass, and raise their errors. ``stebz`` is called through ``ctypes`` and may
-run on several threads; its results and errors must not depend on that. The
-spline's own oracle is ``tests/test_spline.py``, which also covers its
+f2py wrappers of the compiled routines through ``metastab._lapack`` without
+importing ``scipy.linalg``. They must return the bits of SciPy's public
+functions, pass the arguments those functions pass, and raise their errors.
+The spline's own oracle is ``tests/test_spline.py``, which also covers its
 singular systems.
 """
 
-import ctypes
 import functools
 import json
 import os
 import subprocess
 import sys
-import threading
-import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,7 +59,6 @@ def _golub_kahan_calls():
     real = validator.eigh_tridiagonal
 
     def spy(problems):
-        problems = list(problems)      # a generator is drawn only once
         calls.extend(problems)
         return real(problems)
 
@@ -135,173 +130,49 @@ def _problem(n):
     return np.full(n, 2.0), np.full(n - 1, -1.0), 0, 1, 0.0
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_stebz_threads_follow_the_cpu_count(monkeypatch, cpus):
-    # each problem is bisected once, on at most one thread per CPU, the
-    # calling thread included; one CPU starts no thread, and every thread
-    # started is joined
-    seen = []
-    real = _lapack.dstebz()
-
-    def stebz(*args):
-        seen.append((args[2].value, threading.current_thread()))
-        real(*args)
-    monkeypatch.setattr(validator, "dstebz", lambda: stebz)
-    monkeypatch.setattr(validator, "_cpus", lambda: cpus)
-    threads = threading.active_count()
-    problems = [_problem(n) for n in (4, 9, 6)]
-    got = validator.eigh_tridiagonal(problems)
-    for problem, w in zip(problems, got):
-        _same_bits(w, _scipy_eigh(*problem))
-    assert sorted(n for n, _ in seen) == [4, 6, 9]
-    ran_on = {t for _, t in seen}
-    assert len(ran_on) <= cpus
-    if cpus == 1:
-        assert ran_on == {threading.current_thread()}
-    assert not any(t.is_alive() for t in ran_on
-                   if t is not threading.current_thread())
-    assert threading.active_count() == threads
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_a_failing_producer_wins_and_leaves_no_thread(monkeypatch, cpus):
-    # the iterable fails after two problems while the first bisection runs:
-    # its error is raised once that bisection has finished, the problem
-    # still waiting never runs, and no thread outlives the call
-    real = _lapack.dstebz()
-    ran = []
-    started, failed = threading.Event(), threading.Event()
-
-    def stebz(*args):
-        started.set()
-        assert failed.wait(timeout=10.0)
-        ran.append(args[2].value)
-        real(*args)
-        args[-1].value = args[2].value     # INFO = N: loses to the failure
-
-    def problems():
-        yield _problem(6)
-        yield _problem(9)
-        assert cpus == 1 or started.wait(timeout=10.0)
-        failed.set()
-        raise KeyError("produced no third problem")
-    monkeypatch.setattr(validator, "dstebz", lambda: stebz)
-    monkeypatch.setattr(validator, "_cpus", lambda: cpus)
-    threads = threading.active_count()
-    with pytest.raises(KeyError, match="no third problem"):
-        validator.eigh_tridiagonal(problems())
-    assert threading.active_count() == threads
-    assert ran == ([] if cpus == 1 else [9])
-
-
-def test_more_threads_than_cpus_give_the_serial_bits(monkeypatch):
-    # twelve bisections on up to twelve threads, switching as often as the
-    # interpreter allows: every result is still the serial one
-    rng = np.random.default_rng(5)
-    problems = [(rng.standard_normal(n), rng.standard_normal(n - 1), 0,
-                 n // 4, 0.0) for n in range(50, 650, 50)]
-    threads = threading.active_count()
-    monkeypatch.setattr(validator, "_cpus", lambda: 1)
-    serial = validator.eigh_tridiagonal(problems)
-    monkeypatch.setattr(validator, "_cpus", lambda: 16)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            for got, want in zip(validator.eigh_tridiagonal(problems),
-                                 serial):
-                _same_bits(got, want)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == threads    # every thread joined
-
-
-def test_workspaces_live_only_while_their_call_runs(monkeypatch):
-    # IBLOCK, ISPLIT, WORK and IWORK are made by the call that uses them, so
-    # a finished call's workspace is gone before the next call starts
-    real = _lapack.dstebz()
-    finished = []
-
-    def stebz(*args):
-        assert all(ref() is None for ref in finished)
-        real(*args)
-        finished.extend(weakref.ref(a) for a in args[13:17])
-    monkeypatch.setattr(validator, "dstebz", lambda: stebz)
-    monkeypatch.setattr(validator, "_cpus", lambda: 1)
-    validator.eigh_tridiagonal([_problem(n) for n in (4, 9, 6)])
-    assert len(finished) == 12
-    assert all(ref() is None for ref in finished)
-
-
 def test_stebz_errors_follow_the_serial_order(monkeypatch):
-    """Whichever thread ran a problem, the first failing problem in order
-    raises: a forced ``info``, an exception of the call, or a non-finite
-    input, which also stops the problems after it from running."""
-    real = _lapack.dstebz()
+    """The first failing problem in order raises, and no problem after it
+    runs: a forced ``info``, an exception of the call, or a non-finite
+    input."""
+    real = _lapack.flapack().dstebz
     ran = []
 
-    def forced(*args):
-        ran.append(args[2].value)
-        real(*args)
-        args[-1].value = args[2].value     # INFO = N
+    def forced(d, e, *args):
+        ran.append(d.size)
+        return (*real(d, e, *args)[:-1], d.size)     # INFO = N
 
-    def raising(*args):
-        raise RuntimeError(f"call of dimension {args[2].value}")
+    def raising(d, e, *args):
+        raise RuntimeError(f"call of dimension {d.size}")
     bad = (np.array([0.0, np.nan, 0.0]), np.ones(2), 0, 1, 0.0)
-    for cpus in (1, 2):
-        monkeypatch.setattr(validator, "_cpus", lambda: cpus)
-        monkeypatch.setattr(validator, "dstebz", lambda: forced)
-        with pytest.raises(np.linalg.LinAlgError, match=r"info=4\)"):
-            validator.eigh_tridiagonal([_problem(4), _problem(9)])
-        with pytest.raises(np.linalg.LinAlgError, match=r"info=9\)"):
-            validator.eigh_tridiagonal([_problem(9), _problem(4)])
-        ran.clear()
-        with pytest.raises(np.linalg.LinAlgError, match=r"info=4\)"):
-            validator.eigh_tridiagonal([_problem(4), bad, _problem(9)])
-        assert ran == [4]
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            validator.eigh_tridiagonal([bad, _problem(4)])
-        with pytest.raises(ValueError, match="one more element"):
-            validator.eigh_tridiagonal([(np.ones(3), np.ones(3), 0, 1, 0.0)])
-        monkeypatch.setattr(validator, "dstebz", lambda: raising)
-        with pytest.raises(RuntimeError, match="dimension 4$"):
-            validator.eigh_tridiagonal([_problem(4), _problem(9)])
-
-
-@pytest.mark.parametrize("bad", ["float32", "strided"])
-def test_stebz_refuses_arrays_it_cannot_pass(bad):
-    # the Fortran routine reads N doubles from each address it gets
-    d, e, lo, hi, tol = _problem(5)
-    d = d.astype(np.float32) if bad == "float32" else np.repeat(d, 2)[::2]
-    n = 5
-    with pytest.raises(ctypes.ArgumentError, match="C-contiguous float64"):
-        _lapack.dstebz()(b"I", b"E", ctypes.c_int(n), ctypes.c_double(0.0),
-                         ctypes.c_double(1.0), ctypes.c_int(1),
-                         ctypes.c_int(2), ctypes.c_double(tol), d, e,
-                         ctypes.c_int(), ctypes.c_int(), np.empty(n),
-                         np.empty(n, np.intc), np.empty(n, np.intc),
-                         np.empty(4 * n), np.empty(3 * n, np.intc),
-                         ctypes.c_int())
+    monkeypatch.setitem(sys.modules, _NAME, SimpleNamespace(dstebz=forced))
+    with pytest.raises(np.linalg.LinAlgError, match=r"info=4\)"):
+        validator.eigh_tridiagonal([_problem(4), _problem(9)])
+    with pytest.raises(np.linalg.LinAlgError, match=r"info=9\)"):
+        validator.eigh_tridiagonal([_problem(9), _problem(4)])
+    assert ran == [4, 9]
+    ran.clear()
+    with pytest.raises(np.linalg.LinAlgError, match=r"info=4\)"):
+        validator.eigh_tridiagonal([_problem(4), bad, _problem(9)])
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        validator.eigh_tridiagonal([bad, _problem(4)])
+    with pytest.raises(ValueError, match="one more element"):
+        validator.eigh_tridiagonal([(np.ones(3), np.ones(3), 0, 1, 0.0)])
+    assert ran == [4]
+    monkeypatch.setitem(sys.modules, _NAME, SimpleNamespace(dstebz=raising))
+    with pytest.raises(RuntimeError, match="dimension 4$"):
+        validator.eigh_tridiagonal([_problem(4), _problem(9)])
 
 
 # -------------------------------------------------------------- the calls
 
 class _Lapack:
     """Stands in for the compiled module: records every call and can force
-    the ``info`` a routine returns. ``stebz`` stands in for the ``ctypes``
-    function ``_lapack.dstebz()``, which sets INFO in place."""
+    the ``info`` a routine returns."""
 
-    def __init__(self, real, real_stebz, force=()):
+    def __init__(self, real, force=()):
         self.real = real
-        self.real_stebz = real_stebz
         self.force = dict(force)
         self.calls = []
-
-    def stebz(self, *args):
-        self.calls.append(("dstebz", args, {}))
-        self.real_stebz(*args)
-        if "dstebz" in self.force:
-            args[-1].value = self.force["dstebz"]
 
     def __getattr__(self, name):
         fn = getattr(self.real, name)
@@ -317,39 +188,43 @@ class _Lapack:
 
 @pytest.fixture
 def fake_lapack(monkeypatch):
-    real, real_stebz = _lapack.flapack(), _lapack.dstebz()
+    real = _lapack.flapack()
 
     def install(**force):
-        fake = _Lapack(real, real_stebz, force)
+        fake = _Lapack(real, force)
         monkeypatch.setitem(sys.modules, _NAME, fake)
-        monkeypatch.setattr(validator, "dstebz", lambda: fake.stebz)
         return fake
     return install
 
 
-def test_routines_get_scipys_arguments(fake_lapack):
+def test_routines_get_scipys_arguments(fake_lapack, monkeypatch):
     """The arguments SciPy's ``eigh_tridiagonal`` (stebz driver) hands the
-    Fortran ``dstebz`` through its f2py wrapper (RANGE "I", ORDER "E", VL 0,
-    VU 1, IL lo + 1, IU hi + 1, ABSTOL tol, WORK 4N, IWORK 3N), and the
-    scalar arguments ``solve_banded`` (one band each side, overwriting)
-    passes."""
+    f2py wrapper ``dstebz`` (RANGE 2, VL 0, VU 1, IL lo + 1, IU hi + 1,
+    ABSTOL tol, ORDER "E"), recorded from SciPy's own call, and the scalar
+    arguments ``solve_banded`` (one band each side, overwriting) passes."""
     fake = fake_lapack()
     tiny = np.finfo(float).tiny
     d, e = np.zeros(6), np.ones(5)
     _eigh(d, e, 1, 3, tiny)
     x = np.arange(6.0)
     validator._cubic_spline(x, x * x)
-    name, args, _ = fake.calls[0]
-    assert name == "dstebz" and len(args) == 18
-    assert [a if type(a) is bytes else a.value for a in args[:8]] == [
-        b"I", b"E", 6, 0.0, 1.0, 2, 4, tiny]
-    _same_bits(args[8], d)
-    _same_bits(args[9], e)
-    f8, i4 = np.dtype(float), np.dtype(np.intc)
-    assert [(a.dtype, a.shape) for a in args[12:17]] == [
-        (f8, (6,)), (i4, (6,)), (i4, (6,)), (f8, (24,)), (i4, (18,))]
-    (name, args, kwargs), = fake.calls[1:]
-    assert (name, args[4:], kwargs) == ("dgtsv", (1, 1, 1, 1), {})
+    scipys = []
+    real = scipy.linalg._decomp.get_lapack_funcs
+
+    def get_lapack_funcs(names, arrays):
+        def recorded(fn):
+            return lambda *args: scipys.append(args) or fn(*args)
+        return [recorded(fn) for fn in real(names, arrays)]
+    monkeypatch.setattr(scipy.linalg._decomp, "get_lapack_funcs",
+                        get_lapack_funcs)
+    _scipy_eigh(d, e, 1, 3, tiny)
+    (name, args, kwargs), (spline, spline_args, spline_kwargs) = fake.calls
+    assert name == "dstebz" and kwargs == {} and len(scipys) == 1
+    assert args[2:] == scipys[0][2:] == (2, 0.0, 1.0, 2, 4, tiny, "E")
+    for got, want in zip(args[:2], scipys[0][:2]):
+        _same_bits(got, want)
+    assert (spline, spline_args[4:], spline_kwargs) == (
+        "dgtsv", (1, 1, 1, 1), {})
 
 
 def _write_double_well(path):

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -18,7 +20,8 @@ from metastab import validator
 from metastab.errors import InputDataError
 from conftest import limit_address_space, minima, run_cli, walled_wells
 from metastab.examples import chain_sampled, double_well, ex_a
-from metastab.landscape import extract_critical_structure, make_sampled
+from metastab.landscape import (extract_critical_structure, load_samples,
+                                make_sampled)
 from metastab.spectra import full_spectrum
 from metastab.topology import decompose
 from metastab.validator import (DiscretizedWitten, _cubic_spline,
@@ -183,16 +186,14 @@ def test_small_eigenvalues_bounds(monkeypatch):
         small_eigenvalues([dw], 0, 200)
     with pytest.raises(InputDataError, match="exceeds dimension"):
         small_eigenvalues([dw], -1, 2)
-    # an empty range bisects nothing, and still takes the grids
+    # an empty range bisects nothing
     calls = _spy_bisection(monkeypatch)
-    dws = [dw, dw]
-    empty = small_eigenvalues(dws, 1, 0)
-    assert calls == [] and dws == []
+    empty = small_eigenvalues([dw, dw], 1, 0)
+    assert calls == []
     assert [w.shape for w in empty] == [(0,), (0,)]
     # a range per grid: a grid with an empty one is not bisected
-    dws = [dw, dw, dw]
-    got = small_eigenvalues(dws, [1, 2, 0], [2, 1, 0])
-    assert dws == [] and len(calls) == 1 and len(calls[0]) == 2
+    got = small_eigenvalues([dw, dw, dw], [1, 2, 0], [2, 1, 0])
+    assert len(calls) == 1 and len(calls[0]) == 2
     assert [w.tolist() for w in got] == [
         small_eigenvalues([dw], 1, 2)[0].tolist(), [],
         small_eigenvalues([dw], 0, 0)[0].tolist()]
@@ -438,27 +439,19 @@ def test_chain_compare_passes():
         assert all(s.richardson[i] <= 1e-6 for s in vr.steps)
 
 
-@pytest.mark.parametrize("which", ["chain", "bench chain", "double-well"])
-def test_compare_does_not_depend_on_the_cpu_count(monkeypatch, which):
-    # every round of the schedule's bisections runs on one, two or three
-    # threads; the bench chain's first round of six problems gives three
-    # lanes of two on three CPUs, and every number of the result must be
-    # the same
-    p, hs = {"chain": (chain_sampled(), (0.3, 0.2)),
-             "bench chain": (chain_sampled(), (0.3, 0.2, 0.15)),
-             "double-well": (double_well().potential, (0.15, 0.1))}[which]
-    report = _report(p)
-    runs = []
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(validator, "_cpus", lambda: cpus)
-        runs.append(compare(report, p, hs))
-    serial = runs[0]
-    assert serial.verdicts and "FAIL" not in serial.verdicts
-    for threaded in runs[1:]:
-        assert serial.verdicts == threaded.verdicts
-        for a, b in zip(serial.steps, threaded.steps):
-            assert np.array(a[2:]).tobytes() == np.array(b[2:]).tobytes()
-            assert a[:2] == b[:2]
+def test_compare_starts_no_thread(monkeypatch):
+    # every bisection runs on the calling thread
+    started = []
+    real = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real(thread)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    p = chain_sampled()
+    vr = compare(_report(p), p, (0.3, 0.2, 0.15))
+    assert vr.verdicts == ("PASS", "PASS", "PASS")
+    assert started == []
 
 
 def _spy_bisection(monkeypatch):
@@ -516,7 +509,7 @@ def test_grids_and_spline_are_dropped_before_the_bisection(monkeypatch):
     report = _report(p)
     spline, points, factors, bisected = [], [], [], []
     real = (validator._cubic_spline, np.linspace, validator.discretize,
-            validator.dstebz())
+            validator.eigh_tridiagonal)
 
     def cubic_spline(*args):
         phi = real[0](*args)
@@ -536,30 +529,53 @@ def test_grids_and_spline_are_dropped_before_the_bisection(monkeypatch):
         factors.append(weakref.ref(dw.off))
         return dw
 
-    def stebz(*args):
+    def eigh_tridiagonal(problems):
         assert spline[0]() is None
         assert all(ref() is None for ref in factors)
-        bisected.append(args[9].size)
-        real[3](*args)
+        bisected.extend(e.size for _, e, *_ in problems)
+        return real[3](problems)
     monkeypatch.setattr(np, "linspace", linspace)
     for name, fn in (("_cubic_spline", cubic_spline),
-                     ("discretize", discretize)):
+                     ("discretize", discretize),
+                     ("eigh_tridiagonal", eigh_tridiagonal)):
         monkeypatch.setattr(validator, name, fn)
-    monkeypatch.setattr(validator, "dstebz", lambda: stebz)
-    monkeypatch.setattr(validator, "_cpus", lambda: 1)
     vr = compare(report, p, (0.3, 0.2))
     assert len(spline) == 1 and len(points) == len(factors) == 4
     assert [s.n for s in vr.steps] == [4000, 4000]
     assert len(bisected) > 4 and set(bisected) == {8}
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_compare_peak_memory(monkeypatch, cpus):
+@pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+    "before 3.11 CPython keeps a call's arguments on the caller's stack "
+    "until the call returns"))
+def test_reduce_drops_the_factor_it_is_given(monkeypatch):
+    # compare hands each factor straight to its reduction, which lets go of
+    # it once the chain is formed: no factor is alive in the reduction's
+    # cumulative sums, which come after
+    p = chain_sampled()
+    report = _report(p)
+    factors, sums = [], []
+    real = (validator.discretize, validator._cumsums)
+
+    def discretize(*args, **kwargs):
+        dw = real[0](*args, **kwargs)
+        factors.append(weakref.ref(dw.off))
+        return dw
+
+    def cumsums(*args):
+        sums.append(all(ref() is None for ref in factors))
+        return real[1](*args)
+    monkeypatch.setattr(validator, "discretize", discretize)
+    monkeypatch.setattr(validator, "_cumsums", cumsums)
+    compare(report, p, (0.3,))
+    assert len(factors) == 2 and sums and all(sums)
+
+
+def test_compare_peak_memory():
     # the bench schedule's six grids, one at a time: a grid's factor and
     # the arrays of its reduction, then the reductions' small problems
     p = chain_sampled()
     report = _report(p)
-    monkeypatch.setattr(validator, "_cpus", lambda: cpus)
     compare(report, p, (0.3, 0.2, 0.15))       # loads LAPACK before tracing
     tracemalloc.start()
     try:
@@ -626,19 +642,77 @@ def test_validate_h_against_the_range_of_the_factor(tmp_path, h, code):
     # two NumPy warnings at 1e308). At h = 1e151 the potential is flat on
     # the scale of h, so the four lowest eigenvalues are those of a flat
     # Dirichlet problem, 1, 4, 9 and 16 times the first, and the fourth is
-    # too close to the fifth, 25 times the first, to separate: it exits 2
-    # on the separation rule instead
-    _write_sampled_chain(tmp_path / "chain.csv")
-    res = run_cli(["validate", str(tmp_path / "chain.csv"), "--h", h])
+    # too close to the fifth, 25 times the first, to separate: its grids
+    # fail the separation rule instead. validate rejects all three h before
+    # any grid is built, since the samples end 2.0 above the top saddle,
+    # far under 4.6h, so the grids of the whole sample range, the window
+    # at such h, are checked here directly
+    csv = tmp_path / "chain.csv"
+    _write_sampled_chain(csv)
+    res = run_cli(["validate", str(csv), "--h", h])
     assert res.exit_code == code, res
     assert res.stderr == ""
     err = json.loads(res.stdout)["error"]
     assert err["type"] == "InputDataError"
-    if h == "1e151":
-        assert ("at h=1e+151 the 4 lowest eigenvalues are not separated from "
-                "the rest of the spectrum") in err["message"]
-    else:
-        assert f"h={float(h):g} is too large for a grid" in err["message"]
+    assert f"at h={float(h):g} the samples end too low" in err["message"]
+    p = load_samples(str(csv))
+    cs = extract_critical_structure(p)
+    wells = np.sort([cs.positions[m] for m in cs.min_ids])
+    phi, domain = _cubic_spline(p.xs, p.phis), (p.xs[0], p.xs[-1])
+    h = float(h)
+    for m in (4000, 8000):
+        if h == 1e151:
+            with pytest.raises(InputDataError, match=re.escape(
+                    "at h=1e+151 the 4 lowest eigenvalues are not separated "
+                    "from the rest of the spectrum")):
+                _reduce(discretize(phi, h, m, domain=domain),
+                        _well_nodes(wells, domain, m), h)
+        else:
+            with pytest.raises(InputDataError, match=re.escape(
+                    f"h={h:g} is too large for a grid")):
+                discretize(phi, h, m, domain=domain)
+
+
+def _low_walls():
+    """10 wells of the modulated cosine of CI's sampled ladder plus
+    0.05 sin 2.3x, on [-0.4, 9.4] with 40 samples per well: both ends sit
+    at phi = 1.71, under every saddle (2.03 to 2.43)."""
+    xs = np.linspace(-0.4, 9.4, 393)
+    return make_sampled(xs, (1.0 - np.cos(2 * np.pi * xs))
+                        * (1.0 + 0.2 * np.sin(0.37 * xs))
+                        + 0.05 * np.sin(2.3 * xs))
+
+
+def test_validate_rejects_samples_whose_walls_are_too_low(tmp_path,
+                                                          monkeypatch):
+    # on the window of such samples the walls act as exits, and the
+    # eigenvalues, their ratios 36 to 703 times the prediction, would judge
+    # the walls: every h exits 2 before any grid is built, naming the side,
+    # mu and the height needed
+    p = _low_walls()
+    csv = tmp_path / "low.csv"
+    np.savetxt(csv, np.column_stack([p.xs, p.phis]), delimiter=",",
+               fmt="%.17g", header="x,phi", comments="")
+    top = max(extract_critical_structure(p).sad_phi)
+    for h in (0.3, 0.2, 0.15):
+        res = run_cli(["validate", str(csv), "--h", str(h)])
+        assert res.exit_code == 2, res
+        assert res.stderr == ""
+        err = json.loads(res.stdout)["error"]
+        assert err["type"] == "InputDataError"
+        need = h / 2 * math.log(1e4)
+        mu = min(p.phis[0], p.phis[-1]) - top
+        assert err["message"].startswith(
+            f"at h={h:g} the samples end too low on the ")
+        assert f"mu = {mu:.3g} above the top saddle" in err["message"]
+        assert f"needs mu >= {need:.3g} (4.6h)" in err["message"]
+        assert f"until phi reaches {top + need:.6g}" in err["message"]
+    built = []
+    monkeypatch.setattr(validator, "discretize",
+                        lambda *args, **kwargs: built.append(args))
+    with pytest.raises(InputDataError, match="end too low"):
+        compare(_report(p), p, (0.3, 0.2, 0.15))
+    assert built == []
 
 
 def test_validate_rejects_wells_on_one_grid_node(tmp_path):
