@@ -571,15 +571,18 @@ def test_reduce_drops_the_factor_it_is_given(monkeypatch):
     assert len(factors) == 2 and sums and all(sums)
 
 
-def test_compare_peak_memory():
+@pytest.mark.parametrize("calls", [1, 2])
+def test_compare_peak_memory(calls):
     # the bench schedule's six grids, one at a time: a grid's factor and
-    # the arrays of its reduction, then the reductions' small problems
+    # the arrays of its reduction, then the reductions' small problems;
+    # a second call in the same trace finds nothing the first one kept
     p = chain_sampled()
     report = _report(p)
     compare(report, p, (0.3, 0.2, 0.15))       # loads LAPACK before tracing
     tracemalloc.start()
     try:
-        compare(report, p, (0.3, 0.2, 0.15))
+        for _ in range(calls):
+            compare(report, p, (0.3, 0.2, 0.15))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
