@@ -14,23 +14,22 @@ g = e^(phi/h) u, C'C is the pencil of a birth-death chain, and eliminating
 every node but the n0 wells is exact (``_reduce``): the reduction is a
 chain on the wells whose conductances and masses are power series in the
 eigenvalue sought, with nonnegative terms built from cumulative sums of
-positive numbers. Each eigenvalue is the fixed point of the reduction's own
-eigenvalue of that index (``_wells_eigenvalues``), found by bisection on the
-Golub-Kahan form of the reduction's n0-column factor, a zero-diagonal
-tridiagonal that bisection counts to high relative accuracy (Demmel & Kahan
-1990), so each eigenvalue comes to its own precision no matter how many
-orders of magnitude separate it from the norm.
+positive numbers. By Haynsworth's inertia formula the chain at a shift
+sigma has as many negative pivots as C'C has eigenvalues below sigma, and
+its pivots need no subtraction but the shift's, so bisecting sigma on that
+count (``eigh_tridiagonal``) finds each eigenvalue to its own relative
+precision, no matter how many orders of magnitude separate it from the
+norm.
 
-The bisection (LAPACK ``stebz``) and the spline solve (``gtsv``) are SciPy's
-compiled routines, called with the arguments of SciPy's public wrappers but
-loaded without importing the ``scipy.linalg`` package (see ``_lapack``).
-``compare`` first checks the walls of the samples at every h, then builds
-and checks the coarse and the fine grid of every h, reducing each grid onto
-its wells as soon as it is built, so an h the samples cannot support is
-rejected before any bisection runs, and at most one grid's factor is alive
-at a time. It then bisects the reductions in rounds, each round one
-``small_eigenvalues`` call for the nonzero eigenvalues alone, whose
-problems ``stebz`` bisects one after the other on the calling thread.
+Everything runs on NumPy: the not-a-knot spline of the samples is solved by
+cyclic reduction (``_cubic_spline``), and the bisection is a few array
+operations per step. ``compare`` first checks the walls of the samples at
+every h, then builds and checks the coarse and the fine grid of every h,
+reducing each grid onto its wells as soon as it is built, so an h the
+samples cannot support is rejected before any bisection runs, and at most
+one grid's factor is alive at a time. It then bisects every eigenvalue of
+every reduction together, in one ``small_eigenvalues`` call, on the
+calling thread.
 """
 
 import math
@@ -38,8 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._lapack import check_info, flapack
-from .errors import InputDataError
+from .errors import InputDataError, InvariantViolation
 from .landscape import SampledPotential
 
 _C_TOL = 3.0             # PASS needs a final |ratio - 1| <= _C_TOL * h
@@ -51,7 +49,9 @@ _MAX_EXP_ARG = 150.0     # per-cell exponent guard; beyond this the grid is
 _WALL_BIAS = 1e-4
 # Most points in a grid ``compare`` builds: one h whose fine grid is at the
 # budget peaks at 360 MB RSS in ``validate``, in the reduction of the fine
-# grid (x86-64 Linux, CPython 3.11, NumPy 2.4)
+# grid (x86-64 Linux, CPython 3.11 on, NumPy 2.4). CPython 3.10 keeps a
+# call's arguments on the caller's stack until it returns, so there the
+# reduction cannot free the factor it is given, and the peak is higher
 _MAX_GRID = 2 ** 22
 # Largest entry of the factor C: the operator C'C's entries are sums of
 # squares of C's entries, and each square stays at most half the largest
@@ -61,44 +61,59 @@ _MAX_ENTRY = math.sqrt(np.finfo(float).max / 2)
 # like r^k for r about the ratio of eigenvalue n0 - 1 to eigenvalue n0, so
 # this resolves r up to (eps/4)^(1/24), about 0.21
 _MAX_TERMS = 24
+# Numbers one bisection step evaluates, at most, before it tries a single
+# shift per bracket: below it NumPy's cost per call outweighs the work, so
+# a small stack tries several shifts at once and needs fewer steps
+_STEP_WIDTH = 4096
 
 
-def eigh_tridiagonal(problems):
-    """Eigenvalues ``lo..hi`` (0-based, ascending) of each symmetric
-    tridiagonal problem ``(d, e, lo, hi, tol)`` (diagonal ``d``,
-    off-diagonal ``e``), by LAPACK bisection ``stebz`` to absolute tolerance
-    ``tol``; one array per problem, in the order of ``problems``.
-
-    Each is ``scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True,
-    select="i", select_range=(lo, hi), tol=tol, lapack_driver="stebz")``:
-    the same f2py wrapper called with the same arguments and checks, loaded
-    without the ``scipy.linalg`` package (see ``_lapack``). The problems
-    run one after the other on the calling thread, and the first that fails
-    raises before the next runs. It stays a module attribute because
-    ``bench/spans.py`` times the bisection by wrapping this name."""
-    stebz = flapack().dstebz
-    results = []
-    for d, e, lo, hi, tol in problems:
-        d = np.asarray_chkfinite(d, dtype=float)
-        e = np.asarray_chkfinite(e, dtype=float)
-        if d.ndim != 1 or e.shape != (d.size - 1,):
-            raise ValueError(f"d {d.shape} must have one more element than "
-                             f"e {e.shape}")
-        m, w, _, _, info = stebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, tol, "E")
-        check_info(info, "stebz")
-        results.append(w[:m])
-    return results
+def _solve_dominant(lower, diag, upper, rhs):
+    """Solve lower_i x_(i-1) + diag_i x_i + upper_i x_(i+1) = rhs_i, a
+    strictly diagonally dominant tridiagonal system with lower_0 and the
+    last upper zero, by cyclic reduction: each odd row takes its two even
+    neighbours out, the odd rows are solved the same way, and the even rows
+    follow from them. Every level keeps the dominance, so no pivot is
+    small, and a level is a few operations on strided views."""
+    n = diag.size
+    if n == 1:
+        return rhs / diag
+    if n % 2 == 0:            # a last row x = 0: every odd row has two
+        lower, diag, upper, rhs = (np.append(v, w) for v, w in zip(
+            (lower, diag, upper, rhs), (0.0, 1.0, 0.0, 0.0)))
+    below, above = slice(0, -1, 2), slice(2, None, 2)
+    # minus the multiples of the rows below and above that each odd row
+    # takes away
+    left = np.divide(lower[1::2], diag[below])
+    np.negative(left, out=left)
+    right = np.divide(upper[1::2], diag[above])
+    np.negative(right, out=right)
+    odd_diag = diag[1::2] + left * upper[below]
+    odd_diag += right * lower[above]
+    odd_rhs = rhs[1::2] + left * rhs[below]
+    odd_rhs += right * rhs[above]
+    left *= lower[below]
+    right *= upper[above]
+    x = np.empty(diag.size)
+    x[1::2] = odd = _solve_dominant(left, odd_diag, right, odd_rhs)
+    even = x[0::2]
+    even[0] = 0.0
+    np.multiply(lower[above], odd, out=even[1:])
+    even[:-1] += upper[below] * odd
+    np.subtract(rhs[0::2], even, out=even)
+    even /= diag[0::2]
+    return x[:n]
 
 
 def _cubic_spline(x, y):
     """Not-a-knot cubic spline through the samples, as a vectorized phi(x).
 
-    Bit for bit ``scipy.interpolate.CubicSpline(x, y)`` for more than three
-    samples: the same banded system with its two not-a-knot end rows, the
-    same LAPACK ``gtsv`` solve, and the same Hermite coefficients and
-    evaluation order, without importing ``scipy.interpolate`` or
-    ``scipy.linalg``. Queries outside the samples extrapolate the end
-    pieces.
+    The system and the Hermite coefficients and evaluation order are those
+    of ``scipy.interpolate.CubicSpline(x, y)`` for more than three samples.
+    Its two not-a-knot end rows share their first (last) coefficient with
+    the row next to them, so subtracting them there leaves a strictly
+    diagonally dominant system for the inner slopes, which
+    ``_solve_dominant`` solves, and the end slopes follow from the end
+    rows. Queries outside the samples extrapolate the end pieces.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -112,28 +127,29 @@ def _cubic_spline(x, y):
     if np.any(dx <= 0):
         raise InputDataError("sample positions must be strictly increasing")
     slope = np.diff(y) / dx
-    A = np.zeros((3, x.size))            # banded: upper, diagonal, lower
-    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    A[0, 2:] = dx[:-1]
-    A[-1, :-2] = dx[1:]
-    b = np.empty(x.size)
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d = x[2] - x[0]
-    A[1, 0] = dx[1]
-    A[0, 1] = d
-    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    A[1, -1] = dx[-2]
-    A[-1, -2] = d
-    b[-1] = (dx[-1] ** 2 * slope[-2]
-             + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    # overwrites A and b, as scipy.linalg.solve_banded((1, 1), A, b,
-    # overwrite_ab=True, overwrite_b=True, check_finite=False) does
-    _, _, _, s, info = flapack().dgtsv(A[2, :-1], A[1], A[0, 1:], b,
-                                       1, 1, 1, 1)
-    if info > 0:
+    # row i of 1..n-2: dx_i s_(i-1) + 2 (dx_(i-1) + dx_i) s_i
+    # + dx_(i-1) s_(i+1) = b_i; row 0: dx_1 s_0 + d0 s_1 = b_0, and row
+    # n - 1: d1 s_(n-2) + dx_(n-3) s_(n-1) = b_(n-1)
+    lower, upper = dx[1:].copy(), dx[:-1].copy()
+    diag = 2 * (dx[:-1] + dx[1:])
+    b = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    b0 = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+    b1 = (dx[-1] ** 2 * slope[-2]
+          + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    diag[0] -= d0
+    b[0] -= b0
+    diag[-1] -= d1
+    b[-1] -= b1
+    lower[0] = upper[-1] = 0.0
+    # a row whose dominance rounding takes away leaves the system singular
+    # in double precision
+    if not np.all(lower + upper < diag):
         raise InputDataError("spline system is singular")
-    check_info(info, "gtsv")
+    s = np.empty(x.size)
+    s[1:-1] = _solve_dominant(lower, diag, upper, b)
+    s[0] = (b0 - d0 * s[1]) / dx[1]
+    s[-1] = (b1 - d1 * s[-2]) / dx[-2]
     if not np.all(np.isfinite(s)):
         raise InputDataError("spline slopes overflow double precision")
     t = (s[:-1] + s[1:] - 2 * slope) / dx
@@ -260,35 +276,6 @@ def discretize(p, h, n, *, domain):
             f"entries (h/dx = {scale:g}) overflow double precision when "
             f"squared")
     return dw
-
-
-def small_eigenvalues(dws, first, last):
-    """Eigenvalues ``first..last`` (0-based, ascending) of C'C for each
-    discretized operator in the list ``dws``; one array per grid. ``first``
-    and ``last`` are ints, or sequences with one entry per grid.
-
-    They are the squared singular values of C, found by bisection on C's
-    Golub-Kahan form: the tridiagonal of dimension 2n + 1 with a zero
-    diagonal and C's entries interleaved off it (``DiscretizedWitten.off``
-    itself). Its eigenvalues are +-sigma_i and one structural 0, so sigma_i
-    is its eigenvalue n + 1 + i. Bisection counts the eigenvalues of a
-    zero-diagonal tridiagonal to high relative accuracy whatever its
-    entries (Demmel & Kahan 1990), and with a tiny tolerance it refines
-    every eigenvalue to its own relative precision, which is what lets a
-    1e-40 eigenvalue coexist with an operator norm of 1e4.
-
-    A grid with an empty range, ``first > last``, is not bisected.
-    """
-    firsts = np.broadcast_to(first, len(dws)).tolist()
-    lasts = np.broadcast_to(last, len(dws)).tolist()
-    if any(f < 0 or l >= dw.n for dw, f, l in zip(dws, firsts, lasts)):
-        raise InputDataError("requested eigenvalue index exceeds dimension")
-    tiny = np.finfo(float).tiny
-    problems = [(np.zeros(2 * dw.n + 1), dw.off, dw.n + 1 + f, dw.n + 1 + l,
-                 tiny) for dw, f, l in zip(dws, firsts, lasts) if f <= l]
-    found = iter(eigh_tridiagonal(problems) if problems else ())
-    return [np.maximum(next(found), 0.0) ** 2 if f <= l else np.empty(0)
-            for f, l in zip(firsts, lasts)]
 
 
 def _cumsums(x, sizes):
@@ -470,58 +457,97 @@ def _reduce(dw, wells, h):
                          exponent)
 
 
-def _frozen(red, sigma):
-    """The reduction at the shift ``sigma`` as a factor of its own: the
-    Schur complement S(sigma) = L(kappa~) - sigma diag(m~), with kappa~ =
-    kappa + sigma M(sigma)'s couplings (walls unchanged) and m~ its row
-    sums, is the pencil of a chain on the wells, whose factor has entries
-    sqrt(kappa~_j / m~_j) and sqrt(kappa~_(j+1) / m~_j)."""
-    t = sigma / red.bound
-    off, mass = red.off[-1], red.mass[-1]
-    for k in range(len(red.off) - 2, -1, -1):        # Horner in t
-        off = off * t + red.off[k]
-        mass = mass * t + red.mass[k]
-    kappa = red.kappa.copy()
-    kappa[1:-1] += sigma * off
-    dw = DiscretizedWitten(np.empty(2 * mass.size))
-    np.sqrt(kappa[:-1] / mass, out=dw.acoef)
-    np.sqrt(kappa[1:] / mass, out=dw.bcoef)
-    return dw
+def eigh_tridiagonal(kappa, series, bound, index):
+    """Eigenvalues ``index`` (0-based, ascending) of each of G stacked
+    chains on n0 wells; an array (G, len(index)).
+
+    ``kappa`` (n0 + 1, G) holds each chain's series conductances, walls
+    included, and ``series`` (terms, 2 n0 + 1, G) its terms, each stored
+    times ``bound``^k: rows 0..n0 the couplings of the conductances (zero at
+    the walls), rows n0 + 1.. the masses. At a shift sigma in
+    [0, ``bound``] the chain is S(sigma) = L(kappa~) - sigma diag(m~), with
+    kappa~ = kappa + sigma couplings(sigma) and m~ = masses(sigma) summed
+    by Horner in sigma / ``bound``, and by Haynsworth's inertia formula its
+    negative pivots count the eigenvalues of C'C below sigma. Its pivots
+    are d_j = kappa~_(j+1) + g_j, where g_0 = kappa~_0 - sigma m~_0 and
+    g_(j+1) is the series conductance of g_j and kappa~_(j+1) less
+    sigma m~_(j+1): the shift's is the only subtraction. They are carried
+    as resistances rho_j = 1/g_j, so that a zero pivot makes the next
+    resistance 0 instead of a NaN, and d_j is negative exactly when
+    rho_j < 0 <= rho_j + 1/kappa~_(j+1), a zero pivot counting as negative.
+
+    Every (chain, index) pair is bisected at once on the bit patterns of
+    sigma, which order nonnegative doubles as integers, from [0, ``bound``]
+    until its bracket holds two adjacent doubles; the eigenvalue is the
+    upper one. Each step tries a few shifts per bracket while the stack is
+    small (``_STEP_WIDTH``). The name stays for ``bench/spans.py``, which
+    times the bisection by wrapping it."""
+    if not all(np.all(np.isfinite(x)) for x in (kappa, series, bound)):
+        raise InvariantViolation(
+            "a grid's reduction onto its wells is not finite")
+    n0 = kappa.shape[0] - 1
+    kappa, series, bound = (x[..., None, None] for x in (kappa, series,
+                                                          bound))
+    index = np.asarray(index)[:, None]
+    size = bound.size * index.size * (2 * n0 + 1)
+    parts = max(2, _STEP_WIDTH // size)
+    cuts = np.arange(parts + 1)
+    lo = np.zeros((bound.size, index.size, 1), dtype=np.int64)
+    hi = lo + bound.view(np.int64)
+    # each step leaves a bracket of w patterns at most ceil(w / parts) wide
+    steps, w = 0, int(hi.max())
+    while w > 1:
+        steps, w = steps + 1, -(-w // parts)
+    rho = np.empty((n0, bound.size, index.size, parts - 1))
+    s = np.empty_like(rho)
+    with np.errstate(divide="ignore", over="ignore", invalid="raise"):
+        for _ in range(steps):
+            q, r = np.divmod(hi - lo, parts)
+            bits = lo + q * cuts + r * cuts // parts
+            sigma = bits[..., 1:-1].view(float)
+            x = sigma / bound
+            v = series[-1]
+            for term in series[-2::-1]:
+                v = v * x
+                v += term
+            v = v * sigma
+            kt, m = v[:n0 + 1], v[n0 + 1:]
+            kt += kappa
+            res = np.divide(1.0, kt[1:], out=kt[1:])
+            g = kappa[0] - m[0]
+            for j in range(n0):
+                np.divide(1.0, g, out=rho[j])
+                np.add(rho[j], res[j], out=s[j])
+                if j + 1 < n0:
+                    np.divide(1.0, s[j], out=g)
+                    g -= m[j + 1]
+            below = np.count_nonzero((rho < 0) & (s >= 0), axis=0) <= index
+            k = np.sum(below, axis=-1, keepdims=True)   # shifts below
+            lo, hi = (np.take_along_axis(bits, k, -1),
+                      np.take_along_axis(bits, k + 1, -1))
+    return hi[..., 0].view(float)
 
 
-def _wells_eigenvalues(grids, first, last):
+def small_eigenvalues(reductions, first, last):
     """Eigenvalues ``first..last`` (0-based, ascending) of C'C for each
     grid reduced onto its wells (``_reduce``); one array per grid.
 
-    Eigenvalue i is the fixed point sigma = mu_i(sigma) of eigenvalue i of
-    the reduction frozen at sigma (``_frozen``): by Haynsworth's inertia
-    formula S(sigma) has as many negative eigenvalues as C'C has below
-    sigma, while sigma stays below the segments' own spectrum. The
-    iteration contracts at about the ratio of eigenvalue n0 - 1 to
-    eigenvalue n0. Round 0 bisects every grid at shift 0 for all its
-    eigenvalues at once; each later round bisects one problem per
-    eigenvalue still moving, at its own last value, until its steps stop
-    shrinking or the next step, at the ratio of the last two, would move it
-    by less than half a unit in its last place. Each round is one
-    ``small_eigenvalues`` call.
-    """
-    sigma = small_eigenvalues([_frozen(g, 0.0) for g in grids], first, last)
-    step = [s.copy() for s in sigma]               # the steps from shift 0
-    moving = [(g, i) for g, s in enumerate(sigma) for i in range(s.size)]
-    while moving:
-        index = [first + i for _, i in moving]
-        found = small_eigenvalues(
-            [_frozen(grids[g], sigma[g][i]) for g, i in moving], index, index)
-        still = []
-        for (g, i), (w,) in zip(moving, found):
-            d, last = abs(w - sigma[g][i]), step[g][i]
-            sigma[g][i], step[g][i] = w, d
-            # on while the steps shrink and the next, at the ratio of the
-            # last two, would still move w by half a unit in its last place
-            if d < last and d * d >= last * np.spacing(w) / 2:
-                still.append((g, i))
-        moving = still
-    return [np.ldexp(s, 2 * g.exponent) for s, g in zip(sigma, grids)]
+    The reductions, all of one number of wells, are stacked, a shorter
+    series padded with zero terms, and bisected together
+    (``eigh_tridiagonal``); each grid's eigenvalues are then scaled back by
+    its 4^exponent."""
+    n0 = reductions[0].mass.shape[1]
+    if not 0 <= first <= last < n0:
+        raise InputDataError("requested eigenvalue index exceeds dimension")
+    series = np.zeros((max(len(r.off) for r in reductions), 2 * n0 + 1,
+                       len(reductions)))
+    for g, r in enumerate(reductions):
+        series[:len(r.off), 1:n0, g] = r.off
+        series[:len(r.mass), n0 + 1:, g] = r.mass
+    sigma = eigh_tridiagonal(np.stack([r.kappa for r in reductions], -1),
+                             series, np.array([r.bound for r in reductions]),
+                             np.arange(first, last + 1))
+    return [np.ldexp(s, 2 * r.exponent) for s, r in zip(sigma, reductions)]
 
 
 def _well_nodes(positions, domain, n):
@@ -584,8 +610,7 @@ def compare(report, p, h_list, grid=None):
                 f"budget of {_MAX_GRID} grid points")
     # the coarse and fine grid of every h, each reduced onto its wells as
     # soon as it is built and checked, and dropped; all of them before the
-    # first bisection. One spline serves every grid (its gtsv solve comes
-    # from the same LAPACK module as the bisection), and goes before the
+    # first bisection. One spline serves every grid, and goes before the
     # first bisection.
     phi_fn = _cubic_spline(p.xs, p.phis)
     wells = np.sort([cs.positions[m] for m in cs.min_ids])
@@ -600,7 +625,7 @@ def compare(report, p, h_list, grid=None):
                 discretize(phi_fn, h, m, domain=domain)
     del phi_fn
     # the zero mode, eigenvalue 0, is not solved for
-    nonzero = ([w.tolist() for w in _wells_eigenvalues(grids, 1, k_nonzero)]
+    nonzero = ([w.tolist() for w in small_eigenvalues(grids, 1, k_nonzero)]
                if k_nonzero else [[]] * (2 * len(hs)))
     steps = []
     for h, n, entries, coarse, fine in zip(hs, ns, predictions,

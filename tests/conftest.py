@@ -88,6 +88,26 @@ def make_rng(tag):
 # ---------------------------------------------------------------- matrices
 
 
+def whole_grid_eigenvalues(dw, first, last):
+    """Eigenvalues ``first..last`` (0-based, ascending) of C'C for the
+    whole grid's factor ``dw``, the oracle of the validator's reduction
+    onto the wells: the squared singular values of C, bisected by SciPy's
+    LAPACK ``stebz`` on C's Golub-Kahan form. That is the tridiagonal of
+    dimension 2n + 1 with a zero diagonal and C's entries interleaved off it
+    (``dw.off``), whose eigenvalue n + 1 + i is sigma_i. Bisection counts a
+    zero-diagonal tridiagonal to high relative accuracy whatever its entries
+    (Demmel & Kahan 1990), so a tiny tolerance refines every eigenvalue to
+    its own relative precision. SciPy is imported here, not at the top:
+    the children that check which modules a launch loads import this
+    module."""
+    from scipy.linalg import eigh_tridiagonal
+    w = eigh_tridiagonal(
+        np.zeros(2 * dw.n + 1), dw.off, eigvals_only=True, select="i",
+        select_range=(dw.n + 1 + first, dw.n + 1 + last),
+        tol=np.finfo(float).tiny, lapack_driver="stebz")
+    return np.maximum(w, 0.0) ** 2
+
+
 _CLUSTER_RTOL = 1e-9
 
 

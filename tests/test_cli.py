@@ -219,10 +219,9 @@ print("numpy.polynomial" in sys.modules)
                                      ["validate", "dw.csv", "--h", "0.15,0.1"]])
 def test_launch_loads_numpy_and_metastab_alone(tmp_path, command):
     """Importing the CLI, analyzing the 40-minimum chain of ``test_golden``,
-    and analyzing a sampled double well load no package outside the
-    standard library but NumPy and metastab itself; validating it adds
-    SciPy's eigensolver. Extraction fits in closed form: no run loads
-    ``numpy.polynomial``."""
+    and analyzing and validating a sampled double well load no package
+    outside the standard library but NumPy and metastab itself. Extraction
+    fits in closed form: no run loads ``numpy.polynomial``."""
     (tmp_path / "chain-40.json").write_text(json.dumps(structure_to_dict(
         _STRUCTURES["chain-40"]())))
     xs = np.linspace(-2.0, 2.0, 2001)
@@ -233,8 +232,7 @@ def test_launch_loads_numpy_and_metastab_alone(tmp_path, command):
                 "--out", str(tmp_path / "r.json")]
     res = run_python(_LOADED, *args)
     assert res.returncode == 0, res.stderr
-    packages = "metastab numpy" + (" scipy" if "validate" in command else "")
-    assert res.stdout.split("\n")[:2] == [packages, "False"]
+    assert res.stdout.split("\n")[:2] == ["metastab numpy", "False"]
 
 
 def test_analyze_plot_table_default_name(tmp_path, monkeypatch):

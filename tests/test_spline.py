@@ -1,6 +1,6 @@
 """Differential test of the validator's spline: ``validator._cubic_spline``
-must return the same bits as ``scipy.interpolate.CubicSpline``, its oracle
-here, and reject what the oracle rejects."""
+must agree with ``scipy.interpolate.CubicSpline``, its oracle here, within
+a measured bound, and reject what the oracle rejects."""
 
 import functools
 import math
@@ -38,12 +38,26 @@ def samples(draw):
     return x, y
 
 
-def _same_bits(x, y, q):
+# The largest differences from the oracle measured, relative to the largest
+# value of the oracle at the queries. The oracle solves the same system by
+# LU with partial pivoting, the spline by cyclic reduction once its end
+# rows are eliminated; on the worst draw examined, the oracle's last slope
+# was the farther from an exact rational solve (27 ulp against 2). Drawn
+# samples (test_matches_oracle), with gaps varying twentyfold and values
+# at random: 4.9e-14 over 15 000 draws (1.5e-14 over the 2000 of the
+# metastab-long profile and over tier-1's 100).
+_MAX_DIFFERENCE = 1e-13
+# Smooth potentials on the validator's grids (the bundled potentials'
+# energy windows and the tilted double wells): 1.9e-16
+_MAX_DIFFERENCE_SMOOTH = 1e-15
+
+
+def _close(x, y, q, bound=_MAX_DIFFERENCE):
     want = oracle(x, y)(q)
     got = _cubic_spline(x, y)(q)
     assert got.shape == want.shape
-    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
-    assert bad.size == 0, (q[bad[:3]], got[bad[:3]], want[bad[:3]])
+    worst = np.max(np.abs(got - want))
+    assert worst <= bound * np.max(np.abs(want)), worst
 
 
 @given(samples(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
@@ -61,7 +75,7 @@ def test_matches_oracle(xy, fractions, m, cut_lo, cut_hi):
         *[x[:-1] + f * dx for f in fractions],          # inside intervals
         grid, 0.5 * (grid[:-1] + grid[1:]),             # solve grid, midpoints
     ])
-    _same_bits(x, y, q)
+    _close(x, y, q)
 
 
 @functools.cache
@@ -81,7 +95,7 @@ def _window_grids(p, cs, h, n):
 @given(h=st.floats(0.07, 0.3), n=st.integers(100, 9000))
 def test_matches_oracle_on_energy_window_grids(bundle, h, n):
     p, cs = _bundled(bundle)
-    _same_bits(p.xs, p.phis, _window_grids(p, cs, h, n))
+    _close(p.xs, p.phis, _window_grids(p, cs, h, n), _MAX_DIFFERENCE_SMOOTH)
 
 
 @settings(max_examples=15)
@@ -91,7 +105,7 @@ def test_matches_oracle_on_tilted_double_wells(tilt, size, h, n):
     xs = np.linspace(-2.4, 2.4, size)
     p = make_sampled(xs, xs ** 4 / 4 - xs ** 2 / 2 + tilt * xs)
     cs = extract_critical_structure(p)
-    _same_bits(p.xs, p.phis, _window_grids(p, cs, h, n))
+    _close(p.xs, p.phis, _window_grids(p, cs, h, n), _MAX_DIFFERENCE_SMOOTH)
 
 
 @given(samples(), st.data())
@@ -134,5 +148,5 @@ def test_needs_more_than_three_samples():
     x = np.array([0.0, 1.0, 2.0])
     with pytest.raises(InputDataError, match="more than 3"):
         _cubic_spline(x, x * x)
-    _same_bits(np.arange(4.0), np.array([0.0, 1.0, 0.0, 1.0]),
+    _close(np.arange(4.0), np.array([0.0, 1.0, 0.0, 1.0]),
                np.linspace(-1.0, 4.0, 51))
