@@ -3,14 +3,15 @@
 The Witten operator -h^2 d^2/dx^2 + phi'^2 - h phi'' is discretized in
 factored form A = C'C, where C is the (n+1) x n bidiagonal discretization of
 the conjugated derivative h e^(-phi/h) d/dx e^(phi/h) on interval midpoints.
-Working with the factor instead of assembling A is what makes eigenvalues of
-size 1e-13 and below resolvable at all: the small singular values of a
-bidiagonal matrix are determined to relative accuracy by its entries. The
-discrete Gibbs vector e^(-phi/h) is annihilated exactly by the interior rows
-of C, so the bottom of the spectrum is clean.
+Written for g = e^(phi/h) u, each row of C is a difference of g across an
+edge, so C'C is the pencil (K, diag pi) of a birth-death chain: K the path
+Laplacian with conductances c_r = (h/dx)^2 e^(-2 phi(mid_r)/h), grounded at
+both Dirichlet ends, and pi_j = e^(-2 phi(x_j)/h). ``discretize`` builds
+that chain straight from phi, one exponential per number, and never forms
+C. The Gibbs vector, g = 1, meets only the two wall conductances, so the
+bottom of the spectrum is clean.
 
-The n0 small eigenvalues are not sought on the whole grid. Written for
-g = e^(phi/h) u, C'C is the pencil of a birth-death chain, and eliminating
+The n0 small eigenvalues are not sought on the whole grid. Eliminating
 every node but the n0 wells is exact (``_reduce``): the reduction is a
 chain on the wells whose conductances and masses are power series in the
 eigenvalue sought, with nonnegative terms built from cumulative sums of
@@ -27,7 +28,7 @@ operations per step. ``compare`` first checks the walls of the samples at
 every h, then builds and checks the coarse and the fine grid of every h,
 reducing each grid onto its wells as soon as it is built, so an h the
 samples cannot support is rejected before any bisection runs, and at most
-one grid's factor is alive at a time. It then bisects every eigenvalue of
+one grid's chain is alive at a time. It then bisects every eigenvalue of
 every reduction together, in one ``small_eigenvalues`` call, on the
 calling thread.
 """
@@ -48,14 +49,14 @@ _MAX_EXP_ARG = 150.0     # per-cell exponent guard; beyond this the grid is
 # mu their height above the top saddle (``_energy_window``)
 _WALL_BIAS = 1e-4
 # Most points in a grid ``compare`` builds: one h whose fine grid is at the
-# budget peaks at 360 MB RSS in ``validate``, in the reduction of the fine
-# grid (x86-64 Linux, CPython 3.11 on, NumPy 2.4). CPython 3.10 keeps a
-# call's arguments on the caller's stack until it returns, so there the
-# reduction cannot free the factor it is given, and the peak is higher
+# budget peaks at 322 MB RSS in ``validate``, in the reduction of the fine
+# grid, which works in its chain's buffers (x86-64 Linux, CPython 3.11,
+# NumPy 2.4)
 _MAX_GRID = 2 ** 22
-# Largest entry of the factor C: the operator C'C's entries are sums of
-# squares of C's entries, and each square stays at most half the largest
-# float, so that the grid represents the operator at all
+# Largest entry of the factor C, (h/dx) e^((phi(x_j) - phi(mid))/h) for a
+# node and a midpoint beside it, which the chain's c / pi squares: the
+# operator C'C's entries are sums of such squares, and each stays at most
+# half the largest float, so that the grid represents the operator at all
 _MAX_ENTRY = math.sqrt(np.finfo(float).max / 2)
 # Most series terms of a grid's reduction onto its wells: the terms fall
 # like r^k for r about the ratio of eigenvalue n0 - 1 to eigenvalue n0, so
@@ -209,30 +210,30 @@ def _energy_window(p, cs, h):
     return float(xs[left]), float(xs[right])
 
 
-class DiscretizedWitten(NamedTuple):
-    off: np.ndarray        # C[j, j], C[j + 1, j] interleaved, j = 0..n-1
+class Chain(NamedTuple):
+    """The birth-death chain of a grid's C'C (``discretize``)."""
+    rho: np.ndarray        # n + 1 edge resistances 1/c, walls included
+    pi: np.ndarray         # n node masses
+    exponent: int          # eigenvalues of C'C are the chain's times 4^this
 
     @property
     def n(self):
-        return self.off.size // 2
-
-    @property
-    def acoef(self):       # C[j, j] entries, a strided view of ``off``
-        return self.off[0::2]
-
-    @property
-    def bcoef(self):       # C[j + 1, j] entries, a strided view of ``off``
-        return self.off[1::2]
+        return self.pi.size
 
 
 def discretize(p, h, n, *, domain):
-    """Factored finite-difference Witten operator on a uniform grid.
+    """The finite-difference Witten operator on a uniform grid, as the
+    birth-death chain of its factored form C'C.
 
     ``p`` is a callable phi(x) evaluated on arrays of grid points, such as
     the spline ``compare`` builds from sampled data, and ``domain`` the
     solve interval ``(lo, hi)``. ``n`` counts interior points, the
     ``n + 2`` points of ``numpy.linspace(lo, hi, n + 2)`` without its ends;
-    the ends are Dirichlet. Only the factor is returned: the points and the
+    the ends are Dirichlet. With ``ref`` the middle of phi's range on the
+    points, the chain's resistances are e^(2 (phi(mid) - ref)/h) / m^2 and
+    its masses e^(-2 (phi(x) - ref)/h), each one exponential, where
+    h/dx = m 2^exponent: the eigenvalues of C'C are those of the chain
+    times 4^exponent. Only the chain is returned: the points and the
     potential on them are dropped once the checks pass.
     """
     if not h > 0:
@@ -246,36 +247,47 @@ def discretize(p, h, n, *, domain):
         raise InputDataError("grid too coarse (need at least 100 points)")
 
     full = np.linspace(lo, hi, n + 2)
-    dx = full[1] - full[0]
+    dx = float(full[1] - full[0])
     mid = 0.5 * (full[:-1] + full[1:])
     phi = np.asarray(p(full), dtype=float)
+    del full
     phim = np.asarray(p(mid), dtype=float)
-    spread = float(np.max(phi) - np.min(phi))
+    del mid
+    top, bottom = float(np.max(phi)), float(np.min(phi))
+    spread = top - bottom
     if 2.0 * spread / h > 600.0:
         raise InputDataError(
             f"potential range {spread:g} over the solve domain is too large "
             f"for h={h:g}: the small eigenvalues underflow double precision")
 
-    up = (phi[1:] - phim) / h      # length n+1, exponent for the right node
-    dn = (phi[:-1] - phim) / h     # exponent for the left node
-    worst = max(np.max(np.abs(up)), np.max(np.abs(dn)))
+    # C's entries are (h/dx) e^(rise/h), rise = phi(x) - phi(mid) for a
+    # midpoint and a node beside it, but the walls' rises count for the
+    # cells only; the resistances' buffer takes the differences
+    rho = np.subtract(phi[1:], phim)
+    rise, fall, wall = rho[:-1].max(), rho.min(), rho[-1]
+    np.subtract(phi[:-1], phim, out=rho)
+    rise, fall = max(rise, rho[1:].max()), min(fall, rho.min())
+    worst = max(rise, wall, rho[0], -fall) / h
     if worst > _MAX_EXP_ARG:
         raise InputDataError(
             f"grid resolves the potential too poorly at h={h:g} "
             f"(per-cell exponent {worst:.1f}); increase the grid size")
-    scale = h / float(dx)          # a Python float: inf, not a warning
-    dw = DiscretizedWitten(np.empty(2 * n))
-    a, b = dw.acoef, dw.bcoef
-    np.exp(up[:-1], out=a)
-    a *= scale
-    np.exp(dn[1:], out=b)
-    b *= -scale
-    if not max(a.max(), -b.min()) < _MAX_ENTRY:
+    scale = h / dx                 # a Python float: inf, not a warning
+    if not scale * math.exp(rise / h) < _MAX_ENTRY:
         raise InputDataError(
             f"h={h:g} is too large for a grid of {n} points: the factor's "
             f"entries (h/dx = {scale:g}) overflow double precision when "
             f"squared")
-    return dw
+    m, exponent = math.frexp(scale)
+    ref = 0.5 * (top + bottom)
+    np.subtract(phim, ref, out=rho)
+    rho /= 0.5 * h
+    np.exp(rho, out=rho)
+    rho /= m * m
+    pi = np.subtract(phi[1:-1], ref)
+    pi /= -0.5 * h
+    np.exp(pi, out=pi)
+    return Chain(rho, pi, exponent)
 
 
 def _cumsums(x, sizes):
@@ -298,19 +310,21 @@ class WellReduction(NamedTuple):
     exponent: int          # eigenvalues of C'C are these times 4^exponent
 
 
-def _reduce(dw, wells, h):
-    """Eliminate every grid node but the wells from C'C, exactly.
+def _compact(x, wells):
+    """Move the entries of ``x`` off ``wells`` to its front, in place."""
+    i = 0
+    for s, e in zip([-1] + wells.tolist(), wells.tolist() + [x.size]):
+        x[i:i + e - s - 1] = x[s + 1:e]      # a forward copy, no buffer
+        i += e - s - 1
+    return x[:i]
 
-    ``wells`` are the columns of C, ascending, nearest each minimum. With
-    u = w * g, w_0 = 1 and w_r = w_(r-1) (-b_(r-1) / a_r), every row of C
-    is a difference, (Cu)_r = a_r w_r (g_r - g_(r-1)), so C'C is the pencil
-    (K, diag pi) of a birth-death chain: K the path Laplacian with
-    conductances c_r = (a_r w_r)^2, grounded at both Dirichlet ends, and
-    pi = w^2. The running product perturbs each entry of C by a few
-    rounding errors only; a power of two takes h/dx out of the squares, and
-    another centres their range.
 
-    The Schur complement of K - sigma diag(pi) onto the wells is
+def _reduce(chain, wells, h):
+    """Eliminate every grid node but the wells from a grid's chain, the
+    pencil (K, diag pi) of C'C (``discretize``), exactly.
+
+    ``wells`` are the chain's nodes, ascending, nearest each minimum. The
+    Schur complement of K - sigma diag(pi) onto the wells is
     S(sigma) = S0 - sigma M1 - sigma^2 M2 - ..., with S0 the path
     Laplacian of the series conductances kappa = 1 / (sum of 1/c) of each
     segment between wells (or a well and a wall), M1 = H' diag(pi) H plus
@@ -322,34 +336,18 @@ def _reduce(dw, wells, h):
     in ``off`` and its row sums in ``mass``. Terms are added until the next
     changes no conductance or mass by more than eps/4 at ``bound``, an
     upper bound of the n0 lowest eigenvalues; a grid that needs more than
-    ``_MAX_TERMS`` is bad input, and so are two wells on one node. ``dw``
-    is dropped once the chain is formed, so a factor the caller passes
-    without keeping a name for it is freed then.
+    ``_MAX_TERMS`` is bad input, and so are two wells on one node.
+
+    The reduction works in the chain's two buffers and spends them: ``pi``
+    keeps the masses off the wells, ``rho`` the resistances to the right,
+    then the series' scratch. So a chain the caller keeps costs nothing.
     """
-    n0, n = wells.size, dw.n
+    n0, n = wells.size, chain.n
     if np.any(np.diff(wells) == 0):
         raise InputDataError(
             f"grid too coarse at h={h:g}: two wells fall on one of its {n} "
             f"points; increase the grid size")
-    a, b = dw.acoef, dw.bcoef
-    w = np.empty(n)                  # sqrt(pi)
-    w[0] = 1.0
-    np.divide(b[:-1], a[1:], out=w[1:])
-    np.negative(w[1:], out=w[1:])
-    np.cumprod(w[1:], out=w[1:])
-    exponent = math.frexp(a[0])[1]
-    c = np.empty(n + 1)              # sqrt(c), then c, then 1/c
-    np.ldexp(a, -exponent, out=c[:-1])
-    c[:-1] *= w
-    c[-1] = math.ldexp(-b[-1], -exponent) * w[-1]
-    del a, b, dw
-    shift = -(math.frexp(max(c.max(), w.max()))[1]
-              + math.frexp(min(c.min(), w.min()))[1]) // 2
-    for x in (c, w):
-        np.ldexp(x, shift, out=x)
-        np.square(x, out=x)
-    rho = np.divide(1.0, c, out=c)
-
+    rho = chain.rho
     # segment s runs from the node after well s - 1 (or the left end) to
     # the node before well s (or the right end): its edges are
     # ends[s] + 1 .. ends[s + 1], its interior nodes one fewer
@@ -358,11 +356,10 @@ def _reduce(dw, wells, h):
     # the resistance from each node to its segment's left and right end
     left_of = _cumsums(rho.copy(), sizes + 1)
     total = left_of[ends[1:]]
-    A = np.delete(left_of[:-1], wells)
-    del left_of
-    B = np.delete(_cumsums(rho[::-1], sizes[::-1] + 1)[-2::-1], wells)
-    p, well_pi = np.delete(w, wells), w[wells]
-    del rho, c, w
+    A = _compact(left_of[:-1], wells)
+    B = _compact(_cumsums(rho[::-1], sizes[::-1] + 1)[-2::-1], wells)
+    well_pi = chain.pi[wells]
+    p = _compact(chain.pi, wells)
     # the harmonic functions, each from its small side: 1 at the well
     # left (right) of the segment, 0 at its other end
     T = np.repeat(total, sizes)
@@ -372,7 +369,8 @@ def _reduce(dw, wells, h):
     np.divide(A, T, out=right)
     np.subtract(1.0, right, out=left, where=A < B)
     np.subtract(1.0, left, out=right, where=B < A)
-    del A, B
+    del A, B, left_of
+    after = rho[:T.size]
     kappa = 1.0 / total
     full = sizes > 0
     starts = (np.cumsum(sizes) - sizes)[full]
@@ -384,7 +382,8 @@ def _reduce(dw, wells, h):
         sums = np.zeros((3, n0 + 1))
         if starts.size:
             for row, u, v in ((0, 0, 0), (1, 1, 1), (2, 0, 1)):
-                sums[row, full] = np.add.reduceat(pz[u] * y[v], starts)
+                np.multiply(pz[u], y[v], out=after)
+                sums[row, full] = np.add.reduceat(after, starts)
         left_sq, right_sq, cross = sums
         off = cross[1:-1]
         mass = right_sq[:-1] + left_sq[1:]
@@ -416,7 +415,6 @@ def _reduce(dw, wells, h):
     right *= T
     right *= bound
     del T
-    after = np.empty(right.size)
 
     def green(pz, z):
         # z = bound * G pz, by two cumulative sums per function
@@ -454,7 +452,7 @@ def _reduce(dw, wells, h):
             f"and {_MAX_TERMS} terms resolve a ratio up to "
             f"{tiny ** (1.0 / _MAX_TERMS):.2g}; choose a smaller h")
     return WellReduction(kappa, np.array(offs), np.array(masses), bound,
-                         exponent)
+                         chain.exponent)
 
 
 def eigh_tridiagonal(kappa, series, bound, index):
@@ -551,7 +549,7 @@ def small_eigenvalues(reductions, first, last):
 
 
 def _well_nodes(positions, domain, n):
-    """The columns of C, the interior grid nodes, nearest ``positions``."""
+    """The chain's nodes, the interior grid points, nearest ``positions``."""
     lo, hi = domain
     j = np.rint((positions - lo) * ((n + 1) / (hi - lo))).astype(int) - 1
     return np.clip(j, 0, n - 1)

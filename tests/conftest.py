@@ -88,24 +88,30 @@ def make_rng(tag):
 # ---------------------------------------------------------------- matrices
 
 
-def whole_grid_eigenvalues(dw, first, last):
+def whole_grid_eigenvalues(chain, first, last):
     """Eigenvalues ``first..last`` (0-based, ascending) of C'C for the
-    whole grid's factor ``dw``, the oracle of the validator's reduction
-    onto the wells: the squared singular values of C, bisected by SciPy's
-    LAPACK ``stebz`` on C's Golub-Kahan form. That is the tridiagonal of
-    dimension 2n + 1 with a zero diagonal and C's entries interleaved off it
-    (``dw.off``), whose eigenvalue n + 1 + i is sigma_i. Bisection counts a
-    zero-diagonal tridiagonal to high relative accuracy whatever its entries
-    (Demmel & Kahan 1990), so a tiny tolerance refines every eigenvalue to
-    its own relative precision. SciPy is imported here, not at the top:
-    the children that check which modules a launch loads import this
-    module."""
+    whole grid's chain (``validator.discretize``), the oracle of the
+    validator's reduction onto the wells: the squared singular values of C,
+    bisected by SciPy's LAPACK ``stebz`` on C's Golub-Kahan form, and
+    scaled back by 4^exponent. That is the tridiagonal of dimension 2n + 1
+    with a zero diagonal and C's entries interleaved off it, formed from
+    the chain's conductances c = 1/rho and masses pi as
+    a_r = sqrt(c_r / pi_r) and b_r = -sqrt(c_(r+1) / pi_r); its eigenvalue
+    n + 1 + i is sigma_i. Bisection counts a zero-diagonal tridiagonal to
+    high relative accuracy whatever its entries (Demmel & Kahan 1990), so a
+    tiny tolerance refines every eigenvalue to its own relative precision.
+    SciPy is imported here, not at the top: the children that check which
+    modules a launch loads import this module."""
     from scipy.linalg import eigh_tridiagonal
+    n = chain.n
+    off = np.empty(2 * n)
+    off[0::2] = np.sqrt(1.0 / (chain.rho[:-1] * chain.pi))
+    off[1::2] = -np.sqrt(1.0 / (chain.rho[1:] * chain.pi))
     w = eigh_tridiagonal(
-        np.zeros(2 * dw.n + 1), dw.off, eigvals_only=True, select="i",
-        select_range=(dw.n + 1 + first, dw.n + 1 + last),
+        np.zeros(2 * n + 1), off, eigvals_only=True, select="i",
+        select_range=(n + 1 + first, n + 1 + last),
         tol=np.finfo(float).tiny, lapack_driver="stebz")
-    return np.maximum(w, 0.0) ** 2
+    return np.ldexp(np.maximum(w, 0.0) ** 2, 2 * chain.exponent)
 
 
 _CLUSTER_RTOL = 1e-9

@@ -70,6 +70,26 @@ difference of near-equal eigenvalues, by up to 0.1% relative:
 * the sampled-chain ``validate``: v2 8d1d7b67 -> 0f540315, v1 ed7ff8dd ->
   1ae63fa9; 9 numeric eigenvalues move, by at most 3.8e-15 relative.
 
+The three sampled cases were re-pinned a fifth time, layout and schema
+string unchanged, when the validator came to build each grid's
+birth-death chain straight from phi, one exponential per conductance and
+per mass, instead of from the factor C by a running product. At the same
+time ``_write_double_well`` came to write the square of its samples as a
+product instead of Python's float power, which calls libm's ``pow``: that
+moves 3 of the 4001 samples (x = 0.764, 1.216 and 1.885) in their last
+digit, and the product is correctly rounded on every CPU. Their verdicts
+hold; the numeric eigenvalues move by at most 6.0e-14 relative, and with
+them ratio and deviation, and grid_drift, a difference of near-equal
+eigenvalues, by up to 0.6% relative:
+
+* ``double-well``: v2 b76e3292 -> 9ab70e95, v1 7f285854 -> 5bb8256f; 3
+  numeric eigenvalues move, by at most 5.9e-14 relative.
+* ``validate`` (the double well): v2 3ae3723d -> ca60f758, v1 fde609a0 ->
+  158a823d; 2 numeric eigenvalues move, by at most 6.0e-14 relative. The
+  new samples alone move them by at most 4.4e-16.
+* the sampled-chain ``validate``: v2 0f540315 -> d0e43bab, v1 1ae63fa9 ->
+  a8111d8c; 9 numeric eigenvalues move, by at most 1.9e-14 relative.
+
 The runs go through one child interpreter with single-threaded BLAS. The
 dense ring spectrum (``ex-c --n 200``) depends in its last bits on the BLAS
 thread count, so the digests are pinned for one thread, which the CLI
@@ -112,8 +132,8 @@ GOLDEN_V2 = {
         "cb76718ea3bf59e7f41edea91a256c57b35d277a3a4ec179da2f66154247f48d",
         10284),
     "double-well": (
-        "b76e329281ba446ec0adec0d68f30381a89e16596d72da584136b0f371ab28aa",
-        5222),
+        "9ab70e95eebffae29178f82feb40197a7eccb2093a3bbd318a839103d616c407",
+        5220),
     "ex-c --n 4": (
         "480af0bd82bb78606c41e40aecdeb58d2a6296853468e132020660dd4459389b",
         3704),
@@ -132,10 +152,10 @@ GOLDEN_ANALYZE_V2 = {
 }
 
 GOLDEN_VALIDATE_V2 = (
-    "3ae3723dbae8a71dbcd9da803fa19aa21436b9b4fc3701ef7480cbd7aa56d933", 946)
+    "ca60f7584bee0bc8c5344ebc836b1edfab420b5eb688b0e23542dda72652f225", 946)
 
 GOLDEN_VALIDATE_CHAIN_V2 = (
-    "0f540315bf5b5425c75d3990e3d9011d2d7aecbc44e2868911e00abed4b25c1b", 2930)
+    "d0e43babdbf81a9ceb4eb194ecca6d9ceef9c5416a3d05c290bb5aa410f40fcc", 2931)
 
 # schema metastab/1, which expand_v1 must rebuild from the reports above
 GOLDEN = {
@@ -152,8 +172,8 @@ GOLDEN = {
         "512c9775d84a17287f4592ee25cdd5f9263f470059d1c5392e75957bc863e0f0",
         10883),
     "double-well": (
-        "7f28585498c00dcb24a73db9cde0dcfb077fbcbe6a956892467b09acaab7d02d",
-        5200),
+        "5bb8256f3ee654971d1317207627452b448e73d19f83b6d4981cd598cd0bc2f9",
+        5198),
     "ex-c --n 4": (
         "d1df88c5484b706382cf7b5f6f8e80690bf80e627666d6d5c8c674cb351f786e",
         3908),
@@ -165,13 +185,13 @@ GOLDEN = {
 # ``metastab validate dw.csv --h 0.15,0.1`` on the samples _write_double_well
 # writes
 GOLDEN_VALIDATE = (
-    "fde609a03d876683d1b81dca198d57684a32de68276dfa5151a411cff82e4a56", 946)
+    "158a823d52b1c429dba79ccc3440bd681ca94b88731a1b4904a261fda2303ac4", 946)
 
 # ``metastab validate chain.csv --h 0.3,0.2,0.15`` on the samples
 # _write_sampled_chain writes: the benchmark's validation, three h and six
 # grids
 GOLDEN_VALIDATE_CHAIN = (
-    "1ae63fa97d62ed52194101eaa8e193be3f2352125fd42377b539d905fc964094", 2930)
+    "a8111d8c9ec5164a788113a912d9de2b3461ee3171655bb11042eb30c77b883e", 2931)
 
 # ``metastab analyze --h 0.1`` on the structures built by _STRUCTURES
 GOLDEN_ANALYZE = {
@@ -336,9 +356,11 @@ def test_report_bytes_do_not_depend_on_the_hash_seed(tmp_path):
 
 
 def _write_double_well(path):
-    xs = np.linspace(-2.0, 2.0, 4001)
-    path.write_text("x,phi\n" + "".join(
-        f"{x!r},{(x * x - 1.0) ** 2!r}\n" for x in xs.tolist()))
+    """4001 samples of (x^2 - 1)^2 on [-2, 2], the square written as a
+    product, which is correctly rounded on every CPU, unlike libm's pow."""
+    rows = ((x, x * x - 1.0) for x in np.linspace(-2.0, 2.0, 4001).tolist())
+    path.write_text("x,phi\n" + "".join(f"{x!r},{y * y!r}\n"
+                                          for x, y in rows))
 
 
 def _write_sampled_chain(path):

@@ -25,7 +25,7 @@ from metastab.landscape import (extract_critical_structure, load_samples,
                                 make_sampled)
 from metastab.spectra import full_spectrum
 from metastab.topology import decompose
-from metastab.validator import (DiscretizedWitten, WellReduction,
+from metastab.validator import (Chain, WellReduction, _compact,
                                 _cubic_spline, _energy_window, _reduce,
                                 _well_nodes, compare, default_grid,
                                 discretize, small_eigenvalues)
@@ -36,23 +36,31 @@ from test_golden import _write_sampled_chain
 _H_USED = (0.3, 0.2, 0.15, 0.1, 0.08, 0.07)
 
 
-def sturm_count(dw, threshold):
-    """Number of eigenvalues of C'C below threshold, by a Sturm count on the
-    tridiagonal assembled from the factor's entries."""
-    n = dw.n
-    diag = dw.acoef ** 2 + dw.bcoef ** 2
-    offdiag = dw.acoef[1:] * dw.bcoef[:-1]
-    t = 0.0
-    count = 0
-    tiny = np.finfo(float).tiny
-    for i in range(n):
-        off2 = offdiag[i - 1] ** 2 if i else 0.0
-        t = diag[i] - threshold - (off2 / t if i else 0.0)
-        if t == 0.0:
-            t = -tiny
-        if t < 0.0:
-            count += 1
+_MP_TINY = mpmath.mpf(2) ** -4000
+
+
+def _negative_pivots(c, xpi):
+    """Negative pivots of L(c) - diag(xpi), L(c) the path Laplacian of the
+    conductances ``c`` grounded at both ends: eliminating from the left,
+    d_j = c_(j+1) + g_j, where g_0 = c_0 - xpi_0 and
+    g_(j+1) = c_(j+1) g_j / d_j - xpi_(j+1), the conductance to the left
+    wall in series less the shift's, which is the only subtraction."""
+    g, count = c[0] - xpi[0], 0
+    for j in range(len(xpi)):
+        d = c[j + 1] + g
+        count += d < 0
+        if j + 1 < len(xpi):
+            g = c[j + 1] * g / (d if d else -_MP_TINY) - xpi[j + 1]
     return count
+
+
+def sturm_count(chain, threshold):
+    """Number of eigenvalues of C'C below threshold: the negative pivots of
+    K - threshold diag(pi) for the exact chain (K, pi) (``_exact_chain``),
+    in 40 digits."""
+    c, pi = chain
+    with mpmath.workdps(40):
+        return _negative_pivots(c, [threshold * v for v in pi])
 
 
 def _points(domain, n):
@@ -70,16 +78,36 @@ def _sampled(p, h, n=None):
     return discretize(_cubic_spline(p.xs, p.phis), h, n, domain=domain)
 
 
+def _exact_chain(p, h, n=None):
+    """The chain of the grid ``_sampled`` builds, with exact exponentials
+    of the same float phi: mpmath lists (c, pi) of its conductances
+    (h/dx)^2 e^(-2 phi(mid)/h) and masses e^(-2 phi(x)/h), to 40 digits,
+    phi the spline of the samples evaluated on the grid's points and
+    midpoints as ``discretize`` evaluates it."""
+    domain = _energy_window(p, extract_critical_structure(p), h)
+    if n is None:
+        n = default_grid(h, *domain)
+    phi = _cubic_spline(p.xs, p.phis)
+    full = np.linspace(*domain, n + 2)
+    mid = 0.5 * (full[:-1] + full[1:])
+    with mpmath.workdps(40):
+        k = -2 / mpmath.mpf(h)
+        scale = (mpmath.mpf(h) / float(full[1] - full[0])) ** 2
+        return ([scale * mpmath.exp(k * v) for v in phi(mid).tolist()],
+                [mpmath.exp(k * v) for v in phi(full)[1:-1].tolist()])
+
+
 def _reduced(p, h, n=None):
-    """The grid ``_sampled`` builds, and its reduction onto the wells as
-    ``compare`` makes it."""
+    """The chain ``_sampled`` builds, and its reduction onto the wells as
+    ``compare`` makes it, from a copy: the reduction spends its chain."""
     cs = extract_critical_structure(p)
     domain = _energy_window(p, cs, h)
     if n is None:
         n = default_grid(h, *domain)
-    dw = discretize(_cubic_spline(p.xs, p.phis), h, n, domain=domain)
+    chain = discretize(_cubic_spline(p.xs, p.phis), h, n, domain=domain)
     wells = np.sort([cs.positions[m] for m in cs.min_ids])
-    return dw, _reduce(dw, _well_nodes(wells, domain, n), h)
+    spent = chain._replace(rho=chain.rho.copy(), pi=chain.pi.copy())
+    return chain, _reduce(spent, _well_nodes(wells, domain, n), h)
 
 
 def _report(p):
@@ -94,40 +122,37 @@ def _report(p):
 def test_quadratic_well_spectrum():
     # phi = x^2 gives |phi'|^2 - h phi'' = 4x^2 - 2h, a shifted oscillator
     # with exact eigenvalues 4hk
-    dw = discretize(lambda x: x * x, 1.0, n=4000, domain=(-6.0, 6.0))
-    w = whole_grid_eigenvalues(dw, 0, 2)
+    chain = discretize(lambda x: x * x, 1.0, n=4000, domain=(-6.0, 6.0))
+    w = whole_grid_eigenvalues(chain, 0, 2)
     assert w[0] <= 1e-12
     assert abs(w[1] - 4.0) <= 1e-8
     assert abs(w[2] - 8.0) <= 1e-7
 
 
 def test_gibbs_vector_near_kernel():
-    # interior rows of the factor kill e^(-phi/h) up to rounding, so its
-    # Rayleigh quotient sits at the boundary-truncation floor
-    h = 1.0
-    dw = discretize(lambda x: x * x, h, n=4000, domain=(-6.0, 6.0))
-    x = _points((-6.0, 6.0), dw.n)
-    v = np.exp(-(x * x) / h)
-    r = np.zeros(dw.n + 1)
-    r[:dw.n] += dw.acoef * v
-    r[1:] += dw.bcoef * v
-    assert (r @ r) / (v @ v) <= 1e-20
+    # the Gibbs vector e^(-phi/h) is g = 1 in the chain's variables, which
+    # every interior conductance leaves alone, so its Rayleigh quotient is
+    # the two wall conductances over the total mass: the boundary-truncation
+    # floor
+    chain = discretize(lambda x: x * x, 1.0, n=4000, domain=(-6.0, 6.0))
+    walls = 1.0 / chain.rho[0] + 1.0 / chain.rho[-1]
+    assert np.ldexp(walls / chain.pi.sum(), 2 * chain.exponent) <= 1e-20
 
 
 def test_default_energy_window():
     # the solve domain stops once the potential clears the top saddle, well
     # inside the sampled range
     p = double_well().potential
-    dw = _sampled(p, 0.1)
-    assert dw.n == 4000
-    x = _points(_energy_window(p, extract_critical_structure(p), 0.1), dw.n)
+    chain = _sampled(p, 0.1)
+    assert chain.n == 4000
+    x = _points(_energy_window(p, extract_critical_structure(p), 0.1), chain.n)
     assert -1.6 < x[0] < -1.5 and 1.5 < x[-1] < 1.6
 
 
 def test_grid_refinement_is_converged():
     p = double_well().potential
-    w1, w2 = (whole_grid_eigenvalues(dw, 0, 1)
-              for dw in (_sampled(p, 0.1), _sampled(p, 0.1, n=8000)))
+    w1, w2 = (whole_grid_eigenvalues(chain, 0, 1)
+              for chain in (_sampled(p, 0.1), _sampled(p, 0.1, n=8000)))
     assert abs(w1[1] - w2[1]) / w2[1] <= 1e-8
 
 
@@ -167,19 +192,6 @@ def test_per_cell_exponent_guard():
     with pytest.raises(InputDataError, match="increase the grid"):
         discretize(lambda x: 14.0 * np.cos(100.0 * np.pi * x), 0.1,
                    n=100, domain=(0.0, 1.0))
-
-
-def test_factor_entries_are_views_of_one_interleaved_array():
-    # acoef and bcoef are strided views of one array, so no grid's factor
-    # is ever copied; interleaved, the entries are the off-diagonal of C's
-    # Golub-Kahan form, which the tests' whole-grid oracle bisects
-    dw = discretize(lambda x: x * x, 1.0, n=200, domain=(-6.0, 6.0))
-    assert dw.off.shape == (400,) and dw.off.flags.c_contiguous
-    assert dw.n == 200
-    for part, start in ((dw.acoef, 0), (dw.bcoef, 1)):
-        assert part.base is dw.off
-        assert part.tobytes() == dw.off[start::2].tobytes()
-    assert np.all(dw.acoef > 0) and np.all(dw.bcoef < 0)
 
 
 def test_small_eigenvalues_bounds(monkeypatch):
@@ -230,54 +242,40 @@ def test_validate_exits_3_on_a_reduction_that_is_not_finite(tmp_path,
 
 # ------------------------------------------------------------------ accuracy
 
-_MP_TINY = mpmath.mpf(2) ** -4000
-
-
-def _sturm_count(e2, x):
-    """Eigenvalues below ``x`` > 0 of the zero-diagonal tridiagonal whose
-    squared off-diagonal entries are ``e2``, by the signs of the pivots of
-    its LDL' factorization shifted by ``x``."""
-    q, count = -x, 1
-    for s in e2:
-        q = -x - s / (q if q else -_MP_TINY)
-        count += q < 0
-    return count
-
-
-def _ulp_errors(dw, first, last, got):
+def _ulp_errors(chain, first, last, got):
     """Errors of ``got``, eigenvalues ``first..last`` of C'C, in ulps of
-    the exact eigenvalues of the float factor ``dw``. Each is singular
-    value sigma_i of C squared, the eigenvalue n + 1 + i of its
-    Golub-Kahan form, which a 40-digit Sturm bisection in mpmath finds from
-    a bracket around sqrt(got) (else from Gershgorin's), to 2^-66
-    relative. An exact eigenvalue below 2^-1000, whose square root nears
-    the bisection's absolute tolerance, is skipped."""
+    the exact eigenvalues of the chain ``chain`` (``_exact_chain``), which
+    a 40-digit Sturm bisection in mpmath finds from a bracket around
+    ``got`` (else from Gershgorin's), to 2^-66 relative."""
     errors = []
+    c, pi = chain
     with mpmath.workdps(40):
-        e2 = [mpmath.mpf(v) ** 2 for v in dw.off.tolist()]
+        def count(x):
+            return _negative_pivots(c, [x * v for v in pi])
         for i, w in zip(range(first, last + 1), got.tolist()):
-            target = dw.n + 1 + i
-            s = mpmath.sqrt(w)
-            lo, hi = s * (1 - 2.0 ** -46), s * (1 + 2.0 ** -46)
-            if not _sturm_count(e2, lo) <= target < _sturm_count(e2, hi):
-                lo, hi = _MP_TINY, 3 * mpmath.sqrt(max(e2))
+            lo, hi = mpmath.mpf(w) * (1 - 2.0 ** -46), w * (1 + 2.0 ** -46)
+            if not count(lo) <= i < count(hi):
+                lo, hi = _MP_TINY, 2 * max((a + b) / m
+                                           for a, b, m in zip(c, c[1:], pi))
             while hi - lo > 2.0 ** -66 * hi:
                 mid = mpmath.sqrt(lo * hi) if hi > 2 * lo else (lo + hi) / 2
-                if _sturm_count(e2, mid) <= target:
+                if count(mid) <= i:
                     lo = mid
                 else:
                     hi = mid
-            lam = ((lo + hi) / 2) ** 2
-            if lam >= mpmath.mpf(2) ** -1000:
-                errors.append(float(abs(w - lam) / np.spacing(float(lam))))
+            lam = (lo + hi) / 2
+            errors.append(float(abs(w - lam) / np.spacing(float(lam))))
     return errors
 
 
-# The largest error measured on the grids below: 6.41 ulp for the bisection
-# of the reduction onto the wells that compare solves (5.98 for SciPy's
-# bisection of the whole grid's factor). The eigenvalues of the Givens QR of
-# C, bisected on the Golub-Kahan form of R, erred by up to 15.20 ulp.
-_MAX_ULPS = 6.5
+# The largest errors measured on the grids below, against the chain with
+# exact exponentials of the same float phi: 3.07 and 3.52 ulp on the double
+# well at h = 0.15 and 0.1, 1.86 and 2.00 on the chain at 0.3 and 0.2
+# (x86-64 with AVX-512, and the same with NumPy's AVX2 dispatch). Built
+# from the factor C by a running product, the chain erred by 19.07, 5.48,
+# 11.86 and 10.39 ulp; SciPy's bisection of the whole grid, on C's
+# Golub-Kahan form formed from the float chain, errs by up to 13.48.
+_MAX_ULPS = 4.5
 # The largest error measured on drawn reductions: 14.96 ulp over 40 000
 # seeds, 99.9% of them within 6.65 (8.71 over the 2000 draws of the
 # metastab-long profile, 4.91 over tier-1's). It is the rounding of the
@@ -297,9 +295,9 @@ def test_nonzero_eigenvalues_against_40_digits(which, hs):
     n0 = _report(p).n0
     errors = []
     for h in hs:
-        dw, reduction = _reduced(p, h, n=300)
+        _, reduction = _reduced(p, h, n=300)
         w, = small_eigenvalues([reduction], 1, n0 - 1)
-        errors += _ulp_errors(dw, 1, n0 - 1, w)
+        errors += _ulp_errors(_exact_chain(p, h, n=300), 1, n0 - 1, w)
     assert len(errors) == 2 * (n0 - 1)
     assert max(errors) <= _MAX_ULPS
 
@@ -322,11 +320,12 @@ def test_production_grids_against_40_digits(which):
         n = default_grid(h, *_energy_window(p, extract_critical_structure(p),
                                             h))
         for m in (n, 2 * n):
-            dw, reduction = _reduced(p, h, n=m)
+            chain, reduction = _reduced(p, h, n=m)
             w, = small_eigenvalues([reduction], 1, n0 - 1)
-            reduced += _ulp_errors(dw, 1, n0 - 1, w)
-            whole += _ulp_errors(dw, 1, n0 - 1,
-                                 whole_grid_eigenvalues(dw, 1, n0 - 1))
+            exact = _exact_chain(p, h, n=m)
+            reduced += _ulp_errors(exact, 1, n0 - 1, w)
+            whole += _ulp_errors(exact, 1, n0 - 1,
+                                 whole_grid_eigenvalues(chain, 1, n0 - 1))
     assert len(reduced) == len(whole) == 2 * len(hs) * (n0 - 1)
     assert max(reduced) <= max(whole)
 
@@ -338,14 +337,8 @@ def _chain_count(red, x):
     t, n0 = x / bound, len(kappa) - 1
     kt = [kappa[0]] + [k + x * mpmath.polyval(c[::-1], t)
                        for k, c in zip(kappa[1:-1], off)] + [kappa[-1]]
-    xm = [x * mpmath.polyval(m[::-1], t) for m in mass]
-    g, count = kt[0] - xm[0], 0
-    for j in range(n0):
-        d = kt[j + 1] + g
-        count += d < 0
-        if j + 1 < n0:
-            g = kt[j + 1] * g / (d if d else -_MP_TINY) - xm[j + 1]
-    return count
+    return _negative_pivots(kt, [x * mpmath.polyval(m[::-1], t)
+                                 for m in mass])
 
 
 def _reduction_ulp_errors(red, first, last, got):
@@ -417,7 +410,7 @@ def _tilted():
 ])
 def test_reduction_matches_the_whole_grid(which, hs):
     # the eigenvalues compare takes from each grid's reduction onto its
-    # wells are those of the grid's own factor, bisected whole. The tilted
+    # wells are those of the grid's own chain, bisected whole. The tilted
     # quartic at h = 0.2 separates its two lowest eigenvalues from the rest
     # by a ratio of only 0.047, so its reduction takes many terms.
     p = {"bench chain": chain_sampled,
@@ -430,10 +423,10 @@ def test_reduction_matches_the_whole_grid(which, hs):
         n = default_grid(h, *_energy_window(p, extract_critical_structure(p),
                                             h))
         for m in (n, 2 * n):
-            dw, reduction = _reduced(p, h, n=m)
+            chain, reduction = _reduced(p, h, n=m)
             terms.append(len(reduction.off))
             got, = small_eigenvalues([reduction], 1, n0 - 1)
-            want = whole_grid_eigenvalues(dw, 1, n0 - 1)
+            want = whole_grid_eigenvalues(chain, 1, n0 - 1)
             assert got.shape == want.shape == (n0 - 1,)
             assert np.all(np.abs(got / want - 1.0) <= 1e-12), (h, m)
     if which == "tilted quartic":
@@ -442,10 +435,11 @@ def test_reduction_matches_the_whole_grid(which, hs):
 
 @given(st.integers(0, 2 ** 32 - 1))
 def test_reduction_of_drawn_chains_matches_the_whole_factor(seed):
-    # factors of up to 30 nodes whose wells, two to six nodes at
+    # chains of up to 30 nodes, conductances e^(-2 phi/h) on the edges and
+    # masses e^(-2 phi/h) on the nodes, whose wells, two to six nodes at
     # potential 0 to 0.1 below a plateau at 0.8 to 1.2, may sit side by
     # side or at the grid's ends, leaving segments with no node: every
-    # eigenvalue of the wells, the zero mode too, is the whole factor's
+    # eigenvalue of the wells, the zero mode too, is the whole chain's
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 31))
     wells = np.sort(rng.choice(n, int(rng.integers(2, min(n, 6) + 1)),
@@ -457,11 +451,9 @@ def test_reduction_of_drawn_chains_matches_the_whole_factor(seed):
     nodes[wells + 1] = rng.uniform(0.0, 0.1, wells.size)
     mids = np.maximum(np.maximum(nodes[:-1], nodes[1:])
                       + rng.uniform(0.0, 0.3, n + 1), 0.9)
-    dw = DiscretizedWitten(np.empty(2 * n))
-    dw.acoef[:] = np.exp((nodes[1:-1] - mids[:-1]) / h)
-    dw.bcoef[:] = -np.exp((nodes[1:-1] - mids[1:]) / h)
-    want = whole_grid_eigenvalues(dw, 0, wells.size - 1)
-    got, = small_eigenvalues([_reduce(dw, wells, h)], 0, wells.size - 1)
+    chain = Chain(np.exp(2 * mids / h), np.exp(-2 * nodes[1:-1] / h), 0)
+    want = whole_grid_eigenvalues(chain, 0, wells.size - 1)
+    got, = small_eigenvalues([_reduce(chain, wells, h)], 0, wells.size - 1)
     assert np.all(np.abs(got / want - 1.0) <= 1e-12)
 
 
@@ -492,24 +484,24 @@ def test_double_well_eigenvalue_near_prediction():
 
 
 def test_double_well_sturm_count():
-    # counts on the assembled tridiagonal are good down to roughly
-    # eps * ||A||, enough to separate the metastable cluster from the gap
-    dw = _sampled(double_well().potential, 0.1)
-    assert sturm_count(dw, 0.05) == 2
-    assert sturm_count(dw, 1e-6) == 2
-    assert sturm_count(dw, 1.0) == 3
+    # the exact chain of the default grid has two eigenvalues below 1e-6
+    # and a third between 0.05 and 1
+    chain = _exact_chain(double_well().potential, 0.1)
+    assert sturm_count(chain, 0.05) == 2
+    assert sturm_count(chain, 1e-6) == 2
+    assert sturm_count(chain, 1.0) == 3
 
 
 # -------------------------------------------------------------------- chain
 
 
 def test_chain_small_cluster_and_gap():
-    dw = _sampled(chain_sampled(), 0.08)
-    w = whole_grid_eigenvalues(dw, 0, 4)
+    w = whole_grid_eigenvalues(_sampled(chain_sampled(), 0.08), 0, 4)
     # four metastable states, then an O(1) spectral gap
     assert w[0] <= 1e-25
     assert w[4] / w[3] > 1e4
-    assert sturm_count(dw, math.sqrt(w[3] * w[4])) == 4
+    assert sturm_count(_exact_chain(chain_sampled(), 0.08),
+                       math.sqrt(w[3] * w[4])) == 4
 
 
 def test_chain_compare_passes():
@@ -595,13 +587,13 @@ def test_input_checks_of_every_h_run_before_any_bisection(monkeypatch):
 
 def test_grids_and_spline_are_dropped_before_the_bisection(monkeypatch):
     # the grid points and the potential on them are gone once a grid is
-    # checked, each grid's factor once it is reduced onto its wells, before
+    # checked, each grid's chain once it is reduced onto its wells, before
     # the next grid is built, and the spline before the first bisection;
     # what is bisected is the four grids' reductions, of four wells each,
     # in one call
     p = chain_sampled()
     report = _report(p)
-    spline, points, factors, bisected = [], [], [], []
+    spline, points, chains, bisected = [], [], [], []
     real = (validator._cubic_spline, np.linspace, validator.discretize,
             validator.eigh_tridiagonal)
 
@@ -617,15 +609,15 @@ def test_grids_and_spline_are_dropped_before_the_bisection(monkeypatch):
         return full
 
     def discretize(*args, **kwargs):
-        assert all(ref() is None for ref in factors)
-        dw = real[2](*args, **kwargs)
+        assert all(ref() is None for ref in chains)
+        chain = real[2](*args, **kwargs)
         assert all(ref() is None for ref in points)
-        factors.append(weakref.ref(dw.off))
-        return dw
+        chains.extend(weakref.ref(x) for x in (chain.rho, chain.pi))
+        return chain
 
     def eigh_tridiagonal(kappa, *args):
         assert spline[0]() is None
-        assert all(ref() is None for ref in factors)
+        assert all(ref() is None for ref in chains)
         bisected.append(kappa.shape)
         return real[3](kappa, *args)
     monkeypatch.setattr(np, "linspace", linspace)
@@ -634,35 +626,60 @@ def test_grids_and_spline_are_dropped_before_the_bisection(monkeypatch):
                      ("eigh_tridiagonal", eigh_tridiagonal)):
         monkeypatch.setattr(validator, name, fn)
     vr = compare(report, p, (0.3, 0.2))
-    assert len(spline) == 1 and len(points) == len(factors) == 4
+    assert len(spline) == 1 and len(points) == len(chains) // 2 == 4
     assert [s.n for s in vr.steps] == [4000, 4000]
     assert bisected == [(5, 4)]
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason=(
-    "before 3.11 CPython keeps a call's arguments on the caller's stack "
-    "until the call returns"))
-def test_reduce_drops_the_factor_it_is_given(monkeypatch):
-    # compare hands each factor straight to its reduction, which lets go of
-    # it once the chain is formed: no factor is alive in the reduction's
-    # cumulative sums, which come after
+def test_a_chain_the_caller_keeps_costs_the_reduction_nothing():
+    # the reduction works in the two buffers of the chain it is given, so
+    # its traced peak is the same whether the caller passes the chain
+    # straight in or keeps it, as CPython 3.10's caller stack keeps a
+    # call's arguments until it returns; on a grid of 2^18 points of the
+    # bench chain that peak is under nine of the grid's arrays (eight
+    # measured)
     p = chain_sampled()
-    report = _report(p)
-    factors, sums = [], []
-    real = (validator.discretize, validator._cumsums)
+    cs = extract_critical_structure(p)
+    h, n = 0.3, 2 ** 18
+    domain = _energy_window(p, cs, h)
+    phi = _cubic_spline(p.xs, p.phis)
+    wells = _well_nodes(np.sort([cs.positions[m] for m in cs.min_ids]),
+                        domain, n)
+    peaks = []
+    for keep in (False, True):
+        tracemalloc.start()
+        try:
+            if keep:
+                chain = discretize(phi, h, n, domain=domain)
+                _reduce(chain, wells, h)
+                del chain
+            else:
+                _reduce(discretize(phi, h, n, domain=domain), wells, h)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2 ** 16, peaks
+    assert max(peaks) < 9 * 8 * n, peaks
 
-    def discretize(*args, **kwargs):
-        dw = real[0](*args, **kwargs)
-        factors.append(weakref.ref(dw.off))
-        return dw
 
-    def cumsums(*args):
-        sums.append(all(ref() is None for ref in factors))
-        return real[1](*args)
-    monkeypatch.setattr(validator, "discretize", discretize)
-    monkeypatch.setattr(validator, "_cumsums", cumsums)
-    compare(report, p, (0.3,))
-    assert len(factors) == 2 and sums and all(sums)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_compact_moves_in_place(seed):
+    # the reduction compacts its chain's buffers: the entries off the wells
+    # move to the front, in order, within the buffer, with no copy of it
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5000))
+    wells = np.sort(rng.choice(n, int(rng.integers(0, min(n, 8) + 1)),
+                               replace=False))
+    x = rng.standard_normal(n)
+    want = np.delete(x, wells)
+    tracemalloc.start()
+    try:
+        got = _compact(x, wells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.base is x and got.tobytes() == want.tobytes()
+    assert peak < 4096
 
 
 @pytest.mark.parametrize("calls", [1, 2])
