@@ -168,32 +168,112 @@ def double_well():
         (0.15, 0.10, 0.07))
 
 
+def _hermite_end(t, s, data, m):
+    """The share of one end in a two-point Hermite interpolant on [0, 1].
+
+    ``t`` is the distance from this end and ``s = 1 - t``; ``data`` lists
+    this end's value and derivatives as Taylor coefficients toward the
+    other end (``_taylor``), and the other end has ``m`` conditions. The
+    k-th basis polynomial is t^k s^m times the first n - k terms of the
+    series of (1 - t)^(-m), n = len(data), so it holds the k-th condition
+    here and all m there. Evaluated in +, -, * and / only, factored as
+    that product, which keeps its rounding to a few ulps of the values.
+    """
+    sm = s
+    for _ in range(m - 1):
+        sm = sm * s
+    total, tk = 0.0, 1.0
+    for k, d in enumerate(data):
+        series = 0.0
+        for i in range(len(data) - 1 - k, -1, -1):
+            series = series * t + math.comb(m - 1 + i, i)
+        total = total + d * (tk * sm * series)
+        tk = tk * t
+    return total
+
+
+def _taylor(data, step):
+    """Value and derivatives ``data`` as Taylor coefficients for a step of
+    ``step``: the k-th times step^k / k!."""
+    out, scale = [], 1.0
+    for k, d in enumerate(data):
+        out.append(d * scale)
+        scale = scale * step / (k + 1)
+    return out
+
+
+# ex-a's chain laid along a line: the critical points two apart, minima and
+# saddles alternating, curvature magnitudes one, with slopes of magnitude 3
+# at the domain's ends, whose walls rise to phi = 4
+_CHAIN_X = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
+_CHAIN_PHI = [0.5, 2.0, 0.5, 2.0, 0.0, 2.0, 1.0]
+_CHAIN_CURV = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0]
+_CHAIN_ENDS = ((-2.5, 4.0, -3.0), (14.5, 4.0, 3.0))
+_CHAIN_SAMPLES = 8501
+
+
 def chain_sampled():
     """A smooth 1D realization of the chain structure from ex-a.
 
-    Piecewise-quintic interpolation through the critical points with unit
+    Two-point Hermite interpolation through the critical points with unit
     curvature magnitudes, so the extracted structure reproduces ex-a's data
-    and the predictions can be checked against a direct solve.
+    and the predictions can be checked against a direct solve. Each piece
+    between critical points matches value and first four derivatives at
+    both ends (degree 9); the two end pieces match value and slope at the
+    domain's ends (degree 6). This is the interpolant of SciPy's
+    ``BPoly.from_derivatives`` on the same data, evaluated here in plain
+    arithmetic, with no power or library function, so the samples round
+    alike on every CPU.
     """
-    from scipy.interpolate import BPoly
-
-    xq = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
-    curvs = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0]
-    levels = [0.5, 2.0, 0.5, 2.0, 0.0, 2.0, 1.0]
+    (lo, phi_lo, slope_lo), (hi, phi_hi, slope_hi) = _CHAIN_ENDS
     # third and fourth derivatives pinned to zero at every critical point, so
     # quartic fits through sampled values recover the curvatures cleanly; the
     # wide spacing keeps the interpolant's high derivatives small, which is
     # what makes the finite-h corrections modest
-    vals = [[v, 0.0, c, 0.0, 0.0] for v, c in zip(levels, curvs)]
-    xs_b = [-2.5] + xq + [14.5]
-    vals_b = [[4.0, -3.0]] + vals + [[4.0, 3.0]]
-    poly = BPoly.from_derivatives(xs_b, vals_b)
-    xs = np.linspace(-2.5, 14.5, 8501)
-    return make_sampled(xs, poly(xs))
+    knots = [lo] + _CHAIN_X + [hi]
+    data = ([[phi_lo, slope_lo]]
+            + [[v, 0.0, c, 0.0, 0.0] for v, c in zip(_CHAIN_PHI, _CHAIN_CURV)]
+            + [[phi_hi, slope_hi]])
+    xs = np.linspace(lo, hi, _CHAIN_SAMPLES)
+    piece = np.minimum(np.searchsorted(knots, xs, side="right") - 1,
+                       len(knots) - 2)
+    phis = np.empty_like(xs)
+    for i, (a, b) in enumerate(zip(knots, knots[1:])):
+        sel = piece == i
+        u = (xs[sel] - a) / (b - a)
+        w = 1.0 - u
+        # in the piece's own coordinates: u runs from the left end, w from
+        # the right, each over a length b - a
+        left, right = _taylor(data[i], b - a), _taylor(data[i + 1], a - b)
+        phis[sel] = (_hermite_end(u, w, left, len(right))
+                     + _hermite_end(w, u, right, len(left)))
+    return make_sampled(xs, phis)
+
+
+def chain():
+    """ex-a's chain as the smooth potential of ``chain_sampled``.
+
+    The extraction finds ex-a's structure, so the reference is ex-a's
+    closed forms; the run validates them against the operator at the
+    benchmark's h schedule.
+    """
+    x, phi, slope = zip(*_CHAIN_ENDS)
+    return ExampleBundle(
+        "chain", None, chain_sampled(),
+        {"potential": "two-point Hermite interpolant of the critical points",
+         "realizes": "ex-a",
+         "x_minima": {"m21": 0.0, "m22": 4.0, "m11": 8.0, "m23": 12.0},
+         "critical_points": {"x": _CHAIN_X, "phi": _CHAIN_PHI,
+                             "phi''": _CHAIN_CURV},
+         "domain": list(x), "ends": {"phi": list(phi), "phi'": list(slope)},
+         "samples": _CHAIN_SAMPLES},
+        ex_a().reference,
+        (0.3, 0.2, 0.15))
 
 
 _BUILDERS = {"ex-a": ex_a, "ex-b": ex_b, "ex-c": ex_c,
-             "nine-wells": nine_wells, "double-well": double_well}
+             "nine-wells": nine_wells, "double-well": double_well,
+             "chain": chain}
 
 
 def example_names():

@@ -66,6 +66,9 @@ _MAX_TERMS = 24
 # shift per bracket: below it NumPy's cost per call outweighs the work, so
 # a small stack tries several shifts at once and needs fewer steps
 _STEP_WIDTH = 4096
+# Steps ``_rounding_per_run`` takes at a time, so that its scratch stays
+# small beside a grid's arrays
+_BLOCK = 2 ** 14
 
 
 def _solve_dominant(lower, diag, upper, rhs):
@@ -301,6 +304,33 @@ def _cumsums(x, sizes):
     return x
 
 
+def _rounding_per_run(x, sums, starts):
+    """The rounding errors of the running sums ``sums`` of ``x``, restarted
+    at the ``starts`` of its runs (``_cumsums``), summed per run.
+
+    Knuth's TwoSum gives each step's error exactly, so a run's last sum
+    plus its errors is its total as if summed in twice the precision
+    (Ogita, Rump and Oishi's Sum2): the total of n positive numbers is
+    then within about an ulp, where the running sum's rounding grows with
+    n. Blocks of ``_BLOCK`` steps keep the scratch to two small arrays."""
+    errors = np.zeros(starts.size)
+    scratch = np.empty((2, min(x.size, _BLOCK)))
+    for i in range(1, x.size, _BLOCK):
+        j = min(i + _BLOCK, x.size)
+        rise, err = scratch[:, :j - i]
+        np.subtract(sums[i:j], sums[i - 1:j - 1], out=rise)  # the addend
+        np.subtract(sums[i:j], rise, out=err)
+        np.subtract(sums[i - 1:j - 1], err, out=err)
+        np.subtract(x[i:j], rise, out=rise)
+        err += rise
+        err[starts[(starts >= i) & (starts < j)] - i] = 0.0  # restarts
+        # steps i .. j - 1 run from run k - 1 to run m - 1
+        k, m = np.searchsorted(starts, [i, j - 1], side="right")
+        errors[k - 1:m] += np.add.reduceat(
+            err, np.concatenate(([i], starts[k:m])) - i)
+    return errors
+
+
 class WellReduction(NamedTuple):
     """A grid's C'C reduced onto the nodes of its n0 wells (``_reduce``)."""
     kappa: np.ndarray      # n0 + 1 series conductances: wall, wells, wall
@@ -355,7 +385,8 @@ def _reduce(chain, wells, h):
     sizes = np.diff(ends) - 1
     # the resistance from each node to its segment's left and right end
     left_of = _cumsums(rho.copy(), sizes + 1)
-    total = left_of[ends[1:]]
+    # the totals set the series conductances: their rounding is put back
+    total = left_of[ends[1:]] + _rounding_per_run(rho, left_of, ends[:-1] + 1)
     A = _compact(left_of[:-1], wells)
     B = _compact(_cumsums(rho[::-1], sizes[::-1] + 1)[-2::-1], wells)
     well_pi = chain.pi[wells]

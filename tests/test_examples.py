@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import BPoly
 
+import metastab
 from metastab.errors import InputDataError
 from metastab.examples import (build_example, chain_sampled, double_well,
                                example_names)
@@ -12,8 +18,8 @@ from metastab.topology import decompose
 
 
 def test_example_names_and_dispatch():
-    assert example_names() == ["double-well", "ex-a", "ex-b", "ex-c",
-                               "nine-wells"]
+    assert example_names() == ["chain", "double-well", "ex-a", "ex-b",
+                               "ex-c", "nine-wells"]
     assert build_example("ex-c", n=6).realization["n"] == 6
     assert build_example("ex-b", theta=0.5).realization["theta"] == 0.5
     assert build_example("nine-wells").name == "nine-wells"
@@ -107,3 +113,71 @@ def test_chain_realization_matches_abstract_chain():
     for (S1, z1), (S2, z2) in zip(got, want):
         assert S1 == pytest.approx(S2, abs=1e-6)
         assert z1 == pytest.approx(z2, rel=1e-5)
+
+
+def test_chain_samples_match_bpoly():
+    # SciPy's BPoly.from_derivatives builds the same interpolant from the
+    # same data in Bernstein form. The largest difference measured is
+    # 2 eps max|phi| (1.8e-15, two ulps of phi near 4 at the left wall),
+    # also with glibc's AVX2, FMA and AVX-512 paths disabled.
+    p = chain_sampled()
+    b = build_example("chain").realization
+    points, ends = b["critical_points"], b["ends"]
+    data = [[v, 0.0, c, 0.0, 0.0]
+            for v, c in zip(points["phi"], points["phi''"])]
+    lo, hi = zip(ends["phi"], ends["phi'"])
+    poly = BPoly.from_derivatives(
+        [b["domain"][0]] + points["x"] + [b["domain"][1]],
+        [list(lo)] + data + [list(hi)])
+    assert p.xs.tolist() == np.linspace(-2.5, 14.5, 8501).tolist()
+    want = poly(p.xs)
+    err = np.max(np.abs(p.phis - want))
+    assert err <= 2.0 * np.finfo(float).eps * np.max(np.abs(want))
+
+
+def test_chain_bundle_extracts_ex_a():
+    # the extraction finds ex-a's levels at the bundle's critical points,
+    # with unit curvatures, and the analysis ex-a's closed forms
+    b = build_example("chain")
+    assert b.validate_h == (0.3, 0.2, 0.15)
+    cs = extract_critical_structure(b.potential)
+    points = b.realization["critical_points"]
+    want = sorted(zip(points["x"], points["phi"],
+                      map(abs, points["phi''"])))
+    got = sorted(zip([cs.positions[i] for i in cs.min_ids + cs.sad_ids],
+                     cs.min_phi + cs.sad_phi,
+                     cs.min_det_hess + cs.sad_det_hess))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-6, abs=1e-9)
+    assert sorted(cs.min_phi) == pytest.approx(sorted(
+        build_example("ex-a").realization["phi_minima"].values()), abs=1e-9)
+
+    cd = decompose(cs)
+    report = full_spectrum(cs, cd)
+    at = {round(cs.positions[m]): m for m in cs.min_ids}
+    rename = {m: at[x] for m, x in b.realization["x_minima"].items()}
+    classes = {frozenset(c.members): (c, lv)
+               for c, lv in zip(cd.classes, report.levels)}
+    for ref in b.reference["classes"]:
+        alpha, levels = classes[frozenset(map(rename.get, ref["members"]))]
+        got_pz = np.sort(np.concatenate(levels or [[0.0]])) * math.pi
+        assert got_pz == pytest.approx(ref["pi_zeta2"], rel=1e-6, abs=1e-12)
+        if "S" in ref:
+            assert list(alpha.block_S) == pytest.approx(ref["S"], abs=1e-9)
+
+
+def test_chain_sampled_loads_no_scipy():
+    src = str(Path(metastab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+                 else [])))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from metastab.examples import chain_sampled\n"
+         "chain_sampled()\n"
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"

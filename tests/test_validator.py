@@ -25,10 +25,10 @@ from metastab.landscape import (extract_critical_structure, load_samples,
                                 make_sampled)
 from metastab.spectra import full_spectrum
 from metastab.topology import decompose
-from metastab.validator import (Chain, WellReduction, _compact,
+from metastab.validator import (Chain, WellReduction, _compact, _cumsums,
                                 _cubic_spline, _energy_window, _reduce,
-                                _well_nodes, compare, default_grid,
-                                discretize, small_eigenvalues)
+                                _rounding_per_run, _well_nodes, compare,
+                                default_grid, discretize, small_eigenvalues)
 from test_golden import _write_sampled_chain
 
 # every h at which the tests, the bundled examples and the benchmark solve a
@@ -270,11 +270,11 @@ def _ulp_errors(chain, first, last, got):
 
 # The largest errors measured on the grids below, against the chain with
 # exact exponentials of the same float phi: 3.07 and 3.52 ulp on the double
-# well at h = 0.15 and 0.1, 1.86 and 2.00 on the chain at 0.3 and 0.2
-# (x86-64 with AVX-512, and the same with NumPy's AVX2 dispatch). Built
-# from the factor C by a running product, the chain erred by 19.07, 5.48,
-# 11.86 and 10.39 ulp; SciPy's bisection of the whole grid, on C's
-# Golub-Kahan form formed from the float chain, errs by up to 13.48.
+# well at h = 0.15 and 0.1, 1.46 and 1.81 on the chain at 0.3 and 0.2
+# (x86-64 with AVX-512). With the segments' totals left as their running
+# sums rounded them, the chain erred by 3.30 and 4.81; built from the
+# factor C by a running product, the chain erred by 19.07, 5.48, 11.86 and
+# 10.39 ulp on the samples it had then.
 _MAX_ULPS = 4.5
 # The largest error measured on drawn reductions: 14.96 ulp over 40 000
 # seeds, 99.9% of them within 6.65 (8.71 over the 2000 draws of the
@@ -302,11 +302,22 @@ def test_nonzero_eigenvalues_against_40_digits(which, hs):
     assert max(errors) <= _MAX_ULPS
 
 
+# The largest error measured on the production grids below, against the
+# chain with exact exponentials of the same float phi: 4.83 ulp, on the
+# double well's fine grid at h = 0.1, and 4.36 on the chain (x86-64 with
+# AVX-512). With the segments' totals left as their running sums rounded
+# them, it was 23.87, on the double well's fine grid at h = 0.15 (9.14 on
+# the chain). SciPy's bisection of the whole grid, which max(whole)
+# measures, errs by up to 125.92 there.
+_MAX_ULPS_PRODUCTION = 5.0
+
+
 @pytest.mark.parametrize("which", ["double-well", "chain"])
 def test_production_grids_against_40_digits(which):
     # the grids compare solves for the bundled potentials at the bundled
     # and benchmark schedules, four for the double well and six for the
-    # chain: the reduction onto the wells errs by no more than the
+    # chain: the reduction onto the wells errs by at most
+    # _MAX_ULPS_PRODUCTION against the exact chain, and by no more than the
     # bisection of the whole grid's factor. A 40-digit Sturm count on a
     # grid of 8000 points takes a fraction of a second, so this runs in the
     # long profile only.
@@ -327,6 +338,7 @@ def test_production_grids_against_40_digits(which):
             whole += _ulp_errors(exact, 1, n0 - 1,
                                  whole_grid_eigenvalues(chain, 1, n0 - 1))
     assert len(reduced) == len(whole) == 2 * len(hs) * (n0 - 1)
+    assert max(reduced) <= _MAX_ULPS_PRODUCTION
     assert max(reduced) <= max(whole)
 
 
@@ -680,6 +692,28 @@ def test_compact_moves_in_place(seed):
         tracemalloc.stop()
     assert got.base is x and got.tobytes() == want.tobytes()
     assert peak < 4096
+
+
+@pytest.mark.parametrize("block", [7, validator._BLOCK])
+@given(st.integers(0, 2 ** 32 - 1))
+def test_segment_totals_are_correctly_rounded(block, seed):
+    # each run's last running sum plus its summed rounding errors is the
+    # run's total, as math.fsum rounds it, on positive resistances spanning
+    # sixty decades; blocks of 7 steps put run starts on every offset
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 200, int(rng.integers(1, 9)))
+    x = np.exp(rng.uniform(-70.0, 70.0, sizes.sum() + 1))
+    sizes[-1] += 1
+    sums = _cumsums(x.copy(), sizes)
+    starts = np.cumsum(sizes) - sizes
+    default, validator._BLOCK = validator._BLOCK, block
+    try:
+        errors = _rounding_per_run(x, sums, starts)
+    finally:
+        validator._BLOCK = default
+    got = sums[starts + sizes - 1] + errors
+    want = [math.fsum(x[a:a + k].tolist()) for a, k in zip(starts, sizes)]
+    assert got.tolist() == want
 
 
 @pytest.mark.parametrize("calls", [1, 2])
