@@ -20,12 +20,10 @@ minimum indices. Everything downstream works on the indices, and ids come
 back only where a class or a report block names a point.
 """
 
+import codecs
 import json
 import math
 import os
-import re
-from contextlib import suppress
-from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -319,21 +317,59 @@ def _walk_samples(path, text):
     return np.array(xy, dtype=float)
 
 
-# a whitespace-only line after the first, and a line with two commas
-_BLANK_LINE = re.compile(r"\n[^\S\n]*(?=\n|\Z)")
-_TWO_COMMAS = re.compile(r",.*,")
-_BLOCK = 1 << 20            # characters of a CSV split into fields at once
+_BLOCK = 1 << 16            # bytes of a CSV split into fields at once
+_NOT_SEPARATOR = bytes(c for c in range(256) if c not in b",\n")
 
 
-def _field_blocks(text):
-    """The fields of ``text``, split at commas and line ends, in lists of
-    those of about ``_BLOCK`` characters of whole lines."""
-    start = 0
-    while start <= len(text):
-        end = text.find("\n", start + _BLOCK)
-        end = len(text) if end < 0 else end
-        yield text[start:end].replace("\n", ",").split(",")
-        start = end + 1
+def _read_csv(data):
+    """The samples of the CSV bytes ``data`` in one pass, or None when the
+    line walk must read them, to name a fault or to report invalid UTF-8.
+
+    About ``_BLOCK`` bytes of whole lines at a time are checked on their
+    separators alone, decoded, split into fields and converted straight
+    into one array. Fields are converted as text, not bytes, so that
+    ``float`` reads them as the walk does (``float("1\\x85")`` is 1.0)."""
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    stop = len(data) - data.endswith(b"\n")
+    end = data.find(b"\n", start)
+    first = data[start:end if end >= 0 else stop]
+    # line 1 is a header when the walk reads nothing from it
+    try:
+        line = first.decode()
+        if line.strip() and not _walk_samples("", line).size:
+            start += len(first) + 1
+    except (UnicodeDecodeError, InputDataError):
+        return None
+    xy = np.empty(2 * data.count(b",", start, stop))
+    i = 0
+    while start < stop:
+        end = data.find(b"\n", start + _BLOCK, stop)
+        block = data[start:end if end >= 0 else stop]
+        start += len(block) + 1
+        try:
+            text = block.decode()
+        except UnicodeDecodeError:
+            return None
+        # with one comma on every line the fields pair up by line; else
+        # the commas must number the non-blank lines, none holding two
+        skeleton = block.translate(None, _NOT_SEPARATOR)
+        lines = skeleton.count(b"\n") + 1
+        if skeleton + b"\n" == b",\n" * lines:
+            fields = text.replace("\n", ",").split(",")
+        else:
+            rows = list(filter(str.strip, text.split("\n")))
+            if b",," in skeleton or len(rows) != len(skeleton) + 1 - lines:
+                return None
+            fields = ",".join(rows).split(",") if rows else []
+        n = len(fields)
+        try:
+            xy[i:i + n] = np.fromiter(map(float, fields), float, n)
+        except ValueError:
+            return None
+        i += n
+    return xy
 
 
 def load_samples(path):
@@ -345,28 +381,22 @@ def load_samples(path):
     does not turn a headerless first line into a header.
     """
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputDataError(f"cannot read samples: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputDataError(f"{path}: samples are not UTF-8: {exc}") from exc
-    end = text.find("\n")
-    first = text[:end] if end >= 0 else text
-    if first.strip() and not _walk_samples(path, first).size:
-        text, first = text[len(first):], ""             # header
-    # with one comma on every non-blank line the fields pair up by line,
-    # and one conversion, a block of lines at a time, checks them all; on
-    # a fault the line walk names it
-    rows = (text.count("\n") + 1 - (not first.strip())
-            - len(_BLANK_LINE.findall(text)))
-    xy = None
-    if text.count(",") == rows and not _TWO_COMMAS.search(text):
-        fields = filter(str.strip, chain.from_iterable(_field_blocks(text)))
-        with suppress(ValueError):
-            xy = np.fromiter(map(float, fields), float, 2 * rows)
+    xy = _read_csv(data)
     if xy is None:
-        xy = _walk_samples(path, text)
+        # decoded as a text-mode read decodes, so the walk names its line
+        try:
+            text = codecs.getincrementaldecoder("utf-8-sig")().decode(
+                data, final=True)
+        except UnicodeDecodeError as exc:
+            raise InputDataError(
+                f"{path}: samples are not UTF-8: {exc}") from exc
+        xy = _walk_samples(path,
+                           text.replace("\r\n", "\n").replace("\r", "\n"))
+    del data                # make_sampled's temporaries come on top of xy alone
     return make_sampled(xy[0::2], xy[1::2])
 
 

@@ -299,7 +299,8 @@ def _cumsums(x, sizes):
     the rounding of the runs before it; returns ``x``."""
     i = 0
     for k in sizes.tolist():
-        np.cumsum(x[..., i:i + k], axis=-1, out=x[..., i:i + k])
+        v = x[..., i:i + k]
+        np.add.accumulate(v, axis=-1, out=v)
         i += k
     return x
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -376,20 +377,56 @@ def test_load_samples_byte_order_mark(tmp_path):
     assert with_header.xs.tobytes() == p.xs.tobytes()
 
 
-_FIELDS = st.one_of(st.floats(allow_nan=False).map(repr),
-                    st.sampled_from([" 2e0 ", "1_0", "\t", "", "x"]))
-_LINES = st.one_of(st.builds("{},{}".format, _FIELDS, _FIELDS),
-                   st.sampled_from(["", " ", "\t\x0c", "x,phi", "7", "1,2,3"]))
+def test_load_samples_peak_memory(tmp_path):
+    # the one pass holds the file's bytes, the samples and one block's
+    # fields at a time: 1.75 times this file of 60 000 rows measured, where
+    # a copy of the whole body adds 1
+    wells = 5000
+    xs = np.linspace(-0.4, wells - 0.6, round((wells - 0.2) * 12) + 1)
+    phis = (1.0 - np.cos(2 * np.pi * xs)) * (1.0 + 0.2 * np.sin(0.37 * xs))
+    path = _csv(tmp_path, "x,phi\n" + "".join(
+        f"{x!r},{y!r}\n" for x, y in zip(xs.tolist(), phis.tolist())))
+    tracemalloc.start()
+    try:
+        p = load_samples(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.xs.tobytes() == xs.tobytes()
+    assert peak <= 1.9 * os.path.getsize(path), peak
 
 
-@given(st.lists(_LINES, max_size=12), st.sampled_from(["", "\n", "\r\n"]),
-       st.sampled_from([1, 8, 1 << 20]))
+# besides the usual tokens: characters that str and bytes, or str.strip
+# and bytes.strip, read differently (\x85, \xa0 and \u3000 are str
+# whitespace; str.strip drops \x1c-\x1f, which float refuses), the vertical
+# tab and form feed, which both strip, and "\udcff", written as the invalid
+# UTF-8 byte ff
+_PADS = st.sampled_from(["\x85", "\xa0", "\u3000", "\x1c", "\x1d", "\x1e",
+                         "\x1f", "\x0b", "\x0c"])
+_NUMBERS = st.floats(allow_nan=False).map(repr)
+_TOKENS = st.one_of(_NUMBERS, st.sampled_from([" 2e0 ", "1_0", "\t", "", "x"]))
+_FIELDS = st.one_of(_TOKENS, st.builds("{}{}".format, _PADS, _TOKENS),
+                    st.builds("{}{}".format, _TOKENS, _PADS))
+_LINES = st.one_of(st.builds("{},{}".format, _NUMBERS, _NUMBERS),
+                   st.builds("{},{}".format, _FIELDS, _FIELDS), _PADS,
+                   st.sampled_from(["", " ", "\t\x0c", "x,phi", "x,\u03c6",
+                                    "7", "1,", "1,2,3", "0,\udcff"]))
+
+
+@given(st.lists(_LINES, max_size=12),
+       st.sampled_from(["", "\n", "\r\n", "\r"]),
+       st.sampled_from([1, 8, landscape._BLOCK]))
+@example(["0,4", "1,", "7", *_ROWS], "\n", landscape._BLOCK)
+@example(["0,4", "1,2,3", "7", *_ROWS], "\n", landscape._BLOCK)
 def test_load_samples_reads_as_the_line_walk(tmp_path_factory, lines, end,
                                              block):
     # the one-pass parse, in blocks of any size, reads the samples that
-    # the line-by-line walk reads, and fails with its message
+    # the line-by-line walk of the file's text reads, and fails with its
+    # message. It reads them itself, blank and whitespace-only lines
+    # included, wherever float reads every field of the other lines as it
+    # stands: only the walk strips the ends of a line
     path = tmp_path_factory.getbasetemp() / "walk.csv"
-    path.write_bytes((end.join(lines) + end).encode())
+    path.write_bytes((end.join(lines) + end).encode(errors="surrogateescape"))
 
     def read(load):
         try:
@@ -400,11 +437,26 @@ def test_load_samples_reads_as_the_line_walk(tmp_path_factory, lines, end,
     with patch.object(landscape, "_BLOCK", block), patch.object(
             landscape, "make_sampled", lambda *xy: [a.tolist() for a in xy]):
         got = read(lambda: load_samples(str(path)))
-    xy = read(lambda: landscape._walk_samples(
-        str(path), path.read_text(encoding="utf-8-sig")))
-    want = xy if isinstance(xy, str) else [xy[0::2].tolist(),
-                                           xy[1::2].tolist()]
-    assert got == want
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        assert got == f"{path}: samples are not UTF-8: {exc}"
+        return
+    xy = read(lambda: landscape._walk_samples(str(path), text))
+    if isinstance(xy, str):
+        assert got == xy
+        return
+    assert got == [xy[0::2].tolist(), xy[1::2].tolist()]
+    first, _, rest = text.partition("\n")
+    rows = rest.split("\n") + [first] * bool(
+        landscape._walk_samples("", first).size)
+    try:
+        for row in filter(str.strip, rows):
+            list(map(float, row.split(",")))
+    except ValueError:
+        return
+    with patch.object(landscape, "_BLOCK", block):
+        assert landscape._read_csv(path.read_bytes()) is not None
 
 
 def test_make_sampled_errors():
